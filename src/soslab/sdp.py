@@ -7,9 +7,11 @@ is ADMM on the splitting Z = M(y), Z PSD, with scaled dual U:
   y-step   minimize -c.y + (rho/2) ||M(y) - Z + U||_F^2  s.t.  A y = b.
            M(y) is linear with disjoint cell supports per variable, so the
            quadratic is diagonal (weight m_v = cell count of variable v) and
-           the step is one linear solve against G = A diag(1/m) A^T, which
-           is factorized once.
-  Z-step   Z = PSD projection of M(y) + U (eigendecompose, clamp, recompose).
+           the step is one matrix-vector product with the inverse of
+           G = A diag(1/m) A^T, formed once per solve (the eigen
+           pseudo-inverse when the equalities are linearly dependent).
+  Z-step   Z = PSD projection of M(y) + U, recomposed from the positive
+           eigenpairs only (near the optimum there are a few).
   U-step   U += M(y) - Z.
 
 Residuals (checked every iteration against options.tol):
@@ -31,6 +33,7 @@ this is deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
@@ -72,40 +75,60 @@ class SdpSolution:
     iterations: int
 
 
+# LAPACK's MRRR eigensolver (what scipy.linalg.eigh runs for a value range),
+# called directly: eigh re-validates its arguments and re-queries the
+# workspace on every call, over a third of its time at dim 17.
+_SYEVR, _SYEVR_LWORK = scipy.linalg.get_lapack_funcs(("syevr", "syevr_lwork"), dtype=np.float64)
+
+
+@lru_cache(maxsize=None)
+def _syevr_workspace(n: int) -> tuple[int, int]:
+    lwork, liwork, _ = _SYEVR_LWORK(n, lower=1)
+    return int(lwork), int(liwork)
+
+
 def project_psd(S: np.ndarray) -> np.ndarray:
-    """Spectral projection onto the PSD cone (symmetrizes defensively)."""
+    """Spectral projection onto the PSD cone (symmetrizes defensively).
+
+    Only the eigenpairs with positive eigenvalues are computed:
+    Z = V+ diag(w+) V+^T.
+    """
     S = np.asarray(S, dtype=np.float64)
     S = (S + S.T) / 2.0
-    try:
-        w, V = np.linalg.eigh(S)
-    except np.linalg.LinAlgError as exc:
-        raise EigFailure(f"symmetric eigendecomposition failed: {exc}") from exc
-    w = np.maximum(w, 0.0)
-    P = (V * w) @ V.T
+    if not np.isfinite(S).all():
+        raise EigFailure("symmetric eigendecomposition failed: non-finite entries")
+    lwork, liwork = _syevr_workspace(len(S))
+    w, V, k, _, info = _SYEVR(
+        S, compute_v=1, range="V", lower=1, vl=0.0, vu=np.inf, lwork=lwork, liwork=liwork
+    )
+    if info != 0:
+        raise EigFailure(f"symmetric eigendecomposition failed: LAPACK info {info}")
+    V = V[:, :k]
+    P = (V * w[:k]) @ V.T
     return (P + P.T) / 2.0
 
 
-class _EqualitySolver:
-    """Solves G lam = r for G = A diag(1/m) A^T, factorized once."""
+# Cholesky pivots below this fraction of the largest one mark G as rank
+# deficient: its explicit inverse would then amplify rounding without bound.
+_PIVOT_RATIO = 1e-6
 
-    def __init__(self, A: scipy.sparse.csr_matrix, inv_m: np.ndarray):
-        G = (A @ scipy.sparse.diags(inv_m) @ A.T).toarray()
-        self._cho = None
-        self._pinv = None
-        try:
-            self._cho = scipy.linalg.cho_factor(G)
-        except scipy.linalg.LinAlgError:
-            # Redundant equality rows; fall back to an eigen pseudo-inverse.
-            w, Q = np.linalg.eigh(G)
-            cut = max(w.max(), 1.0) * 1e-12
-            inv_w = np.where(w > cut, 1.0 / np.maximum(w, cut), 0.0)
-            self._pinv = (Q, inv_w)
 
-    def solve(self, r: np.ndarray) -> np.ndarray:
-        if self._cho is not None:
-            return scipy.linalg.cho_solve(self._cho, r)
-        Q, inv_w = self._pinv
-        return Q @ (inv_w * (Q.T @ r))
+def _equality_inverse(A: scipy.sparse.csr_matrix, inv_m: np.ndarray) -> np.ndarray:
+    """Inverse of G = A diag(1/m) A^T, or its eigen pseudo-inverse when the
+    equality rows are linearly dependent (then A y = b is still met exactly
+    for consistent b)."""
+    G = (A @ scipy.sparse.diags(inv_m) @ A.T).toarray()
+    try:
+        cho = scipy.linalg.cho_factor(G)
+        pivots = np.diag(cho[0])
+        if pivots.min() > _PIVOT_RATIO * pivots.max():
+            return scipy.linalg.cho_solve(cho, np.eye(len(G)))
+    except scipy.linalg.LinAlgError:
+        pass
+    w, Q = np.linalg.eigh(G)
+    cut = max(w.max(), 1.0) * 1e-12
+    inv_w = np.where(w > cut, 1.0 / np.maximum(w, cut), 0.0)
+    return (Q * inv_w) @ Q.T
 
 
 def solve(program: SosProgram, options: SolverOptions | None = None) -> SdpSolution:
@@ -119,10 +142,9 @@ def solve(program: SosProgram, options: SolverOptions | None = None) -> SdpSolut
     # Every variable appears in the matrix, so m >= 1 (program invariant).
     inv_m = 1.0 / m
     c = program.objective_vector()
-    A_dense, b = program.constraint_arrays()
-    A = scipy.sparse.csr_matrix(A_dense)
+    A, b = program.constraint_arrays()
     AT = A.T.tocsr()
-    eq = _EqualitySolver(A, inv_m)
+    G_inv = _equality_inverse(A, inv_m)
 
     rho = options.step
     Z = np.zeros_like(entry, dtype=np.float64)
@@ -131,7 +153,7 @@ def solve(program: SosProgram, options: SolverOptions | None = None) -> SdpSolut
     def y_step(rho: float) -> np.ndarray:
         w = np.bincount(entry_flat, weights=(Z - U).ravel(), minlength=V)
         q = rho * w + c
-        lam = eq.solve(A @ (q * inv_m) - rho * b)
+        lam = G_inv @ (A @ (q * inv_m) - rho * b)
         return (q - AT @ lam) * inv_m / rho
 
     y = np.zeros(V)
@@ -143,12 +165,13 @@ def solve(program: SosProgram, options: SolverOptions | None = None) -> SdpSolut
         My = y[entry]
         Z_prev = Z
         Z = project_psd(My + U)
-        U = U + (My - Z)
-        psd_gap = float(np.linalg.norm(My - Z))
+        R = My - Z
+        U = U + R
+        psd_gap = float(np.linalg.norm(R))
         eq_res = float(np.max(np.abs(A @ y - b))) if b.size else 0.0
         primal = eq_res + psd_gap
         dual = rho * float(np.linalg.norm(Z - Z_prev))
-        value = program.value_of(y)
+        value = float(c @ y) / program.scale
         bar = options.tol * (1.0 + abs(value))
         if primal <= bar and dual <= bar and psd_gap <= options.tol:
             return SdpSolution(

@@ -26,6 +26,7 @@ from itertools import combinations
 from typing import Iterable, Mapping
 
 import numpy as np
+import scipy.sparse
 
 from .errors import InvalidParams, MissingValue
 from .matrix import NoisyMatrix, pair_iter
@@ -60,21 +61,22 @@ class SosProgram:
             c[var] += coeff
         return c
 
-    def constraint_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Dense (A, b) with one row per equality."""
-        A = np.zeros((len(self.constraints), self.var_count))
-        b = np.zeros(len(self.constraints))
+    def constraint_arrays(self) -> tuple[scipy.sparse.csr_matrix, np.ndarray]:
+        """Sparse (A, b) with one row per equality; repeated terms add up."""
+        rows, cols, vals = [], [], []
         for r, con in enumerate(self.constraints):
             for var, coeff in con.terms:
-                A[r, var] += coeff
-            b[r] = con.rhs
+                rows.append(r)
+                cols.append(var)
+                vals.append(coeff)
+        shape = (len(self.constraints), self.var_count)
+        A = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
+        A.eliminate_zeros()
+        b = np.array([con.rhs for con in self.constraints], dtype=np.float64)
         return A, b
 
     def value_of(self, y: np.ndarray) -> float:
-        total = 0.0
-        for var, coeff in self.objective:
-            total += coeff * y[var]
-        return total / self.scale
+        return float(self.objective_vector() @ y) / self.scale
 
 
 @dataclass(frozen=True)

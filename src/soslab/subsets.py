@@ -18,8 +18,6 @@ from .errors import InvalidParams, TooLarge
 
 DEFAULT_MAX_DIM = 4096
 
-SubsetKey = tuple
-
 
 def canonical_key(vertices: Iterable[int]) -> tuple[int, ...]:
     """Sorted-tuple key of a vertex collection (duplicates merged)."""

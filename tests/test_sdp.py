@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from soslab.certificate import SIGN_POSITIVE, build_certificate, expansivity_table, positivity_graph
+from soslab.errors import EigFailure
 from soslab.estimators import lp_estimate, scan_estimate
 from soslab.matrix import NoisyMatrix, n_pairs
 from soslab.models import ModelParams, Noise, gen_submatrix
@@ -9,7 +10,7 @@ from soslab.sdp import MAX_ITER_REACHED, OPTIMAL, SolverOptions, project_psd, so
 from soslab.seeds import generator
 from soslab.sos import SosProgram, assemble_basic, assemble_level, objective_value
 
-cvxpy = pytest.importorskip("cvxpy", reason="cvxpy used only as an independent oracle")
+CVXPY_REASON = "cvxpy used only as an independent oracle"
 
 
 def single_entry_matrix(c):
@@ -36,6 +37,37 @@ def test_project_psd_idempotent():
     P = project_psd(S)
     assert np.allclose(project_psd(P), P, atol=1e-12)
     assert np.linalg.eigvalsh(P)[0] >= -1e-12
+
+
+def _full_spectrum_projection(S):
+    w, V = np.linalg.eigh((S + S.T) / 2.0)
+    return (V * np.maximum(w, 0.0)) @ V.T
+
+
+_RNG = generator(5)
+_B = _RNG.standard_normal((9, 9))
+PROJECTION_INPUTS = {
+    "random": _RNG.standard_normal((9, 9)),
+    "psd": _B @ _B.T,
+    "negative-definite": -(_B @ _B.T) - np.eye(9),
+    "zero": np.zeros((6, 6)),
+    "1x1-positive": np.array([[2.5]]),
+    "1x1-negative": np.array([[-0.5]]),
+}
+
+
+@pytest.mark.parametrize("S", PROJECTION_INPUTS.values(), ids=PROJECTION_INPUTS.keys())
+def test_project_psd_matches_full_spectrum(S):
+    P = project_psd(S)
+    assert P.shape == S.shape
+    assert np.abs(P - _full_spectrum_projection(S)).max() <= 1e-12
+
+
+def test_project_psd_rejects_nan():
+    S = np.eye(3)
+    S[1, 2] = np.nan
+    with pytest.raises(EigFailure):
+        project_psd(S)
 
 
 @pytest.mark.parametrize("c", [-1.0, 0.0, 3.0])
@@ -154,6 +186,22 @@ def test_redundant_equalities_fall_back_to_pseudo_inverse():
     assert sol.value == pytest.approx(3.0, abs=1e-5)
 
 
+def test_rank_deficient_equalities_level2():
+    # at d=4, s*=2 the level-2 family (b) has 16 rows of rank 11, and the
+    # Cholesky factorization of the normal system does not fail on it
+    X = NoisyMatrix(d=4, entries=generator(11).standard_normal(n_pairs(4)))
+    prog = assemble_level(X, 2, 2)
+    sol = solve(prog)
+    assert sol.status == OPTIMAL
+    A, b = prog.constraint_arrays()
+    y = np.zeros(prog.var_count)
+    y[prog.entry_map.ravel()] = sol.matrix.ravel()
+    assert np.abs(A @ y - b).max() <= 1e-9
+    scan = scan_estimate(X, 2).value
+    v1 = solve(assemble_level(X, 2, 1)).value
+    assert scan - 1e-5 <= sol.value <= v1 + 1e-5
+
+
 def test_deterministic_given_inputs():
     X = NoisyMatrix(d=5, entries=np.arange(10, dtype=float) / 10 - 0.4)
     a = solve(assemble_level(X, 2, 1))
@@ -165,6 +213,7 @@ def test_deterministic_given_inputs():
 
 def _cvxpy_basic_value(X, s_star):
     """Independent oracle: the full (d+1)x(d+1) basic relaxation, verbatim."""
+    cvxpy = pytest.importorskip("cvxpy", reason=CVXPY_REASON)
     d = X.d
     dense = X.to_dense()
     Y = np.zeros((d + 1, d + 1))
@@ -185,6 +234,7 @@ def _cvxpy_basic_value(X, s_star):
 
 
 def test_reduced_basic_matches_full_formulation():
+    pytest.importorskip("cvxpy", reason=CVXPY_REASON)
     rng = generator(2718)
     for _ in range(4):
         d = int(rng.integers(3, 7))

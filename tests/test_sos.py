@@ -102,7 +102,7 @@ def test_all_ones_objective_constant_on_feasible_set():
     rng = generator(8)
     A, b = prog.constraint_arrays()
     # project random vectors onto the affine set and read the objective
-    AtA = A @ A.T
+    AtA = (A @ A.T).toarray()
     for _ in range(5):
         y0 = rng.standard_normal(prog.var_count)
         lam = np.linalg.solve(AtA, A @ y0 - b)
