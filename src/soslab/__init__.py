@@ -40,7 +40,6 @@ from .sos import (
     assemble_basic,
     assemble_level,
     moment_matrix,
-    objective_value,
 )
 from .subsets import SubsetIndexer, subset_indexer
 
@@ -86,7 +85,6 @@ __all__ = [
     "assemble_basic",
     "assemble_level",
     "moment_matrix",
-    "objective_value",
     "SubsetIndexer",
     "subset_indexer",
 ]

@@ -24,16 +24,8 @@ from .certificate import (
     DEFAULT_MAX_CLIQUE_COMBOS,
 )
 from .errors import SoslabError
-from .estimators import (
-    BRANCH_AND_BOUND,
-    DEFAULT_MAX_SUBSETS,
-    EXHAUSTIVE,
-    avg_estimate,
-    lp_estimate,
-    max_estimate,
-    scan_estimate,
-)
-from .lab import ExperimentConfig, fmt_float, run_experiment, with_overrides
+from .estimators import BRANCH_AND_BOUND, DEFAULT_MAX_SUBSETS, EXHAUSTIVE
+from .lab import ESTIMATORS, ExperimentConfig, estimate, fmt_float, run_experiment, with_overrides
 from .matrix import read_matrix_json, write_matrix_json
 from .models import GAUSSIAN, RADEMACHER, SBM, SUBMATRIX, ModelParams, Noise, generate
 from .sdp import MAX_ITER_REACHED, SolverOptions, solve
@@ -64,18 +56,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     est = sub.add_parser("estimate", help="run one estimator on a matrix file")
     est.add_argument("--in", dest="infile", required=True)
-    est.add_argument(
-        "--estimator",
-        choices=["scan", "avg", "max", "lp", "sos_basic", "sos_level"],
-        required=True,
-    )
+    est.add_argument("--estimator", choices=ESTIMATORS, required=True)
     est.add_argument("--s", type=int, default=None)
     est.add_argument("--level", type=int, default=1, help="level for sos_level")
     est.add_argument("--strategy", choices=[EXHAUSTIVE, BRANCH_AND_BOUND], default=EXHAUSTIVE)
     est.add_argument("--max-subsets", type=int, default=DEFAULT_MAX_SUBSETS)
-    est.add_argument("--tol", type=float, default=1e-7)
-    est.add_argument("--max-iter", type=int, default=100_000)
-    est.add_argument("--step", type=float, default=1.0)
+    _add_solver_args(est)
 
     cert = sub.add_parser("certify", help="build and verify the expansivity certificate")
     cert.add_argument("--in", dest="infile", required=True)
@@ -90,9 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--level", type=int, default=None, help="level of the moment relaxation")
     group.add_argument("--basic", action="store_true", help="the weaker (d+1)-dim program")
     slv.add_argument("--s", type=int, required=True, help="subset size in the constraints")
-    slv.add_argument("--tol", type=float, default=1e-7)
-    slv.add_argument("--max-iter", type=int, default=100_000)
-    slv.add_argument("--step", type=float, default=1.0)
+    _add_solver_args(slv)
 
     exp = sub.add_parser("experiment", help="run a configured experiment to CSV")
     exp.add_argument("--config", required=True)
@@ -100,6 +84,17 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--seed", type=int, default=None, help="override the config's base seed")
 
     return parser
+
+
+def _add_solver_args(parser: argparse.ArgumentParser) -> None:
+    defaults = SolverOptions()
+    parser.add_argument("--tol", type=float, default=defaults.tol)
+    parser.add_argument("--max-iter", type=int, default=defaults.max_iter)
+    parser.add_argument("--step", type=float, default=defaults.step)
+
+
+def _solver_options(args) -> SolverOptions:
+    return SolverOptions(tol=args.tol, max_iter=args.max_iter, step=args.step)
 
 
 def _cmd_generate(args) -> int:
@@ -123,25 +118,17 @@ def _cmd_generate(args) -> int:
 
 def _cmd_estimate(args) -> int:
     X, _ = read_matrix_json(args.infile)
-    name = args.estimator
-    if name != "max" and args.s is None:
-        raise SoslabError(f"estimator {name!r} requires --s")
-    if name == "scan":
-        value = scan_estimate(X, args.s, strategy=args.strategy, max_subsets=args.max_subsets).value
-    elif name == "avg":
-        value = avg_estimate(X, args.s)
-    elif name == "max":
-        value = max_estimate(X)
-    elif name == "lp":
-        value = lp_estimate(X, args.s)
-    else:
-        options = SolverOptions(tol=args.tol, max_iter=args.max_iter, step=args.step)
-        program = (
-            assemble_basic(X, args.s)
-            if name == "sos_basic"
-            else assemble_level(X, args.s, args.level)
-        )
-        value = solve(program, options).value
+    if args.estimator != "max" and args.s is None:
+        raise SoslabError(f"estimator {args.estimator!r} requires --s")
+    value = estimate(
+        args.estimator,
+        X,
+        args.s,
+        level=args.level,
+        solver=_solver_options(args),
+        strategy=args.strategy,
+        max_subsets=args.max_subsets,
+    )
     print(fmt_float(value))
     return 0
 
@@ -160,8 +147,7 @@ def _cmd_certify(args) -> int:
 def _cmd_solve(args) -> int:
     X, _ = read_matrix_json(args.infile)
     program = assemble_basic(X, args.s) if args.basic else assemble_level(X, args.s, args.level)
-    options = SolverOptions(tol=args.tol, max_iter=args.max_iter, step=args.step)
-    solution = solve(program, options)
+    solution = solve(program, _solver_options(args))
     if solution.status == MAX_ITER_REACHED:
         print(
             f"warning: max_iter reached (primal={solution.primal_residual:.3g}, "

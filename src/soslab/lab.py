@@ -17,6 +17,8 @@ import json
 import math
 import time
 from dataclasses import dataclass, field, replace
+from functools import partial
+from typing import Callable
 
 from .certificate import (
     BINARY_ONE,
@@ -37,6 +39,7 @@ from .estimators import (
     max_estimate,
     scan_estimate,
 )
+from .matrix import NoisyMatrix
 from .models import GAUSSIAN, SBM, SUBMATRIX, ModelParams, Noise, generate
 from .sdp import SolverOptions, solve
 from .seeds import mix_seed
@@ -63,7 +66,7 @@ THRESHOLD_SUMMARY_COLUMNS = [
     "d", "s_star", "c", "replicates", "type_i_error", "type_ii_error", "summed_error",
 ]
 
-KNOWN_ESTIMATORS = ("scan", "avg", "max", "lp", "sos_basic", "sos_level")
+ESTIMATORS = ("scan", "avg", "max", "lp", "sos_basic", "sos_level")
 
 
 @dataclass(frozen=True)
@@ -158,10 +161,11 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
         solver_doc = doc.get("solver", {})
+        defaults = SolverOptions()
         solver = SolverOptions(
-            tol=float(solver_doc.get("tol", 1e-7)),
-            max_iter=int(solver_doc.get("max_iter", 100_000)),
-            step=float(solver_doc.get("step", 1.0)),
+            tol=float(solver_doc.get("tol", defaults.tol)),
+            max_iter=int(solver_doc.get("max_iter", defaults.max_iter)),
+            step=float(solver_doc.get("step", defaults.step)),
         )
         cfg = cls(
             experiment=doc["experiment"],
@@ -209,7 +213,7 @@ def write_csv(path: str, columns: list[str], rows: list[dict]) -> None:
 
 def _parse_estimator(name: str) -> tuple[str, int | None]:
     base, _, level = name.partition(":")
-    if base not in KNOWN_ESTIMATORS:
+    if base not in ESTIMATORS:
         raise InvalidParams(f"unknown estimator {name!r}")
     if base == "sos_level":
         if not level:
@@ -220,100 +224,110 @@ def _parse_estimator(name: str) -> tuple[str, int | None]:
     return base, None
 
 
-def _run_one_estimator(name: str, instance, cfg: ExperimentConfig) -> tuple[float, int | None]:
-    base, level = _parse_estimator(name)
-    X = instance.matrix
-    s = instance.params.s_star
-    if base == "scan":
-        return scan_estimate(X, s, strategy=cfg.scan_strategy, max_subsets=cfg.max_subsets).value, None
-    if base == "avg":
-        return avg_estimate(X, s), None
-    if base == "max":
-        return max_estimate(X), None
-    if base == "lp":
-        return lp_estimate(X, s), None
-    if base == "sos_basic":
-        return solve(assemble_basic(X, s), cfg.solver).value, None
-    return solve(assemble_level(X, s, level), cfg.solver).value, level
+def estimate(
+    name: str,
+    X: NoisyMatrix,
+    s_star: int | None,
+    *,
+    level: int | None,
+    solver: SolverOptions,
+    strategy: str,
+    max_subsets: int,
+) -> float:
+    """Value of the estimator ``name`` (one of ``ESTIMATORS``) on X; each
+    estimator reads only the keyword arguments that apply to it."""
+    if name == "scan":
+        return scan_estimate(X, s_star, strategy=strategy, max_subsets=max_subsets).value
+    if name == "avg":
+        return avg_estimate(X, s_star)
+    if name == "max":
+        return max_estimate(X)
+    if name == "lp":
+        return lp_estimate(X, s_star)
+    if name == "sos_basic":
+        return solve(assemble_basic(X, s_star), solver).value
+    if name == "sos_level":
+        return solve(assemble_level(X, s_star, level), solver).value
+    raise InvalidParams(f"unknown estimator {name!r}")
+
+
+def _estimator(cfg: ExperimentConfig) -> Callable[..., float]:
+    """``estimate`` with the config's solver and scan settings bound."""
+    return partial(
+        estimate, solver=cfg.solver, strategy=cfg.scan_strategy, max_subsets=cfg.max_subsets
+    )
+
+
+def _run_cell(row: dict, columns: list[str], work: Callable[[dict], None]) -> dict:
+    """Time ``work(row)``, which fills result fields as it goes (a cell that
+    fails part way keeps what it reached); record a ``SoslabError`` in
+    ``error`` and set every column still unset to ``""``."""
+    start = time.perf_counter()
+    try:
+        work(row)
+    except SoslabError as exc:
+        row["error"] = f"{type(exc).__name__}: {exc}"
+    row["runtime_ms"] = (time.perf_counter() - start) * 1000.0
+    for col in columns:
+        row.setdefault(col, "")
+    return row
 
 
 def run_gap_experiment(cfg: ExperimentConfig) -> list[dict]:
     """Estimate beta_star with every selected estimator on every replicate."""
     cfg.validate()
+    run = _estimator(cfg)
     rows: list[dict] = []
     for gi, g in enumerate(cfg.grid):
         for rep in range(cfg.replicates):
             seed = mix_seed(cfg.base_seed, gi * cfg.replicates + rep)
             instance = generate(g.params(seed))
             for name in cfg.estimators:
+                base, level = _parse_estimator(name)
+
+                def work(row: dict) -> None:
+                    value = run(base, instance.matrix, instance.params.s_star, level=level)
+                    row["estimate"] = value
+                    row["abs_error"] = abs(value - g.beta_star)
+                    if level is not None:
+                        row["level"] = level
+
                 row = {
-                    "model": g.model,
-                    "d": g.d,
-                    "s_star": g.s_star,
-                    "beta_star": float(g.beta_star),
-                    "noise": g.noise_label(),
-                    "estimator": name.partition(":")[0],
-                    "level": "",
-                    "rep": rep,
-                    "seed": seed,
+                    "model": g.model, "d": g.d, "s_star": g.s_star, "beta_star": float(g.beta_star),
+                    "noise": g.noise_label(), "estimator": base, "rep": rep, "seed": seed,
                 }
-                start = time.perf_counter()
-                try:
-                    estimate, level = _run_one_estimator(name, instance, cfg)
-                    row["estimate"] = estimate
-                    row["abs_error"] = abs(estimate - g.beta_star)
-                    row["level"] = level if level is not None else ""
-                    row["error"] = ""
-                except SoslabError as exc:
-                    row["estimate"] = ""
-                    row["abs_error"] = ""
-                    row["error"] = f"{type(exc).__name__}: {exc}"
-                row["runtime_ms"] = (time.perf_counter() - start) * 1000.0
-                rows.append(row)
+                rows.append(_run_cell(row, GAP_COLUMNS, work))
     return rows
 
 
 def run_certificate_experiment(cfg: ExperimentConfig) -> list[dict]:
     """Build and verify the expansivity certificate on null instances."""
     cfg.validate()
+    run = _estimator(cfg)
     rows: list[dict] = []
     for gi, g in enumerate(cfg.grid):
         mode = BINARY_ONE if g.model == SBM else SIGN_POSITIVE
         for rep in range(cfg.replicates):
             seed = mix_seed(cfg.base_seed, gi * cfg.replicates + rep)
-            row = {
-                "model": g.model,
-                "d": g.d,
-                "s_star": g.s_star,
-                "ell": g.ell,
-                "rep": rep,
-                "seed": seed,
-            }
-            start = time.perf_counter()
-            try:
-                instance = generate(g.params(seed))
-                X = instance.matrix
-                graph = positivity_graph(X, mode)
-                table = expansivity_table(graph, g.ell)
+
+            def work(row: dict) -> None:
+                X = generate(g.params(seed)).matrix
+                table = expansivity_table(positivity_graph(X, mode), g.ell)
                 row["eta_empty"] = table.clique_count
                 pe = build_certificate(table, g.s_star, g.ell)
                 report = verify_certificate(pe, g.d, g.s_star, g.ell)
-                objective = certificate_objective(X, pe, g.s_star)
                 row["rowsum_violation_zero"] = report.rowsum_max_violation == 0
                 row["min_eig"] = report.min_eigenvalue
                 row["psd"] = report.psd
-                row["objective"] = float(objective)
+                row["objective"] = float(certificate_objective(X, pe, g.s_star))
                 if cfg.solve_sdp:
-                    program = assemble_level(X, g.s_star, g.ell)
-                    row["sdp_value"] = solve(program, cfg.solver).value
-                else:
-                    row["sdp_value"] = ""
-                row["error"] = ""
-            except SoslabError as exc:
-                row.setdefault("eta_empty", "")
-                row["error"] = f"{type(exc).__name__}: {exc}"
-            row["runtime_ms"] = (time.perf_counter() - start) * 1000.0
-            rows.append(row)
+                    row["sdp_value"] = run("sos_level", X, g.s_star, level=g.ell)
+
+            row = {
+                "model": g.model, "d": g.d, "s_star": g.s_star, "ell": g.ell,
+                "rep": rep, "seed": seed,
+            }
+            rows.append(_run_cell(row, CERTIFICATE_COLUMNS, work))
     return rows
 
 
@@ -325,49 +339,33 @@ def run_threshold_sweep(cfg: ExperimentConfig) -> tuple[list[dict], list[dict]]:
     reject = (scan > beta_bar / 2). Returns (rows, summary_rows).
     """
     cfg.validate()
+    run = _estimator(cfg)
     rows: list[dict] = []
     summary: list[dict] = []
     n_mult = len(cfg.multipliers)
     for gi, g in enumerate(cfg.grid):
         for ci, c in enumerate(cfg.multipliers):
             beta_bar = c * math.sqrt(math.log(g.d / g.s_star) / g.s_star)
-            errors = {0: 0, 1: 0}
             for rep in range(cfg.replicates):
                 for hyp in (0, 1):
                     counter = ((gi * n_mult + ci) * cfg.replicates + rep) * 2 + hyp
                     seed = mix_seed(cfg.base_seed, counter)
-                    row = {
-                        "d": g.d,
-                        "s_star": g.s_star,
-                        "c": float(c),
-                        "rep": rep,
-                        "seed": seed,
-                        "hypothesis": hyp,
-                    }
-                    start = time.perf_counter()
-                    try:
-                        beta = beta_bar if hyp == 1 else 0.0
-                        instance = generate(g.params(seed, beta_star=beta))
-                        value = scan_estimate(
-                            instance.matrix,
-                            g.s_star,
-                            strategy=cfg.scan_strategy,
-                            max_subsets=cfg.max_subsets,
-                        ).value
-                        reject = int(value > beta_bar / 2)
+
+                    def work(row: dict) -> None:
+                        instance = generate(g.params(seed, beta_star=beta_bar if hyp else 0.0))
+                        value = run("scan", instance.matrix, g.s_star, level=None)
                         row["scan_value"] = value
-                        row["reject"] = reject
-                        row["error"] = ""
-                        # type I: reject under H0; type II: accept under H1
-                        errors[hyp] += reject if hyp == 0 else 1 - reject
-                    except SoslabError as exc:
-                        row["scan_value"] = ""
-                        row["reject"] = ""
-                        row["error"] = f"{type(exc).__name__}: {exc}"
-                    row["runtime_ms"] = (time.perf_counter() - start) * 1000.0
-                    rows.append(row)
-            type_i = errors[0] / cfg.replicates
-            type_ii = errors[1] / cfg.replicates
+                        row["reject"] = int(value > beta_bar / 2)
+
+                    row = {
+                        "d": g.d, "s_star": g.s_star, "c": float(c),
+                        "rep": rep, "seed": seed, "hypothesis": hyp,
+                    }
+                    rows.append(_run_cell(row, THRESHOLD_COLUMNS, work))
+            # type I: reject under H0; type II: accept under H1; failed cells hold reject ""
+            cells = rows[-2 * cfg.replicates :]
+            type_i = sum(r["reject"] == 1 for r in cells if r["hypothesis"] == 0) / cfg.replicates
+            type_ii = sum(r["reject"] == 0 for r in cells if r["hypothesis"] == 1) / cfg.replicates
             summary.append(
                 {
                     "d": g.d,

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParams, InvalidSupport, RademacherWithSignal
-from .matrix import NoisyMatrix, n_pairs, pair_index
+from .matrix import NoisyMatrix, n_pairs
 from .seeds import generator
 
 SUBMATRIX = "submatrix"
@@ -157,12 +157,7 @@ def mean_matrix(params: ModelParams, support) -> NoisyMatrix:
     params.validate()
     supp = _check_support(params.d, params.s_star, support)
     outside = params.beta_tilde if params.kind == SBM else 0.0
-    entries = np.full(n_pairs(params.d), outside, dtype=np.float64)
-    members = sorted(supp)
-    for a in range(len(members)):
-        for b in range(a + 1, len(members)):
-            entries[pair_index(params.d, members[a], members[b])] = params.beta_star
-    return NoisyMatrix(d=params.d, entries=entries)
+    return NoisyMatrix(d=params.d, entries=_pair_values(params.d, supp, params.beta_star, outside))
 
 
 def sample_support(d: int, s_star: int, rng: np.random.Generator) -> frozenset[int]:
@@ -174,16 +169,13 @@ def sample_support(d: int, s_star: int, rng: np.random.Generator) -> frozenset[i
     return frozenset(int(v) for v in labels[:s_star])
 
 
-def _pair_inside_mask(d: int, support: frozenset[int]) -> np.ndarray:
-    member = np.zeros(d + 1, dtype=bool)
-    member[list(support)] = True
-    mask = np.zeros(n_pairs(d), dtype=bool)
-    pos = 0
-    for i in range(1, d + 1):
-        for j in range(i + 1, d + 1):
-            mask[pos] = member[i] and member[j]
-            pos += 1
-    return mask
+def _pair_values(d: int, support: frozenset[int], inside: float, outside: float) -> np.ndarray:
+    """Per-pair values in storage order: ``inside`` on the pairs within the
+    support, ``outside`` elsewhere."""
+    member = np.zeros(d, dtype=bool)
+    member[[v - 1 for v in support]] = True
+    i, j = np.triu_indices(d, 1)
+    return np.where(member[i] & member[j], inside, outside)
 
 
 def gen_submatrix(params: ModelParams) -> PlantedInstance:
@@ -196,7 +188,7 @@ def gen_submatrix(params: ModelParams) -> PlantedInstance:
     m = n_pairs(params.d)
     assert params.noise is not None
     if params.noise.kind == GAUSSIAN:
-        theta = np.where(_pair_inside_mask(params.d, support), params.beta_star, 0.0)
+        theta = _pair_values(params.d, support, params.beta_star, 0.0)
         entries = theta + params.noise.scale * rng.standard_normal(m)
     else:
         signs = 2.0 * rng.integers(0, 2, size=m).astype(np.float64) - 1.0
@@ -214,7 +206,7 @@ def gen_sbm(params: ModelParams) -> PlantedInstance:
     rng = generator(params.seed)
     support = sample_support(params.d, params.s_star, rng)
     m = n_pairs(params.d)
-    prob = np.where(_pair_inside_mask(params.d, support), params.beta_star, params.beta_tilde)
+    prob = _pair_values(params.d, support, params.beta_star, params.beta_tilde)
     entries = (rng.random(m) < prob).astype(np.float64)
     return PlantedInstance(
         matrix=NoisyMatrix(d=params.d, entries=entries), support=support, params=params

@@ -19,7 +19,6 @@ but omits family (b) at singletons, so level 1 is the tighter program.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -187,36 +186,3 @@ def moment_matrix(pe: PseudoExpectation, idx: SubsetIndexer) -> np.ndarray:
         )
     vals = np.array([float(pe.get(S)) for S in idx.var_subsets])
     return vals[idx.entry_map()]
-
-
-def objective_value(X: NoisyMatrix, pe: PseudoExpectation, s_star: int) -> float:
-    """Float objective of a pseudo-expectation on data X."""
-    total = 0.0
-    for pos, (i, j) in enumerate(pair_iter(X.d)):
-        v = pe.get((i, j))
-        if v:
-            total += float(X.entries[pos]) * float(v)
-    return 2.0 * total / (s_star * (s_star - 1))
-
-
-def program_to_json_dict(program: SosProgram) -> dict:
-    n = program.dim
-    em = program.entry_map
-    entry_list = [[r, c, int(em[r, c])] for r in range(n) for c in range(r, n)]
-    return {
-        "dim": program.dim,
-        "var_count": program.var_count,
-        "scale": program.scale,
-        "objective": [[var, coeff] for var, coeff in program.objective],
-        "constraints": [
-            {"terms": [[var, coeff] for var, coeff in con.terms], "rhs": con.rhs}
-            for con in program.constraints
-        ],
-        "entry_map": entry_list,
-    }
-
-
-def write_program_json(path: str, program: SosProgram) -> None:
-    with open(path, "w") as fh:
-        json.dump(program_to_json_dict(program), fh)
-        fh.write("\n")

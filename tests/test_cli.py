@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from soslab.cli import main
-from soslab.matrix import read_matrix_json
+from soslab.lab import ESTIMATORS, ExperimentConfig, fmt_float, run_gap_experiment
+from soslab.matrix import read_matrix_json, write_matrix_json
+from soslab.models import generate
 
 
 def run_cli(capsys, *args):
@@ -139,3 +141,28 @@ def test_generate_gaussian_noiseless_roundtrip(tmp_path, capsys):
     code, stdout, _ = run_cli(capsys, "estimate", "--in", out, "--estimator", "scan", "--s", "3")
     assert code == 0
     assert float(stdout) == pytest.approx(2.0)
+
+
+def test_estimate_matches_gap_rows(tmp_path, capsys):
+    cfg = ExperimentConfig.from_dict({
+        "experiment": "gap",
+        "grid": [{"model": "submatrix", "d": 6, "s_star": 3, "beta_star": 1.0,
+                  "noise": {"kind": "gaussian", "sigma": 1.0}}],
+        "estimators": [name + ":2" if name == "sos_level" else name for name in ESTIMATORS],
+        "replicates": 1,
+        "base_seed": 4,
+        "output": str(tmp_path / "gap.csv"),
+        "scan_strategy": "exhaustive",
+    })
+    rows = run_gap_experiment(cfg)
+    assert [row["estimator"] for row in rows] == list(ESTIMATORS)
+    path = str(tmp_path / "instance.json")
+    write_matrix_json(path, generate(cfg.grid[0].params(rows[0]["seed"])).matrix)
+    for row in rows:
+        assert row["error"] == ""
+        code, stdout, _ = run_cli(
+            capsys, "estimate", "--in", path, "--estimator", row["estimator"],
+            "--s", "3", "--level", "2",
+        )
+        assert code == 0
+        assert stdout.strip() == fmt_float(row["estimate"])

@@ -213,6 +213,20 @@ def test_threshold_rows_and_summary(tmp_path):
         assert s["summed_error"] == pytest.approx(s["type_i_error"] + s["type_ii_error"])
 
 
+def test_threshold_failed_cells_recorded(tmp_path):
+    cfg = threshold_config(tmp_path, max_subsets=3, scan_strategy="exhaustive")
+    rows, summary = run_threshold_sweep(cfg)
+    assert len(rows) == len(cfg.grid) * len(cfg.multipliers) * cfg.replicates * 2
+    for row in rows:
+        assert row["error"].startswith("TooLarge")
+        assert row["scan_value"] == ""
+        assert row["reject"] == ""
+    for s in summary:
+        assert s["type_i_error"] == 0.0
+        assert s["type_ii_error"] == 0.0
+        assert s["summed_error"] == 0.0
+
+
 def test_threshold_noiseless_with_large_c_separates(tmp_path):
     cfg = threshold_config(
         tmp_path,

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from soslab.errors import InvalidParams, InvalidSupport, RademacherWithSignal
-from soslab.matrix import n_pairs
+from soslab.matrix import n_pairs, pair_iter
 from soslab.models import (
     ModelParams,
     Noise,
@@ -46,6 +46,23 @@ def test_mean_matrix_sbm():
     assert theta.value(2, 3) == 0.9
     assert theta.value(1, 2) == 0.1
     assert theta.value(1, 3) == 0.1
+
+
+def test_mean_matrix_matches_pair_loop():
+    # reference: the per-pair loop in storage order
+    rng = generator(21)
+    for d, s_star in ((2, 2), (7, 3), (20, 5)):
+        for params in (
+            submatrix_params(d=d, s_star=s_star, beta_star=1.5),
+            sbm_params(d=d, s_star=s_star, beta_star=0.7, beta_tilde=0.2),
+        ):
+            support = sample_support(d, s_star, rng)
+            outside = 0.2 if params.kind == "sbm" else 0.0
+            expected = [
+                params.beta_star if i in support and j in support else outside
+                for i, j in pair_iter(d)
+            ]
+            assert mean_matrix(params, support).entries.tolist() == expected
 
 
 def test_mean_matrix_rejects_bad_support():

@@ -1,10 +1,15 @@
-import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from soslab.certificate import BINARY_ONE, build_certificate, expansivity_table, positivity_graph
+from soslab.certificate import (
+    BINARY_ONE,
+    build_certificate,
+    certificate_objective,
+    expansivity_table,
+    positivity_graph,
+)
 from soslab.errors import InvalidParams, MissingValue
 from soslab.estimators import scan_estimate
 from soslab.matrix import NoisyMatrix, n_pairs
@@ -14,9 +19,6 @@ from soslab.sos import (
     assemble_basic,
     assemble_level,
     moment_matrix,
-    objective_value,
-    program_to_json_dict,
-    write_program_json,
 )
 from soslab.subsets import subset_indexer
 
@@ -147,12 +149,12 @@ def test_pseudo_expectation_get():
 def test_objective_value_examples():
     X = ones_matrix(4)
     zero_pe = PseudoExpectation(d=4, ell=1, s_star=2, values={(): Fraction(1)})
-    assert objective_value(X, zero_pe, 2) == 0.0
-    assert objective_value(X, k4_certificate(), 2) == pytest.approx(1.0)
+    assert float(certificate_objective(X, zero_pe, 2)) == 0.0
+    assert float(certificate_objective(X, k4_certificate(), 2)) == pytest.approx(1.0)
     ind = PseudoExpectation.indicator((1, 3), d=4, ell=1)
     rng = generator(12)
     Y = NoisyMatrix(d=4, entries=rng.standard_normal(6))
-    assert objective_value(Y, ind, 2) == pytest.approx(Y.value(1, 3))
+    assert float(certificate_objective(Y, ind, 2)) == pytest.approx(Y.value(1, 3))
 
 
 def test_indicator_matches_scan_objective():
@@ -160,7 +162,7 @@ def test_indicator_matches_scan_objective():
     X = NoisyMatrix(d=6, entries=rng.standard_normal(15))
     r = scan_estimate(X, 3)
     ind = PseudoExpectation.indicator(sorted(r.support), d=6, ell=2)
-    assert objective_value(X, ind, 3) == pytest.approx(r.value, abs=1e-12)
+    assert float(certificate_objective(X, ind, 3)) == pytest.approx(r.value, abs=1e-12)
 
 
 def test_assemble_validation():
@@ -172,18 +174,3 @@ def test_assemble_validation():
         assemble_level(ones_matrix(4), 2, 0)
     with pytest.raises(InvalidParams):
         assemble_basic(ones_matrix(4), 1)
-
-
-def test_program_json_dump(tmp_path):
-    prog = assemble_level(ones_matrix(3), 2, 1)
-    doc = program_to_json_dict(prog)
-    assert doc["dim"] == 4
-    assert doc["var_count"] == 7
-    assert {len(row) for row in doc["entry_map"]} == {3}
-    assert all(len(c["terms"]) >= 1 for c in doc["constraints"])
-    path = tmp_path / "prog.json"
-    write_program_json(str(path), prog)
-    loaded = json.loads(path.read_text())
-    assert loaded == json.loads(json.dumps(doc))
-    # upper triangle only
-    assert len(doc["entry_map"]) == prog.dim * (prog.dim + 1) // 2
