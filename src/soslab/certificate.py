@@ -17,7 +17,6 @@ is checked numerically with tolerance lambda_min >= -1e-8 * max(1, lambda_max).
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
@@ -28,10 +27,11 @@ from .errors import (
     CertificateUndefined,
     EigFailure,
     InvalidParams,
+    MissingValue,
     NotBinary,
     TooLarge,
 )
-from .matrix import NoisyMatrix, pair_iter
+from .matrix import NoisyMatrix, pair_index, pair_iter
 from .sos import PseudoExpectation, moment_matrix
 from .subsets import subset_indexer
 
@@ -161,11 +161,6 @@ def build_certificate(table: ExpansivityTable, s_star: int, ell: int) -> PseudoE
     )
 
 
-def _insert_sorted(key: tuple[int, ...], i: int) -> tuple[int, ...]:
-    lo = bisect_left(key, i)
-    return key[:lo] + (i,) + key[lo:]
-
-
 def verify_certificate(
     pe: PseudoExpectation, d: int, s_star: int, ell: int
 ) -> FeasibilityReport:
@@ -173,28 +168,32 @@ def verify_certificate(
 
     Checks, in rational arithmetic: the normalization y[empty] = 1 and, for
     every subset S with |S| <= 2*ell - 1, the folded row-sum identity
-    sum_{i not in S} y[S + {i}] = (s_star - |S|) * y[S]. The maximum
+    sum_{i not in S} y[S + {i}] = (s_star - |S|) * y[S]. An identity can
+    fail only at a nonzero key or inside one, so the check runs over the
+    nonzero moments alone: each nonzero key T with |T| >= 1 adds y[T] to the
+    left side at every T - {i}, in exact integers over the common
+    denominator of the values. Keys that are not sorted tuples inside
+    1..d of size <= 2*ell are not moments and are ignored. The maximum
     violation is reported exactly. The float moment matrix supplies
     lambda_min and the PSD verdict.
     """
-    zero = Fraction(0)
-    values = pe.values
-    normalization_ok = pe.get(()) == 1
-    max_violation = zero
-    for k in range(2 * ell):
-        for S in combinations(range(1, d + 1), k):
-            inside = set(S)
-            lhs = zero
-            for i in range(1, d + 1):
-                if i in inside:
-                    continue
-                v = values.get(_insert_sorted(S, i))
-                if v:
-                    lhs += v
-            rhs = (s_star - k) * pe.get(S)
-            violation = abs(lhs - rhs)
-            if violation > max_violation:
-                max_violation = violation
+    moments = {
+        T: v
+        for T, v in pe.values.items()
+        if v and len(T) <= 2 * ell and _is_subset_key(T, d)
+    }
+    D = math.lcm(*{v.denominator for v in moments.values()})
+    scaled = {T: v.numerator * (D // v.denominator) for T, v in moments.items()}
+    lhs: dict[tuple[int, ...], int] = {}
+    for T, n in scaled.items():
+        for pos in range(len(T)):
+            S = T[:pos] + T[pos + 1 :]
+            lhs[S] = lhs.get(S, 0) + n
+    rows = lhs.keys() | {S for S in scaled if len(S) < 2 * ell}
+    max_violation = max(
+        (abs(lhs.get(S, 0) - (s_star - len(S)) * scaled.get(S, 0)) for S in rows),
+        default=0,
+    )
     idx = subset_indexer(d, ell)
     M = moment_matrix(pe, idx)
     try:
@@ -204,11 +203,18 @@ def verify_certificate(
     min_eig = float(evals[0])
     max_eig = float(evals[-1])
     return FeasibilityReport(
-        normalization_ok=normalization_ok,
-        rowsum_max_violation=max_violation,
+        normalization_ok=pe.get(()) == 1,
+        rowsum_max_violation=Fraction(max_violation, D),
         min_eigenvalue=min_eig,
         psd=min_eig >= -PSD_REL_TOL * max(1.0, max_eig),
         eta_empty=pe.eta_empty,
+    )
+
+
+def _is_subset_key(key: tuple[int, ...], d: int) -> bool:
+    """True for a strictly increasing tuple of vertices inside 1..d."""
+    return all(a < b for a, b in zip(key, key[1:])) and (
+        not key or (1 <= key[0] and key[-1] <= d)
     )
 
 
@@ -217,13 +223,19 @@ def certificate_objective(X: NoisyMatrix, pe: PseudoExpectation, s_star: int) ->
 
     Float entries are promoted exactly (every float is a binary rational);
     matrices meant for exact objectives should be binary or +/-nu valued.
+    Only the nonzero pair moments contribute, summed in exact integers over
+    their common denominator.
     """
-    total = Fraction(0)
-    for pos, (i, j) in enumerate(pair_iter(X.d)):
-        v = pe.get((i, j))
-        if v:
-            total += Fraction(float(X.entries[pos])) * v
-    return total * Fraction(2, s_star * (s_star - 1))
+    if X.d > pe.d:
+        raise MissingValue(f"pseudo-expectation covers d={pe.d}, data has d={X.d}")
+    terms = []
+    for key, v in pe.values.items():
+        if v and len(key) == 2 and _is_subset_key(key, X.d):
+            num, den = float(X.entries[pair_index(X.d, *key)]).as_integer_ratio()
+            terms.append((num * v.numerator, den * v.denominator))
+    D = math.lcm(*{den for _, den in terms})
+    total = sum(num * (D // den) for num, den in terms)
+    return Fraction(2 * total, s_star * (s_star - 1) * D)
 
 
 def with_objective(report: FeasibilityReport, objective: Fraction) -> FeasibilityReport:

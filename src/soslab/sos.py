@@ -184,5 +184,9 @@ def moment_matrix(pe: PseudoExpectation, idx: SubsetIndexer) -> np.ndarray:
             f"pseudo-expectation covers (d={pe.d}, ell={pe.ell}), "
             f"indexer wants (d={idx.d}, ell={idx.ell})"
         )
-    vals = np.array([float(pe.get(S)) for S in idx.var_subsets])
+    vals = np.zeros(idx.var_count)
+    for key, v in pe.values.items():
+        j = idx.var_index.get(key)
+        if j is not None:
+            vals[j] = float(v)
     return vals[idx.entry_map()]

@@ -4,6 +4,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from soslab.certificate import (
     BINARY_ONE,
@@ -18,10 +20,11 @@ from soslab.certificate import (
     with_objective,
 )
 from soslab.errors import CertificateUndefined, InvalidParams, NotBinary, TooLarge
-from soslab.matrix import NoisyMatrix, n_pairs
+from soslab.matrix import NoisyMatrix, n_pairs, pair_iter
 from soslab.models import ModelParams, Noise, gen_sbm, gen_submatrix
 from soslab.seeds import generator
-from soslab.sos import PseudoExpectation
+from soslab.sos import PseudoExpectation, moment_matrix
+from soslab.subsets import subset_indexer
 
 PATH_3 = NoisyMatrix(d=3, entries=np.array([1.0, -1.0, 1.0]))  # edges 1-2, 2-3
 
@@ -267,3 +270,120 @@ def test_report_json_schema():
     assert isinstance(doc["min_eigenvalue"], float)
     assert doc["psd"] is True
     assert frac_str(Fraction(-3, 7)) == "-3/7"
+
+
+def dense_rowsum_violation(pe, d, s_star, ell):
+    """Reference: every identity at every subset of size < 2l, dense."""
+    worst = Fraction(0)
+    for k in range(2 * ell):
+        for S in combinations(range(1, d + 1), k):
+            lhs = Fraction(0)
+            for i in range(1, d + 1):
+                if i not in S:
+                    v = pe.values.get(tuple(sorted(S + (i,))))
+                    if v:
+                        lhs += v
+            worst = max(worst, abs(lhs - (s_star - k) * pe.get(S)))
+    return worst
+
+
+def dense_moment_matrix(pe, idx):
+    """Reference: read every variable through pe.get."""
+    return np.array([float(pe.get(S)) for S in idx.var_subsets])[idx.entry_map()]
+
+
+def dense_objective(X, pe, s_star):
+    """Reference: read every pair through pe.get."""
+    total = Fraction(0)
+    for pos, pair in enumerate(pair_iter(X.d)):
+        total += Fraction(float(X.entries[pos])) * pe.get(pair)
+    return total * Fraction(2, s_star * (s_star - 1))
+
+
+def _subset(draw, d, max_size):
+    size = draw(st.integers(0, min(d, max_size)))
+    return tuple(sorted(draw(st.sets(st.integers(1, d), min_size=size, max_size=size))))
+
+
+@st.composite
+def perturbed_certificates(draw):
+    """An expansivity certificate (or an indicator when it is undefined),
+    then exact bumps, deletions, new keys, zeros and keys that are not
+    moments: unsorted, repeated, out of range or too large."""
+    d = draw(st.integers(3, 9))
+    ell = draw(st.sampled_from([1, 2]))
+    s_star = draw(st.integers(2, 2 * ell + 1))
+    entries = st.floats(min_value=-4, max_value=4)
+    X = NoisyMatrix(d=d, entries=draw(st.lists(entries, min_size=n_pairs(d), max_size=n_pairs(d))))
+    table = expansivity_table(positivity_graph(X, SIGN_POSITIVE), ell)
+    if table.clique_count:
+        values = dict(build_certificate(table, s_star, ell).values)
+    else:
+        values = dict(PseudoExpectation.indicator(_subset(draw, d, d), d, ell).values)
+    fractions = st.fractions(min_value=-3, max_value=3, max_denominator=60)
+    for op in draw(st.lists(st.sampled_from(["bump", "delete", "add", "zero", "junk"]), max_size=6)):
+        keys = sorted(values, key=lambda k: (len(k), k))
+        if op in ("bump", "delete", "zero") and not keys:
+            continue
+        if op == "bump":
+            key = draw(st.sampled_from(keys))
+            values[key] = values[key] + draw(fractions)
+        elif op == "delete":
+            del values[draw(st.sampled_from(keys))]
+        elif op == "zero":
+            values[draw(st.sampled_from(keys))] = Fraction(0)
+        elif op == "add":
+            values[_subset(draw, d, 2 * ell)] = draw(fractions)
+        else:
+            key = draw(
+                st.sampled_from(
+                    [(2, 1), (1, 1), (0,), (d + 1,), (1, d + 1), tuple(range(1, min(d, 2 * ell + 1) + 1))]
+                )
+            )
+            values[key] = draw(fractions.filter(bool))
+    pe = PseudoExpectation(d=d, ell=ell, s_star=s_star, values=values)
+    return pe, X
+
+
+@given(perturbed_certificates())
+def test_verify_matches_dense_reference(case):
+    pe, X = case
+    d, ell, s_star = pe.d, pe.ell, pe.s_star
+    report = verify_certificate(pe, d, s_star, ell)
+    assert report.rowsum_max_violation == dense_rowsum_violation(pe, d, s_star, ell)
+    assert isinstance(report.rowsum_max_violation, Fraction)
+    assert report.normalization_ok == (pe.get(()) == 1)
+    idx = subset_indexer(d, ell)
+    M, ref = moment_matrix(pe, idx), dense_moment_matrix(pe, idx)
+    assert M.dtype == ref.dtype and M.shape == ref.shape
+    assert M.tobytes() == ref.tobytes()
+    assert certificate_objective(X, pe, s_star) == dense_objective(X, pe, s_star)
+
+
+def test_verify_rowsum_at_deleted_key():
+    # K4, l=1, s*=2 with y[{1}] deleted and y[empty] lowered to 3/4 so that
+    # the row at the empty set still holds; the row at {1} then has a left
+    # side 3 * 1/6 = 1/2 and a right side (2 - 1) * 0 = 0, and {1} is no
+    # longer a key of the map.
+    pe = build_certificate(expansivity_table(complete_graph(4), 1), 2, 1)
+    values = dict(pe.values)
+    del values[(1,)]
+    values[()] = Fraction(3, 4)
+    bent = PseudoExpectation(d=4, ell=1, s_star=2, values=values)
+    assert dense_rowsum_violation(bent, 4, 2, 1) == Fraction(1, 2)
+    report = verify_certificate(bent, 4, 2, 1)
+    assert report.rowsum_max_violation == Fraction(1, 2)
+    assert not report.normalization_ok
+
+
+def test_verify_rowsum_at_key_without_supersets():
+    # K4, l=1, s*=2 with every pair through vertex 1 deleted: the row at {1}
+    # has a left side 0 and a right side (2 - 1) * 1/2 = 1/2, while the rows
+    # at {2}, {3}, {4} are off by only 1/2 - 2/6 = 1/6.
+    pe = build_certificate(expansivity_table(complete_graph(4), 1), 2, 1)
+    values = {k: v for k, v in pe.values.items() if not (len(k) == 2 and 1 in k)}
+    bent = PseudoExpectation(d=4, ell=1, s_star=2, values=values)
+    assert dense_rowsum_violation(bent, 4, 2, 1) == Fraction(1, 2)
+    report = verify_certificate(bent, 4, 2, 1)
+    assert report.rowsum_max_violation == Fraction(1, 2)
+    assert report.normalization_ok

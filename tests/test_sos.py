@@ -155,6 +155,8 @@ def test_objective_value_examples():
     rng = generator(12)
     Y = NoisyMatrix(d=4, entries=rng.standard_normal(6))
     assert float(certificate_objective(Y, ind, 2)) == pytest.approx(Y.value(1, 3))
+    with pytest.raises(MissingValue):
+        certificate_objective(ones_matrix(5), k4_certificate(), 2)
 
 
 def test_indicator_matches_scan_objective():
