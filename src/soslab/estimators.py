@@ -29,11 +29,22 @@ _PRUNE_SLACK = 1e-9
 
 @dataclass(frozen=True)
 class ScanResult:
-    """Scan value, the maximizing support, and the number of subsets evaluated."""
+    """Scan value, the maximizing support, and what the search did.
+
+    subsets_examined: the subsets whose pair sum was evaluated (the leaves
+    reached): all C(d, s_star) for exhaustive. nodes: the partial subsets
+    whose children were bounded (the root included); pruned: the children
+    cut by the bound, leaves included. Every child of a node is a node, a
+    leaf or pruned, so the children of all nodes number
+    nodes - 1 + subsets_examined + pruned. Exhaustive enumeration builds
+    no search tree and reports nodes == pruned == 0.
+    """
 
     value: float
     support: frozenset[int]
     subsets_examined: int
+    nodes: int
+    pruned: int
 
 
 def _pair_sum(dense: np.ndarray, subset: tuple[int, ...]) -> float:
@@ -99,39 +110,62 @@ def _greedy_seed(dense: np.ndarray, d: int, s_star: int) -> float:
     return _pair_sum(dense, tuple(sorted(chosen)))
 
 
-def _suffix_top_sums(dense: np.ndarray, d: int, max_take: int) -> np.ndarray:
-    """T[c, r] = sum of the r largest entries among pairs with larger endpoint >= c.
+def _row_top_sums(dense: np.ndarray, d: int, s_star: int) -> np.ndarray:
+    """H[r, c, u] = half the sum of the r largest entries of row u in columns >= c,
+    column u left out, for r <= s_star - 2; -inf where u < c (a vertex the
+    search front has passed).
 
-    Every pair still addable once the search front has passed vertex c-1 has
-    its larger endpoint >= c, so T bounds any completion's new-pair total.
+    Built from column d-1 down: the largest entries of every row over
+    columns >= c are those over columns >= c+1 merged with column c, by one
+    sort of a d x (s_star - 1) array per column offset.
     """
-    T = np.full((d + 1, max_take + 1), -np.inf)
-    T[:, 0] = 0.0
-    by_larger = [dense[:b, b] for b in range(d)]
+    take = s_star - 2
+    masked = dense.copy()
+    np.fill_diagonal(masked, -np.inf)
+    # Column 0 takes the next column's entries; after the sort, columns
+    # 1..take hold each row's largest entries so far, ascending.
+    work = np.full((d, take + 1), -np.inf)
+    tops = np.empty((d, d, take))
     for c in range(d - 1, -1, -1):
-        vals = np.concatenate(by_larger[c:]) if c < d else np.empty(0)
-        vals = np.sort(vals)[::-1]
-        take = min(max_take, vals.size)
-        if take:
-            T[c, 1 : take + 1] = np.cumsum(vals[:take])
-    return T
+        work[:, 0] = masked[:, c]
+        work.sort(axis=1)
+        tops[c] = work[:, 1:]
+    H = np.empty((take + 1, d, d))
+    H[0] = 0.0
+    H[1:] = 0.5 * np.cumsum(tops[:, :, ::-1], axis=2).transpose(2, 0, 1)
+    H[:, np.tri(d, d, -1, dtype=bool)] = -np.inf
+    return H
 
 
-def _branch_and_bound(dense: np.ndarray, d: int, s_star: int) -> tuple[float, tuple[int, ...], int]:
-    """Depth-first lexicographic search with an admissible additive bound.
+def _branch_and_bound(
+    dense: np.ndarray, d: int, s_star: int
+) -> tuple[float, tuple[int, ...], int, int, int]:
+    """Depth-first lexicographic search with an admissible per-vertex gain bound.
 
-    Bound at a partial subset P about to extend past vertex c-1:
-    incremental pair sum of P plus the sum of the (remaining pair count)
-    largest entries among pairs with an endpoint >= c. A greedy incumbent
-    seeds the value floor; the argmax subset is only recorded from search
-    leaves, so the lexicographic tie rule matches the exhaustive strategy.
+    At a node with chosen vertices P (pair sum cur, row sums rowsum) that
+    still needs `need` vertices, child v adds v and then need-1 vertices Q
+    after v. With rowsum' = rowsum + row v, the pairs of Q sum to half of
+    the sum over u in Q of its row entries inside Q, so each u in Q adds at
+    most its gain
+        rowsum'[u] + 1/2 * (the need-2 largest entries of row u in columns > v,
+        column u left out),
+    and the child's bound is cur + rowsum[v] plus the need-1 largest gains
+    over u > v. The row top-sums come from one table per scan
+    (`_row_top_sums`); each node bounds all its children at once from a
+    children x d gain matrix and `np.partition`. At the last level the
+    bound is the leaf's own (incrementally summed) pair sum.
+
+    A greedy incumbent seeds the value floor. Bounds are computed once per
+    node; each child is still compared with the current floor, minus
+    `_PRUNE_SLACK`, before it is expanded. The argmax subset is only
+    recorded from search leaves, each finalized by `_pair_sum`, so the
+    value and the lexicographic tie rule match the exhaustive strategy.
+    Returns the pair sum, the subset, and the leaf, node and pruned counts.
     """
-    total_pairs = s_star * (s_star - 1) // 2
-    T = _suffix_top_sums(dense, d, total_pairs)
+    H = _row_top_sums(dense, d, s_star)
     best_val = _greedy_seed(dense, d, s_star)
     best_subset: tuple[int, ...] | None = None
-    leaves = 0
-    rowsum = np.zeros(d)
+    leaves = nodes = pruned = 0
     chosen: list[int] = []
 
     def visit_leaf(subset: tuple[int, ...]) -> None:
@@ -144,33 +178,35 @@ def _branch_and_bound(dense: np.ndarray, d: int, s_star: int) -> tuple[float, tu
         elif val == best_val and (best_subset is None or subset < best_subset):
             best_subset = subset
 
-    def rec(start: int, cur: float) -> None:
-        nonlocal rowsum
-        k = len(chosen)
+    def rec(start: int, cur: float, rowsum: np.ndarray) -> None:
+        nonlocal nodes, pruned
+        nodes += 1
+        need = s_star - len(chosen)
+        stop = d - need + 1
+        bound = cur + rowsum[start:stop]
+        if need > 1:
+            gains = H[need - 2, start + 1 : stop + 1] + dense[start:stop] + rowsum
+            bound = bound + np.partition(gains, d - need + 1, axis=1)[:, d - need + 1 :].sum(axis=1)
         slack = _PRUNE_SLACK * (1.0 + abs(best_val))
-        if k + 1 == s_star:
-            for v in range(start, d):
-                ncur = cur + rowsum[v]
-                if ncur >= best_val - slack:
-                    visit_leaf(tuple(chosen + [v]))
-            return
-        need = s_star - k
-        nrem = total_pairs - (k + 1) * k // 2
-        for v in range(start, d - need + 1):
-            ncur = cur + rowsum[v]
-            if ncur + T[v + 1, nrem] < best_val - slack:
+        keep = np.flatnonzero(bound >= best_val - slack)
+        pruned += bound.size - keep.size
+        for i in keep.tolist():
+            if bound[i] < best_val - slack:
+                pruned += 1
+                continue
+            v = start + i
+            if need == 1:
+                visit_leaf(tuple(chosen) + (v,))
                 continue
             chosen.append(v)
-            rowsum += dense[v]
-            rec(v + 1, ncur)
-            rowsum -= dense[v]
+            rec(v + 1, cur + rowsum[v], rowsum + dense[v])
             chosen.pop()
 
-    rec(0, 0.0)
+    rec(0, 0.0, np.zeros(d))
     # The greedy floor is attained by a feasible subset, which bounds cannot
     # prune, so a leaf always lands.
     assert best_subset is not None
-    return best_val, best_subset, leaves
+    return best_val, best_subset, leaves, nodes, pruned
 
 
 def scan_estimate(
@@ -192,12 +228,15 @@ def scan_estimate(
                 f"exhaustive guard {max_subsets}"
             )
         pair_sum, subset, examined = _exhaustive(dense, X.d, s_star)
+        nodes = pruned = 0
     else:
-        pair_sum, subset, examined = _branch_and_bound(dense, X.d, s_star)
+        pair_sum, subset, examined, nodes, pruned = _branch_and_bound(dense, X.d, s_star)
     return ScanResult(
         value=_scan_value(pair_sum, s_star),
         support=frozenset(v + 1 for v in subset),
         subsets_examined=examined,
+        nodes=nodes,
+        pruned=pruned,
     )
 
 

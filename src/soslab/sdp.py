@@ -34,13 +34,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
 
 from .errors import EigFailure
 from .sos import SosProgram
+
+if TYPE_CHECKING:
+    import scipy.sparse
 
 OPTIMAL = "optimal"
 MAX_ITER_REACHED = "max-iter-reached"
@@ -77,14 +79,17 @@ class SdpSolution:
 
 # LAPACK's MRRR eigensolver (what scipy.linalg.eigh runs for a value range),
 # called directly: eigh re-validates its arguments and re-queries the
-# workspace on every call, over a third of its time at dim 17.
-_SYEVR, _SYEVR_LWORK = scipy.linalg.get_lapack_funcs(("syevr", "syevr_lwork"), dtype=np.float64)
-
-
+# workspace on every call, over a third of its time at dim 17. scipy is
+# imported by the first solve, not with the package: a process that only
+# scans or certifies never loads it (about 30 MiB of resident memory).
 @lru_cache(maxsize=None)
-def _syevr_workspace(n: int) -> tuple[int, int]:
-    lwork, liwork, _ = _SYEVR_LWORK(n, lower=1)
-    return int(lwork), int(liwork)
+def _syevr(n: int):
+    """LAPACK syevr and its workspace sizes (lwork, liwork) at dimension n."""
+    import scipy.linalg
+
+    syevr, syevr_lwork = scipy.linalg.get_lapack_funcs(("syevr", "syevr_lwork"), dtype=np.float64)
+    lwork, liwork, _ = syevr_lwork(n, lower=1)
+    return syevr, int(lwork), int(liwork)
 
 
 def project_psd(S: np.ndarray) -> np.ndarray:
@@ -97,8 +102,8 @@ def project_psd(S: np.ndarray) -> np.ndarray:
     S = (S + S.T) / 2.0
     if not np.isfinite(S).all():
         raise EigFailure("symmetric eigendecomposition failed: non-finite entries")
-    lwork, liwork = _syevr_workspace(len(S))
-    w, V, k, _, info = _SYEVR(
+    syevr, lwork, liwork = _syevr(len(S))
+    w, V, k, _, info = syevr(
         S, compute_v=1, range="V", lower=1, vl=0.0, vu=np.inf, lwork=lwork, liwork=liwork
     )
     if info != 0:
@@ -117,6 +122,9 @@ def _equality_inverse(A: scipy.sparse.csr_matrix, inv_m: np.ndarray) -> np.ndarr
     """Inverse of G = A diag(1/m) A^T, or its eigen pseudo-inverse when the
     equality rows are linearly dependent (then A y = b is still met exactly
     for consistent b)."""
+    import scipy.linalg
+    import scipy.sparse
+
     G = (A @ scipy.sparse.diags(inv_m) @ A.T).toarray()
     try:
         cho = scipy.linalg.cho_factor(G)

@@ -22,14 +22,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 import numpy as np
-import scipy.sparse
 
 from .errors import InvalidParams, MissingValue
 from .matrix import NoisyMatrix, pair_iter
 from .subsets import DEFAULT_MAX_DIM, SubsetIndexer, canonical_key, subset_indexer
+
+if TYPE_CHECKING:
+    import scipy.sparse
 
 _ZERO = Fraction(0)
 
@@ -62,6 +64,8 @@ class SosProgram:
 
     def constraint_arrays(self) -> tuple[scipy.sparse.csr_matrix, np.ndarray]:
         """Sparse (A, b) with one row per equality; repeated terms add up."""
+        import scipy.sparse
+
         rows, cols, vals = [], [], []
         for r, con in enumerate(self.constraints):
             for var, coeff in con.terms:

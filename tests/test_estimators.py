@@ -3,6 +3,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from soslab.errors import InvalidParams, TooLarge
 from soslab.estimators import (
@@ -88,6 +90,58 @@ def test_branch_and_bound_equals_exhaustive():
         b = scan_estimate(X, s, strategy=BRANCH_AND_BOUND)
         assert a.value == b.value  # zero tolerance
         assert a.support == b.support
+
+
+@st.composite
+def scan_instances(draw):
+    d = draw(st.integers(4, 14))
+    s = draw(st.integers(2, min(7, d)))
+    if draw(st.booleans()):  # tie-heavy
+        values = st.sampled_from([-1.0, 0.0, 1.0])
+        entries = np.array(draw(st.lists(values, min_size=n_pairs(d), max_size=n_pairs(d))))
+    else:
+        entries = generator(draw(st.integers(0, 2**32 - 1))).standard_normal(n_pairs(d))
+    return NoisyMatrix(d=d, entries=entries), s
+
+
+@given(scan_instances())
+def test_branch_and_bound_matches_exhaustive_fuzz(instance):
+    X, s = instance
+    a = scan_estimate(X, s, strategy=EXHAUSTIVE)
+    b = scan_estimate(X, s, strategy=BRANCH_AND_BOUND)
+    assert a.value == b.value  # zero tolerance
+    assert a.support == b.support
+
+
+@pytest.mark.parametrize("beta", [0.0, 1.5])
+def test_branch_and_bound_equals_exhaustive_d22(beta):
+    params = ModelParams(
+        kind="submatrix", d=22, s_star=5, beta_star=beta, noise=Noise("gaussian", 1.0), seed=22
+    )
+    X = gen_submatrix(params).matrix
+    a = scan_estimate(X, 5, strategy=EXHAUSTIVE)
+    b = scan_estimate(X, 5, strategy=BRANCH_AND_BOUND)
+    assert a.subsets_examined == math.comb(22, 5) == 26334
+    assert a.value == b.value  # zero tolerance
+    assert a.support == b.support
+
+
+def test_scan_search_counters():
+    # A triangle on {1, 2, 3} in d=5: the greedy floor is the triangle's
+    # pair sum 3. Root children v=1, 2, 3 (1-based) bound to 3, 1, 0; under
+    # v=1 the children 2, 3, 4 bound to 3, 1, 0; under {1, 2} the leaves
+    # 3, 4, 5 sum to 3, 1, 1. So 3 nodes, 1 leaf and 2 cuts at each level.
+    entries = np.zeros(n_pairs(5))
+    for i, j in ((1, 2), (1, 3), (2, 3)):
+        entries[pair_index(5, i, j)] = 1.0
+    X = NoisyMatrix(d=5, entries=entries)
+    b = scan_estimate(X, 3, strategy=BRANCH_AND_BOUND)
+    assert (b.value, b.support) == (1.0, frozenset({1, 2, 3}))
+    assert (b.nodes, b.subsets_examined, b.pruned) == (3, 1, 6)
+    # every child (3 per node here) is a node, a leaf or pruned
+    assert 3 * b.nodes == b.nodes - 1 + b.subsets_examined + b.pruned
+    a = scan_estimate(X, 3, strategy=EXHAUSTIVE)
+    assert (a.nodes, a.subsets_examined, a.pruned) == (0, 10, 0)
 
 
 def test_scan_tie_breaks_lexicographically():
