@@ -28,7 +28,7 @@ from .estimators import BRANCH_AND_BOUND, DEFAULT_MAX_SUBSETS, EXHAUSTIVE
 from .lab import ESTIMATORS, ExperimentConfig, estimate, fmt_float, run_experiment, with_overrides
 from .matrix import read_matrix_json, write_matrix_json
 from .models import GAUSSIAN, RADEMACHER, SBM, SUBMATRIX, ModelParams, Noise, generate
-from .sdp import MAX_ITER_REACHED, SolverOptions, solve
+from .sdp import MAX_ITER_REACHED, SdpSolution, SolverOptions, solve
 from .sos import assemble_basic, assemble_level
 
 _MODES = {"sign": SIGN_POSITIVE, "binary": BINARY_ONE}
@@ -120,7 +120,7 @@ def _cmd_estimate(args) -> int:
     X, _ = read_matrix_json(args.infile)
     if args.estimator != "max" and args.s is None:
         raise SoslabError(f"estimator {args.estimator!r} requires --s")
-    value = estimate(
+    result = estimate(
         args.estimator,
         X,
         args.s,
@@ -129,7 +129,9 @@ def _cmd_estimate(args) -> int:
         strategy=args.strategy,
         max_subsets=args.max_subsets,
     )
-    print(fmt_float(value))
+    if result.solution is not None:
+        _warn_if_unconverged(result.solution)
+    print(fmt_float(result.value))
     return 0
 
 
@@ -148,14 +150,19 @@ def _cmd_solve(args) -> int:
     X, _ = read_matrix_json(args.infile)
     program = assemble_basic(X, args.s) if args.basic else assemble_level(X, args.s, args.level)
     solution = solve(program, _solver_options(args))
+    _warn_if_unconverged(solution)
+    print(fmt_float(solution.value))
+    return 0
+
+
+def _warn_if_unconverged(solution: SdpSolution) -> None:
+    """One stderr line for a solve that stopped at max_iter; its value still prints."""
     if solution.status == MAX_ITER_REACHED:
         print(
             f"warning: max_iter reached (primal={solution.primal_residual:.3g}, "
             f"dual={solution.dual_residual:.3g})",
             file=sys.stderr,
         )
-    print(fmt_float(solution.value))
-    return 0
 
 
 def _cmd_experiment(args) -> int:

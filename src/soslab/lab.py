@@ -41,7 +41,7 @@ from .estimators import (
 )
 from .matrix import NoisyMatrix
 from .models import GAUSSIAN, SBM, SUBMATRIX, ModelParams, Noise, generate
-from .sdp import SolverOptions, solve
+from .sdp import SdpSolution, SolverOptions, solve
 from .seeds import mix_seed
 from .sos import assemble_basic, assemble_level
 
@@ -224,6 +224,15 @@ def _parse_estimator(name: str) -> tuple[str, int | None]:
     return base, None
 
 
+@dataclass(frozen=True)
+class Estimate:
+    """An estimator's value. ``solution`` is the SDP solve behind an SoS
+    value, whose status tells whether it converged; None for the others."""
+
+    value: float
+    solution: SdpSolution | None = None
+
+
 def estimate(
     name: str,
     X: NoisyMatrix,
@@ -233,25 +242,27 @@ def estimate(
     solver: SolverOptions,
     strategy: str,
     max_subsets: int,
-) -> float:
-    """Value of the estimator ``name`` (one of ``ESTIMATORS``) on X; each
-    estimator reads only the keyword arguments that apply to it."""
+) -> Estimate:
+    """The estimator ``name`` (one of ``ESTIMATORS``) on X; each estimator
+    reads only the keyword arguments that apply to it."""
     if name == "scan":
-        return scan_estimate(X, s_star, strategy=strategy, max_subsets=max_subsets).value
+        return Estimate(scan_estimate(X, s_star, strategy=strategy, max_subsets=max_subsets).value)
     if name == "avg":
-        return avg_estimate(X, s_star)
+        return Estimate(avg_estimate(X, s_star))
     if name == "max":
-        return max_estimate(X)
+        return Estimate(max_estimate(X))
     if name == "lp":
-        return lp_estimate(X, s_star)
+        return Estimate(lp_estimate(X, s_star))
     if name == "sos_basic":
-        return solve(assemble_basic(X, s_star), solver).value
-    if name == "sos_level":
-        return solve(assemble_level(X, s_star, level), solver).value
-    raise InvalidParams(f"unknown estimator {name!r}")
+        solution = solve(assemble_basic(X, s_star), solver)
+    elif name == "sos_level":
+        solution = solve(assemble_level(X, s_star, level), solver)
+    else:
+        raise InvalidParams(f"unknown estimator {name!r}")
+    return Estimate(solution.value, solution)
 
 
-def _estimator(cfg: ExperimentConfig) -> Callable[..., float]:
+def _estimator(cfg: ExperimentConfig) -> Callable[..., Estimate]:
     """``estimate`` with the config's solver and scan settings bound."""
     return partial(
         estimate, solver=cfg.solver, strategy=cfg.scan_strategy, max_subsets=cfg.max_subsets
@@ -286,7 +297,7 @@ def run_gap_experiment(cfg: ExperimentConfig) -> list[dict]:
                 base, level = _parse_estimator(name)
 
                 def work(row: dict) -> None:
-                    value = run(base, instance.matrix, instance.params.s_star, level=level)
+                    value = run(base, instance.matrix, instance.params.s_star, level=level).value
                     row["estimate"] = value
                     row["abs_error"] = abs(value - g.beta_star)
                     if level is not None:
@@ -321,7 +332,7 @@ def run_certificate_experiment(cfg: ExperimentConfig) -> list[dict]:
                 row["psd"] = report.psd
                 row["objective"] = float(certificate_objective(X, pe, g.s_star))
                 if cfg.solve_sdp:
-                    row["sdp_value"] = run("sos_level", X, g.s_star, level=g.ell)
+                    row["sdp_value"] = run("sos_level", X, g.s_star, level=g.ell).value
 
             row = {
                 "model": g.model, "d": g.d, "s_star": g.s_star, "ell": g.ell,
@@ -353,7 +364,7 @@ def run_threshold_sweep(cfg: ExperimentConfig) -> tuple[list[dict], list[dict]]:
 
                     def work(row: dict) -> None:
                         instance = generate(g.params(seed, beta_star=beta_bar if hyp else 0.0))
-                        value = run("scan", instance.matrix, g.s_star, level=None)
+                        value = run("scan", instance.matrix, g.s_star, level=None).value
                         row["scan_value"] = value
                         row["reject"] = int(value > beta_bar / 2)
 

@@ -7,12 +7,20 @@ is ADMM on the splitting Z = M(y), Z PSD, with scaled dual U:
   y-step   minimize -c.y + (rho/2) ||M(y) - Z + U||_F^2  s.t.  A y = b.
            M(y) is linear with disjoint cell supports per variable, so the
            quadratic is diagonal (weight m_v = cell count of variable v) and
-           the step is one matrix-vector product with the inverse of
-           G = A diag(1/m) A^T, formed once per solve (the eigen
-           pseudo-inverse when the equalities are linearly dependent).
+           the step is one symmetric matrix-vector product (BLAS symv, which
+           reads one triangle) with the inverse of G = A diag(1/m) A^T (the
+           eigen pseudo-inverse when the equalities are linearly dependent).
   Z-step   Z = PSD projection of M(y) + U, recomposed from the positive
-           eigenpairs only (near the optimum there are a few).
+           eigenpairs only (near the optimum there are a few) as W W^T with
+           W = V+ sqrt(w+), a BLAS syrk: Z is exactly symmetric.
   U-step   U += M(y) - Z.
+
+The set-up (the entry map, 1/m, A^T and the inverse of G) depends only
+on the entry map and A, never on c or b, so it is computed once per
+equality system and shared, read-only, by every later solve with the same
+one: an LRU cache of 8 systems, keyed on the entry map and the CSR arrays
+of A by value. A program built by hand with the entry map of an assembled
+one but other equalities gets its own set-up.
 
 Residuals (checked every iteration against options.tol):
 
@@ -69,12 +77,18 @@ class SolverOptions:
 
 @dataclass
 class SdpSolution:
+    """The last iterate and what the iteration did to reach it: the number
+    of iterations and of penalty changes, and the final residuals."""
+
     status: str
     value: float
     matrix: np.ndarray
     primal_residual: float
     dual_residual: float
     iterations: int
+    rho_changes: int
+    eq_res: float
+    psd_gap: float
 
 
 # LAPACK's MRRR eigensolver (what scipy.linalg.eigh runs for a value range),
@@ -92,25 +106,36 @@ def _syevr(n: int):
     return syevr, int(lwork), int(liwork)
 
 
+@lru_cache(maxsize=None)
+def _symv():
+    """BLAS dsymv: y = alpha * A x, reading one triangle of a symmetric A."""
+    import scipy.linalg.blas
+
+    return scipy.linalg.blas.dsymv
+
+
 def project_psd(S: np.ndarray) -> np.ndarray:
     """Spectral projection onto the PSD cone (symmetrizes defensively).
 
-    Only the eigenpairs with positive eigenvalues are computed:
-    Z = V+ diag(w+) V+^T.
+    Only the eigenpairs with positive eigenvalues are computed, and the
+    result is W W^T with W = V+ diag(sqrt(w+)): numpy runs that product as
+    a BLAS syrk, so it is exactly symmetric.
     """
     S = np.asarray(S, dtype=np.float64)
     S = (S + S.T) / 2.0
     if not np.isfinite(S).all():
         raise EigFailure("symmetric eigendecomposition failed: non-finite entries")
     syevr, lwork, liwork = _syevr(len(S))
+    # S is exactly symmetric, so S.T is the same matrix in Fortran order,
+    # which LAPACK may overwrite without a copy.
     w, V, k, _, info = syevr(
-        S, compute_v=1, range="V", lower=1, vl=0.0, vu=np.inf, lwork=lwork, liwork=liwork
+        S.T, compute_v=1, range="V", lower=1, vl=0.0, vu=np.inf, lwork=lwork, liwork=liwork,
+        overwrite_a=1,
     )
     if info != 0:
         raise EigFailure(f"symmetric eigendecomposition failed: LAPACK info {info}")
-    V = V[:, :k]
-    P = (V * w[:k]) @ V.T
-    return (P + P.T) / 2.0
+    W = V[:, :k] * np.sqrt(w[:k])
+    return W @ W.T
 
 
 # Cholesky pivots below this fraction of the largest one mark G as rank
@@ -139,57 +164,99 @@ def _equality_inverse(A: scipy.sparse.csr_matrix, inv_m: np.ndarray) -> np.ndarr
     return (Q * inv_w) @ Q.T
 
 
+class _EqualitySystem:
+    """A program's entry map and equality matrix A, hashed and compared by
+    value (shape, dtype and bytes of each array)."""
+
+    def __init__(self, entry: np.ndarray, A: scipy.sparse.csr_matrix):
+        self.entry = entry
+        self.A = A
+        arrays = (entry, A.indptr, A.indices, A.data)
+        self.key = (entry.shape, A.shape) + tuple((a.dtype.str, a.tobytes()) for a in arrays)
+
+    def __hash__(self) -> int:
+        return hash(self.key)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, _EqualitySystem) and self.key == other.key
+
+
+@dataclass(frozen=True)
+class _Setup:
+    """What the iteration needs of one equality system; all arrays read-only."""
+
+    entry: np.ndarray  # dim x dim variable index per cell
+    inv_m: np.ndarray  # 1 / (cell count) per variable
+    AT: scipy.sparse.csr_matrix
+    G_inv: np.ndarray  # Fortran order, so symv reads it without a copy
+
+
+# The level-2 set-up at d=16 holds a 698 x 698 inverse (3.9 MB); the gap
+# experiment uses three shapes.
+_SETUPS_CACHED = 8
+
+
+@lru_cache(maxsize=_SETUPS_CACHED)
+def _setup(system: _EqualitySystem) -> _Setup:
+    entry = system.entry.copy()
+    A = system.A
+    m = np.bincount(entry.ravel(), minlength=A.shape[1]).astype(np.float64)
+    # Every variable appears in the matrix, so m >= 1 (program invariant).
+    inv_m = 1.0 / m
+    AT = A.T.tocsr()
+    G_inv = np.asfortranarray(_equality_inverse(A, inv_m))
+    for arr in (entry, inv_m, AT.data, AT.indices, AT.indptr, G_inv):
+        arr.flags.writeable = False
+    return _Setup(entry=entry, inv_m=inv_m, AT=AT, G_inv=G_inv)
+
+
 def solve(program: SosProgram, options: SolverOptions | None = None) -> SdpSolution:
     """Run the splitting iteration on an assembled program."""
     options = options or SolverOptions()
     options.validate()
-    entry = program.entry_map
-    entry_flat = entry.ravel()
-    V = program.var_count
-    m = np.bincount(entry_flat, minlength=V).astype(np.float64)
-    # Every variable appears in the matrix, so m >= 1 (program invariant).
-    inv_m = 1.0 / m
-    c = program.objective_vector()
     A, b = program.constraint_arrays()
-    AT = A.T.tocsr()
-    G_inv = _equality_inverse(A, inv_m)
+    setup = _setup(_EqualitySystem(program.entry_map, A))
+    entry, inv_m, AT, G_inv = setup.entry, setup.inv_m, setup.AT, setup.G_inv
+    entry_flat = entry.ravel()
+    symv = _symv()
+    V = program.var_count
+    c = program.objective_vector()
 
     rho = options.step
-    Z = np.zeros_like(entry, dtype=np.float64)
+    rho_changes = 0
+    Z = np.zeros(entry.shape)
+    # Buffers updated in place: U, M(y), M(y) - Z, and a scratch matrix.
     U = np.zeros_like(Z)
+    My = np.empty_like(Z)
+    R = np.empty_like(Z)
+    T = np.empty_like(Z)
 
     def y_step(rho: float) -> np.ndarray:
-        w = np.bincount(entry_flat, weights=(Z - U).ravel(), minlength=V)
+        w = np.bincount(entry_flat, weights=np.subtract(Z, U, out=T).ravel(), minlength=V)
         q = rho * w + c
-        lam = G_inv @ (A @ (q * inv_m) - rho * b)
+        lam = symv(1.0, G_inv, A @ (q * inv_m) - rho * b, lower=1)
         return (q - AT @ lam) * inv_m / rho
 
-    y = np.zeros(V)
-    primal = dual = np.inf
+    primal = dual = eq_res = psd_gap = np.inf
     value = 0.0
     it = 0
+    status = MAX_ITER_REACHED
     for it in range(1, options.max_iter + 1):
         y = y_step(rho)
-        My = y[entry]
+        np.take(y, entry, out=My)
         Z_prev = Z
-        Z = project_psd(My + U)
-        R = My - Z
-        U = U + R
+        Z = project_psd(np.add(My, U, out=T))
+        np.subtract(My, Z, out=R)
+        U += R
         psd_gap = float(np.linalg.norm(R))
         eq_res = float(np.max(np.abs(A @ y - b))) if b.size else 0.0
         primal = eq_res + psd_gap
-        dual = rho * float(np.linalg.norm(Z - Z_prev))
+        dual = rho * float(np.linalg.norm(np.subtract(Z, Z_prev, out=T)))
         value = float(c @ y) / program.scale
         bar = options.tol * (1.0 + abs(value))
         if primal <= bar and dual <= bar and psd_gap <= options.tol:
-            return SdpSolution(
-                status=OPTIMAL,
-                value=value,
-                matrix=y[entry],
-                primal_residual=primal,
-                dual_residual=dual,
-                iterations=it,
-            )
+            status = OPTIMAL
+            break
         if it % _ADAPT_EVERY == 0:
             new_rho = rho
             if primal > _ADAPT_RATIO * dual:
@@ -197,13 +264,17 @@ def solve(program: SosProgram, options: SolverOptions | None = None) -> SdpSolut
             elif dual > _ADAPT_RATIO * primal:
                 new_rho = max(rho / 2.0, _RHO_MIN)
             if new_rho != rho:
-                U = U * (rho / new_rho)
+                U *= rho / new_rho
                 rho = new_rho
+                rho_changes += 1
     return SdpSolution(
-        status=MAX_ITER_REACHED,
+        status=status,
         value=value,
-        matrix=y[entry],
+        matrix=My,
         primal_residual=primal,
         dual_residual=dual,
         iterations=it,
+        rho_changes=rho_changes,
+        eq_res=eq_res,
+        psd_gap=psd_gap,
     )

@@ -166,3 +166,24 @@ def test_estimate_matches_gap_rows(tmp_path, capsys):
         )
         assert code == 0
         assert stdout.strip() == fmt_float(row["estimate"])
+
+
+@pytest.mark.parametrize(
+    "estimator, program", [("sos_basic", ["--basic"]), ("sos_level", ["--level", "1"])]
+)
+def test_estimate_warns_like_solve_at_max_iter(tmp_path, capsys, estimator, program):
+    # 50 iterations do not converge here; both commands still print the
+    # value and exit 0, with the same warning line on stderr
+    path = str(tmp_path / "d9.json")
+    code, _, _ = run_cli(
+        capsys, "generate", "--model", "submatrix", "--d", "9", "--s", "3",
+        "--beta", "1", "--seed", "3", "--out", path,
+    )
+    assert code == 0
+    est = run_cli(
+        capsys, "estimate", "--in", path, "--estimator", estimator, "--s", "3",
+        "--level", "1", "--max-iter", "50",
+    )
+    slv = run_cli(capsys, "solve", "--in", path, *program, "--s", "3", "--max-iter", "50")
+    assert slv[2].startswith("warning: max_iter reached (primal=")
+    assert est == slv

@@ -8,6 +8,7 @@ from soslab.certificate import (
     expansivity_table,
     positivity_graph,
 )
+from soslab import sdp
 from soslab.errors import EigFailure
 from soslab.estimators import lp_estimate, scan_estimate
 from soslab.matrix import NoisyMatrix, n_pairs
@@ -59,6 +60,11 @@ PROJECTION_INPUTS = {
     "zero": np.zeros((6, 6)),
     "1x1-positive": np.array([[2.5]]),
     "1x1-negative": np.array([[-0.5]]),
+    # the level-2 side at d=16, with the few positive eigenvalues of a
+    # late iterate
+    "137x137-three-positive": (
+        lambda Q: (Q * np.r_[2.0, 1.0, 0.5, -np.linspace(0.1, 3.0, 134)]) @ Q.T
+    )(np.linalg.qr(_RNG.standard_normal((137, 137)))[0]),
 }
 
 
@@ -66,6 +72,7 @@ PROJECTION_INPUTS = {
 def test_project_psd_matches_full_spectrum(S):
     P = project_psd(S)
     assert P.shape == S.shape
+    assert np.array_equal(P, P.T)
     assert np.abs(P - _full_spectrum_projection(S)).max() <= 1e-12
 
 
@@ -174,11 +181,9 @@ def test_options_validation():
         SolverOptions(step=-1.0).validate()
 
 
-def test_redundant_equalities_fall_back_to_pseudo_inverse():
-    # duplicating a constraint makes the normal system singular; the solver
-    # must still project exactly onto the (consistent) affine set
-    prog = assemble_basic(single_entry_matrix(3.0), 2)
-    doubled = SosProgram(
+def _with_doubled_equalities(prog):
+    """The same program with its first two equalities repeated."""
+    return SosProgram(
         dim=prog.dim,
         var_count=prog.var_count,
         objective=prog.objective,
@@ -187,9 +192,52 @@ def test_redundant_equalities_fall_back_to_pseudo_inverse():
         scale=prog.scale,
         indexer=prog.indexer,
     )
-    sol = solve(doubled)
+
+
+def test_redundant_equalities_fall_back_to_pseudo_inverse():
+    # duplicating a constraint makes the normal system singular; the solver
+    # must still project exactly onto the (consistent) affine set
+    prog = assemble_basic(single_entry_matrix(3.0), 2)
+    sol = solve(_with_doubled_equalities(prog))
     assert sol.status == OPTIMAL
     assert sol.value == pytest.approx(3.0, abs=1e-5)
+
+
+def test_setup_cache_keyed_on_the_equality_system():
+    # the doubled program shares the plain one's shape and entry map: a
+    # set-up cached under either would give one of them the other's inverse
+    prog = assemble_basic(single_entry_matrix(3.0), 2)
+    first = solve(prog)
+    doubled = solve(_with_doubled_equalities(prog))
+    again = solve(prog)
+    assert doubled.status == OPTIMAL
+    assert doubled.value == pytest.approx(3.0, abs=1e-5)
+    assert again.value == first.value
+    assert again.iterations == first.iterations
+    assert np.array_equal(again.matrix, first.matrix)
+
+
+def test_cached_arrays_are_read_only():
+    prog = assemble_level(NoisyMatrix(d=5, entries=np.ones(10)), 2, 1)
+    solve(prog)
+    A, b = prog.constraint_arrays()
+    setup = sdp._setup(sdp._EqualitySystem(prog.entry_map, A))
+    arrays = (A.data, b, setup.entry, setup.inv_m, setup.AT.data, setup.G_inv)
+    for arr in arrays:
+        with pytest.raises(ValueError):
+            arr.flat[0] = 1.0
+
+
+def test_solution_counters():
+    # this level-2 program needs a few hundred iterations and a larger rho
+    X = NoisyMatrix(d=5, entries=generator(0).standard_normal(n_pairs(5)))
+    sol = solve(assemble_level(X, 3, 2))
+    assert sol.status == OPTIMAL
+    assert sol.primal_residual == sol.eq_res + sol.psd_gap
+    assert sol.eq_res <= 1e-12
+    assert sol.psd_gap <= 1e-7
+    assert 1 <= sol.rho_changes <= sol.iterations // 100
+    assert solve(assemble_level(X, 3, 2), SolverOptions(max_iter=99)).rho_changes == 0
 
 
 def test_rank_deficient_equalities_level2():
