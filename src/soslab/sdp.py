@@ -15,23 +15,31 @@ is ADMM on the splitting Z = M(y), Z PSD, with scaled dual U:
            W = V+ sqrt(w+), a BLAS syrk: Z is exactly symmetric.
   U-step   U += M(y) - Z.
 
-The set-up (the entry map, 1/m, A^T and the inverse of G) depends only
-on the entry map and A, never on c or b, so it is computed once per
-equality system and shared, read-only, by every later solve with the same
-one: an LRU cache of 8 systems, keyed on the entry map and the CSR arrays
-of A by value. A program built by hand with the entry map of an assembled
-one but other equalities gets its own set-up.
+The set-up (the entry map, 1/m, the CSR triplets of A and the inverse of
+G) depends only on the entry map and A, never on c or b, so it is
+computed once per equality system and shared, read-only, by every later
+solve with the same one: an LRU cache of 8 systems, keyed on the entry map
+and the CSR arrays of A by value. A program built by hand with the entry
+map of an assembled one but other equalities gets its own set-up. The
+loop uses no scipy.sparse: A y and A^T lambda are np.bincount sums over
+the triplets, in the same order as scipy's CSR product, so bit-identical
+to it. A program without equalities skips the projection: y = q / (rho m).
 
-Residuals (checked every iteration against options.tol):
+Residuals:
 
   eq_res   = max |A y - b|               (machine-level: y is projected)
   psd_gap  = ||M(y) - Z||_F              (bounds -lambda_min of M(y))
   primal_residual = eq_res + psd_gap
   dual_residual   = rho * ||Z - Z_prev||_F
 
-The iterate is Optimal when primal and dual residuals are both at most
-tol * (1 + |value|) and psd_gap <= tol; the returned matrix is M(y), which
-satisfies the equalities exactly and has lambda_min >= -psd_gap.
+psd_gap (and the value) are computed every iteration; the other three
+only where something reads them: when psd_gap <= tol (the stop test cannot
+pass otherwise), on the rho-adaptation iterations, and on the last one. So
+every decision and every returned field is what computing all of them on
+every iteration would give. The iterate is Optimal when primal and dual
+residuals are both at most tol * (1 + |value|) and psd_gap <= tol; the
+returned matrix is M(y), which satisfies the equalities exactly and has
+lambda_min >= -psd_gap.
 
 Step-size adaptation: every 100 iterations the penalty rho is doubled
 (halved) when the primal residual exceeds 10x the dual (or vice versa),
@@ -150,6 +158,8 @@ def _equality_inverse(A: scipy.sparse.csr_matrix, inv_m: np.ndarray) -> np.ndarr
     import scipy.linalg
     import scipy.sparse
 
+    if A.shape[0] == 0:
+        return np.zeros((0, 0))
     G = (A @ scipy.sparse.diags(inv_m) @ A.T).toarray()
     try:
         cho = scipy.linalg.cho_factor(G)
@@ -183,12 +193,28 @@ class _EqualitySystem:
 
 @dataclass(frozen=True)
 class _Setup:
-    """What the iteration needs of one equality system; all arrays read-only."""
+    """What the iteration needs of one equality system; all arrays read-only.
+
+    A is kept as its CSR triplets in CSR order: ``np.bincount`` adds the
+    terms of each sum in that order from 0.0, as scipy's CSR product does,
+    so the products below are bit-identical to scipy's without its per-call
+    overhead.
+    """
 
     entry: np.ndarray  # dim x dim variable index per cell
     inv_m: np.ndarray  # 1 / (cell count) per variable
-    AT: scipy.sparse.csr_matrix
+    rows: np.ndarray  # row of each stored entry of A
+    cols: np.ndarray  # column of each stored entry of A
+    data: np.ndarray  # value of each stored entry of A
     G_inv: np.ndarray  # Fortran order, so symv reads it without a copy
+
+    def a_mul(self, x: np.ndarray) -> np.ndarray:
+        """A @ x (A has len(G_inv) rows)."""
+        return np.bincount(self.rows, weights=self.data * x[self.cols], minlength=len(self.G_inv))
+
+    def at_mul(self, lam: np.ndarray) -> np.ndarray:
+        """A^T @ lam."""
+        return np.bincount(self.cols, weights=self.data * lam[self.rows], minlength=len(self.inv_m))
 
 
 # The level-2 set-up at d=16 holds a 698 x 698 inverse (3.9 MB); the gap
@@ -203,11 +229,13 @@ def _setup(system: _EqualitySystem) -> _Setup:
     m = np.bincount(entry.ravel(), minlength=A.shape[1]).astype(np.float64)
     # Every variable appears in the matrix, so m >= 1 (program invariant).
     inv_m = 1.0 / m
-    AT = A.T.tocsr()
+    rows = np.repeat(np.arange(A.shape[0], dtype=np.intp), np.diff(A.indptr))
+    cols = A.indices.astype(np.intp)
+    data = A.data
     G_inv = np.asfortranarray(_equality_inverse(A, inv_m))
-    for arr in (entry, inv_m, AT.data, AT.indices, AT.indptr, G_inv):
+    for arr in (entry, inv_m, rows, cols, data, G_inv):
         arr.flags.writeable = False
-    return _Setup(entry=entry, inv_m=inv_m, AT=AT, G_inv=G_inv)
+    return _Setup(entry=entry, inv_m=inv_m, rows=rows, cols=cols, data=data, G_inv=G_inv)
 
 
 def solve(program: SosProgram, options: SolverOptions | None = None) -> SdpSolution:
@@ -216,7 +244,7 @@ def solve(program: SosProgram, options: SolverOptions | None = None) -> SdpSolut
     options.validate()
     A, b = program.constraint_arrays()
     setup = _setup(_EqualitySystem(program.entry_map, A))
-    entry, inv_m, AT, G_inv = setup.entry, setup.inv_m, setup.AT, setup.G_inv
+    entry, inv_m, G_inv = setup.entry, setup.inv_m, setup.G_inv
     entry_flat = entry.ravel()
     symv = _symv()
     V = program.var_count
@@ -234,8 +262,10 @@ def solve(program: SosProgram, options: SolverOptions | None = None) -> SdpSolut
     def y_step(rho: float) -> np.ndarray:
         w = np.bincount(entry_flat, weights=np.subtract(Z, U, out=T).ravel(), minlength=V)
         q = rho * w + c
-        lam = symv(1.0, G_inv, A @ (q * inv_m) - rho * b, lower=1)
-        return (q - AT @ lam) * inv_m / rho
+        if b.size:
+            lam = symv(1.0, G_inv, setup.a_mul(q * inv_m) - rho * b, lower=1)
+            q = q - setup.at_mul(lam)
+        return q * inv_m / rho
 
     primal = dual = eq_res = psd_gap = np.inf
     value = 0.0
@@ -249,15 +279,20 @@ def solve(program: SosProgram, options: SolverOptions | None = None) -> SdpSolut
         np.subtract(My, Z, out=R)
         U += R
         psd_gap = float(np.linalg.norm(R))
-        eq_res = float(np.max(np.abs(A @ y - b))) if b.size else 0.0
+        value = float(c @ y) / program.scale
+        adapt = it % _ADAPT_EVERY == 0
+        # The other residuals are read by the stop test, which cannot pass
+        # while psd_gap > tol, by the rho adaptation and by the return.
+        if psd_gap > options.tol and not adapt and it < options.max_iter:
+            continue
+        eq_res = float(np.max(np.abs(setup.a_mul(y) - b))) if b.size else 0.0
         primal = eq_res + psd_gap
         dual = rho * float(np.linalg.norm(np.subtract(Z, Z_prev, out=T)))
-        value = float(c @ y) / program.scale
         bar = options.tol * (1.0 + abs(value))
         if primal <= bar and dual <= bar and psd_gap <= options.tol:
             status = OPTIMAL
             break
-        if it % _ADAPT_EVERY == 0:
+        if adapt:
             new_rho = rho
             if primal > _ADAPT_RATIO * dual:
                 new_rho = min(rho * 2.0, _RHO_MAX)

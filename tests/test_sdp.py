@@ -222,10 +222,131 @@ def test_cached_arrays_are_read_only():
     solve(prog)
     A, b = prog.constraint_arrays()
     setup = sdp._setup(sdp._EqualitySystem(prog.entry_map, A))
-    arrays = (A.data, b, setup.entry, setup.inv_m, setup.AT.data, setup.G_inv)
+    arrays = (A.data, b, setup.entry, setup.inv_m, setup.rows, setup.cols, setup.data, setup.G_inv)
     for arr in arrays:
         with pytest.raises(ValueError):
             arr.flat[0] = 1.0
+
+
+def test_solve_without_equalities():
+    # maximize -trace M(y) over M(y) PSD alone: the optimum is M = 0, and
+    # the y-step has no equalities to project onto
+    prog = assemble_basic(NoisyMatrix(d=4, entries=np.ones(6)), 2)
+    diagonal = sorted({int(v) for v in np.diag(prog.entry_map)})
+    free = SosProgram(
+        dim=prog.dim,
+        var_count=prog.var_count,
+        objective=tuple((v, -1.0) for v in diagonal),
+        constraints=(),
+        entry_map=prog.entry_map,
+        scale=1.0,
+        indexer=prog.indexer,
+    )
+    sol = solve(free)
+    assert sol.status == OPTIMAL
+    assert sol.eq_res == 0.0
+    assert sol.value == pytest.approx(0.0, abs=1e-6)
+    assert np.linalg.eigvalsh(sol.matrix)[0] >= -1e-7
+
+
+def _reference_solve(program, options=None):
+    """The solver loop as it was before ``solve`` dropped scipy.sparse and
+    computed residuals only when read: scipy CSR products, every residual
+    on every iteration. The oracle of the differential test below."""
+    options = options or SolverOptions()
+    options.validate()
+    A, b = program.constraint_arrays()
+    setup = sdp._setup(sdp._EqualitySystem(program.entry_map, A))
+    entry, inv_m, G_inv = setup.entry, setup.inv_m, setup.G_inv
+    AT = A.T.tocsr()
+    entry_flat = entry.ravel()
+    symv = sdp._symv()
+    V = program.var_count
+    c = program.objective_vector()
+
+    rho = options.step
+    rho_changes = 0
+    Z = np.zeros(entry.shape)
+    U = np.zeros_like(Z)
+    My = np.empty_like(Z)
+    R = np.empty_like(Z)
+    T = np.empty_like(Z)
+
+    def y_step(rho):
+        w = np.bincount(entry_flat, weights=np.subtract(Z, U, out=T).ravel(), minlength=V)
+        q = rho * w + c
+        lam = symv(1.0, G_inv, A @ (q * inv_m) - rho * b, lower=1)
+        return (q - AT @ lam) * inv_m / rho
+
+    primal = dual = eq_res = psd_gap = np.inf
+    value = 0.0
+    it = 0
+    status = MAX_ITER_REACHED
+    for it in range(1, options.max_iter + 1):
+        y = y_step(rho)
+        np.take(y, entry, out=My)
+        Z_prev = Z
+        Z = project_psd(np.add(My, U, out=T))
+        np.subtract(My, Z, out=R)
+        U += R
+        psd_gap = float(np.linalg.norm(R))
+        eq_res = float(np.max(np.abs(A @ y - b))) if b.size else 0.0
+        primal = eq_res + psd_gap
+        dual = rho * float(np.linalg.norm(np.subtract(Z, Z_prev, out=T)))
+        value = float(c @ y) / program.scale
+        bar = options.tol * (1.0 + abs(value))
+        if primal <= bar and dual <= bar and psd_gap <= options.tol:
+            status = OPTIMAL
+            break
+        if it % 100 == 0:
+            new_rho = rho
+            if primal > 10.0 * dual:
+                new_rho = min(rho * 2.0, 1e4)
+            elif dual > 10.0 * primal:
+                new_rho = max(rho / 2.0, 1e-4)
+            if new_rho != rho:
+                U *= rho / new_rho
+                rho = new_rho
+                rho_changes += 1
+    return sdp.SdpSolution(
+        status=status,
+        value=value,
+        matrix=My,
+        primal_residual=primal,
+        dual_residual=dual,
+        iterations=it,
+        rho_changes=rho_changes,
+        eq_res=eq_res,
+        psd_gap=psd_gap,
+    )
+
+
+_X5 = NoisyMatrix(d=5, entries=generator(0).standard_normal(n_pairs(5)))
+_X6 = NoisyMatrix(d=6, entries=generator(3).standard_normal(n_pairs(6)))
+DIFFERENTIAL_CASES = {
+    "basic": (assemble_basic(_X6, 3), None),
+    "level1": (assemble_level(_X6, 3, 1), None),
+    "level2": (assemble_level(_X5, 3, 2), None),
+    "doubled-equalities": (_with_doubled_equalities(assemble_level(_X5, 2, 1)), None),
+    **{
+        f"level2-max-iter-{k}": (assemble_level(_X5, 3, 2), SolverOptions(max_iter=k))
+        for k in (1, 99, 100, 101)
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "prog, options", DIFFERENTIAL_CASES.values(), ids=DIFFERENTIAL_CASES.keys()
+)
+def test_solve_matches_reference_loop(prog, options):
+    got = solve(prog, options)
+    want = _reference_solve(prog, options)
+    if options is not None:
+        assert got.status == MAX_ITER_REACHED
+    for name in ("status", "value", "primal_residual", "dual_residual", "iterations",
+                 "rho_changes", "eq_res", "psd_gap"):
+        assert getattr(got, name) == getattr(want, name), name
+    assert np.array_equal(got.matrix, want.matrix)
 
 
 def test_solution_counters():
