@@ -147,8 +147,8 @@ class ExperimentConfig:
                 _parse_estimator(name)
         if self.experiment == CERTIFICATE:
             for g in self.grid:
-                if g.ell is None:
-                    raise InvalidParams("certificate grid points need an 'ell' field")
+                if g.ell is None or g.ell < 1:
+                    raise InvalidParams("certificate grid points need an 'ell' field >= 1")
         if self.experiment == THRESHOLD:
             if not self.multipliers:
                 raise InvalidParams("threshold experiment needs signal multipliers")
@@ -157,6 +157,10 @@ class ExperimentConfig:
                     raise InvalidParams("threshold sweep runs on gaussian submatrix grids")
         if self.scan_strategy not in (EXHAUSTIVE, BRANCH_AND_BOUND):
             raise InvalidParams(f"unknown scan strategy {self.scan_strategy!r}")
+        try:
+            self.solver.validate()
+        except ValueError as exc:
+            raise InvalidParams(f"solver: {exc}") from exc
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
@@ -216,8 +220,8 @@ def _parse_estimator(name: str) -> tuple[str, int | None]:
     if base not in ESTIMATORS:
         raise InvalidParams(f"unknown estimator {name!r}")
     if base == "sos_level":
-        if not level:
-            raise InvalidParams("sos_level estimator needs a level, e.g. 'sos_level:2'")
+        if not level.isdecimal() or int(level) < 1:
+            raise InvalidParams(f"{name!r}: sos_level needs a level >= 1, e.g. 'sos_level:2'")
         return base, int(level)
     if level:
         raise InvalidParams(f"estimator {base!r} does not take a level")

@@ -15,15 +15,16 @@ is ADMM on the splitting Z = M(y), Z PSD, with scaled dual U:
            W = V+ sqrt(w+), a BLAS syrk: Z is exactly symmetric.
   U-step   U += M(y) - Z.
 
-The set-up (the entry map, 1/m, the CSR triplets of A and the inverse of
-G) depends only on the entry map and A, never on c or b, so it is
-computed once per equality system and shared, read-only, by every later
-solve with the same one: an LRU cache of 8 systems, keyed on the entry map
-and the CSR arrays of A by value. A program built by hand with the entry
-map of an assembled one but other equalities gets its own set-up. The
-loop uses no scipy.sparse: A y and A^T lambda are np.bincount sums over
-the triplets, in the same order as scipy's CSR product, so bit-identical
-to it. A program without equalities skips the projection: y = q / (rho m).
+The set-up (1/m, the CSR triplets of A and the inverse of G) reads only
+the program's ``Constraints``, the entry map and A of its shape, never c,
+so it is computed once per ``Constraints`` object and shared, read-only,
+by every later solve with the same one: an LRU cache of 8, keyed on the
+object's identity. Assembled programs of one shape share one object; a
+``Constraints`` built by hand gets its own set-up, even when it equals an
+assembled one in value. The loop uses no scipy.sparse: A y and A^T lambda
+are np.bincount sums over the triplets, in the same order as scipy's CSR
+product, so bit-identical to it. A program without equalities skips the
+projection: y = q / (rho m).
 
 Residuals:
 
@@ -55,7 +56,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import EigFailure
-from .sos import SosProgram
+from .sos import Constraints, SosProgram
 
 if TYPE_CHECKING:
     import scipy.sparse
@@ -174,26 +175,9 @@ def _equality_inverse(A: scipy.sparse.csr_matrix, inv_m: np.ndarray) -> np.ndarr
     return (Q * inv_w) @ Q.T
 
 
-class _EqualitySystem:
-    """A program's entry map and equality matrix A, hashed and compared by
-    value (shape, dtype and bytes of each array)."""
-
-    def __init__(self, entry: np.ndarray, A: scipy.sparse.csr_matrix):
-        self.entry = entry
-        self.A = A
-        arrays = (entry, A.indptr, A.indices, A.data)
-        self.key = (entry.shape, A.shape) + tuple((a.dtype.str, a.tobytes()) for a in arrays)
-
-    def __hash__(self) -> int:
-        return hash(self.key)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _EqualitySystem) and self.key == other.key
-
-
 @dataclass(frozen=True)
 class _Setup:
-    """What the iteration needs of one equality system; all arrays read-only.
+    """What the iteration needs of one ``Constraints``; all arrays read-only.
 
     A is kept as its CSR triplets in CSR order: ``np.bincount`` adds the
     terms of each sum in that order from 0.0, as scipy's CSR product does,
@@ -201,7 +185,6 @@ class _Setup:
     overhead.
     """
 
-    entry: np.ndarray  # dim x dim variable index per cell
     inv_m: np.ndarray  # 1 / (cell count) per variable
     rows: np.ndarray  # row of each stored entry of A
     cols: np.ndarray  # column of each stored entry of A
@@ -223,32 +206,29 @@ _SETUPS_CACHED = 8
 
 
 @lru_cache(maxsize=_SETUPS_CACHED)
-def _setup(system: _EqualitySystem) -> _Setup:
-    entry = system.entry.copy()
-    A = system.A
-    m = np.bincount(entry.ravel(), minlength=A.shape[1]).astype(np.float64)
+def _setup(constraints: Constraints) -> _Setup:
+    A = constraints.A
+    m = np.bincount(constraints.entry_map.ravel(), minlength=A.shape[1]).astype(np.float64)
     # Every variable appears in the matrix, so m >= 1 (program invariant).
     inv_m = 1.0 / m
     rows = np.repeat(np.arange(A.shape[0], dtype=np.intp), np.diff(A.indptr))
     cols = A.indices.astype(np.intp)
-    data = A.data
     G_inv = np.asfortranarray(_equality_inverse(A, inv_m))
-    for arr in (entry, inv_m, rows, cols, data, G_inv):
+    for arr in (inv_m, rows, cols, G_inv):
         arr.flags.writeable = False
-    return _Setup(entry=entry, inv_m=inv_m, rows=rows, cols=cols, data=data, G_inv=G_inv)
+    return _Setup(inv_m=inv_m, rows=rows, cols=cols, data=A.data, G_inv=G_inv)
 
 
 def solve(program: SosProgram, options: SolverOptions | None = None) -> SdpSolution:
     """Run the splitting iteration on an assembled program."""
     options = options or SolverOptions()
     options.validate()
-    A, b = program.constraint_arrays()
-    setup = _setup(_EqualitySystem(program.entry_map, A))
-    entry, inv_m, G_inv = setup.entry, setup.inv_m, setup.G_inv
+    setup = _setup(program.constraints)
+    entry, b, c = program.entry_map, program.constraints.b, program.c
+    inv_m, G_inv = setup.inv_m, setup.G_inv
     entry_flat = entry.ravel()
     symv = _symv()
     V = program.var_count
-    c = program.objective_vector()
 
     rho = options.step
     rho_changes = 0

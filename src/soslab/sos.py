@@ -11,10 +11,12 @@ the explicit equalities are only
 
 stored in that folded, sparse form. They depend only on the program's
 shape, (d, s_star, ell) or (d, s_star) for the basic program, never on the
-data: each shape's constraints and its read-only CSR (A, b) are built once
-and shared by every program of that shape (a bounded LRU cache), and an
-``assemble_*`` call computes only the objective. The objective puts weight
-2*X_ij on each pair variable and the reported value divides by
+data. Each shape's equalities live in one ``Constraints`` object: the entry
+map, a CSR ``A`` and ``b``, all read-only. It is built once and shared by
+every program of that shape (a bounded LRU cache), and it compares by
+identity, so the solver keys its set-up cache on the object itself. An
+``assemble_*`` call computes only the objective vector ``c``, with weight
+2*X_ij on each pair variable; the reported value divides by
 ``scale = s_star*(s_star-1)``.
 
 ``assemble_basic`` is the weaker (d+1) x (d+1) program whose only explicit
@@ -33,8 +35,8 @@ from typing import TYPE_CHECKING, Iterable, Mapping
 import numpy as np
 
 from .errors import InvalidParams, MissingValue
-from .matrix import NoisyMatrix, pair_iter
-from .subsets import DEFAULT_MAX_DIM, SubsetIndexer, canonical_key, subset_indexer
+from .matrix import NoisyMatrix
+from .subsets import DEFAULT_MAX_DIM, SubsetIndexer, canonical_key, subset_indexer, union_key
 
 if TYPE_CHECKING:
     import scipy.sparse
@@ -42,68 +44,51 @@ if TYPE_CHECKING:
 _ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
-class LinearConstraint:
-    """Sparse equality: sum of coeff * y[var] == rhs."""
+@dataclass(frozen=True, eq=False)
+class Constraints:
+    """The equalities ``A y = b`` of one program shape, with the entry map
+    of its moment matrix; every array read-only from construction.
 
-    terms: tuple[tuple[int, float], ...]
-    rhs: float
+    Compared and hashed by identity (``eq=False``): the solver caches its
+    set-up per object. ``len()`` is the number of equality rows.
+    """
+
+    entry_map: np.ndarray
+    A: scipy.sparse.csr_matrix
+    b: np.ndarray
+
+    def __post_init__(self) -> None:
+        for arr in (self.entry_map, self.A.data, self.A.indices, self.A.indptr, self.b):
+            arr.flags.writeable = False
+
+    def __len__(self) -> int:
+        return self.A.shape[0]
 
 
 @dataclass(frozen=True)
 class SosProgram:
-    """A semidefinite program over set-indexed moment variables.
+    """maximize ``c.y / scale`` subject to ``A y = b`` and ``M(y)`` PSD, where
+    ``M(y)`` reads ``y`` through the entry map."""
 
-    ``arrays`` is the (A, b) of ``constraints`` when the program was
-    assembled; a program built by hand leaves it unset.
-    """
-
-    dim: int
-    var_count: int
-    objective: tuple[tuple[int, float], ...]
-    constraints: tuple[LinearConstraint, ...]
-    entry_map: np.ndarray
+    c: np.ndarray
+    constraints: Constraints
     scale: float
     indexer: SubsetIndexer = field(repr=False)
-    arrays: tuple[scipy.sparse.csr_matrix, np.ndarray] | None = field(
-        default=None, repr=False, compare=False
-    )
 
-    def objective_vector(self) -> np.ndarray:
-        c = np.zeros(self.var_count)
-        for var, coeff in self.objective:
-            c[var] += coeff
-        return c
+    @property
+    def dim(self) -> int:
+        return len(self.constraints.entry_map)
 
-    def constraint_arrays(self) -> tuple[scipy.sparse.csr_matrix, np.ndarray]:
-        """Sparse (A, b) with one row per equality; repeated terms add up.
-        Both are read-only."""
-        if self.arrays is not None:
-            return self.arrays
-        return _constraint_arrays(self.constraints, self.var_count)
+    @property
+    def var_count(self) -> int:
+        return len(self.c)
+
+    @property
+    def entry_map(self) -> np.ndarray:
+        return self.constraints.entry_map
 
     def value_of(self, y: np.ndarray) -> float:
-        return float(self.objective_vector() @ y) / self.scale
-
-
-def _constraint_arrays(
-    constraints: tuple[LinearConstraint, ...], var_count: int
-) -> tuple[scipy.sparse.csr_matrix, np.ndarray]:
-    import scipy.sparse
-
-    rows, cols, vals = [], [], []
-    for r, con in enumerate(constraints):
-        for var, coeff in con.terms:
-            rows.append(r)
-            cols.append(var)
-            vals.append(coeff)
-    shape = (len(constraints), var_count)
-    A = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
-    A.eliminate_zeros()
-    b = np.array([con.rhs for con in constraints], dtype=np.float64)
-    for arr in (A.data, A.indices, A.indptr, b):
-        arr.flags.writeable = False
-    return A, b
+        return float(self.c @ y) / self.scale
 
 
 @dataclass(frozen=True)
@@ -143,38 +128,44 @@ class PseudoExpectation:
 
 
 # Equality systems per shape. The level-2 system at d=16 (698 rows) holds
-# about 0.9 MB, most of it the constraint tuples; the bound keeps a long run
-# over many shapes from growing.
+# 0.12 MB of CSR arrays beside its 0.15 MB entry map (the indexer's); the
+# bound keeps a long run over many shapes from growing.
 _SHAPES_CACHED = 16
 
 
 @lru_cache(maxsize=_SHAPES_CACHED)
-def _level_equalities(idx: SubsetIndexer, s_star: int) -> tuple:
-    """Constraints (a) and (b) of the level-``idx.ell`` program, with their (A, b)."""
-    constraints = [LinearConstraint(terms=((idx.var_index[()], 1.0),), rhs=1.0)]
-    vertices = range(1, idx.d + 1)
+def _level_equalities(idx: SubsetIndexer, s_star: int) -> Constraints:
+    """Constraints (a) and (b) of the level-``idx.ell`` program."""
+    var = idx.var_index
+    terms = [(0, var[()], 1.0)]  # (row, variable, coefficient)
+    b = [1.0]
     for S in idx.var_subsets:
         if len(S) > 2 * idx.ell - 1:
-            continue
-        inside = set(S)
-        terms = [(idx.var_index[tuple(sorted(inside | {i}))], 1.0) for i in vertices if i not in inside]
-        terms.append((idx.var_index[S], -float(s_star - len(S))))
-        constraints.append(LinearConstraint(terms=tuple(terms), rhs=0.0))
-    constraints = tuple(constraints)
-    return constraints, _constraint_arrays(constraints, idx.var_count)
+            break  # var_subsets are ordered by size
+        row = len(b)
+        terms += [(row, var[union_key(S, (i,))], 1.0) for i in range(1, idx.d + 1) if i not in S]
+        terms.append((row, var[S], -float(s_star - len(S))))
+        b.append(0.0)
+    return _constraints(idx, terms, b)
 
 
 @lru_cache(maxsize=_SHAPES_CACHED)
-def _basic_equalities(idx: SubsetIndexer, s_star: int) -> tuple:
-    """y[empty] = 1 and the one row-sum, with their (A, b)."""
-    constraints = (
-        LinearConstraint(terms=((idx.var_index[()], 1.0),), rhs=1.0),
-        LinearConstraint(
-            terms=tuple((idx.var_index[(i,)], 1.0) for i in range(1, idx.d + 1)),
-            rhs=float(s_star),
-        ),
-    )
-    return constraints, _constraint_arrays(constraints, idx.var_count)
+def _basic_equalities(idx: SubsetIndexer, s_star: int) -> Constraints:
+    """y[empty] = 1 and the one row-sum."""
+    terms = [(0, idx.var_index[()], 1.0)]
+    terms += [(1, idx.var_index[(i,)], 1.0) for i in range(1, idx.d + 1)]
+    return _constraints(idx, terms, [1.0, float(s_star)])
+
+
+def _constraints(idx: SubsetIndexer, terms: list, b: list) -> Constraints:
+    """CSR A from (row, variable, coefficient) terms; repeated terms add up
+    and zero coefficients are dropped."""
+    import scipy.sparse
+
+    rows, cols, vals = zip(*terms)
+    A = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(len(b), idx.var_count)).tocsr()
+    A.eliminate_zeros()
+    return Constraints(entry_map=idx.entry_map(), A=A, b=np.array(b, dtype=np.float64))
 
 
 def assemble_level(
@@ -197,28 +188,15 @@ def assemble_basic(X: NoisyMatrix, s_star: int) -> SosProgram:
     return _program(X, s_star, idx, _basic_equalities(idx, s_star))
 
 
-def _program(X: NoisyMatrix, s_star: int, idx: SubsetIndexer, equalities: tuple) -> SosProgram:
-    constraints, arrays = equalities
-    return SosProgram(
-        dim=idx.dim,
-        var_count=idx.var_count,
-        objective=_pair_objective(X, idx),
-        constraints=constraints,
-        entry_map=idx.entry_map(),
-        scale=float(s_star * (s_star - 1)),
-        indexer=idx,
-        arrays=arrays,
-    )
-
-
-def _pair_objective(X: NoisyMatrix, idx: SubsetIndexer) -> tuple[tuple[int, float], ...]:
-    # Weight 2*X_ij covers both orders of the trace; value_of divides by scale.
-    out = []
-    for pos, (i, j) in enumerate(pair_iter(X.d)):
-        v = float(X.entries[pos])
-        if v != 0.0:
-            out.append((idx.var_index[(i, j)], 2.0 * v))
-    return tuple(out)
+def _program(
+    X: NoisyMatrix, s_star: int, idx: SubsetIndexer, constraints: Constraints
+) -> SosProgram:
+    # The pair variables follow the empty set and the d singletons, in
+    # pair_iter order. Weight 2*X_ij covers both orders of the trace;
+    # value_of divides by scale. Adding 0.0 turns a -0.0 weight into 0.0.
+    c = np.zeros(idx.var_count)
+    c[1 + X.d : 1 + X.d + len(X.entries)] = 2.0 * X.entries + 0.0
+    return SosProgram(c=c, constraints=constraints, scale=float(s_star * (s_star - 1)), indexer=idx)
 
 
 def moment_matrix(pe: PseudoExpectation, idx: SubsetIndexer) -> np.ndarray:

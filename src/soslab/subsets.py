@@ -64,7 +64,7 @@ class SubsetIndexer:
 
     def entry_map(self) -> np.ndarray:
         """dim x dim array: cell (r, c) holds the variable index of the
-        union of row subsets r and c. Symmetric; computed once."""
+        union of row subsets r and c. Symmetric, read-only; computed once."""
         if self._entry_map is None:
             n = self.dim
             em = np.empty((n, n), dtype=np.int64)
@@ -73,6 +73,7 @@ class SubsetIndexer:
                     v = self.var_index[union_key(sr, self.row_subsets[c])]
                     em[r, c] = v
                     em[c, r] = v
+            em.flags.writeable = False
             self._entry_map = em
         return self._entry_map
 

@@ -301,6 +301,15 @@ def test_config_validation(tmp_path):
                                           "beta_star": 0.5, "beta_tilde": 0.5}])
     with pytest.raises(InvalidParams):
         gap_config(tmp_path, experiment="sweep")
+    for level in ("x", "0", "-1"):
+        with pytest.raises(InvalidParams):
+            gap_config(tmp_path, estimators=["scan", f"sos_level:{level}"])
+    with pytest.raises(InvalidParams):
+        cert_config(tmp_path, grid=[{"model": "sbm", "d": 6, "s_star": 2,
+                                     "beta_star": 0.5, "beta_tilde": 0.5, "ell": 0}])
+    for solver in ({"tol": 0}, {"max_iter": 0}, {"step": -1.0}):
+        with pytest.raises(InvalidParams):
+            gap_config(tmp_path, solver=solver)
 
 
 def test_config_json_round_trip(tmp_path):

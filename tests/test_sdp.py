@@ -1,5 +1,8 @@
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
+import scipy.sparse
 
 from soslab.certificate import (
     SIGN_POSITIVE,
@@ -15,7 +18,7 @@ from soslab.matrix import NoisyMatrix, n_pairs
 from soslab.models import ModelParams, Noise, gen_submatrix
 from soslab.sdp import MAX_ITER_REACHED, OPTIMAL, SolverOptions, project_psd, solve
 from soslab.seeds import generator
-from soslab.sos import SosProgram, assemble_basic, assemble_level
+from soslab.sos import Constraints, SosProgram, assemble_basic, assemble_level
 
 CVXPY_REASON = "cvxpy used only as an independent oracle"
 
@@ -111,7 +114,7 @@ def test_solution_feasibility_roundtrip():
         prog = assemble_level(X, s, 1)
         sol = solve(prog)
         assert sol.status == OPTIMAL
-        A, b = prog.constraint_arrays()
+        A, b = prog.constraints.A, prog.constraints.b
         y = np.zeros(prog.var_count)
         em = prog.entry_map
         for r in range(prog.dim):
@@ -183,15 +186,13 @@ def test_options_validation():
 
 def _with_doubled_equalities(prog):
     """The same program with its first two equalities repeated."""
-    return SosProgram(
-        dim=prog.dim,
-        var_count=prog.var_count,
-        objective=prog.objective,
-        constraints=prog.constraints + (prog.constraints[0], prog.constraints[1]),
-        entry_map=prog.entry_map,
-        scale=prog.scale,
-        indexer=prog.indexer,
+    cons = prog.constraints
+    doubled = Constraints(
+        entry_map=cons.entry_map,
+        A=scipy.sparse.vstack([cons.A, cons.A[:2]], format="csr"),
+        b=np.concatenate([cons.b, cons.b[:2]]),
     )
+    return replace(prog, constraints=doubled)
 
 
 def test_redundant_equalities_fall_back_to_pseudo_inverse():
@@ -220,25 +221,42 @@ def test_setup_cache_keyed_on_the_equality_system():
 def test_cached_arrays_are_read_only():
     prog = assemble_level(NoisyMatrix(d=5, entries=np.ones(10)), 2, 1)
     solve(prog)
-    A, b = prog.constraint_arrays()
-    setup = sdp._setup(sdp._EqualitySystem(prog.entry_map, A))
-    arrays = (A.data, b, setup.entry, setup.inv_m, setup.rows, setup.cols, setup.data, setup.G_inv)
+    cons = prog.constraints
+    setup = sdp._setup(cons)
+    arrays = (cons.A.data, cons.A.indices, cons.A.indptr, cons.b, cons.entry_map,
+              setup.inv_m, setup.rows, setup.cols, setup.data, setup.G_inv)
     for arr in arrays:
         with pytest.raises(ValueError):
             arr.flat[0] = 1.0
+
+
+def test_setup_cache_keyed_on_identity():
+    # programs of one shape share their Constraints; one equal in value but
+    # built by hand gets its own set-up, and the same solution to the bit
+    prog = assemble_level(NoisyMatrix(d=5, entries=generator(6).standard_normal(10)), 2, 1)
+    cons = prog.constraints
+    copy = Constraints(entry_map=cons.entry_map.copy(), A=cons.A.copy(), b=cons.b.copy())
+    first = solve(prog)
+    again = solve(replace(prog, constraints=copy))
+    assert sdp._setup(copy) is not sdp._setup(cons)
+    assert assemble_level(NoisyMatrix(d=5, entries=np.ones(10)), 2, 1).constraints is cons
+    for f in fields(first):
+        assert np.array_equal(getattr(again, f.name), getattr(first, f.name)), f.name
 
 
 def test_solve_without_equalities():
     # maximize -trace M(y) over M(y) PSD alone: the optimum is M = 0, and
     # the y-step has no equalities to project onto
     prog = assemble_basic(NoisyMatrix(d=4, entries=np.ones(6)), 2)
-    diagonal = sorted({int(v) for v in np.diag(prog.entry_map)})
+    c = np.zeros(prog.var_count)
+    c[np.diag(prog.entry_map)] = -1.0
     free = SosProgram(
-        dim=prog.dim,
-        var_count=prog.var_count,
-        objective=tuple((v, -1.0) for v in diagonal),
-        constraints=(),
-        entry_map=prog.entry_map,
+        c=c,
+        constraints=Constraints(
+            entry_map=prog.entry_map,
+            A=scipy.sparse.csr_matrix((0, prog.var_count)),
+            b=np.zeros(0),
+        ),
         scale=1.0,
         indexer=prog.indexer,
     )
@@ -255,14 +273,14 @@ def _reference_solve(program, options=None):
     on every iteration. The oracle of the differential test below."""
     options = options or SolverOptions()
     options.validate()
-    A, b = program.constraint_arrays()
-    setup = sdp._setup(sdp._EqualitySystem(program.entry_map, A))
-    entry, inv_m, G_inv = setup.entry, setup.inv_m, setup.G_inv
+    A, b = program.constraints.A, program.constraints.b
+    setup = sdp._setup(program.constraints)
+    entry, inv_m, G_inv = program.entry_map, setup.inv_m, setup.G_inv
     AT = A.T.tocsr()
     entry_flat = entry.ravel()
     symv = sdp._symv()
     V = program.var_count
-    c = program.objective_vector()
+    c = program.c
 
     rho = options.step
     rho_changes = 0
@@ -368,7 +386,7 @@ def test_rank_deficient_equalities_level2():
     prog = assemble_level(X, 2, 2)
     sol = solve(prog)
     assert sol.status == OPTIMAL
-    A, b = prog.constraint_arrays()
+    A, b = prog.constraints.A, prog.constraints.b
     y = np.zeros(prog.var_count)
     y[prog.entry_map.ravel()] = sol.matrix.ravel()
     assert np.abs(A @ y - b).max() <= 1e-9

@@ -1,7 +1,9 @@
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from soslab.certificate import (
     BINARY_ONE,
@@ -12,7 +14,7 @@ from soslab.certificate import (
 )
 from soslab.errors import InvalidParams, MissingValue
 from soslab.estimators import scan_estimate
-from soslab.matrix import NoisyMatrix, n_pairs
+from soslab.matrix import NoisyMatrix, n_pairs, pair_iter
 from soslab.seeds import generator
 from soslab.sos import (
     PseudoExpectation,
@@ -33,8 +35,7 @@ def k4_certificate():
 
 
 def feasible_residuals(program, y):
-    A, b = program.constraint_arrays()
-    return np.abs(A @ y - b).max()
+    return np.abs(program.constraints.A @ y - program.constraints.b).max()
 
 
 def indicator_vector(program, support):
@@ -68,11 +69,11 @@ def test_basic_counting():
 
 def test_normalization_constraint_present_once():
     prog = assemble_level(ones_matrix(5), 2, 1)
-    hits = [c for c in prog.constraints if c.rhs == 1.0 and len(c.terms) == 1]
+    A, b = prog.constraints.A, prog.constraints.b
+    hits = [r for r in range(len(prog.constraints)) if b[r] == 1.0 and A[r].nnz == 1]
     assert len(hits) == 1
-    var, coeff = hits[0].terms[0]
-    assert var == prog.indexer.var_index[()]
-    assert coeff == 1.0
+    assert A[hits[0]].indices.tolist() == [prog.indexer.var_index[()]]
+    assert A[hits[0]].data.tolist() == [1.0]
 
 
 def test_entry_map_reaches_every_variable():
@@ -102,7 +103,7 @@ def test_all_ones_objective_constant_on_feasible_set():
     # constraints force the pair-variable total, so the objective is pinned
     prog = assemble_level(ones_matrix(4), 2, 1)
     rng = generator(8)
-    A, b = prog.constraint_arrays()
+    A, b = prog.constraints.A, prog.constraints.b
     # project random vectors onto the affine set and read the objective
     AtA = (A @ A.T).toarray()
     for _ in range(5):
@@ -111,6 +112,75 @@ def test_all_ones_objective_constant_on_feasible_set():
         y = y0 - A.T @ lam
         assert feasible_residuals(prog, y) < 1e-10
         assert prog.value_of(y) == pytest.approx(1.0, abs=1e-9)
+
+
+@dataclass(frozen=True)
+class _LinearConstraint:
+    terms: tuple[tuple[int, float], ...]
+    rhs: float
+
+
+def _tuple_equalities(idx, s_star, basic):
+    """The equalities as the tuple-based builder made them: the oracle of
+    test_builder_output_unchanged."""
+    constraints = [_LinearConstraint(terms=((idx.var_index[()], 1.0),), rhs=1.0)]
+    if basic:
+        terms = tuple((idx.var_index[(i,)], 1.0) for i in range(1, idx.d + 1))
+        return constraints + [_LinearConstraint(terms=terms, rhs=float(s_star))]
+    for S in idx.var_subsets:
+        if len(S) > 2 * idx.ell - 1:
+            continue
+        inside = set(S)
+        terms = [(idx.var_index[tuple(sorted(inside | {i}))], 1.0)
+                 for i in range(1, idx.d + 1) if i not in inside]
+        terms.append((idx.var_index[S], -float(s_star - len(S))))
+        constraints.append(_LinearConstraint(terms=tuple(terms), rhs=0.0))
+    return constraints
+
+
+def _tuple_arrays(constraints, var_count):
+    rows, cols, vals = [], [], []
+    for r, con in enumerate(constraints):
+        for var, coeff in con.terms:
+            rows.append(r)
+            cols.append(var)
+            vals.append(coeff)
+    shape = (len(constraints), var_count)
+    A = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
+    A.eliminate_zeros()
+    return A, np.array([con.rhs for con in constraints], dtype=np.float64)
+
+
+def _tuple_objective_vector(X, idx):
+    c = np.zeros(idx.var_count)
+    for pos, (i, j) in enumerate(pair_iter(X.d)):
+        v = float(X.entries[pos])
+        if v != 0.0:
+            c[idx.var_index[(i, j)]] += 2.0 * v
+    return c
+
+
+BUILDER_SHAPES = [(4, 2), (4, 3), (5, 2), (6, 3), (8, 4), (12, 3), (16, 3), (16, 5)]
+
+
+@pytest.mark.parametrize("ell", [None, 1, 2], ids=["basic", "level1", "level2"])
+@pytest.mark.parametrize("d, s_star", BUILDER_SHAPES)
+def test_builder_output_unchanged(d, s_star, ell):
+    # (4, 2) at level 2 is the rank-deficient system; (6, 3) and (4, 2) at
+    # level 2 carry zero coefficients, which both builders drop
+    entries = generator(d * 100 + s_star).standard_normal(n_pairs(d))
+    entries[::5] = 0.0
+    entries[1::7] = -0.0
+    X = NoisyMatrix(d=d, entries=entries)
+    prog = assemble_basic(X, s_star) if ell is None else assemble_level(X, s_star, ell)
+    A, b = _tuple_arrays(_tuple_equalities(prog.indexer, s_star, ell is None), prog.var_count)
+    got = prog.constraints
+    assert got.A.shape == A.shape
+    for mine, want in ((got.A.indptr, A.indptr), (got.A.indices, A.indices),
+                       (got.A.data, A.data), (got.b, b),
+                       (prog.c, _tuple_objective_vector(X, prog.indexer))):
+        assert mine.dtype == want.dtype
+        assert mine.tobytes() == want.tobytes()
 
 
 def test_moment_matrix_point_mass():
