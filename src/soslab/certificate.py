@@ -13,6 +13,9 @@ equalities exactly whenever eta(empty) > 0. Feasibility is checked in exact
 rational arithmetic (Python integers never overflow, so the checks cannot be
 corrupted by rounding); positive semidefiniteness of the float moment matrix
 is checked numerically with tolerance lambda_min >= -1e-8 * max(1, lambda_max).
+The eigenvalues come from the principal block on the nonzero rows: the
+matrix is symmetric, so each zero row is also a zero column and adds one
+eigenvalue of exactly 0 while leaving every other eigenvalue unchanged.
 """
 from __future__ import annotations
 
@@ -172,16 +175,18 @@ def verify_certificate(
     fail only at a nonzero key or inside one, so the check runs over the
     nonzero moments alone: each nonzero key T with |T| >= 1 adds y[T] to the
     left side at every T - {i}, in exact integers over the common
-    denominator of the values. Keys that are not sorted tuples inside
-    1..d of size <= 2*ell are not moments and are ignored. The maximum
-    violation is reported exactly. The float moment matrix supplies
-    lambda_min and the PSD verdict.
+    denominator of the values. Keys that are not moments of the indexer
+    (sorted tuples inside 1..d of size <= 2*ell) are ignored. The maximum
+    violation is reported exactly.
+
+    lambda_min and the PSD verdict come from the float moment matrix,
+    restricted to its nonzero rows: a zero row is a zero column too, so it
+    contributes one eigenvalue of exactly 0 and leaves the others as they
+    are. With a row dropped, lambda_min and lambda_max are those of the
+    block taken together with 0; with every row zero both are 0.
     """
-    moments = {
-        T: v
-        for T, v in pe.values.items()
-        if v and len(T) <= 2 * ell and _is_subset_key(T, d)
-    }
+    idx = subset_indexer(d, ell)
+    moments = {T: v for T, v in pe.values.items() if v and T in idx.var_index}
     D = math.lcm(*{v.denominator for v in moments.values()})
     scaled = {T: v.numerator * (D // v.denominator) for T, v in moments.items()}
     lhs: dict[tuple[int, ...], int] = {}
@@ -194,14 +199,7 @@ def verify_certificate(
         (abs(lhs.get(S, 0) - (s_star - len(S)) * scaled.get(S, 0)) for S in rows),
         default=0,
     )
-    idx = subset_indexer(d, ell)
-    M = moment_matrix(pe, idx)
-    try:
-        evals = np.linalg.eigvalsh(M)
-    except np.linalg.LinAlgError as exc:
-        raise EigFailure(f"eigvalsh failed on the moment matrix: {exc}") from exc
-    min_eig = float(evals[0])
-    max_eig = float(evals[-1])
+    min_eig, max_eig = _eig_range(moment_matrix(pe, idx))
     return FeasibilityReport(
         normalization_ok=pe.get(()) == 1,
         rowsum_max_violation=Fraction(max_violation, D),
@@ -209,6 +207,22 @@ def verify_certificate(
         psd=min_eig >= -PSD_REL_TOL * max(1.0, max_eig),
         eta_empty=pe.eta_empty,
     )
+
+
+def _eig_range(M: np.ndarray) -> tuple[float, float]:
+    """(lambda_min, lambda_max) of a symmetric M, from its nonzero rows."""
+    keep = M.any(axis=1)
+    if not keep.any():
+        return 0.0, 0.0
+    block = M if keep.all() else M[np.ix_(keep, keep)]
+    try:
+        evals = np.linalg.eigvalsh(block)
+    except np.linalg.LinAlgError as exc:
+        raise EigFailure(f"eigvalsh failed on the moment matrix: {exc}") from exc
+    lo, hi = float(evals[0]), float(evals[-1])
+    if block is M:
+        return lo, hi
+    return min(lo, 0.0), max(hi, 0.0)
 
 
 def _is_subset_key(key: tuple[int, ...], d: int) -> bool:

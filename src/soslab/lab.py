@@ -108,12 +108,14 @@ class GridPoint:
             noise = Noise.from_dict(doc.get("noise", {"kind": GAUSSIAN, "sigma": 1.0}))
         return cls(
             model=model,
-            d=int(doc["d"]),
-            s_star=int(doc["s_star"]),
-            beta_star=float(doc.get("beta_star", 0.0)),
+            d=_parse(int, doc["d"], "d"),
+            s_star=_parse(int, doc["s_star"], "s_star"),
+            beta_star=_parse(float, doc.get("beta_star", 0.0), "beta_star"),
             noise=noise,
-            beta_tilde=float(doc["beta_tilde"]) if "beta_tilde" in doc else None,
-            ell=int(doc["ell"]) if "ell" in doc else None,
+            beta_tilde=(
+                _parse(float, doc["beta_tilde"], "beta_tilde") if "beta_tilde" in doc else None
+            ),
+            ell=_parse(int, doc["ell"], "ell") if "ell" in doc else None,
         )
 
 
@@ -167,22 +169,24 @@ class ExperimentConfig:
         solver_doc = doc.get("solver", {})
         defaults = SolverOptions()
         solver = SolverOptions(
-            tol=float(solver_doc.get("tol", defaults.tol)),
-            max_iter=int(solver_doc.get("max_iter", defaults.max_iter)),
-            step=float(solver_doc.get("step", defaults.step)),
+            tol=_parse(float, solver_doc.get("tol", defaults.tol), "solver.tol"),
+            max_iter=_parse(int, solver_doc.get("max_iter", defaults.max_iter), "solver.max_iter"),
+            step=_parse(float, solver_doc.get("step", defaults.step), "solver.step"),
         )
         cfg = cls(
             experiment=doc["experiment"],
             grid=tuple(GridPoint.from_dict(g) for g in doc["grid"]),
-            replicates=int(doc["replicates"]),
-            base_seed=int(doc["base_seed"]),
+            replicates=_parse(int, doc["replicates"], "replicates"),
+            base_seed=_parse(int, doc["base_seed"], "base_seed"),
             output=doc["output"],
             estimators=tuple(doc.get("estimators", ())),
-            multipliers=tuple(float(c) for c in doc.get("multipliers", ())),
+            multipliers=tuple(
+                _parse(float, c, "multipliers") for c in doc.get("multipliers", ())
+            ),
             solver=solver,
             solve_sdp=bool(doc.get("solve_sdp", False)),
             scan_strategy=doc.get("scan_strategy", BRANCH_AND_BOUND),
-            max_subsets=int(doc.get("max_subsets", DEFAULT_MAX_SUBSETS)),
+            max_subsets=_parse(int, doc.get("max_subsets", DEFAULT_MAX_SUBSETS), "max_subsets"),
         )
         cfg.validate()
         return cfg
@@ -191,6 +195,14 @@ class ExperimentConfig:
     def from_json(cls, path: str) -> "ExperimentConfig":
         with open(path) as fh:
             return cls.from_dict(json.load(fh))
+
+
+def _parse(kind: type, value, name: str):
+    """``kind(value)`` for a config field; a value it rejects is InvalidParams."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidParams(f"{name}: expected {kind.__name__}, got {value!r}") from exc
 
 
 def fmt_float(x) -> str:

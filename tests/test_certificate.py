@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from soslab.certificate import (
     BINARY_ONE,
+    PSD_REL_TOL,
     SIGN_POSITIVE,
     build_certificate,
     certificate_objective,
@@ -357,7 +358,32 @@ def test_verify_matches_dense_reference(case):
     M, ref = moment_matrix(pe, idx), dense_moment_matrix(pe, idx)
     assert M.dtype == ref.dtype and M.shape == ref.shape
     assert M.tobytes() == ref.tobytes()
+    evals = np.linalg.eigvalsh(ref)
+    ref_min, ref_max = float(evals[0]), float(evals[-1])
+    assert abs(report.min_eigenvalue - ref_min) <= 1e-10 * max(1.0, abs(ref_max))
+    threshold = -PSD_REL_TOL * max(1.0, ref_max)
+    if abs(ref_min - threshold) > 1e-12:
+        assert report.psd == (ref_min >= threshold)
     assert certificate_objective(X, pe, s_star) == dense_objective(X, pe, s_star)
+
+
+def test_verify_zero_rows_add_exact_zero_eigenvalue():
+    # Rows {2}, {3}, {4} are zero; the block on {empty, {1}} is
+    # [[1, 1/2], [1/2, 1/2]] (determinant 1/4), so lambda_min is the
+    # zero rows' eigenvalue, exactly 0.
+    pe = PseudoExpectation(d=4, ell=1, s_star=2, values={(): Fraction(1), (1,): Fraction(1, 2)})
+    report = verify_certificate(pe, 4, 2, 1)
+    assert report.min_eigenvalue == 0.0
+    assert report.psd
+    assert report.normalization_ok
+
+
+def test_verify_all_zero_moments():
+    report = verify_certificate(PseudoExpectation(d=4, ell=1, s_star=2, values={}), 4, 2, 1)
+    assert report.min_eigenvalue == 0.0
+    assert report.psd
+    assert not report.normalization_ok
+    assert report.rowsum_max_violation == 0
 
 
 def test_verify_rowsum_at_deleted_key():

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from soslab.cli import main
 from soslab.errors import InvalidParams
 from soslab.lab import (
     GAP_COLUMNS,
@@ -310,6 +311,53 @@ def test_config_validation(tmp_path):
     for solver in ({"tol": 0}, {"max_iter": 0}, {"step": -1.0}):
         with pytest.raises(InvalidParams):
             gap_config(tmp_path, solver=solver)
+
+
+def _sbm_point(**kw):
+    return {"model": "sbm", "d": 6, "s_star": 2, "beta_star": 0.5, "beta_tilde": 0.5,
+            "ell": 1, **kw}
+
+
+@pytest.mark.parametrize(
+    "make, field, value, message",
+    [
+        (gap_config, "replicates", "two", "replicates: expected int, got 'two'"),
+        (gap_config, "base_seed", None, "base_seed: expected int, got None"),
+        (gap_config, "max_subsets", math.inf, "max_subsets: expected int, got inf"),
+        (gap_config, "multipliers", [1, "x"], "multipliers: expected float, got 'x'"),
+        (gap_config, "solver", {"max_iter": "many"}, "solver.max_iter: expected int, got 'many'"),
+        (gap_config, "solver", {"tol": []}, "solver.tol: expected float, got []"),
+        (cert_config, "grid", [_sbm_point(ell="x")], "ell: expected int, got 'x'"),
+        (cert_config, "grid", [_sbm_point(d="six")], "d: expected int, got 'six'"),
+        (cert_config, "grid", [_sbm_point(beta_tilde=None)], "beta_tilde: expected float, got None"),
+    ],
+)
+def test_config_field_type_errors_name_the_field(tmp_path, make, field, value, message):
+    with pytest.raises(InvalidParams) as exc:
+        make(tmp_path, **{field: value})
+    assert str(exc.value) == message
+
+
+def test_experiment_cli_reports_bad_field(tmp_path, capsys):
+    doc = {
+        "experiment": "gap",
+        "grid": [{"model": "submatrix", "d": 6, "s_star": 2, "beta_star": 0.5,
+                  "noise": {"kind": "gaussian", "sigma": 1.0}}],
+        "estimators": ["scan"],
+        "replicates": "two",
+        "base_seed": 3,
+        "output": str(tmp_path / "out.csv"),
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    assert main(["experiment", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "InvalidParams",
+        "message": "replicates: expected int, got 'two'",
+    }
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_config_json_round_trip(tmp_path):
