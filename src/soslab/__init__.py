@@ -9,6 +9,7 @@ from .certificate import (
     PositivityGraph,
     build_certificate,
     certificate_objective,
+    certify,
     expansivity_table,
     positivity_graph,
     verify_certificate,
@@ -27,8 +28,6 @@ from .models import (
     ModelParams,
     Noise,
     PlantedInstance,
-    gen_sbm,
-    gen_submatrix,
     generate,
     mean_matrix,
 )
@@ -50,6 +49,7 @@ __all__ = [
     "PositivityGraph",
     "build_certificate",
     "certificate_objective",
+    "certify",
     "expansivity_table",
     "positivity_graph",
     "verify_certificate",
@@ -70,8 +70,6 @@ __all__ = [
     "ModelParams",
     "Noise",
     "PlantedInstance",
-    "gen_sbm",
-    "gen_submatrix",
     "generate",
     "mean_matrix",
     "SdpSolution",

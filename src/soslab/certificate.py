@@ -41,7 +41,8 @@ from .subsets import subset_indexer
 SIGN_POSITIVE = "sign-positive"
 BINARY_ONE = "binary-one"
 
-DEFAULT_MAX_CLIQUE_COMBOS = 10**7
+# Largest C(d, 2l) whose 2l-cliques expansivity_table will enumerate.
+MAX_CLIQUE_COMBOS = 10**7
 
 PSD_REL_TOL = 1e-8
 
@@ -120,17 +121,15 @@ def _enumerate_cliques(nbr: list[int], d: int, size: int):
     return out
 
 
-def expansivity_table(
-    g: PositivityGraph, ell: int, max_combos: int = DEFAULT_MAX_CLIQUE_COMBOS
-) -> ExpansivityTable:
+def expansivity_table(g: PositivityGraph, ell: int) -> ExpansivityTable:
     """One pass over the 2l-cliques, incrementing eta for every subset of each."""
     if ell < 1:
         raise InvalidParams("ell must be >= 1")
     size = 2 * ell
-    if math.comb(g.d, size) > max_combos:
+    if math.comb(g.d, size) > MAX_CLIQUE_COMBOS:
         raise TooLarge(
             f"C({g.d},{size}) = {math.comb(g.d, size)} exceeds the clique "
-            f"enumeration budget {max_combos}"
+            f"enumeration budget {MAX_CLIQUE_COMBOS}"
         )
     counts: dict = {}
     cliques = _enumerate_cliques(g.neighbor_masks(), g.d, size)
@@ -144,8 +143,8 @@ def expansivity_table(
 
 def build_certificate(table: ExpansivityTable, s_star: int, ell: int) -> PseudoExpectation:
     """Pseudo-expectation of the expansivity construction, as exact rationals."""
-    if s_star < 2:
-        raise InvalidParams("s_star must be >= 2")
+    if not 2 <= s_star <= table.d:
+        raise InvalidParams(f"need 2 <= s_star <= d, got s_star={s_star}, d={table.d}")
     if ell != table.ell:
         raise InvalidParams(f"table was built for ell={table.ell}, not {ell}")
     eta0 = table.clique_count
@@ -252,8 +251,13 @@ def certificate_objective(X: NoisyMatrix, pe: PseudoExpectation, s_star: int) ->
     return Fraction(2 * total, s_star * (s_star - 1) * D)
 
 
-def with_objective(report: FeasibilityReport, objective: Fraction) -> FeasibilityReport:
-    return replace(report, objective=objective)
+def certify(X: NoisyMatrix, mode: str, s_star: int, ell: int) -> FeasibilityReport:
+    """The certificate of X end to end: positivity graph, expansivity table,
+    certificate, verification, and the report with its exact objective."""
+    table = expansivity_table(positivity_graph(X, mode), ell)
+    pe = build_certificate(table, s_star, ell)
+    report = verify_certificate(pe, X.d, s_star, ell)
+    return replace(report, objective=certificate_objective(X, pe, s_star))
 
 
 def frac_str(fr: Fraction) -> str:

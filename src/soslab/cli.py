@@ -1,9 +1,11 @@
 """Command-line front end.
 
-Subcommands: generate, estimate, certify, solve, experiment. Values print to
-stdout with 17 significant digits; reports print as one JSON object. Usage
-errors exit 2 (argparse); numeric or model failures print one JSON error
-line to stderr and exit 1.
+Subcommands: generate, estimate, certify, solve, experiment. Each runs the
+library path the experiments use: ``certify`` is ``certificate.certify``,
+``estimate`` and ``solve`` are ``lab.estimate`` (``solve`` with
+``sos_basic`` or ``sos_level``). Values print to stdout with 17 significant
+digits; reports print as one JSON object. Usage errors exit 2 (argparse);
+numeric or model failures print one JSON error line to stderr and exit 1.
 """
 from __future__ import annotations
 
@@ -11,25 +13,13 @@ import argparse
 import json
 import sys
 
-from .certificate import (
-    BINARY_ONE,
-    SIGN_POSITIVE,
-    build_certificate,
-    certificate_objective,
-    expansivity_table,
-    positivity_graph,
-    report_to_json_dict,
-    verify_certificate,
-    with_objective,
-    DEFAULT_MAX_CLIQUE_COMBOS,
-)
+from .certificate import BINARY_ONE, SIGN_POSITIVE, certify, report_to_json_dict
 from .errors import SoslabError
 from .estimators import BRANCH_AND_BOUND, DEFAULT_MAX_SUBSETS, EXHAUSTIVE
 from .lab import ESTIMATORS, ExperimentConfig, estimate, fmt_float, run_experiment, with_overrides
 from .matrix import read_matrix_json, write_matrix_json
 from .models import GAUSSIAN, RADEMACHER, SBM, SUBMATRIX, ModelParams, Noise, generate
-from .sdp import MAX_ITER_REACHED, SdpSolution, SolverOptions, solve
-from .sos import assemble_basic, assemble_level
+from .sdp import MAX_ITER_REACHED, SolverOptions
 
 _MODES = {"sign": SIGN_POSITIVE, "binary": BINARY_ONE}
 
@@ -68,7 +58,6 @@ def build_parser() -> argparse.ArgumentParser:
     cert.add_argument("--level", type=int, required=True)
     cert.add_argument("--s", type=int, required=True)
     cert.add_argument("--mode", choices=sorted(_MODES), required=True)
-    cert.add_argument("--max-combos", type=int, default=DEFAULT_MAX_CLIQUE_COMBOS)
 
     slv = sub.add_parser("solve", help="solve a relaxation on a matrix file")
     slv.add_argument("--in", dest="infile", required=True)
@@ -129,40 +118,34 @@ def _cmd_estimate(args) -> int:
         strategy=args.strategy,
         max_subsets=args.max_subsets,
     )
-    if result.solution is not None:
-        _warn_if_unconverged(result.solution)
-    print(fmt_float(result.value))
-    return 0
+    return _print_estimate(result)
 
 
 def _cmd_certify(args) -> int:
     X, _ = read_matrix_json(args.infile)
-    graph = positivity_graph(X, _MODES[args.mode])
-    table = expansivity_table(graph, args.level, max_combos=args.max_combos)
-    pe = build_certificate(table, args.s, args.level)
-    report = verify_certificate(pe, X.d, args.s, args.level)
-    report = with_objective(report, certificate_objective(X, pe, args.s))
+    report = certify(X, _MODES[args.mode], args.s, args.level)
     print(json.dumps(report_to_json_dict(report)))
     return 0
 
 
 def _cmd_solve(args) -> int:
     X, _ = read_matrix_json(args.infile)
-    program = assemble_basic(X, args.s) if args.basic else assemble_level(X, args.s, args.level)
-    solution = solve(program, _solver_options(args))
-    _warn_if_unconverged(solution)
-    print(fmt_float(solution.value))
-    return 0
+    name = "sos_basic" if args.basic else "sos_level"
+    result = estimate(name, X, args.s, level=args.level, solver=_solver_options(args))
+    return _print_estimate(result)
 
 
-def _warn_if_unconverged(solution: SdpSolution) -> None:
-    """One stderr line for a solve that stopped at max_iter; its value still prints."""
-    if solution.status == MAX_ITER_REACHED:
+def _print_estimate(result) -> int:
+    """Print the value; a solve that stopped at max_iter adds one stderr line."""
+    solution = result.solution
+    if solution is not None and solution.status == MAX_ITER_REACHED:
         print(
             f"warning: max_iter reached (primal={solution.primal_residual:.3g}, "
             f"dual={solution.dual_residual:.3g})",
             file=sys.stderr,
         )
+    print(fmt_float(result.value))
+    return 0
 
 
 def _cmd_experiment(args) -> int:

@@ -20,16 +20,8 @@ from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable
 
-from .certificate import (
-    BINARY_ONE,
-    SIGN_POSITIVE,
-    build_certificate,
-    certificate_objective,
-    expansivity_table,
-    positivity_graph,
-    verify_certificate,
-)
-from .errors import InvalidParams, SoslabError
+from .certificate import BINARY_ONE, SIGN_POSITIVE, certify
+from .errors import CertificateUndefined, InvalidParams, SoslabError
 from .estimators import (
     BRANCH_AND_BOUND,
     DEFAULT_MAX_SUBSETS,
@@ -39,6 +31,7 @@ from .estimators import (
     max_estimate,
     scan_estimate,
 )
+from .fields import parse, parse_field
 from .matrix import NoisyMatrix
 from .models import GAUSSIAN, SBM, SUBMATRIX, ModelParams, Noise, generate
 from .sdp import SdpSolution, SolverOptions, solve
@@ -102,20 +95,19 @@ class GridPoint:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "GridPoint":
-        model = doc.get("model", SUBMATRIX)
+        doc = parse(dict, doc, "grid")
+        model = parse_field(doc, "model", str, SUBMATRIX)
         noise = None
         if model == SUBMATRIX:
             noise = Noise.from_dict(doc.get("noise", {"kind": GAUSSIAN, "sigma": 1.0}))
         return cls(
             model=model,
-            d=_parse(int, doc["d"], "d"),
-            s_star=_parse(int, doc["s_star"], "s_star"),
-            beta_star=_parse(float, doc.get("beta_star", 0.0), "beta_star"),
+            d=parse_field(doc, "d", int),
+            s_star=parse_field(doc, "s_star", int),
+            beta_star=parse_field(doc, "beta_star", float, 0.0),
             noise=noise,
-            beta_tilde=(
-                _parse(float, doc["beta_tilde"], "beta_tilde") if "beta_tilde" in doc else None
-            ),
-            ell=_parse(int, doc["ell"], "ell") if "ell" in doc else None,
+            beta_tilde=parse_field(doc, "beta_tilde", float, None),
+            ell=parse_field(doc, "ell", int, None),
         )
 
 
@@ -166,27 +158,30 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        solver_doc = doc.get("solver", {})
+        doc = parse(dict, doc, "config")
+        solver_doc = parse_field(doc, "solver", dict, {})
         defaults = SolverOptions()
         solver = SolverOptions(
-            tol=_parse(float, solver_doc.get("tol", defaults.tol), "solver.tol"),
-            max_iter=_parse(int, solver_doc.get("max_iter", defaults.max_iter), "solver.max_iter"),
-            step=_parse(float, solver_doc.get("step", defaults.step), "solver.step"),
+            tol=parse_field(solver_doc, "tol", float, defaults.tol, "solver.tol"),
+            max_iter=parse_field(solver_doc, "max_iter", int, defaults.max_iter, "solver.max_iter"),
+            step=parse_field(solver_doc, "step", float, defaults.step, "solver.step"),
         )
         cfg = cls(
-            experiment=doc["experiment"],
-            grid=tuple(GridPoint.from_dict(g) for g in doc["grid"]),
-            replicates=_parse(int, doc["replicates"], "replicates"),
-            base_seed=_parse(int, doc["base_seed"], "base_seed"),
-            output=doc["output"],
-            estimators=tuple(doc.get("estimators", ())),
+            experiment=parse_field(doc, "experiment", str),
+            grid=tuple(GridPoint.from_dict(g) for g in parse_field(doc, "grid", list)),
+            replicates=parse_field(doc, "replicates", int),
+            base_seed=parse_field(doc, "base_seed", int),
+            output=parse_field(doc, "output", str),
+            estimators=tuple(
+                parse(str, name, "estimators") for name in parse_field(doc, "estimators", list, ())
+            ),
             multipliers=tuple(
-                _parse(float, c, "multipliers") for c in doc.get("multipliers", ())
+                parse(float, c, "multipliers") for c in parse_field(doc, "multipliers", list, ())
             ),
             solver=solver,
             solve_sdp=bool(doc.get("solve_sdp", False)),
             scan_strategy=doc.get("scan_strategy", BRANCH_AND_BOUND),
-            max_subsets=_parse(int, doc.get("max_subsets", DEFAULT_MAX_SUBSETS), "max_subsets"),
+            max_subsets=parse_field(doc, "max_subsets", int, DEFAULT_MAX_SUBSETS),
         )
         cfg.validate()
         return cfg
@@ -195,14 +190,6 @@ class ExperimentConfig:
     def from_json(cls, path: str) -> "ExperimentConfig":
         with open(path) as fh:
             return cls.from_dict(json.load(fh))
-
-
-def _parse(kind: type, value, name: str):
-    """``kind(value)`` for a config field; a value it rejects is InvalidParams."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InvalidParams(f"{name}: expected {kind.__name__}, got {value!r}") from exc
 
 
 def fmt_float(x) -> str:
@@ -256,11 +243,12 @@ def estimate(
     *,
     level: int | None,
     solver: SolverOptions,
-    strategy: str,
-    max_subsets: int,
+    strategy: str = EXHAUSTIVE,
+    max_subsets: int = DEFAULT_MAX_SUBSETS,
 ) -> Estimate:
     """The estimator ``name`` (one of ``ESTIMATORS``) on X; each estimator
-    reads only the keyword arguments that apply to it."""
+    reads only the keyword arguments that apply to it, and the scan
+    settings default to ``scan_estimate``'s."""
     if name == "scan":
         return Estimate(scan_estimate(X, s_star, strategy=strategy, max_subsets=max_subsets).value)
     if name == "avg":
@@ -339,14 +327,16 @@ def run_certificate_experiment(cfg: ExperimentConfig) -> list[dict]:
 
             def work(row: dict) -> None:
                 X = generate(g.params(seed)).matrix
-                table = expansivity_table(positivity_graph(X, mode), g.ell)
-                row["eta_empty"] = table.clique_count
-                pe = build_certificate(table, g.s_star, g.ell)
-                report = verify_certificate(pe, g.d, g.s_star, g.ell)
+                try:
+                    report = certify(X, mode, g.s_star, g.ell)
+                except CertificateUndefined:  # raised exactly when eta(empty) = 0
+                    row["eta_empty"] = 0
+                    raise
+                row["eta_empty"] = report.eta_empty
                 row["rowsum_violation_zero"] = report.rowsum_max_violation == 0
                 row["min_eig"] = report.min_eigenvalue
                 row["psd"] = report.psd
-                row["objective"] = float(certificate_objective(X, pe, g.s_star))
+                row["objective"] = float(report.objective)
                 if cfg.solve_sdp:
                     row["sdp_value"] = run("sos_level", X, g.s_star, level=g.ell).value
 

@@ -15,10 +15,11 @@ probability ``beta_tilde <= beta_star``.
 Default scales ``sigma = nu = 1`` ("unit scale"); all downstream rate checks
 are scale-relative.
 
-Determinism: generation is a pure function of the params. The support is
-drawn first, by a Fisher-Yates prefix shuffle of ``[1..d]`` (``s_star``
-seeded swaps), then the upper-triangle entries are drawn in storage order.
-Same params (including seed) give a bit-identical instance.
+Determinism: ``generate`` draws either model as a pure function of the
+params. The support is drawn first, by a Fisher-Yates prefix shuffle of
+``[1..d]`` (``s_star`` seeded swaps), then the upper-triangle entries are
+drawn in storage order. Same params (including seed) give a bit-identical
+instance.
 """
 from __future__ import annotations
 
@@ -27,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParams, InvalidSupport, RademacherWithSignal
+from .fields import parse, parse_field
 from .matrix import NoisyMatrix, n_pairs
 from .seeds import generator
 
@@ -60,9 +62,10 @@ class Noise:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Noise":
-        kind = doc["kind"]
-        scale = doc.get("sigma" if kind == GAUSSIAN else "nu", 1.0)
-        return cls(kind=kind, scale=float(scale))
+        doc = parse(dict, doc, "noise")
+        kind = parse_field(doc, "kind", str, name="noise.kind")
+        key = "sigma" if kind == GAUSSIAN else "nu"
+        return cls(kind=kind, scale=parse_field(doc, key, float, 1.0, f"noise.{key}"))
 
 
 @dataclass(frozen=True)
@@ -119,14 +122,15 @@ class ModelParams:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ModelParams":
+        doc = parse(dict, doc, "params")
         return cls(
-            kind=doc["kind"],
-            d=int(doc["d"]),
-            s_star=int(doc["s_star"]),
-            beta_star=float(doc["beta_star"]),
+            kind=parse_field(doc, "kind", str),
+            d=parse_field(doc, "d", int),
+            s_star=parse_field(doc, "s_star", int),
+            beta_star=parse_field(doc, "beta_star", float),
             noise=Noise.from_dict(doc["noise"]) if "noise" in doc else None,
-            beta_tilde=float(doc["beta_tilde"]) if "beta_tilde" in doc else None,
-            seed=int(doc["seed"]),
+            beta_tilde=parse_field(doc, "beta_tilde", float, None),
+            seed=parse_field(doc, "seed", int),
         )
 
 
@@ -178,16 +182,16 @@ def _pair_values(d: int, support: frozenset[int], inside: float, outside: float)
     return np.where(member[i] & member[j], inside, outside)
 
 
-def gen_submatrix(params: ModelParams) -> PlantedInstance:
-    """Draw a submatrix-model instance, deterministically from the seed."""
+def generate(params: ModelParams) -> PlantedInstance:
+    """Draw an instance of either model, deterministically from the seed."""
     params.validate()
-    if params.kind != SUBMATRIX:
-        raise InvalidParams("gen_submatrix requires kind='submatrix'")
     rng = generator(params.seed)
     support = sample_support(params.d, params.s_star, rng)
     m = n_pairs(params.d)
-    assert params.noise is not None
-    if params.noise.kind == GAUSSIAN:
+    if params.kind == SBM:
+        prob = _pair_values(params.d, support, params.beta_star, params.beta_tilde)
+        entries = (rng.random(m) < prob).astype(np.float64)
+    elif params.noise.kind == GAUSSIAN:
         theta = _pair_values(params.d, support, params.beta_star, 0.0)
         entries = theta + params.noise.scale * rng.standard_normal(m)
     else:
@@ -196,25 +200,3 @@ def gen_submatrix(params: ModelParams) -> PlantedInstance:
     return PlantedInstance(
         matrix=NoisyMatrix(d=params.d, entries=entries), support=support, params=params
     )
-
-
-def gen_sbm(params: ModelParams) -> PlantedInstance:
-    """Draw a block-model adjacency matrix, deterministically from the seed."""
-    params.validate()
-    if params.kind != SBM:
-        raise InvalidParams("gen_sbm requires kind='sbm'")
-    rng = generator(params.seed)
-    support = sample_support(params.d, params.s_star, rng)
-    m = n_pairs(params.d)
-    prob = _pair_values(params.d, support, params.beta_star, params.beta_tilde)
-    entries = (rng.random(m) < prob).astype(np.float64)
-    return PlantedInstance(
-        matrix=NoisyMatrix(d=params.d, entries=entries), support=support, params=params
-    )
-
-
-def generate(params: ModelParams) -> PlantedInstance:
-    """Dispatch on the model kind."""
-    if params.kind == SBM:
-        return gen_sbm(params)
-    return gen_submatrix(params)

@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import InvalidParams, MissingValue
 from .matrix import NoisyMatrix
-from .subsets import DEFAULT_MAX_DIM, SubsetIndexer, canonical_key, subset_indexer, union_key
+from .subsets import SubsetIndexer, canonical_key, subset_indexer, union_key
 
 if TYPE_CHECKING:
     import scipy.sparse
@@ -168,15 +168,13 @@ def _constraints(idx: SubsetIndexer, terms: list, b: list) -> Constraints:
     return Constraints(entry_map=idx.entry_map(), A=A, b=np.array(b, dtype=np.float64))
 
 
-def assemble_level(
-    X: NoisyMatrix, s_star: int, ell: int, max_dim: int = DEFAULT_MAX_DIM
-) -> SosProgram:
+def assemble_level(X: NoisyMatrix, s_star: int, ell: int) -> SosProgram:
     """The level-``ell`` relaxation of the scan problem, in reduced form."""
     if not 2 <= s_star <= X.d:
         raise InvalidParams(f"need 2 <= s_star <= d, got s_star={s_star}, d={X.d}")
     if ell < 1:
         raise InvalidParams("ell must be >= 1")
-    idx = subset_indexer(X.d, ell, max_dim)
+    idx = subset_indexer(X.d, ell)
     return _program(X, s_star, idx, _level_equalities(idx, s_star))
 
 

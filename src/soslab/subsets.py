@@ -16,7 +16,8 @@ import numpy as np
 
 from .errors import InvalidParams, TooLarge
 
-DEFAULT_MAX_DIM = 4096
+# Largest moment-matrix side an indexer will build.
+MAX_DIM = 4096
 
 
 def canonical_key(vertices: Iterable[int]) -> tuple[int, ...]:
@@ -43,13 +44,13 @@ class SubsetIndexer:
     ``var_index`` maps subsets of size <= 2*ell to ``0..V-1``.
     """
 
-    def __init__(self, d: int, ell: int, max_dim: int = DEFAULT_MAX_DIM):
+    def __init__(self, d: int, ell: int):
         if ell < 1:
             raise InvalidParams("ell must be >= 1")
         n_rows = sum(math.comb(d, k) for k in range(ell + 1))
-        if n_rows > max_dim:
+        if n_rows > MAX_DIM:
             raise TooLarge(
-                f"moment matrix side {n_rows} exceeds the budget {max_dim} "
+                f"moment matrix side {n_rows} exceeds the budget {MAX_DIM} "
                 f"(d={d}, ell={ell})"
             )
         self.d = d
@@ -79,6 +80,6 @@ class SubsetIndexer:
 
 
 @lru_cache(maxsize=64)
-def subset_indexer(d: int, ell: int, max_dim: int = DEFAULT_MAX_DIM) -> SubsetIndexer:
+def subset_indexer(d: int, ell: int) -> SubsetIndexer:
     """Shared indexer instances; safe to cache because they are immutable."""
-    return SubsetIndexer(d, ell, max_dim)
+    return SubsetIndexer(d, ell)

@@ -18,12 +18,11 @@ import pytest
 from soslab.certificate import (
     BINARY_ONE,
     SIGN_POSITIVE,
-    build_certificate,
-    certificate_objective,
+    certify,
     expansivity_table,
     positivity_graph,
-    verify_certificate,
 )
+from soslab.errors import CertificateUndefined
 from soslab.estimators import (
     BRANCH_AND_BOUND,
     EXHAUSTIVE,
@@ -62,14 +61,11 @@ def sbm_half(d, s_star, seed):
 
 
 def certified_run(instance, mode, s_star, ell):
-    graph = positivity_graph(instance.matrix, mode)
-    table = expansivity_table(graph, ell)
-    if table.clique_count == 0:
+    try:
+        report = certify(instance.matrix, mode, s_star, ell)
+    except CertificateUndefined:
         return None
-    pe = build_certificate(table, s_star, ell)
-    report = verify_certificate(pe, instance.matrix.d, s_star, ell)
-    objective = certificate_objective(instance.matrix, pe, s_star)
-    return report, objective
+    return report, report.objective
 
 
 @lru_cache(maxsize=1)

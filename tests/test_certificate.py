@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -13,16 +14,16 @@ from soslab.certificate import (
     SIGN_POSITIVE,
     build_certificate,
     certificate_objective,
+    certify,
     expansivity_table,
     frac_str,
     positivity_graph,
     report_to_json_dict,
     verify_certificate,
-    with_objective,
 )
 from soslab.errors import CertificateUndefined, InvalidParams, NotBinary, TooLarge
 from soslab.matrix import NoisyMatrix, n_pairs, pair_iter
-from soslab.models import ModelParams, Noise, gen_sbm, gen_submatrix
+from soslab.models import ModelParams, Noise, generate
 from soslab.seeds import generator
 from soslab.sos import PseudoExpectation, moment_matrix
 from soslab.subsets import subset_indexer
@@ -97,7 +98,7 @@ def test_expansivity_empty_graph():
 
 def test_expansivity_budget():
     with pytest.raises(TooLarge):
-        expansivity_table(complete_graph(30), 2, max_combos=100)
+        expansivity_table(complete_graph(130), 2)
 
 
 def test_expansivity_identity_random_graphs():
@@ -232,7 +233,7 @@ def test_objective_rademacher_equals_nu():
             kind="submatrix", d=14, s_star=3, beta_star=0.0,
             noise=Noise("rademacher", nu), seed=61,
         )
-        inst = gen_submatrix(params)
+        inst = generate(params)
         g = positivity_graph(inst.matrix, SIGN_POSITIVE)
         pe = build_certificate(expansivity_table(g, 1), 3, 1)
         assert certificate_objective(inst.matrix, pe, 3) == Fraction(nu)
@@ -242,7 +243,7 @@ def test_objective_sbm_equals_one():
     params = ModelParams(
         kind="sbm", d=16, s_star=4, beta_star=0.5, beta_tilde=0.5, seed=62
     )
-    inst = gen_sbm(params)
+    inst = generate(params)
     g = positivity_graph(inst.matrix, BINARY_ONE)
     for ell in (1, 2):
         pe = build_certificate(expansivity_table(g, ell), 4, ell)
@@ -259,10 +260,8 @@ def test_objective_integral_indicator_is_scan_average():
 
 
 def test_report_json_schema():
-    pe = build_certificate(expansivity_table(complete_graph(4), 1), 2, 1)
-    report = verify_certificate(pe, 4, 2, 1)
-    report = with_objective(report, Fraction(1))
-    doc = report_to_json_dict(report)
+    X = NoisyMatrix(d=4, entries=np.ones(n_pairs(4)))
+    doc = report_to_json_dict(certify(X, BINARY_ONE, 2, 1))
     assert doc["eta_empty"] == 6
     assert doc["normalization_ok"] is True
     assert doc["rowsum_max_violation"] == "0/1"
@@ -271,6 +270,29 @@ def test_report_json_schema():
     assert isinstance(doc["min_eigenvalue"], float)
     assert doc["psd"] is True
     assert frac_str(Fraction(-3, 7)) == "-3/7"
+
+
+def test_certify_matches_stage_chain():
+    rademacher = ModelParams(
+        kind="submatrix", d=14, s_star=3, beta_star=0.0, noise=Noise("rademacher", 1.0), seed=71
+    )
+    sbm = ModelParams(kind="sbm", d=12, s_star=4, beta_star=0.5, beta_tilde=0.5, seed=72)
+    for params, mode, ell in ((rademacher, SIGN_POSITIVE, 1), (sbm, BINARY_ONE, 2)):
+        X = generate(params).matrix
+        pe = build_certificate(expansivity_table(positivity_graph(X, mode), ell), params.s_star, ell)
+        chain = verify_certificate(pe, X.d, params.s_star, ell)
+        report = certify(X, mode, params.s_star, ell)
+        assert report.objective == certificate_objective(X, pe, params.s_star)
+        assert report == replace(chain, objective=report.objective)
+    with pytest.raises(CertificateUndefined):
+        certify(NoisyMatrix(d=4, entries=np.zeros(6)), SIGN_POSITIVE, 2, 1)
+
+
+def test_certificate_rejects_s_star_outside_2_to_d():
+    table = expansivity_table(complete_graph(4), 1)
+    for s_star in (1, 5):
+        with pytest.raises(InvalidParams, match="need 2 <= s_star <= d"):
+            build_certificate(table, s_star, 1)
 
 
 def dense_rowsum_violation(pe, d, s_star, ell):
@@ -308,16 +330,16 @@ def _subset(draw, d, max_size):
 
 @st.composite
 def perturbed_certificates(draw):
-    """An expansivity certificate (or an indicator when it is undefined),
-    then exact bumps, deletions, new keys, zeros and keys that are not
-    moments: unsorted, repeated, out of range or too large."""
+    """An expansivity certificate (or an indicator when it is undefined or
+    s_star > d), then exact bumps, deletions, new keys, zeros and keys that
+    are not moments: unsorted, repeated, out of range or too large."""
     d = draw(st.integers(3, 9))
     ell = draw(st.sampled_from([1, 2]))
     s_star = draw(st.integers(2, 2 * ell + 1))
     entries = st.floats(min_value=-4, max_value=4)
     X = NoisyMatrix(d=d, entries=draw(st.lists(entries, min_size=n_pairs(d), max_size=n_pairs(d))))
     table = expansivity_table(positivity_graph(X, SIGN_POSITIVE), ell)
-    if table.clique_count:
+    if table.clique_count and s_star <= d:
         values = dict(build_certificate(table, s_star, ell).values)
     else:
         values = dict(PseudoExpectation.indicator(_subset(draw, d, d), d, ell).values)

@@ -91,6 +91,15 @@ def test_numeric_failures_exit_1_with_json_line(tmp_path, capsys):
     line = json.loads(stderr)
     assert line["error"] == "CertificateUndefined"
 
+    code, stdout, stderr = run_cli(
+        capsys, "certify", "--in", path, "--level", "1", "--s", "9", "--mode", "sign"
+    )
+    assert (code, stdout) == (1, "")
+    assert json.loads(stderr) == {
+        "error": "InvalidParams",
+        "message": "need 2 <= s_star <= d, got s_star=9, d=4",
+    }
+
     code, _, stderr = run_cli(
         capsys, "estimate", "--in", str(tmp_path / "nope.json"), "--estimator", "max"
     )

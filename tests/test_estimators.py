@@ -16,7 +16,7 @@ from soslab.estimators import (
     scan_estimate,
 )
 from soslab.matrix import NoisyMatrix, n_pairs, pair_index
-from soslab.models import ModelParams, Noise, gen_sbm, gen_submatrix
+from soslab.models import ModelParams, Noise, generate
 from soslab.seeds import generator
 
 
@@ -61,7 +61,7 @@ def test_scan_recovers_noiseless_plant():
     params = ModelParams(
         kind="submatrix", d=8, s_star=3, beta_star=2.5, noise=Noise("gaussian", 0.0), seed=21
     )
-    inst = gen_submatrix(params)
+    inst = generate(params)
     for strategy in (EXHAUSTIVE, BRANCH_AND_BOUND):
         r = scan_estimate(inst.matrix, 3, strategy=strategy)
         assert r.value == pytest.approx(2.5)
@@ -118,7 +118,7 @@ def test_branch_and_bound_equals_exhaustive_d22(beta):
     params = ModelParams(
         kind="submatrix", d=22, s_star=5, beta_star=beta, noise=Noise("gaussian", 1.0), seed=22
     )
-    X = gen_submatrix(params).matrix
+    X = generate(params).matrix
     a = scan_estimate(X, 5, strategy=EXHAUSTIVE)
     b = scan_estimate(X, 5, strategy=BRANCH_AND_BOUND)
     assert a.subsets_examined == math.comb(22, 5) == 26334
@@ -178,7 +178,7 @@ def test_avg_examples():
     params = ModelParams(
         kind="submatrix", d=6, s_star=3, beta_star=1.25, noise=Noise("gaussian", 0.0), seed=2
     )
-    inst = gen_submatrix(params)
+    inst = generate(params)
     assert avg_estimate(inst.matrix, 3) == pytest.approx(1.25)
     with pytest.raises(InvalidParams):
         avg_estimate(X3, 1)
@@ -187,7 +187,7 @@ def test_avg_examples():
 def test_max_examples():
     assert max_estimate(NoisyMatrix(d=3, entries=np.zeros(3))) == 0.0
     assert max_estimate(X3) == 4.0
-    inst = gen_sbm(
+    inst = generate(
         ModelParams(kind="sbm", d=4, s_star=2, beta_star=1.0, beta_tilde=0.5, seed=8)
     )
     assert max_estimate(inst.matrix) == 1.0

@@ -313,6 +313,14 @@ def test_config_validation(tmp_path):
             gap_config(tmp_path, solver=solver)
 
 
+def raw_config(tmp_path, doc):
+    return ExperimentConfig.from_dict(doc)
+
+
+def _gaussian_point(**kw):
+    return {"model": "submatrix", "d": 6, "s_star": 2, "beta_star": 0.5, **kw}
+
+
 def _sbm_point(**kw):
     return {"model": "sbm", "d": 6, "s_star": 2, "beta_star": 0.5, "beta_tilde": 0.5,
             "ell": 1, **kw}
@@ -330,6 +338,15 @@ def _sbm_point(**kw):
         (cert_config, "grid", [_sbm_point(ell="x")], "ell: expected int, got 'x'"),
         (cert_config, "grid", [_sbm_point(d="six")], "d: expected int, got 'six'"),
         (cert_config, "grid", [_sbm_point(beta_tilde=None)], "beta_tilde: expected float, got None"),
+        (gap_config, "grid", [_gaussian_point(noise={"kind": "gaussian", "sigma": "x"})],
+         "noise.sigma: expected float, got 'x'"),
+        (gap_config, "grid", [_gaussian_point(noise={"sigma": 1.0})], "noise.kind: missing"),
+        (gap_config, "grid", [_gaussian_point(noise="gaussian")],
+         "noise: expected dict, got 'gaussian'"),
+        (gap_config, "grid", ["x"], "grid: expected dict, got 'x'"),
+        (gap_config, "solver", "x", "solver: expected dict, got 'x'"),
+        (raw_config, "doc", [1, 2], "config: expected dict, got [1, 2]"),
+        (gap_config, "estimators", [3], "estimators: expected str, got 3"),
     ],
 )
 def test_config_field_type_errors_name_the_field(tmp_path, make, field, value, message):
@@ -339,25 +356,25 @@ def test_config_field_type_errors_name_the_field(tmp_path, make, field, value, m
 
 
 def test_experiment_cli_reports_bad_field(tmp_path, capsys):
-    doc = {
+    good = {
         "experiment": "gap",
-        "grid": [{"model": "submatrix", "d": 6, "s_star": 2, "beta_star": 0.5,
-                  "noise": {"kind": "gaussian", "sigma": 1.0}}],
+        "grid": [_gaussian_point(noise={"kind": "gaussian", "sigma": 1.0})],
         "estimators": ["scan"],
-        "replicates": "two",
+        "replicates": 2,
         "base_seed": 3,
         "output": str(tmp_path / "out.csv"),
     }
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(doc))
-    assert main(["experiment", "--config", str(path)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert json.loads(captured.err) == {
-        "error": "InvalidParams",
-        "message": "replicates: expected int, got 'two'",
-    }
-    assert not (tmp_path / "out.csv").exists()
+    for change, message in (
+        ({"replicates": "two"}, "replicates: expected int, got 'two'"),
+        ({"grid": [_gaussian_point(noise="gaussian")]}, "noise: expected dict, got 'gaussian'"),
+    ):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**good, **change}))
+        assert main(["experiment", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {"error": "InvalidParams", "message": message}
+        assert not (tmp_path / "out.csv").exists()
 
 
 def test_config_json_round_trip(tmp_path):

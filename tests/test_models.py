@@ -6,8 +6,7 @@ from soslab.matrix import n_pairs, pair_iter
 from soslab.models import (
     ModelParams,
     Noise,
-    gen_sbm,
-    gen_submatrix,
+    generate,
     mean_matrix,
     sample_support,
 )
@@ -74,28 +73,28 @@ def test_mean_matrix_rejects_bad_support():
 
 def test_noiseless_mode_reproduces_mean():
     params = submatrix_params(beta_star=5.0, noise=Noise("gaussian", 0.0), seed=7)
-    inst = gen_submatrix(params)
+    inst = generate(params)
     assert inst.matrix == mean_matrix(params, inst.support)
 
 
 def test_rademacher_entries_two_point():
     params = submatrix_params(d=3, beta_star=0.0, noise=Noise("rademacher", 1.0), seed=1)
-    inst = gen_submatrix(params)
+    inst = generate(params)
     assert set(inst.matrix.entries) <= {-1.0, 1.0}
 
 
 def test_rademacher_rejects_signal():
     with pytest.raises(RademacherWithSignal):
-        gen_submatrix(submatrix_params(beta_star=0.5, noise=Noise("rademacher", 1.0)))
+        generate(submatrix_params(beta_star=0.5, noise=Noise("rademacher", 1.0)))
 
 
 def test_determinism():
     params = submatrix_params(d=12, s_star=3, seed=99)
-    a = gen_submatrix(params)
-    b = gen_submatrix(params)
+    a = generate(params)
+    b = generate(params)
     assert a.support == b.support
     assert np.array_equal(a.matrix.entries, b.matrix.entries)
-    c = gen_submatrix(submatrix_params(d=12, s_star=3, seed=100))
+    c = generate(submatrix_params(d=12, s_star=3, seed=100))
     assert not np.array_equal(a.matrix.entries, c.matrix.entries)
 
 
@@ -105,18 +104,18 @@ def test_gaussian_null_mean_concentrates():
     d, bound = 40, 4.0 / np.sqrt(n_pairs(40))
     hits = 0
     for seed in range(100):
-        inst = gen_submatrix(submatrix_params(d=d, s_star=3, beta_star=0.0, seed=seed))
+        inst = generate(submatrix_params(d=d, s_star=3, beta_star=0.0, seed=seed))
         hits += abs(inst.matrix.entries.mean()) <= bound
     assert hits >= 93
 
 
 def test_sbm_complete_graph():
-    inst = gen_sbm(sbm_params(seed=1))
+    inst = generate(sbm_params(seed=1))
     assert np.all(inst.matrix.entries == 1.0)
 
 
 def test_sbm_single_triangle():
-    inst = gen_sbm(sbm_params(d=5, s_star=3, beta_star=1.0, beta_tilde=0.0, seed=3))
+    inst = generate(sbm_params(d=5, s_star=3, beta_star=1.0, beta_tilde=0.0, seed=3))
     assert inst.matrix.entries.sum() == 3.0
     members = sorted(inst.support)
     for a in range(3):
@@ -125,7 +124,7 @@ def test_sbm_single_triangle():
 
 
 def test_sbm_entries_binary():
-    inst = gen_sbm(sbm_params(d=10, s_star=4, beta_star=0.7, beta_tilde=0.3, seed=5))
+    inst = generate(sbm_params(d=10, s_star=4, beta_star=0.7, beta_tilde=0.3, seed=5))
     assert inst.matrix.is_binary()
 
 
@@ -135,7 +134,7 @@ def test_sbm_edge_count_concentrates():
     bound = 4.0 * np.sqrt(m * 0.25)
     hits = 0
     for seed in range(100):
-        inst = gen_sbm(sbm_params(d=40, s_star=5, beta_star=0.5, beta_tilde=0.5, seed=seed))
+        inst = generate(sbm_params(d=40, s_star=5, beta_star=0.5, beta_tilde=0.5, seed=seed))
         hits += abs(inst.matrix.entries.sum() - m / 2) <= bound
     assert hits >= 93
 
@@ -159,10 +158,6 @@ def test_param_validation():
         submatrix_params(noise=Noise("gaussian", -1.0)).validate()
     with pytest.raises(InvalidParams):
         submatrix_params(noise=Noise("rademacher", 0.0), beta_star=0.0).validate()
-    with pytest.raises(InvalidParams):
-        gen_sbm(submatrix_params())
-    with pytest.raises(InvalidParams):
-        gen_submatrix(sbm_params())
 
 
 def test_params_dict_round_trip():
@@ -180,7 +175,7 @@ def test_sbm_exchangeable_null_statistics_relabel_invariant():
     from soslab.estimators import avg_estimate, max_estimate, scan_estimate
     from soslab.matrix import NoisyMatrix
 
-    inst = gen_sbm(sbm_params(d=9, s_star=3, beta_star=0.5, beta_tilde=0.5, seed=44))
+    inst = generate(sbm_params(d=9, s_star=3, beta_star=0.5, beta_tilde=0.5, seed=44))
     dense = inst.matrix.to_dense()
     rng = generator(45)
     perm = rng.permutation(9)

@@ -15,7 +15,7 @@ from soslab import sdp
 from soslab.errors import EigFailure
 from soslab.estimators import lp_estimate, scan_estimate
 from soslab.matrix import NoisyMatrix, n_pairs
-from soslab.models import ModelParams, Noise, gen_submatrix
+from soslab.models import ModelParams, Noise, generate
 from soslab.sdp import MAX_ITER_REACHED, OPTIMAL, SolverOptions, project_psd, solve
 from soslab.seeds import generator
 from soslab.sos import Constraints, SosProgram, assemble_basic, assemble_level
@@ -132,7 +132,7 @@ def test_noiseless_plant_basic_at_least_beta():
     params = ModelParams(
         kind="submatrix", d=6, s_star=3, beta_star=1.5, noise=Noise("gaussian", 0.0), seed=5
     )
-    inst = gen_submatrix(params)
+    inst = generate(params)
     sol = solve(assemble_basic(inst.matrix, 3))
     assert sol.value >= 1.5 - 1e-5
 
@@ -161,7 +161,7 @@ def test_certificate_point_dominated_by_optimum():
     params = ModelParams(
         kind="submatrix", d=12, s_star=3, beta_star=0.0, noise=Noise("rademacher", 1.0), seed=33
     )
-    inst = gen_submatrix(params)
+    inst = generate(params)
     g = positivity_graph(inst.matrix, SIGN_POSITIVE)
     pe = build_certificate(expansivity_table(g, 1), 3, 1)
     sol = solve(assemble_level(inst.matrix, 3, 1))

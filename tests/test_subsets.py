@@ -57,7 +57,7 @@ def test_entry_map_symmetric_and_total():
 
 def test_budget_guard():
     with pytest.raises(TooLarge):
-        SubsetIndexer(100, 2, max_dim=1000)
+        SubsetIndexer(100, 2)
     with pytest.raises(InvalidParams):
         SubsetIndexer(5, 0)
 
