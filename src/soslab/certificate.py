@@ -1,4 +1,4 @@
-"""Expansivity-based pseudo-moment certificates, verified in exact rationals.
+"""Expansivity-based pseudo-moment certificates, verified in exact arithmetic.
 
 Given a null observation, the positivity graph keeps the pairs whose entry
 is strictly positive (sign mode) or exactly one (binary mode); diagonals are
@@ -9,20 +9,27 @@ each subset S with |S| = k <= 2l to
     (eta(S) / eta(empty)) * perm(s_star, k) / perm(2l, k),
 
 where perm is the falling factorial, and satisfies the level-l program's
-equalities exactly whenever eta(empty) > 0. Feasibility is checked in exact
-rational arithmetic (Python integers never overflow, so the checks cannot be
-corrupted by rounding); positive semidefiniteness of the float moment matrix
-is checked numerically with tolerance lambda_min >= -1e-8 * max(1, lambda_max).
-The eigenvalues come from the principal block on the nonzero rows: the
-matrix is symmetric, so each zero row is also a zero column and adds one
-eigenvalue of exactly 0 while leaving every other eigenvalue unchanged.
+equalities exactly whenever eta(empty) > 0.
+
+Every stage works on integer arrays in the subset indexer's variable order
+(``subsets.rank``), with no loop over moments: the table is ``eta[j]``, and
+the certificate is the numerators ``num[j] = eta[j] * perm(s_star, k) *
+(2l - k)!`` over the one denominator ``eta(empty) * (2l)!``. Integers are
+int64 where a bound computed beforehand shows that no sum or product can
+overflow, and Python integers (``dtype=object``) otherwise, so the exact
+checks cannot be corrupted by overflow or rounding. Positive
+semidefiniteness of the float moment matrix is checked numerically with
+tolerance lambda_min >= -1e-8 * max(1, lambda_max). The eigenvalues come
+from the principal block on the nonzero rows: the matrix is symmetric, so
+each zero row is also a zero column and adds one eigenvalue of exactly 0
+while leaving every other eigenvalue unchanged.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from fractions import Fraction
-from itertools import combinations
 
 import numpy as np
 
@@ -34,9 +41,9 @@ from .errors import (
     NotBinary,
     TooLarge,
 )
-from .matrix import NoisyMatrix, pair_index, pair_iter
-from .sos import PseudoExpectation, moment_matrix
-from .subsets import subset_indexer
+from .matrix import NoisyMatrix, pair_iter
+from .sos import PseudoExpectation, exact_dtype, max_abs, moment_matrix
+from .subsets import NonzeroView, SubsetIndexer, rank, sizes, subset_counts, subset_indexer, var_count
 
 SIGN_POSITIVE = "sign-positive"
 BINARY_ONE = "binary-one"
@@ -47,30 +54,42 @@ MAX_CLIQUE_COMBOS = 10**7
 PSD_REL_TOL = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PositivityGraph:
-    """Vertices 1..d; edge {i,j} iff the observed entry counts as positive."""
+    """Vertices 1..d; edge {i,j} iff the observed entry counts as positive.
+    ``positive`` marks the edges in pair storage order (read-only)."""
 
     d: int
-    edges: frozenset[tuple[int, int]]
+    positive: np.ndarray
 
-    def neighbor_masks(self) -> list[int]:
-        """Adjacency as bitmasks over 0-based vertices (index 0 unused space)."""
-        nbr = [0] * self.d
-        for i, j in self.edges:
-            nbr[i - 1] |= 1 << (j - 1)
-            nbr[j - 1] |= 1 << (i - 1)
-        return nbr
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        return frozenset(pair for pair, k in zip(pair_iter(self.d), self.positive) if k)
+
+    def adjacency(self) -> np.ndarray:
+        """Symmetric boolean d x d adjacency matrix."""
+        adj = np.zeros((self.d, self.d), dtype=bool)
+        adj[np.triu_indices(self.d, 1)] = self.positive
+        return adj | adj.T
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExpansivityTable:
-    """Counts eta(S) for all subsets with |S| <= 2*ell; absent keys are 0."""
+    """Counts eta(S) for all subsets with |S| <= 2*ell: a read-only int64
+    array in the indexer's variable order. ``counts`` views its nonzero
+    entries by subset; absent subsets read 0."""
 
     d: int
     ell: int
-    counts: dict
-    clique_count: int
+    eta: np.ndarray
+
+    @property
+    def clique_count(self) -> int:
+        return int(self.eta[0])
+
+    @cached_property
+    def counts(self) -> NonzeroView:
+        return NonzeroView(self.d, self.ell, self.eta, int)
 
     def get(self, subset) -> int:
         return self.counts.get(tuple(sorted(subset)), 0)
@@ -96,33 +115,28 @@ def positivity_graph(X: NoisyMatrix, mode: str) -> PositivityGraph:
         keep = X.entries > 0.0
     else:
         raise InvalidParams(f"unknown positivity mode {mode!r}")
-    edges = frozenset(pair for pair, k in zip(pair_iter(X.d), keep) if k)
-    return PositivityGraph(d=X.d, edges=edges)
+    keep.flags.writeable = False
+    return PositivityGraph(d=X.d, positive=keep)
 
 
-def _enumerate_cliques(nbr: list[int], d: int, size: int):
-    """All size-cliques as increasing 0-based tuples, in lexicographic order."""
-    out: list[tuple[int, ...]] = []
-
-    def rec(prefix: list[int], cand: int) -> None:
-        if len(prefix) == size:
-            out.append(tuple(prefix))
-            return
-        if cand.bit_count() < size - len(prefix):
-            return
-        m = cand
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            m ^= low
-            rec(prefix + [v], cand & nbr[v] & ~((1 << (v + 1)) - 1))
-
-    rec([], (1 << d) - 1)
-    return out
+def _cliques(adj: np.ndarray, size: int) -> np.ndarray:
+    """All size-cliques as rows of increasing 0-based vertices, in
+    lexicographic order: each level extends every clique by each common
+    neighbour above its last vertex."""
+    d = len(adj)
+    upper = np.triu(adj, 1)
+    cliques = np.arange(d).reshape(d, 1)
+    for _ in range(size - 1):
+        common = upper[cliques[:, -1]]
+        for col in cliques[:, :-1].T:
+            common &= adj[col]
+        rows, new = np.nonzero(common)
+        cliques = np.column_stack([cliques[rows], new])
+    return cliques
 
 
 def expansivity_table(g: PositivityGraph, ell: int) -> ExpansivityTable:
-    """One pass over the 2l-cliques, incrementing eta for every subset of each."""
+    """eta over the indexer's variables: the 2l-cliques containing each subset."""
     if ell < 1:
         raise InvalidParams("ell must be >= 1")
     size = 2 * ell
@@ -131,18 +145,14 @@ def expansivity_table(g: PositivityGraph, ell: int) -> ExpansivityTable:
             f"C({g.d},{size}) = {math.comb(g.d, size)} exceeds the clique "
             f"enumeration budget {MAX_CLIQUE_COMBOS}"
         )
-    counts: dict = {}
-    cliques = _enumerate_cliques(g.neighbor_masks(), g.d, size)
-    for clique0 in cliques:
-        clique = tuple(v + 1 for v in clique0)
-        for r in range(size + 1):
-            for sub in combinations(clique, r):
-                counts[sub] = counts.get(sub, 0) + 1
-    return ExpansivityTable(d=g.d, ell=ell, counts=counts, clique_count=counts.get((), 0))
+    eta = subset_counts(g.d, size, _cliques(g.adjacency(), size))
+    eta.flags.writeable = False
+    return ExpansivityTable(d=g.d, ell=ell, eta=eta)
 
 
 def build_certificate(table: ExpansivityTable, s_star: int, ell: int) -> PseudoExpectation:
-    """Pseudo-expectation of the expansivity construction, as exact rationals."""
+    """Pseudo-expectation of the expansivity construction: ``eta * w[|S|]``
+    over ``eta(empty) * (2l)!``, with ``w_k = perm(s_star, k) * (2l - k)!``."""
     if not 2 <= s_star <= table.d:
         raise InvalidParams(f"need 2 <= s_star <= d, got s_star={s_star}, d={table.d}")
     if ell != table.ell:
@@ -152,14 +162,13 @@ def build_certificate(table: ExpansivityTable, s_star: int, ell: int) -> PseudoE
         raise CertificateUndefined(
             "no all-positive 2l-clique exists; the construction divides by eta(empty) = 0"
         )
-    values: dict[tuple[int, ...], Fraction] = {}
-    for subset, eta in table.counts.items():
-        k = len(subset)
-        weight = math.perm(s_star, k)  # falling factorial; 0 when k > s_star
-        if eta and weight:
-            values[subset] = Fraction(eta * weight, eta0 * math.perm(2 * ell, k))
+    # perm is the falling factorial, 0 when k > s_star; eta <= eta0 bounds every product.
+    weights = [math.perm(s_star, k) * math.factorial(2 * ell - k) for k in range(2 * ell + 1)]
+    dtype = exact_dtype(eta0 * max(weights))
+    num = table.eta.astype(dtype) * np.array(weights, dtype=dtype)[sizes(table.d, 2 * ell)]
     return PseudoExpectation(
-        d=table.d, ell=ell, s_star=s_star, values=values, eta_empty=eta0
+        d=table.d, ell=ell, s_star=s_star, num=num, den=eta0 * math.factorial(2 * ell),
+        eta_empty=eta0,
     )
 
 
@@ -168,14 +177,11 @@ def verify_certificate(
 ) -> FeasibilityReport:
     """Exact equality checks plus a numerical PSD verdict.
 
-    Checks, in rational arithmetic: the normalization y[empty] = 1 and, for
-    every subset S with |S| <= 2*ell - 1, the folded row-sum identity
-    sum_{i not in S} y[S + {i}] = (s_star - |S|) * y[S]. An identity can
-    fail only at a nonzero key or inside one, so the check runs over the
-    nonzero moments alone: each nonzero key T with |T| >= 1 adds y[T] to the
-    left side at every T - {i}, in exact integers over the common
-    denominator of the values. Keys that are not moments of the indexer
-    (sorted tuples inside 1..d of size <= 2*ell) are ignored. The maximum
+    Checks, in exact integers over ``pe.den``: the normalization y[empty] = 1
+    and, for every subset S with |S| <= 2*ell - 1, the folded row-sum
+    identity sum_{i not in S} y[S + {i}] = (s_star - |S|) * y[S]. The left
+    sides are gathered from the nonzero moments alone: each nonzero T adds
+    its numerator at every parent T - {i}, found by rank. The maximum
     violation is reported exactly.
 
     lambda_min and the PSD verdict come from the float moment matrix,
@@ -185,27 +191,30 @@ def verify_certificate(
     block taken together with 0; with every row zero both are 0.
     """
     idx = subset_indexer(d, ell)
-    moments = {T: v for T, v in pe.values.items() if v and T in idx.var_index}
-    D = math.lcm(*{v.denominator for v in moments.values()})
-    scaled = {T: v.numerator * (D // v.denominator) for T, v in moments.items()}
-    lhs: dict[tuple[int, ...], int] = {}
-    for T, n in scaled.items():
-        for pos in range(len(T)):
-            S = T[:pos] + T[pos + 1 :]
-            lhs[S] = lhs.get(S, 0) + n
-    rows = lhs.keys() | {S for S in scaled if len(S) < 2 * ell}
-    max_violation = max(
-        (abs(lhs.get(S, 0) - (s_star - len(S)) * scaled.get(S, 0)) for S in rows),
-        default=0,
-    )
     min_eig, max_eig = _eig_range(moment_matrix(pe, idx))
     return FeasibilityReport(
-        normalization_ok=pe.get(()) == 1,
-        rowsum_max_violation=Fraction(max_violation, D),
+        normalization_ok=int(pe.num[0]) == pe.den,
+        rowsum_max_violation=_rowsum_violation(pe, idx, s_star),
         min_eigenvalue=min_eig,
         psd=min_eig >= -PSD_REL_TOL * max(1.0, max_eig),
         eta_empty=pe.eta_empty,
     )
+
+
+def _rowsum_violation(pe: PseudoExpectation, idx: SubsetIndexer, s_star: int) -> Fraction:
+    """max over |S| <= 2l - 1 of |sum_{i not in S} y[S+{i}] - (s_star - |S|) y[S]|."""
+    d, width = idx.d, 2 * idx.ell
+    # A left side sums at most d numerators; |s_star - |S|| <= |s_star| + d.
+    dtype = exact_dtype((2 * d + abs(s_star)) * max_abs(pe.num))
+    nz = np.flatnonzero(pe.num)
+    members, y = idx.members[nz], pe.num[nz].astype(dtype)
+    n_rows = var_count(d, width - 1)
+    lhs = np.zeros(n_rows, dtype=dtype)
+    for pos in range(width):
+        has = members[:, pos] < d
+        np.add.at(lhs, rank(d, np.delete(members[has], pos, axis=1)), y[has])
+    rhs = (s_star - sizes(d, width - 1)).astype(dtype) * pe.num[:n_rows].astype(dtype)
+    return Fraction(max_abs(lhs - rhs), pe.den)
 
 
 def _eig_range(M: np.ndarray) -> tuple[float, float]:
@@ -224,31 +233,27 @@ def _eig_range(M: np.ndarray) -> tuple[float, float]:
     return min(lo, 0.0), max(hi, 0.0)
 
 
-def _is_subset_key(key: tuple[int, ...], d: int) -> bool:
-    """True for a strictly increasing tuple of vertices inside 1..d."""
-    return all(a < b for a, b in zip(key, key[1:])) and (
-        not key or (1 <= key[0] and key[-1] <= d)
-    )
-
-
 def certificate_objective(X: NoisyMatrix, pe: PseudoExpectation, s_star: int) -> Fraction:
     """Exact objective of a pseudo-expectation on data X.
 
     Float entries are promoted exactly (every float is a binary rational);
     matrices meant for exact objectives should be binary or +/-nu valued.
-    Only the nonzero pair moments contribute, summed in exact integers over
-    their common denominator.
+    Only the nonzero pair moments contribute: their numerators are summed
+    per distinct entry value in exact integers, and each value's sum is
+    weighted by the value's exact ratio.
     """
     if X.d > pe.d:
         raise MissingValue(f"pseudo-expectation covers d={pe.d}, data has d={X.d}")
-    terms = []
-    for key, v in pe.values.items():
-        if v and len(key) == 2 and _is_subset_key(key, X.d):
-            num, den = float(X.entries[pair_index(X.d, *key)]).as_integer_ratio()
-            terms.append((num * v.numerator, den * v.denominator))
-    D = math.lcm(*{den for _, den in terms})
-    total = sum(num * (D // den) for num, den in terms)
-    return Fraction(2 * total, s_star * (s_star - 1) * D)
+    pairs = rank(pe.d, np.column_stack(np.triu_indices(X.d, 1)))  # X's storage order
+    y = pe.num[pairs]
+    nz = np.flatnonzero(y)
+    values, group = np.unique(X.entries[nz], return_inverse=True)
+    sums = np.zeros(len(values), dtype=exact_dtype(len(nz) * max_abs(y)))
+    np.add.at(sums, group, y[nz].astype(sums.dtype))
+    terms = [(a * n, b) for x, n in zip(values.tolist(), sums.tolist()) for a, b in [x.as_integer_ratio()]]
+    D = math.lcm(*{b for _, b in terms})
+    total = sum(an * (D // b) for an, b in terms)
+    return Fraction(2 * total, s_star * (s_star - 1) * D * pe.den)
 
 
 def certify(X: NoisyMatrix, mode: str, s_star: int, ell: int) -> FeasibilityReport:

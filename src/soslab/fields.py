@@ -12,12 +12,16 @@ _REQUIRED = object()
 
 def parse(kind: type, value, name: str):
     """``value`` as a ``kind``: ``int`` and ``float`` convert as
-    ``kind(value)``; any other kind must already be an instance."""
+    ``kind(value)``, except that an ``int`` is never a bool or a float with
+    a fractional part (``3.0`` reads 3, ``2.5`` is an error); any other
+    kind, ``bool`` included, must already be an instance."""
     if kind in (int, float):
-        try:
-            return kind(value)
-        except (TypeError, ValueError, OverflowError):
-            pass
+        fractional = isinstance(value, float) and not value.is_integer()
+        if not (kind is int and (isinstance(value, bool) or fractional)):
+            try:
+                return kind(value)
+            except (TypeError, ValueError, OverflowError):
+                pass
     elif isinstance(value, kind):
         return value
     raise InvalidParams(f"{name}: expected {kind.__name__}, got {value!r}")

@@ -179,7 +179,7 @@ class ExperimentConfig:
                 parse(float, c, "multipliers") for c in parse_field(doc, "multipliers", list, ())
             ),
             solver=solver,
-            solve_sdp=bool(doc.get("solve_sdp", False)),
+            solve_sdp=parse_field(doc, "solve_sdp", bool, False),
             scan_strategy=doc.get("scan_strategy", BRANCH_AND_BOUND),
             max_subsets=parse_field(doc, "max_subsets", int, DEFAULT_MAX_SUBSETS),
         )

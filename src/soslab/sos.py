@@ -26,17 +26,27 @@ but omits family (b) at singletons, so level 1 is the tighter program.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
-from itertools import combinations
+from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 import numpy as np
 
 from .errors import InvalidParams, MissingValue
 from .matrix import NoisyMatrix
-from .subsets import SubsetIndexer, canonical_key, subset_indexer, union_key
+from .subsets import (
+    NonzeroView,
+    SubsetIndexer,
+    canonical_key,
+    is_subset_key,
+    key_index,
+    subset_counts,
+    subset_indexer,
+    union_key,
+    var_count,
+)
 
 if TYPE_CHECKING:
     import scipy.sparse
@@ -91,20 +101,37 @@ class SosProgram:
         return float(self.c @ y) / self.scale
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PseudoExpectation:
-    """Exact-rational map from subsets (size <= 2*ell) to moment values.
+    """Exact pseudo-moments ``y[S] = num[j] / den`` of the subsets S of
+    {1..d} with |S| <= 2*ell, where j is S's index in the indexer's
+    variable order (``subsets.rank``).
 
-    ``values`` stores the nonzero entries; absent keys of tracked size read
-    as 0. ``eta_empty`` records the clique count when the map came from the
+    ``num`` is a read-only integer array, int64 or Python ints
+    (``dtype=object``) when a value does not fit, and ``den`` a positive
+    Python int, not necessarily in lowest terms. ``values`` is a read-only
+    view of the nonzero moments as Fractions; ``len(values)`` counts them.
+    ``eta_empty`` records the clique count when the moments came from the
     expansivity construction.
     """
 
     d: int
     ell: int
     s_star: int
-    values: Mapping[tuple[int, ...], Fraction]
+    num: np.ndarray
+    den: int
     eta_empty: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.num.shape != (var_count(self.d, 2 * self.ell),) or self.den < 1:
+            raise InvalidParams(
+                f"need {var_count(self.d, 2 * self.ell)} numerators and a positive denominator"
+            )
+        self.num.flags.writeable = False
+
+    @cached_property
+    def values(self) -> Mapping[tuple[int, ...], Fraction]:
+        return NonzeroView(self.d, self.ell, self.num, lambda n: Fraction(int(n), self.den))
 
     def get(self, subset: Iterable[int]) -> Fraction:
         key = canonical_key(subset)
@@ -116,15 +143,50 @@ class PseudoExpectation:
             raise MissingValue(f"subset {key} not within 1..{self.d}")
         return self.values.get(key, _ZERO)
 
+    def floats(self) -> np.ndarray:
+        """``num / den`` correctly rounded: a float division when both sides
+        are exact as floats (below 2**53), else Python ``int / int``."""
+        if self.den < 2**53 and max_abs(self.num) < 2**53:
+            return self.num.astype(np.float64) / float(self.den)
+        return (self.num.astype(object) / self.den).astype(np.float64)
+
+    @classmethod
+    def from_values(
+        cls,
+        d: int,
+        ell: int,
+        s_star: int,
+        values: Mapping[tuple[int, ...], Fraction],
+        eta_empty: int | None = None,
+    ) -> "PseudoExpectation":
+        """From a map of subsets to rationals. Zero values, and keys that
+        are not moments (sorted tuples inside 1..d of size <= 2*ell), are
+        ignored; the denominator is the least common one."""
+        moments = {k: v for k, v in values.items() if v and is_subset_key(k, d, 2 * ell)}
+        den = math.lcm(*{v.denominator for v in moments.values()})
+        nums = [v.numerator * (den // v.denominator) for v in moments.values()]
+        num = np.zeros(var_count(d, 2 * ell), dtype=exact_dtype(max(map(abs, nums), default=0)))
+        num[[key_index(d, key) for key in moments]] = nums
+        return cls(d=d, ell=ell, s_star=s_star, num=num, den=den, eta_empty=eta_empty)
+
     @classmethod
     def indicator(cls, support: Iterable[int], d: int, ell: int) -> "PseudoExpectation":
         """The integral lift of a vertex subset: y[T] = 1 iff T is inside it."""
-        supp = canonical_key(support)
-        vals: dict[tuple[int, ...], Fraction] = {}
-        for k in range(min(len(supp), 2 * ell) + 1):
-            for sub in combinations(supp, k):
-                vals[sub] = Fraction(1)
-        return cls(d=d, ell=ell, s_star=len(supp), values=vals)
+        supp = np.array([canonical_key(support)], dtype=np.int64).reshape(1, -1) - 1
+        if supp.size and not (0 <= supp[0, 0] and supp[0, -1] < d):
+            raise InvalidParams(f"support {canonical_key(support)} not within 1..{d}")
+        return cls(d=d, ell=ell, s_star=supp.shape[1], num=subset_counts(d, 2 * ell, supp), den=1)
+
+
+def exact_dtype(bound: int):
+    """int64 when every integer of a computation is at most ``bound`` in
+    absolute value and ``bound`` fits, else Python ints (``object``)."""
+    return np.int64 if bound < 2**63 else object
+
+
+def max_abs(arr: np.ndarray) -> int:
+    """Largest absolute value of an integer array, as a Python int (0 when empty)."""
+    return int(np.abs(arr).max()) if arr.size else 0
 
 
 # Equality systems per shape. The level-2 system at d=16 (698 rows) holds
@@ -204,9 +266,4 @@ def moment_matrix(pe: PseudoExpectation, idx: SubsetIndexer) -> np.ndarray:
             f"pseudo-expectation covers (d={pe.d}, ell={pe.ell}), "
             f"indexer wants (d={idx.d}, ell={idx.ell})"
         )
-    vals = np.zeros(idx.var_count)
-    for key, v in pe.values.items():
-        j = idx.var_index.get(key)
-        if j is not None:
-            vals[j] = float(v)
-    return vals[idx.entry_map()]
+    return pe.floats()[idx.entry_map()]

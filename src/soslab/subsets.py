@@ -3,14 +3,23 @@
 Subsets of ``{1..d}`` are keyed by sorted tuples of vertex labels. Rows of
 the moment matrix are the subsets of size <= ell, variables are the subsets
 of size <= 2*ell; both orderings are (size, lexicographic) with the empty
-set at index 0.
+set at index 0. This order does not depend on ell, so ``rank`` computes a
+subset's index from ``d`` alone: the subsets of smaller size come first,
+then the subset's combinatorial lexicographic rank among those of its size.
+
+Arrays of subsets hold 0-based vertices, sorted ascending along a row and
+padded on the right with ``d``; a row's size is its count of entries below
+``d``. Arrays over the variables (expansivity counts, certificate
+numerators) are indexed in the same order, and ``NonzeroView`` reads the
+nonzero entries of one as a mapping keyed by subsets.
 """
 from __future__ import annotations
 
 import math
-from functools import lru_cache
-from itertools import combinations
-from typing import Iterable
+from collections.abc import Mapping
+from functools import cached_property, lru_cache
+from itertools import chain, combinations
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -18,6 +27,9 @@ from .errors import InvalidParams, TooLarge
 
 # Largest moment-matrix side an indexer will build.
 MAX_DIM = 4096
+
+# Elements per int64 temporary of a chunked array computation (256 KiB).
+_CHUNK = 1 << 15
 
 
 def canonical_key(vertices: Iterable[int]) -> tuple[int, ...]:
@@ -37,17 +49,107 @@ def subsets_up_to(d: int, max_size: int) -> list[tuple[int, ...]]:
     return out
 
 
+def var_count(d: int, max_size: int) -> int:
+    """Number of subsets of {1..d} with size <= max_size."""
+    return sum(math.comb(d, k) for k in range(max_size + 1))
+
+
+def sizes(d: int, max_size: int) -> np.ndarray:
+    """Size of each subset of {1..d} of size <= max_size, in index order."""
+    return np.repeat(np.arange(max_size + 1), [math.comb(d, k) for k in range(max_size + 1)])
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+@lru_cache(maxsize=64)
+def _rank_tables(d: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """``binom[j * (width + 1) + r] = C(j - 1, r)``, zero for ``j = 0``
+    (where a pad lands), and ``end[k]``, the index of the last subset of
+    size k."""
+    binom = np.array(
+        [0] * (width + 1) + [math.comb(j, r) for j in range(d) for r in range(width + 1)],
+        dtype=np.int64,
+    )
+    end = np.cumsum([math.comb(d, k) for k in range(width + 1)], dtype=np.int64) - 1
+    return _read_only(binom), _read_only(end)
+
+
+def rank(d: int, members: np.ndarray) -> np.ndarray:
+    """Index of each row of ``members`` (sorted 0-based vertices padded
+    with ``d``) in the (size, lex) order of the subsets of {1..d}.
+
+    A k-subset ``a_0 < ... < a_{k-1}`` is the last one of its size minus
+    ``sum_i C(d - 1 - a_i, k - i)``, its co-lexicographic rank after the
+    relabelling ``a -> d - 1 - a``, which reverses lexicographic order.
+    """
+    cols = np.ascontiguousarray(np.asarray(members).T, dtype=np.intp)  # one row per position
+    width = len(cols)
+    binom, end = _rank_tables(d, width)
+    k = (cols < d).sum(axis=0)
+    out = end[k]
+    for i, col in enumerate(cols):
+        out -= binom.take((d - col) * (width + 1) + np.maximum(k - i, 0))
+    return out
+
+
+def key_index(d: int, key: tuple[int, ...]) -> int:
+    """``rank`` of one sorted 1-based key, in Python integers."""
+    k = len(key)
+    return _size_end(d, k) - sum(math.comb(d - a, k - i) for i, a in enumerate(key))
+
+
+@lru_cache(maxsize=1024)
+def _size_end(d: int, k: int) -> int:
+    """Index of the last subset of size k."""
+    return var_count(d, k) - 1
+
+
+def is_subset_key(key, d: int, max_size: int) -> bool:
+    """True for a strictly increasing tuple of at most max_size vertices
+    inside 1..d."""
+    return (
+        isinstance(key, tuple)
+        and len(key) <= max_size
+        and all(a < b for a, b in zip(key, key[1:]))
+        and (not key or (1 <= key[0] and key[-1] <= d))
+    )
+
+
+def subset_counts(d: int, max_size: int, sets: np.ndarray) -> np.ndarray:
+    """For each subset of {1..d} of size <= max_size, in index order, the
+    number of rows of ``sets`` (sorted 0-based vertices, all of one size)
+    that contain it; int64."""
+    n, width = sets.shape
+    picks = [
+        np.array(list(combinations(range(width), r)), dtype=np.intp).reshape(math.comb(width, r), r)
+        for r in range(min(width, max_size) + 1)
+    ]
+    counts = np.zeros(var_count(d, max_size), dtype=np.int64)
+    step = max(1, _CHUNK // max(1, sum(p.size for p in picks)))
+    for start in range(0, n, step):
+        chunk = sets[start : start + step]
+        ranks = [rank(d, chunk[:, p].reshape(len(chunk) * len(p), p.shape[1])) for p in picks]
+        counts += np.bincount(np.concatenate(ranks), minlength=len(counts))
+    return counts
+
+
 class SubsetIndexer:
     """Bijections between small subsets and contiguous indices.
 
-    ``row_index`` maps subsets of size <= ell to ``0..N-1`` and
-    ``var_index`` maps subsets of size <= 2*ell to ``0..V-1``.
+    ``members`` holds the variables, the subsets of size <= 2*ell, as a
+    read-only padded member array (width 2*ell); the rows are its first
+    ``dim`` entries. ``row_index`` maps subsets of size <= ell to
+    ``0..N-1`` and ``var_index`` maps subsets of size <= 2*ell to
+    ``0..V-1``; these tuple lists and dicts are built on first use.
     """
 
     def __init__(self, d: int, ell: int):
         if ell < 1:
             raise InvalidParams("ell must be >= 1")
-        n_rows = sum(math.comb(d, k) for k in range(ell + 1))
+        n_rows = var_count(d, ell)
         if n_rows > MAX_DIM:
             raise TooLarge(
                 f"moment matrix side {n_rows} exceeds the budget {MAX_DIM} "
@@ -55,27 +157,54 @@ class SubsetIndexer:
             )
         self.d = d
         self.ell = ell
-        self.row_subsets = subsets_up_to(d, ell)
-        self.row_index = {s: i for i, s in enumerate(self.row_subsets)}
-        self.var_subsets = subsets_up_to(d, 2 * ell)
-        self.var_index = {s: i for i, s in enumerate(self.var_subsets)}
-        self.dim = len(self.row_subsets)
-        self.var_count = len(self.var_subsets)
+        self.dim = n_rows
+        self.var_count = var_count(d, 2 * ell)
+        width = 2 * ell
+        # int16 holds every vertex and the pad: the side budget keeps d < 4096.
+        members = np.full((self.var_count, width), d, dtype=np.int16)
+        start = 0
+        for k in range(width + 1):
+            n = math.comb(d, k)
+            flat = chain.from_iterable(combinations(range(d), k))
+            members[start : start + n, :k] = np.fromiter(flat, np.int16, n * k).reshape(n, k)
+            start += n
+        self.members = _read_only(members)
         self._entry_map: np.ndarray | None = None
+
+    @cached_property
+    def row_subsets(self) -> list[tuple[int, ...]]:
+        return subsets_up_to(self.d, self.ell)
+
+    @cached_property
+    def row_index(self) -> dict[tuple[int, ...], int]:
+        return {s: i for i, s in enumerate(self.row_subsets)}
+
+    @cached_property
+    def var_subsets(self) -> list[tuple[int, ...]]:
+        return subsets_up_to(self.d, 2 * self.ell)
+
+    @cached_property
+    def var_index(self) -> dict[tuple[int, ...], int]:
+        return {s: i for i, s in enumerate(self.var_subsets)}
 
     def entry_map(self) -> np.ndarray:
         """dim x dim array: cell (r, c) holds the variable index of the
-        union of row subsets r and c. Symmetric, read-only; computed once."""
+        union of row subsets r and c. Symmetric, read-only; computed once,
+        in row chunks: each union is the two rows' members merged, sorted,
+        with repeats turned into pads, then ranked."""
         if self._entry_map is None:
-            n = self.dim
+            n, d, width = self.dim, self.d, 2 * self.ell
+            rows = self.members[:n, : self.ell]
             em = np.empty((n, n), dtype=np.int64)
-            for r, sr in enumerate(self.row_subsets):
-                for c in range(r, n):
-                    v = self.var_index[union_key(sr, self.row_subsets[c])]
-                    em[r, c] = v
-                    em[c, r] = v
-            em.flags.writeable = False
-            self._entry_map = em
+            step = max(1, _CHUNK // (n * width))
+            for start in range(0, n, step):
+                head = rows[start : start + step]
+                union = np.concatenate(np.broadcast_arrays(head[:, None], rows[None]), axis=2)
+                union.sort(axis=2)
+                union[..., 1:][union[..., 1:] == union[..., :-1]] = d
+                union.sort(axis=2)
+                em[start : start + len(head)] = rank(d, union.reshape(-1, width)).reshape(len(head), n)
+            self._entry_map = _read_only(em)
         return self._entry_map
 
 
@@ -83,3 +212,27 @@ class SubsetIndexer:
 def subset_indexer(d: int, ell: int) -> SubsetIndexer:
     """Shared indexer instances; safe to cache because they are immutable."""
     return SubsetIndexer(d, ell)
+
+
+class NonzeroView(Mapping):
+    """Read-only mapping over the nonzero entries of an array indexed by
+    the subsets of {1..d} of size <= 2*ell: sorted-tuple keys, values
+    passed through ``convert``. ``len`` counts the nonzero entries;
+    iteration, in index order, reads the subsets from ``subset_indexer``."""
+
+    def __init__(self, d: int, ell: int, arr: np.ndarray, convert: Callable):
+        self._d, self._ell, self._arr, self._convert = d, ell, arr, convert
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(self._arr))
+
+    def __iter__(self):
+        subsets = subset_indexer(self._d, self._ell).var_subsets
+        return (subsets[j] for j in np.flatnonzero(self._arr).tolist())
+
+    def __getitem__(self, key):
+        if is_subset_key(key, self._d, 2 * self._ell):
+            value = self._arr[key_index(self._d, key)]
+            if value:
+                return self._convert(value)
+        raise KeyError(key)

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
@@ -24,6 +27,7 @@ from soslab.certificate import (
 from soslab.errors import CertificateUndefined, InvalidParams, NotBinary, TooLarge
 from soslab.matrix import NoisyMatrix, n_pairs, pair_iter
 from soslab.models import ModelParams, Noise, generate
+import soslab
 from soslab.seeds import generator
 from soslab.sos import PseudoExpectation, moment_matrix
 from soslab.subsets import subset_indexer
@@ -186,7 +190,7 @@ def test_verify_detects_exact_perturbation():
     pe = build_certificate(expansivity_table(complete_graph(4), 1), 2, 1)
     values = dict(pe.values)
     values[(1, 2)] = values[(1, 2)] + Fraction(1, 100)
-    bent = PseudoExpectation(d=4, ell=1, s_star=2, values=values, eta_empty=pe.eta_empty)
+    bent = PseudoExpectation.from_values(d=4, ell=1, s_star=2, values=values, eta_empty=pe.eta_empty)
     report = verify_certificate(bent, 4, 2, 1)
     assert report.rowsum_max_violation == Fraction(1, 100)
 
@@ -364,7 +368,7 @@ def perturbed_certificates(draw):
                 )
             )
             values[key] = draw(fractions.filter(bool))
-    pe = PseudoExpectation(d=d, ell=ell, s_star=s_star, values=values)
+    pe = PseudoExpectation.from_values(d=d, ell=ell, s_star=s_star, values=values)
     return pe, X
 
 
@@ -393,7 +397,7 @@ def test_verify_zero_rows_add_exact_zero_eigenvalue():
     # Rows {2}, {3}, {4} are zero; the block on {empty, {1}} is
     # [[1, 1/2], [1/2, 1/2]] (determinant 1/4), so lambda_min is the
     # zero rows' eigenvalue, exactly 0.
-    pe = PseudoExpectation(d=4, ell=1, s_star=2, values={(): Fraction(1), (1,): Fraction(1, 2)})
+    pe = PseudoExpectation.from_values(d=4, ell=1, s_star=2, values={(): Fraction(1), (1,): Fraction(1, 2)})
     report = verify_certificate(pe, 4, 2, 1)
     assert report.min_eigenvalue == 0.0
     assert report.psd
@@ -401,7 +405,7 @@ def test_verify_zero_rows_add_exact_zero_eigenvalue():
 
 
 def test_verify_all_zero_moments():
-    report = verify_certificate(PseudoExpectation(d=4, ell=1, s_star=2, values={}), 4, 2, 1)
+    report = verify_certificate(PseudoExpectation.from_values(d=4, ell=1, s_star=2, values={}), 4, 2, 1)
     assert report.min_eigenvalue == 0.0
     assert report.psd
     assert not report.normalization_ok
@@ -417,7 +421,7 @@ def test_verify_rowsum_at_deleted_key():
     values = dict(pe.values)
     del values[(1,)]
     values[()] = Fraction(3, 4)
-    bent = PseudoExpectation(d=4, ell=1, s_star=2, values=values)
+    bent = PseudoExpectation.from_values(d=4, ell=1, s_star=2, values=values)
     assert dense_rowsum_violation(bent, 4, 2, 1) == Fraction(1, 2)
     report = verify_certificate(bent, 4, 2, 1)
     assert report.rowsum_max_violation == Fraction(1, 2)
@@ -430,8 +434,55 @@ def test_verify_rowsum_at_key_without_supersets():
     # at {2}, {3}, {4} are off by only 1/2 - 2/6 = 1/6.
     pe = build_certificate(expansivity_table(complete_graph(4), 1), 2, 1)
     values = {k: v for k, v in pe.values.items() if not (len(k) == 2 and 1 in k)}
-    bent = PseudoExpectation(d=4, ell=1, s_star=2, values=values)
+    bent = PseudoExpectation.from_values(d=4, ell=1, s_star=2, values=values)
     assert dense_rowsum_violation(bent, 4, 2, 1) == Fraction(1, 2)
     report = verify_certificate(bent, 4, 2, 1)
     assert report.rowsum_max_violation == Fraction(1, 2)
     assert report.normalization_ok
+
+
+def test_python_int_path_matches_dense_reference():
+    # Denominators 2**61 - 1 and 2**31 - 1 (both prime) push the common
+    # denominator past 2**63, so the numerators are Python ints.
+    base = build_certificate(expansivity_table(complete_graph(6), 2), 5, 2)
+    X = NoisyMatrix(d=6, entries=np.linspace(-1.5, 2.0, n_pairs(6)))
+    values = dict(base.values)
+    values[(1, 2)] += Fraction(1, 2**61 - 1)
+    values[(3, 4, 5)] -= Fraction(1, 2**31 - 1)
+    values[(2,)] = Fraction(2**61 - 1, 2**31 - 1)
+    pe = PseudoExpectation.from_values(d=6, ell=2, s_star=5, values=values)
+    assert pe.num.dtype == object and pe.den > 2**63
+    # Numerators that fit int64, but whose row sums would not; and one
+    # above 2**53, whose float must be rounded once, not twice:
+    # (2**54 + 1) / 3 is nearer 6004799503160662 than 2**54 / 3 is.
+    big = PseudoExpectation.from_values(
+        d=6, ell=2, s_star=5,
+        values={(): Fraction(1), (1,): Fraction(2**54 + 1, 3), (1, 2): Fraction(-(2**61)), (2, 3, 4): Fraction(3)},
+    )
+    assert big.num.dtype == np.int64
+    idx = subset_indexer(6, 2)
+    for case in (pe, big):
+        report = verify_certificate(case, 6, 5, 2)
+        assert report.rowsum_max_violation > 0
+        assert report.rowsum_max_violation == dense_rowsum_violation(case, 6, 5, 2)
+        M, ref = moment_matrix(case, idx), dense_moment_matrix(case, idx)
+        assert M.dtype == ref.dtype and M.tobytes() == ref.tobytes()
+        assert certificate_objective(X, case, 5) == dense_objective(X, case, 5)
+
+
+def test_certify_does_not_import_scipy():
+    # scipy adds about 30 MiB of resident memory; the certificate path is numpy alone.
+    code = (
+        "import sys\n"
+        "from soslab import certify, generate, ModelParams, Noise\n"
+        "null = ModelParams(kind='submatrix', d=20, s_star=3, beta_star=0.0,\n"
+        "                   noise=Noise('rademacher', 1.0), seed=5)\n"
+        "sbm = ModelParams(kind='sbm', d=16, s_star=4, beta_star=0.5, beta_tilde=0.5, seed=6)\n"
+        "certify(generate(null).matrix, 'sign-positive', 3, 1)\n"
+        "certify(generate(sbm).matrix, 'binary-one', 4, 2)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(soslab.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "[]"

@@ -347,12 +347,28 @@ def _sbm_point(**kw):
         (gap_config, "solver", "x", "solver: expected dict, got 'x'"),
         (raw_config, "doc", [1, 2], "config: expected dict, got [1, 2]"),
         (gap_config, "estimators", [3], "estimators: expected str, got 3"),
+        (cert_config, "solve_sdp", "false", "solve_sdp: expected bool, got 'false'"),
+        (cert_config, "grid", [_sbm_point(d=6.9)], "d: expected int, got 6.9"),
+        (gap_config, "replicates", 2.5, "replicates: expected int, got 2.5"),
+        (cert_config, "grid", [_sbm_point(d=True)], "d: expected int, got True"),
     ],
 )
 def test_config_field_type_errors_name_the_field(tmp_path, make, field, value, message):
     with pytest.raises(InvalidParams) as exc:
         make(tmp_path, **{field: value})
     assert str(exc.value) == message
+
+
+def test_config_int_fields_accept_integral_floats(tmp_path):
+    cfg = gap_config(tmp_path, replicates=3.0, grid=[_gaussian_point(d=6.0)])
+    assert cfg.replicates == 3 and isinstance(cfg.replicates, int)
+    assert cfg.grid[0].d == 6 and isinstance(cfg.grid[0].d, int)
+
+
+def test_config_solve_sdp_reads_json_bools(tmp_path):
+    assert cert_config(tmp_path, solve_sdp=False).solve_sdp is False
+    assert cert_config(tmp_path, solve_sdp=True).solve_sdp is True
+    assert cert_config(tmp_path).solve_sdp is False
 
 
 def test_experiment_cli_reports_bad_field(tmp_path, capsys):

@@ -184,7 +184,7 @@ def test_builder_output_unchanged(d, s_star, ell):
 
 
 def test_moment_matrix_point_mass():
-    pe = PseudoExpectation(d=2, ell=1, s_star=2, values={(): Fraction(1)})
+    pe = PseudoExpectation.from_values(d=2, ell=1, s_star=2, values={(): Fraction(1)})
     M = moment_matrix(pe, subset_indexer(2, 1))
     assert np.array_equal(M, np.diag([1.0, 0.0, 0.0]))
 
@@ -199,7 +199,7 @@ def test_moment_matrix_k4_certificate():
 
 
 def test_moment_matrix_requires_matching_indexer():
-    pe = PseudoExpectation(d=4, ell=1, s_star=2, values={(): Fraction(1)})
+    pe = PseudoExpectation.from_values(d=4, ell=1, s_star=2, values={(): Fraction(1)})
     with pytest.raises(MissingValue):
         moment_matrix(pe, subset_indexer(4, 2))
     with pytest.raises(MissingValue):
@@ -218,7 +218,7 @@ def test_pseudo_expectation_get():
 
 def test_objective_value_examples():
     X = ones_matrix(4)
-    zero_pe = PseudoExpectation(d=4, ell=1, s_star=2, values={(): Fraction(1)})
+    zero_pe = PseudoExpectation.from_values(d=4, ell=1, s_star=2, values={(): Fraction(1)})
     assert float(certificate_objective(X, zero_pe, 2)) == 0.0
     assert float(certificate_objective(X, k4_certificate(), 2)) == pytest.approx(1.0)
     ind = PseudoExpectation.indicator((1, 3), d=4, ell=1)

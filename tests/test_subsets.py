@@ -1,9 +1,21 @@
 import math
 
+import numpy as np
 import pytest
 
 from soslab.errors import InvalidParams, TooLarge
-from soslab.subsets import SubsetIndexer, canonical_key, subset_indexer, union_key
+from soslab.subsets import (
+    NonzeroView,
+    SubsetIndexer,
+    canonical_key,
+    key_index,
+    rank,
+    subset_counts,
+    subset_indexer,
+    union_key,
+)
+
+SHAPES = [(d, ell) for d in range(1, 13) for ell in (1, 2, 3)] + [(30, 2)]
 
 
 def test_counts_d4_ell1():
@@ -69,3 +81,56 @@ def test_keys():
 
 def test_cached_factory_returns_shared_instance():
     assert subset_indexer(7, 1) is subset_indexer(7, 1)
+
+
+@pytest.mark.parametrize("d, ell", SHAPES)
+def test_rank_and_members_match_the_subset_order(d, ell):
+    idx = SubsetIndexer(d, ell)
+    assert idx.members.dtype == np.int16 and not idx.members.flags.writeable
+    assert [tuple(int(v) + 1 for v in row if v < d) for row in idx.members] == idx.var_subsets
+    assert rank(d, idx.members).tolist() == list(range(idx.var_count))
+    assert [key_index(d, key) for key in idx.var_subsets] == list(range(idx.var_count))
+
+
+@pytest.mark.parametrize("d, ell", SHAPES)
+def test_entry_map_matches_dict_reference(d, ell):
+    idx = SubsetIndexer(d, ell)
+    ref = np.array(
+        [[idx.var_index[union_key(a, b)] for b in idx.row_subsets] for a in idx.row_subsets],
+        dtype=np.int64,
+    )
+    em = idx.entry_map()
+    assert em.dtype == np.int64
+    assert not em.flags.writeable
+    assert em.shape == ref.shape
+    assert em.tobytes() == ref.tobytes()
+
+
+def test_rank_width_zero_and_padding():
+    assert rank(5, np.zeros((3, 0), dtype=np.int64)).tolist() == [0, 0, 0]
+    # the same subset at every padded width
+    for width in (2, 3, 6):
+        assert rank(5, np.array([[1, 3] + [5] * (width - 2)])).tolist() == [key_index(5, (2, 4))]
+
+
+def test_subset_counts_matches_brute_force():
+    sets = np.array([(0, 1, 2, 4), (0, 2, 3, 4), (1, 2, 3, 5)])
+    idx = SubsetIndexer(6, 2)
+    counts = subset_counts(6, 4, sets)
+    assert counts.dtype == np.int64
+    for j, S in enumerate(idx.var_subsets):
+        inside = sum(all(v - 1 in row for v in S) for row in sets.tolist())
+        assert counts[j] == inside
+    # sizes above max_size are not counted
+    assert subset_counts(6, 1, sets).tolist() == counts[:7].tolist()
+
+
+def test_nonzero_view_reads_only_nonzero_moments():
+    arr = np.zeros(SubsetIndexer(4, 1).var_count, dtype=np.int64)
+    arr[[0, 2, 6]] = [5, 7, 9]  # (), (2,), (1, 3)
+    view = NonzeroView(4, 1, arr, lambda v: int(v) * 10)
+    assert len(view) == 3
+    assert dict(view) == {(): 50, (2,): 70, (1, 3): 90}
+    assert view.get((1,)) is None  # zero entry
+    for junk in ((3, 1), (1, 1), (0,), (5,), (1, 2, 3), [2]):
+        assert junk not in view
