@@ -41,7 +41,7 @@ from .errors import (
     NotBinary,
     TooLarge,
 )
-from .matrix import NoisyMatrix, pair_iter
+from .matrix import NoisyMatrix, pair_indices, pair_iter
 from .sos import PseudoExpectation, exact_dtype, max_abs, moment_matrix
 from .subsets import NonzeroView, SubsetIndexer, rank, sizes, subset_counts, subset_indexer, var_count
 
@@ -69,7 +69,7 @@ class PositivityGraph:
     def adjacency(self) -> np.ndarray:
         """Symmetric boolean d x d adjacency matrix."""
         adj = np.zeros((self.d, self.d), dtype=bool)
-        adj[np.triu_indices(self.d, 1)] = self.positive
+        adj[pair_indices(self.d)] = self.positive
         return adj | adj.T
 
 
@@ -244,7 +244,7 @@ def certificate_objective(X: NoisyMatrix, pe: PseudoExpectation, s_star: int) ->
     """
     if X.d > pe.d:
         raise MissingValue(f"pseudo-expectation covers d={pe.d}, data has d={X.d}")
-    pairs = rank(pe.d, np.column_stack(np.triu_indices(X.d, 1)))  # X's storage order
+    pairs = rank(pe.d, np.column_stack(pair_indices(X.d)))  # X's storage order
     y = pe.num[pairs]
     nz = np.flatnonzero(y)
     values, group = np.unique(X.entries[nz], return_inverse=True)

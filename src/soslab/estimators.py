@@ -21,9 +21,9 @@ BRANCH_AND_BOUND = "branch-and-bound"
 
 DEFAULT_MAX_SUBSETS = 10**8
 
-# Relative slack used by branch-and-bound so float rounding in incremental
-# sums can never prune the true argmax; candidate leaves are re-evaluated
-# with the same canonical summation the exhaustive strategy uses.
+# Relative slack of branch-and-bound's prune test, beside the rounding
+# bound `_branch_and_bound` derives; candidate leaves are re-evaluated with
+# the same canonical summation the exhaustive strategy uses.
 _PRUNE_SLACK = 1e-9
 
 
@@ -66,48 +66,59 @@ def _scan_value(pair_sum: float, s_star: int) -> float:
 
 
 def _exhaustive(dense: np.ndarray, d: int, s_star: int) -> tuple[float, tuple[int, ...], int]:
-    best_val = -math.inf
-    best_subset: tuple[int, ...] | None = None
-    count = 0
-    for subset in combinations(range(d), s_star):
+    # The first subset seeds the maximum, so a sum that overflows to -inf
+    # everywhere still has an argmax.
+    subsets = combinations(range(d), s_star)
+    best_subset = next(subsets)
+    best_val = _pair_sum(dense, best_subset)
+    count = 1
+    for subset in subsets:
         count += 1
         val = _pair_sum(dense, subset)
         if val > best_val:
             best_val = val
             best_subset = subset
-    assert best_subset is not None
     return best_val, best_subset, count
 
 
-def _greedy_seed(dense: np.ndarray, d: int, s_star: int) -> float:
-    """Lower bound on the optimal pair sum: greedy growth plus 1-swap refinement."""
+def _greedy_seed(dense: np.ndarray, d: int, s_star: int) -> tuple[float, tuple[int, ...]]:
+    """A feasible subset and its pair sum, a floor for the search: greedy
+    growth, then 1-swaps while they raise the canonical pair sum.
+
+    A swap is proposed from incrementally updated row sums but accepted
+    only when `_pair_sum` of the new set is strictly larger. The row sums
+    drift when large entries cancel, so they alone can propose a cycle of
+    swaps; the canonical sum cannot rise forever over finitely many sets.
+    """
     masked = dense.copy()
     np.fill_diagonal(masked, -np.inf)
     i, j = np.unravel_index(int(np.argmax(masked)), masked.shape)
     chosen = [int(i), int(j)]
     rowsum = dense[chosen[0]] + dense[chosen[1]]
     while len(chosen) < s_star:
-        scores = rowsum.copy()
-        scores[chosen] = -np.inf
-        v = int(np.argmax(scores))
+        free = np.delete(np.arange(d), chosen)  # not by -inf scores: sums can overflow to -inf
+        v = int(free[np.argmax(rowsum[free])])
         chosen.append(v)
         rowsum = rowsum + dense[v]
+    subset = tuple(sorted(chosen))
+    value = _pair_sum(dense, subset)
     improved = True
     while improved:
         improved = False
-        inside = set(chosen)
         for idx, u in enumerate(list(chosen)):
             base = rowsum - dense[u]
             gains = base.copy()
-            gains[list(inside)] = -np.inf
+            gains[chosen] = -np.inf
             v = int(np.argmax(gains))
             if gains[v] > base[u]:
-                chosen[idx] = v
-                rowsum = base + dense[v]
-                inside.discard(u)
-                inside.add(v)
-                improved = True
-    return _pair_sum(dense, tuple(sorted(chosen)))
+                trial = tuple(sorted(chosen[:idx] + [v] + chosen[idx + 1 :]))
+                trial_value = _pair_sum(dense, trial)
+                if trial_value > value:
+                    chosen[idx] = v
+                    rowsum = base + dense[v]
+                    subset, value = trial, trial_value
+                    improved = True
+    return value, subset
 
 
 def _row_top_sums(dense: np.ndarray, d: int, s_star: int) -> np.ndarray:
@@ -115,24 +126,37 @@ def _row_top_sums(dense: np.ndarray, d: int, s_star: int) -> np.ndarray:
     column u left out, for r <= s_star - 2; -inf where u < c (a vertex the
     search front has passed).
 
-    Built from column d-1 down: the largest entries of every row over
-    columns >= c are those over columns >= c+1 merged with column c, by one
-    sort of a d x (s_star - 1) array per column offset.
+    With x a row (x_u = -inf) and top_r(c) its r-th largest entry in
+    columns >= c (-inf when there are fewer than r),
+        top_1(c) = max_{j >= c} x_j,
+        top_r(c) = max_{j >= c} min(x_j, top_{r-1}(j + 1)).
+    The r-th largest is at least min(x_j, top_{r-1}(j + 1)) for every j,
+    as x_j and the r-1 largest after j are r entries at least that large;
+    and equality holds at the first column j of a set of r largest
+    entries. So each level is one elementwise minimum and one running
+    maximum over the matrix, taken from column d-1 down (the matrix is
+    symmetric, so columns are read as rows). max and min return one of
+    their inputs, so top_r is the same float a sort of the row gives, and
+    H sums them in the same order, largest first: bit for bit the table a
+    per-column sort builds (kept in the tests as the reference).
     """
     take = s_star - 2
-    masked = dense.copy()
-    np.fill_diagonal(masked, -np.inf)
-    # Column 0 takes the next column's entries; after the sort, columns
-    # 1..take hold each row's largest entries so far, ascending.
-    work = np.full((d, take + 1), -np.inf)
-    tops = np.empty((d, d, take))
-    for c in range(d - 1, -1, -1):
-        work[:, 0] = masked[:, c]
-        work.sort(axis=1)
-        tops[c] = work[:, 1:]
     H = np.empty((take + 1, d, d))
     H[0] = 0.0
-    H[1:] = 0.5 * np.cumsum(tops[:, :, ::-1], axis=2).transpose(2, 0, 1)
+    if take:
+        # Reversed columns: rev[k, u] = x_u at column d-1-k of row u, so a
+        # suffix over columns is a prefix over k.
+        rev = dense[::-1].copy()
+        rev[np.arange(d), np.arange(d - 1, -1, -1)] = -np.inf
+        top = np.maximum.accumulate(rev, axis=0)
+        total = top.copy()
+        np.multiply(total[::-1], 0.5, out=H[1])
+        for r in range(2, take + 1):
+            top[1:] = np.minimum(rev[1:], top[:-1])
+            top[0] = -np.inf
+            np.maximum.accumulate(top, axis=0, out=top)
+            total += top
+            np.multiply(total[::-1], 0.5, out=H[r])
     H[:, np.tri(d, d, -1, dtype=bool)] = -np.inf
     return H
 
@@ -155,40 +179,60 @@ def _branch_and_bound(
     children x d gain matrix and `np.partition`. At the last level the
     bound is the leaf's own (incrementally summed) pair sum.
 
-    A greedy incumbent seeds the value floor. Bounds are computed once per
-    node; each child is still compared with the current floor, minus
-    `_PRUNE_SLACK`, before it is expanded. The argmax subset is only
-    recorded from search leaves, each finalized by `_pair_sum`, so the
-    value and the lexicographic tie rule match the exhaustive strategy.
-    Returns the pair sum, the subset, and the leaf, node and pruned counts.
+    A greedy incumbent seeds the value floor and the support. Bounds are
+    computed once per node; each child is still compared with the current
+    floor, minus a slack, before it is expanded. The slack is
+    `_PRUNE_SLACK` relative to the floor plus a bound on float rounding:
+    a child's bound and a leaf's canonical pair sum are each a float sum
+    of at most s_star**2 terms, entries or half entries, in a summation
+    tree of height at most s_star**2, so each lies within
+    s_star**4 * max|X| * 2**-53 of its exact value (Higham, "Accuracy and
+    Stability of Numerical Algorithms", section 4.2), and choosing the top
+    gains by their float values loses at most 2 * s_star**3 of those
+    units. `s_star**4 * max|X| * 2**-50` covers both sides of every
+    comparison (barring overflow), so no subtree holding a leaf whose
+    canonical sum reaches the floor is cut, however the entries cancel.
+    The support is only replaced from search leaves, each finalized by
+    `_pair_sum`, so the value and the lexicographic tie rule match the
+    exhaustive strategy. Returns the pair sum, the subset, and the leaf,
+    node and pruned counts.
     """
     H = _row_top_sums(dense, d, s_star)
-    best_val = _greedy_seed(dense, d, s_star)
-    best_subset: tuple[int, ...] | None = None
+    best_val, best_subset = _greedy_seed(dense, d, s_star)
+    rounding = s_star**4 * float(np.abs(dense).max()) * 2.0**-50
     leaves = nodes = pruned = 0
     chosen: list[int] = []
+    # rowsums[p]: the row sums into the first p chosen vertices; scratch
+    # holds one node's children x d gain matrix at a time.
+    rowsums = np.zeros((s_star, d))
+    scratch = np.empty((d, d))
 
     def visit_leaf(subset: tuple[int, ...]) -> None:
         nonlocal best_val, best_subset, leaves
         leaves += 1
         val = _pair_sum(dense, subset)
-        if val > best_val:
+        if val > best_val or (val == best_val and subset < best_subset):
             best_val = val
             best_subset = subset
-        elif val == best_val and (best_subset is None or subset < best_subset):
-            best_subset = subset
 
-    def rec(start: int, cur: float, rowsum: np.ndarray) -> None:
+    def rec(start: int, cur: float) -> None:
         nonlocal nodes, pruned
         nodes += 1
-        need = s_star - len(chosen)
+        depth = len(chosen)
+        rowsum = rowsums[depth]
+        need = s_star - depth
         stop = d - need + 1
         bound = cur + rowsum[start:stop]
         if need > 1:
-            gains = H[need - 2, start + 1 : stop + 1] + dense[start:stop] + rowsum
-            bound = bound + np.partition(gains, d - need + 1, axis=1)[:, d - need + 1 :].sum(axis=1)
-        slack = _PRUNE_SLACK * (1.0 + abs(best_val))
-        keep = np.flatnonzero(bound >= best_val - slack)
+            # The scratch is consumed here, before any child reuses it.
+            kth = d - need + 1
+            gains = scratch[: stop - start]
+            np.add(H[need - 2, start + 1 : stop + 1], dense[start:stop], out=gains)
+            gains += rowsum
+            gains.partition(kth, axis=1)
+            bound += gains[:, kth:].sum(axis=1)
+        slack = _PRUNE_SLACK * (1.0 + abs(best_val)) + rounding
+        keep = (bound >= best_val - slack).nonzero()[0]
         pruned += bound.size - keep.size
         for i in keep.tolist():
             if bound[i] < best_val - slack:
@@ -199,13 +243,11 @@ def _branch_and_bound(
                 visit_leaf(tuple(chosen) + (v,))
                 continue
             chosen.append(v)
-            rec(v + 1, cur + rowsum[v], rowsum + dense[v])
+            np.add(rowsum, dense[v], out=rowsums[depth + 1])
+            rec(v + 1, cur + rowsum[v])
             chosen.pop()
 
-    rec(0, 0.0, np.zeros(d))
-    # The greedy floor is attained by a feasible subset, which bounds cannot
-    # prune, so a leaf always lands.
-    assert best_subset is not None
+    rec(0, 0.0)
     return best_val, best_subset, leaves, nodes, pruned
 
 
@@ -220,6 +262,8 @@ def scan_estimate(
         raise InvalidParams(f"need 2 <= s_star <= d, got s_star={s_star}, d={X.d}")
     if strategy not in (EXHAUSTIVE, BRANCH_AND_BOUND):
         raise InvalidParams(f"unknown scan strategy {strategy!r}")
+    if max_subsets < 1:
+        raise InvalidParams(f"max_subsets must be >= 1, got {max_subsets}")
     dense = X.to_dense()
     if strategy == EXHAUSTIVE:
         if math.comb(X.d, s_star) > max_subsets:

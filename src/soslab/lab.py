@@ -151,6 +151,8 @@ class ExperimentConfig:
                     raise InvalidParams("threshold sweep runs on gaussian submatrix grids")
         if self.scan_strategy not in (EXHAUSTIVE, BRANCH_AND_BOUND):
             raise InvalidParams(f"unknown scan strategy {self.scan_strategy!r}")
+        if self.max_subsets < 1:
+            raise InvalidParams(f"max_subsets must be >= 1, got {self.max_subsets}")
         try:
             self.solver.validate()
         except ValueError as exc:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
@@ -34,6 +35,15 @@ def pair_index(d: int, i: int, j: int) -> int:
     if not (1 <= i < j <= d):
         raise InvalidParams(f"pair ({i},{j}) out of range for d={d}")
     return (i - 1) * d - i * (i + 1) // 2 + j - 1
+
+
+@lru_cache(maxsize=64)
+def pair_indices(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(d, 1)``: the 0-based row and column of each pair
+    in storage order, built once per d and read-only."""
+    rows, cols = np.triu_indices(d, 1)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
 
 
 def pair_iter(d: int) -> Iterable[tuple[int, int]]:
@@ -84,8 +94,7 @@ class NoisyMatrix:
     def to_dense(self) -> np.ndarray:
         """Full symmetric ``d x d`` array (0-based indexing)."""
         full = np.zeros((self.d, self.d))
-        iu = np.triu_indices(self.d, k=1)
-        full[iu] = self.entries
+        full[pair_indices(self.d)] = self.entries
         full += full.T
         return full
 
@@ -98,7 +107,7 @@ class NoisyMatrix:
         if not np.allclose(full, full.T, atol=0.0, rtol=0.0):
             raise InvalidParams("expected an exactly symmetric array")
         d = full.shape[0]
-        return cls(d=d, entries=full[np.triu_indices(d, k=1)])
+        return cls(d=d, entries=full[pair_indices(d)])
 
     def is_binary(self) -> bool:
         """True when every entry is exactly 0 or 1."""

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import InvalidParams, InvalidSupport, RademacherWithSignal
 from .fields import parse, parse_field
-from .matrix import NoisyMatrix, n_pairs
+from .matrix import NoisyMatrix, n_pairs, pair_indices
 from .seeds import generator
 
 SUBMATRIX = "submatrix"
@@ -178,7 +178,7 @@ def _pair_values(d: int, support: frozenset[int], inside: float, outside: float)
     support, ``outside`` elsewhere."""
     member = np.zeros(d, dtype=bool)
     member[[v - 1 for v in support]] = True
-    i, j = np.triu_indices(d, 1)
+    i, j = pair_indices(d)
     return np.where(member[i] & member[j], inside, outside)
 
 

@@ -42,9 +42,10 @@ from .subsets import (
     canonical_key,
     is_subset_key,
     key_index,
+    rank,
+    sizes,
     subset_counts,
     subset_indexer,
-    union_key,
     var_count,
 )
 
@@ -197,37 +198,50 @@ _SHAPES_CACHED = 16
 
 @lru_cache(maxsize=_SHAPES_CACHED)
 def _level_equalities(idx: SubsetIndexer, s_star: int) -> Constraints:
-    """Constraints (a) and (b) of the level-``idx.ell`` program."""
-    var = idx.var_index
-    terms = [(0, var[()], 1.0)]  # (row, variable, coefficient)
-    b = [1.0]
-    for S in idx.var_subsets:
-        if len(S) > 2 * idx.ell - 1:
-            break  # var_subsets are ordered by size
-        row = len(b)
-        terms += [(row, var[union_key(S, (i,))], 1.0) for i in range(1, idx.d + 1) if i not in S]
-        terms.append((row, var[S], -float(s_star - len(S))))
-        b.append(0.0)
-    return _constraints(idx, terms, b)
+    """Constraints (a) and (b) of the level-``idx.ell`` program.
+
+    Row 0 is (a); row ``rank(S) + 1`` is (b) at S, for the subsets S with
+    |S| <= 2*ell - 1, which come first in the variable order. Each
+    variable T with |T| >= 1 is a term of the rows of T minus one member:
+    dropping the member at position p of T's padded member row (and
+    padding on the right) gives S, sorted.
+    """
+    d, width = idx.d, 2 * idx.ell
+    n_rows = var_count(d, width - 1)
+    size = sizes(d, width)
+    # (a), then the -(s_star - |S|) * y[S] term of each row of (b)
+    rows = [np.array([0]), np.arange(1, n_rows + 1)]
+    cols = [np.array([0]), np.arange(n_rows)]
+    vals = [np.array([1.0]), (size[:n_rows] - s_star).astype(np.float64)]
+    for p in range(width):
+        T = np.flatnonzero(size > p)
+        S = np.delete(idx.members[T], p, axis=1)
+        rows.append(rank(d, S) + 1)
+        cols.append(T)
+        vals.append(np.ones(len(T)))
+    b = np.zeros(n_rows + 1)
+    b[0] = 1.0
+    return _constraints(idx, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals), b)
 
 
 @lru_cache(maxsize=_SHAPES_CACHED)
 def _basic_equalities(idx: SubsetIndexer, s_star: int) -> Constraints:
-    """y[empty] = 1 and the one row-sum."""
-    terms = [(0, idx.var_index[()], 1.0)]
-    terms += [(1, idx.var_index[(i,)], 1.0) for i in range(1, idx.d + 1)]
-    return _constraints(idx, terms, [1.0, float(s_star)])
+    """y[empty] = 1 and the one row-sum; singleton {i} is variable i."""
+    cols = np.arange(idx.d + 1)
+    rows = np.minimum(cols, 1)
+    return _constraints(idx, rows, cols, np.ones(idx.d + 1), np.array([1.0, float(s_star)]))
 
 
-def _constraints(idx: SubsetIndexer, terms: list, b: list) -> Constraints:
-    """CSR A from (row, variable, coefficient) terms; repeated terms add up
-    and zero coefficients are dropped."""
+def _constraints(
+    idx: SubsetIndexer, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, b: np.ndarray
+) -> Constraints:
+    """CSR A from (row, variable, coefficient) triplets; repeated triplets
+    add up and zero coefficients are dropped."""
     import scipy.sparse
 
-    rows, cols, vals = zip(*terms)
     A = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(len(b), idx.var_count)).tocsr()
     A.eliminate_zeros()
-    return Constraints(entry_map=idx.entry_map(), A=A, b=np.array(b, dtype=np.float64))
+    return Constraints(entry_map=idx.entry_map(), A=A, b=b)
 
 
 def assemble_level(X: NoisyMatrix, s_star: int, ell: int) -> SosProgram:

@@ -100,6 +100,15 @@ def test_numeric_failures_exit_1_with_json_line(tmp_path, capsys):
         "message": "need 2 <= s_star <= d, got s_star=9, d=4",
     }
 
+    code, stdout, stderr = run_cli(
+        capsys, "estimate", "--in", path, "--estimator", "scan", "--s", "2", "--max-subsets", "-5"
+    )
+    assert (code, stdout) == (1, "")
+    assert json.loads(stderr) == {
+        "error": "InvalidParams",
+        "message": "max_subsets must be >= 1, got -5",
+    }
+
     code, _, stderr = run_cli(
         capsys, "estimate", "--in", str(tmp_path / "nope.json"), "--estimator", "max"
     )

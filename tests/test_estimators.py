@@ -1,5 +1,9 @@
+import json
 import math
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +14,7 @@ from soslab.errors import InvalidParams, TooLarge
 from soslab.estimators import (
     BRANCH_AND_BOUND,
     EXHAUSTIVE,
+    _row_top_sums,
     avg_estimate,
     lp_estimate,
     max_estimate,
@@ -96,11 +101,25 @@ def test_branch_and_bound_equals_exhaustive():
 def scan_instances(draw):
     d = draw(st.integers(4, 14))
     s = draw(st.integers(2, min(7, d)))
-    if draw(st.booleans()):  # tie-heavy
+    kind = draw(st.sampled_from(["tie-heavy", "gaussian", "cancelling"]))
+    if kind == "tie-heavy":
         values = st.sampled_from([-1.0, 0.0, 1.0])
-        entries = np.array(draw(st.lists(values, min_size=n_pairs(d), max_size=n_pairs(d))))
-    else:
+    elif kind == "cancelling":
+        # +/-10^e within a few ulps, beside small integers: pair sums of
+        # large entries cancel, and incremental sums round far above 1e-9
+        big = 10.0 ** draw(st.integers(12, 17))
+        values = st.one_of(
+            st.integers(-4, 4).map(float),
+            st.builds(
+                lambda sign, ulps: sign * (big + ulps * np.spacing(big)),
+                st.sampled_from([-1.0, 1.0]),
+                st.integers(-2, 2),
+            ),
+        )
+    if kind == "gaussian":
         entries = generator(draw(st.integers(0, 2**32 - 1))).standard_normal(n_pairs(d))
+    else:
+        entries = np.array(draw(st.lists(values, min_size=n_pairs(d), max_size=n_pairs(d))))
     return NoisyMatrix(d=d, entries=entries), s
 
 
@@ -124,6 +143,90 @@ def test_branch_and_bound_equals_exhaustive_d22(beta):
     assert a.subsets_examined == math.comb(22, 5) == 26334
     assert a.value == b.value  # zero tolerance
     assert a.support == b.support
+
+
+# Inputs where large entries cancel. On the first the greedy seed's 1-swap
+# loop cycled forever; on the others a slack of 1e-9 * (1 + |best|) did not
+# cover the rounding of the bound sums, so the search cut the argmax and
+# failed an assertion (the second) or returned another support of the same
+# value (the third).
+CANCELLING = [
+    (6, 5, [1e17, -4, -1e17, 4, -1e17, 1e17, 1e17, -1e17, 1e17, -1e17, -2, -1e17, 4, -1, 4]),
+    (4, 3, [-9999999999999998, -9999999999999998, 1e16, -1.0000000000000004e16,
+            -9999999999999998, 1]),
+    (5, 3, [-1.0000000000000004e16, -9999999999999996, 3, 1e16, -1.0000000000000002e16, 0,
+            -1.0000000000000002e16, 9999999999999998, 2, -1e16]),
+]
+
+
+@pytest.mark.parametrize("d, s, entries", CANCELLING)
+def test_branch_and_bound_equals_exhaustive_when_entries_cancel(tmp_path, d, s, entries):
+    # In a subprocess with a timeout, so that a search that never ends fails
+    # the test instead of hanging the suite; through the CLI, which prints
+    # the value, and the API, which gives the support too.
+    X = NoisyMatrix(d=d, entries=np.array(entries, dtype=np.float64))
+    a = scan_estimate(X, s, strategy=EXHAUSTIVE)
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"d": d, "format": "upper-tri-row-major", "entries": entries}))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    script = (
+        "import sys; sys.path.insert(0, sys.argv[1]); from soslab.cli import main; "
+        "sys.exit(main(sys.argv[2:]))"
+    )
+    for strategy in (EXHAUSTIVE, BRANCH_AND_BOUND):
+        out = subprocess.run(
+            [sys.executable, "-c", script, src, "estimate", "--in", str(path),
+             "--estimator", "scan", "--s", str(s), "--strategy", strategy],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert (out.returncode, out.stderr) == (0, "")
+        assert float(out.stdout) == a.value
+    b = scan_estimate(X, s, strategy=BRANCH_AND_BOUND)
+    assert (b.value, b.support) == (a.value, a.support)
+
+
+def test_scan_when_every_pair_sum_overflows():
+    # Every subset sums to -inf: the lexicographically first one is the
+    # argmax, and the greedy seed must not pick a vertex twice.
+    X = NoisyMatrix(d=4, entries=np.full(6, -1e308))
+    with np.errstate(over="ignore"):
+        for strategy in (EXHAUSTIVE, BRANCH_AND_BOUND):
+            r = scan_estimate(X, 3, strategy=strategy)
+            assert (r.value, r.support) == (-math.inf, frozenset({1, 2, 3}))
+
+
+def _sorted_row_top_sums(dense, d, s_star):
+    """The bound table by one sort per column offset: the reference of
+    test_row_top_sums_matches_sorting."""
+    take = s_star - 2
+    masked = dense.copy()
+    np.fill_diagonal(masked, -np.inf)
+    work = np.full((d, take + 1), -np.inf)
+    tops = np.empty((d, d, take))
+    for c in range(d - 1, -1, -1):
+        work[:, 0] = masked[:, c]
+        work.sort(axis=1)
+        tops[c] = work[:, 1:]
+    H = np.empty((take + 1, d, d))
+    H[0] = 0.0
+    H[1:] = 0.5 * np.cumsum(tops[:, :, ::-1], axis=2).transpose(2, 0, 1)
+    H[:, np.tri(d, d, -1, dtype=bool)] = -np.inf
+    return H
+
+
+@pytest.mark.parametrize("values", ["gaussian", "ties", "cancelling"])
+def test_row_top_sums_matches_sorting(values):
+    rng = generator(77)
+    for d, s in [(2, 2), (3, 3), (6, 2), (6, 6), (10, 4), (16, 3), (40, 4), (40, 5), (80, 6)]:
+        dense = np.triu(rng.standard_normal((d, d)), 1)
+        if values == "ties":
+            dense = np.round(dense)
+        elif values == "cancelling":
+            dense = np.round(dense) * 1e16 + np.round(2 * dense)
+        dense = dense + dense.T
+        got, want = _row_top_sums(dense, d, s), _sorted_row_top_sums(dense, d, s)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def test_scan_search_counters():
@@ -165,6 +268,10 @@ def test_scan_guard_and_validation():
         scan_estimate(X, 11)
     with pytest.raises(InvalidParams):
         scan_estimate(X, 3, strategy="magic")
+    for bad in (0, -5):
+        for strategy in (EXHAUSTIVE, BRANCH_AND_BOUND):
+            with pytest.raises(InvalidParams, match=f"max_subsets must be >= 1, got {bad}"):
+                scan_estimate(X, 3, strategy=strategy, max_subsets=bad)
 
 
 def test_scan_examines_all_subsets_exhaustively():

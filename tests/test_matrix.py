@@ -6,6 +6,7 @@ from soslab.matrix import (
     NoisyMatrix,
     n_pairs,
     pair_index,
+    pair_indices,
     pair_iter,
     read_matrix_json,
     write_matrix_json,
@@ -19,6 +20,16 @@ def test_pair_index_round_trip():
         assert pair_index(d, i, j) == pos
         seen.add(pos)
     assert seen == set(range(n_pairs(d)))
+
+
+def test_pair_indices_are_cached_read_only_triu_indices():
+    for d in (2, 3, 7):
+        rows, cols = pair_indices(d)
+        want = np.triu_indices(d, 1)
+        assert np.array_equal(rows, want[0]) and np.array_equal(cols, want[1])
+        assert not rows.flags.writeable and not cols.flags.writeable
+        assert pair_indices(d)[0] is rows
+        assert [(i + 1, j + 1) for i, j in zip(rows.tolist(), cols.tolist())] == list(pair_iter(d))
 
 
 def test_pair_index_rejects_bad_pairs():

@@ -168,6 +168,16 @@ BUILDER_SHAPES = [(4, 2), (4, 3), (5, 2), (6, 3), (8, 4), (12, 3), (16, 3), (16,
 def test_builder_output_unchanged(d, s_star, ell):
     # (4, 2) at level 2 is the rank-deficient system; (6, 3) and (4, 2) at
     # level 2 carry zero coefficients, which both builders drop
+    _check_builder_output(d, s_star, ell)
+
+
+@pytest.mark.parametrize("d, s_star", [(6, 3), (7, 4), (10, 5)])
+def test_level3_builder_output_unchanged(d, s_star):
+    # s_star <= 2*ell - 1 everywhere here: rows with a zero coefficient
+    _check_builder_output(d, s_star, 3)
+
+
+def _check_builder_output(d, s_star, ell):
     entries = generator(d * 100 + s_star).standard_normal(n_pairs(d))
     entries[::5] = 0.0
     entries[1::7] = -0.0
