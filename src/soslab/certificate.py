@@ -43,7 +43,7 @@ from .errors import (
 )
 from .matrix import NoisyMatrix, pair_indices, pair_iter
 from .sos import PseudoExpectation, exact_dtype, max_abs, moment_matrix
-from .subsets import NonzeroView, SubsetIndexer, rank, sizes, subset_counts, subset_indexer, var_count
+from .subsets import NonzeroView, SubsetIndexer, parents, rank, sizes, subset_counts, subset_indexer, var_count
 
 SIGN_POSITIVE = "sign-positive"
 BINARY_ONE = "binary-one"
@@ -181,7 +181,7 @@ def verify_certificate(
     and, for every subset S with |S| <= 2*ell - 1, the folded row-sum
     identity sum_{i not in S} y[S + {i}] = (s_star - |S|) * y[S]. The left
     sides are gathered from the nonzero moments alone: each nonzero T adds
-    its numerator at every parent T - {i}, found by rank. The maximum
+    its numerator at every parent T - {i} (``subsets.parents``). The maximum
     violation is reported exactly.
 
     lambda_min and the PSD verdict come from the float moment matrix,
@@ -207,14 +207,13 @@ def _rowsum_violation(pe: PseudoExpectation, idx: SubsetIndexer, s_star: int) ->
     # A left side sums at most d numerators; |s_star - |S|| <= |s_star| + d.
     dtype = exact_dtype((2 * d + abs(s_star)) * max_abs(pe.num))
     nz = np.flatnonzero(pe.num)
-    members, y = idx.members[nz], pe.num[nz].astype(dtype)
+    y = pe.num[nz].astype(dtype)
     n_rows = var_count(d, width - 1)
-    lhs = np.zeros(n_rows, dtype=dtype)
-    for pos in range(width):
-        has = members[:, pos] < d
-        np.add.at(lhs, rank(d, np.delete(members[has], pos, axis=1)), y[has])
+    lhs = np.zeros(n_rows + 1, dtype=dtype)  # the last entry gathers the pads
+    for col in parents(d, idx.members[nz]).T:
+        np.add.at(lhs, col, y)
     rhs = (s_star - sizes(d, width - 1)).astype(dtype) * pe.num[:n_rows].astype(dtype)
-    return Fraction(max_abs(lhs - rhs), pe.den)
+    return Fraction(max_abs(lhs[:n_rows] - rhs), pe.den)
 
 
 def _eig_range(M: np.ndarray) -> tuple[float, float]:
@@ -242,6 +241,8 @@ def certificate_objective(X: NoisyMatrix, pe: PseudoExpectation, s_star: int) ->
     per distinct entry value in exact integers, and each value's sum is
     weighted by the value's exact ratio.
     """
+    if s_star < 2:
+        raise InvalidParams(f"need s_star >= 2, got s_star={s_star}")
     if X.d > pe.d:
         raise MissingValue(f"pseudo-expectation covers d={pe.d}, data has d={X.d}")
     pairs = rank(pe.d, np.column_stack(pair_indices(X.d)))  # X's storage order

@@ -26,6 +26,9 @@ DEFAULT_MAX_SUBSETS = 10**8
 # the same canonical summation the exhaustive strategy uses.
 _PRUNE_SLACK = 1e-9
 
+# Largest s_star**2 * max|X| that branch-and-bound searches (see its docstring).
+_SUM_LIMIT = 2.0**1022
+
 
 @dataclass(frozen=True)
 class ScanResult:
@@ -96,7 +99,8 @@ def _greedy_seed(dense: np.ndarray, d: int, s_star: int) -> tuple[float, tuple[i
     chosen = [int(i), int(j)]
     rowsum = dense[chosen[0]] + dense[chosen[1]]
     while len(chosen) < s_star:
-        free = np.delete(np.arange(d), chosen)  # not by -inf scores: sums can overflow to -inf
+        # the unchosen vertices, not those of finite score: sums can overflow to -inf
+        free = np.flatnonzero(np.bincount(chosen, minlength=d) == 0)
         v = int(free[np.argmax(rowsum[free])])
         chosen.append(v)
         rowsum = rowsum + dense[v]
@@ -162,7 +166,7 @@ def _row_top_sums(dense: np.ndarray, d: int, s_star: int) -> np.ndarray:
 
 
 def _branch_and_bound(
-    dense: np.ndarray, d: int, s_star: int
+    dense: np.ndarray, d: int, s_star: int, max_abs: float
 ) -> tuple[float, tuple[int, ...], int, int, int]:
     """Depth-first lexicographic search with an admissible per-vertex gain bound.
 
@@ -190,8 +194,12 @@ def _branch_and_bound(
     Stability of Numerical Algorithms", section 4.2), and choosing the top
     gains by their float values loses at most 2 * s_star**3 of those
     units. `s_star**4 * max|X| * 2**-50` covers both sides of every
-    comparison (barring overflow), so no subtree holding a leaf whose
-    canonical sum reaches the floor is cut, however the entries cancel.
+    comparison, so no subtree holding a leaf whose canonical sum reaches
+    the floor is cut, however the entries cancel, provided no sum overflows
+    (inf - inf is a NaN bound, which prunes). A float partial sum is at most
+    (1 + 2**-53)**(s_star**2) < 2 times the sum of its absolute terms, at
+    most s_star**2 * max|X| (``max_abs``); `scan_estimate` searches only if
+    that is at most 2**1022 (`_SUM_LIMIT`), so every sum stays below 2**1023.
     The support is only replaced from search leaves, each finalized by
     `_pair_sum`, so the value and the lexicographic tie rule match the
     exhaustive strategy. Returns the pair sum, the subset, and the leaf,
@@ -199,7 +207,7 @@ def _branch_and_bound(
     """
     H = _row_top_sums(dense, d, s_star)
     best_val, best_subset = _greedy_seed(dense, d, s_star)
-    rounding = s_star**4 * float(np.abs(dense).max()) * 2.0**-50
+    rounding = s_star**4 * max_abs * 2.0**-50
     leaves = nodes = pruned = 0
     chosen: list[int] = []
     # rowsums[p]: the row sums into the first p chosen vertices; scratch
@@ -257,7 +265,9 @@ def scan_estimate(
     strategy: str = EXHAUSTIVE,
     max_subsets: int = DEFAULT_MAX_SUBSETS,
 ) -> ScanResult:
-    """Exact maximum of the submatrix average over all s_star-subsets."""
+    """Exact maximum of the submatrix average over all s_star-subsets.
+    Branch-and-bound scans exhaustively (``max_subsets`` guard included)
+    where its sums could overflow (see `_branch_and_bound`)."""
     if not 2 <= s_star <= X.d:
         raise InvalidParams(f"need 2 <= s_star <= d, got s_star={s_star}, d={X.d}")
     if strategy not in (EXHAUSTIVE, BRANCH_AND_BOUND):
@@ -265,7 +275,8 @@ def scan_estimate(
     if max_subsets < 1:
         raise InvalidParams(f"max_subsets must be >= 1, got {max_subsets}")
     dense = X.to_dense()
-    if strategy == EXHAUSTIVE:
+    max_abs = float(np.abs(X.entries).max())
+    if strategy == EXHAUSTIVE or s_star**2 * max_abs > _SUM_LIMIT:
         if math.comb(X.d, s_star) > max_subsets:
             raise TooLarge(
                 f"C({X.d},{s_star}) = {math.comb(X.d, s_star)} exceeds the "
@@ -274,7 +285,7 @@ def scan_estimate(
         pair_sum, subset, examined = _exhaustive(dense, X.d, s_star)
         nodes = pruned = 0
     else:
-        pair_sum, subset, examined, nodes, pruned = _branch_and_bound(dense, X.d, s_star)
+        pair_sum, subset, examined, nodes, pruned = _branch_and_bound(dense, X.d, s_star, max_abs)
     return ScanResult(
         value=_scan_value(pair_sum, s_star),
         support=frozenset(v + 1 for v in subset),

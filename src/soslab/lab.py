@@ -182,7 +182,7 @@ class ExperimentConfig:
             ),
             solver=solver,
             solve_sdp=parse_field(doc, "solve_sdp", bool, False),
-            scan_strategy=doc.get("scan_strategy", BRANCH_AND_BOUND),
+            scan_strategy=parse_field(doc, "scan_strategy", str, BRANCH_AND_BOUND),
             max_subsets=parse_field(doc, "max_subsets", int, DEFAULT_MAX_SUBSETS),
         )
         cfg.validate()

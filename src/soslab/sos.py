@@ -27,7 +27,7 @@ but omits family (b) at singletons, so level 1 is the tighter program.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Iterable, Mapping
@@ -42,7 +42,7 @@ from .subsets import (
     canonical_key,
     is_subset_key,
     key_index,
-    rank,
+    parents,
     sizes,
     subset_counts,
     subset_indexer,
@@ -84,7 +84,6 @@ class SosProgram:
     c: np.ndarray
     constraints: Constraints
     scale: float
-    indexer: SubsetIndexer = field(repr=False)
 
     @property
     def dim(self) -> int:
@@ -202,9 +201,8 @@ def _level_equalities(idx: SubsetIndexer, s_star: int) -> Constraints:
 
     Row 0 is (a); row ``rank(S) + 1`` is (b) at S, for the subsets S with
     |S| <= 2*ell - 1, which come first in the variable order. Each
-    variable T with |T| >= 1 is a term of the rows of T minus one member:
-    dropping the member at position p of T's padded member row (and
-    padding on the right) gives S, sorted.
+    variable T with |T| >= 1 is a term of the rows of its parents T minus
+    one member, found by ``parents``.
     """
     d, width = idx.d, 2 * idx.ell
     n_rows = var_count(d, width - 1)
@@ -213,10 +211,9 @@ def _level_equalities(idx: SubsetIndexer, s_star: int) -> Constraints:
     rows = [np.array([0]), np.arange(1, n_rows + 1)]
     cols = [np.array([0]), np.arange(n_rows)]
     vals = [np.array([1.0]), (size[:n_rows] - s_star).astype(np.float64)]
-    for p in range(width):
-        T = np.flatnonzero(size > p)
-        S = np.delete(idx.members[T], p, axis=1)
-        rows.append(rank(d, S) + 1)
+    for col in parents(d, idx.members).T:
+        T = np.flatnonzero(col < n_rows)  # n_rows pads a missing member
+        rows.append(col[T] + 1)
         cols.append(T)
         vals.append(np.ones(len(T)))
     b = np.zeros(n_rows + 1)
@@ -270,7 +267,7 @@ def _program(
     # value_of divides by scale. Adding 0.0 turns a -0.0 weight into 0.0.
     c = np.zeros(idx.var_count)
     c[1 + X.d : 1 + X.d + len(X.entries)] = 2.0 * X.entries + 0.0
-    return SosProgram(c=c, constraints=constraints, scale=float(s_star * (s_star - 1)), indexer=idx)
+    return SosProgram(c=c, constraints=constraints, scale=float(s_star * (s_star - 1)))
 
 
 def moment_matrix(pe: PseudoExpectation, idx: SubsetIndexer) -> np.ndarray:

@@ -1,23 +1,23 @@
 """Set-indexed bookkeeping for the reduced moment-matrix formulation.
 
-Subsets of ``{1..d}`` are keyed by sorted tuples of vertex labels. Rows of
-the moment matrix are the subsets of size <= ell, variables are the subsets
-of size <= 2*ell; both orderings are (size, lexicographic) with the empty
-set at index 0. This order does not depend on ell, so ``rank`` computes a
-subset's index from ``d`` alone: the subsets of smaller size come first,
-then the subset's combinatorial lexicographic rank among those of its size.
+Rows of the moment matrix are the subsets of ``{1..d}`` of size <= ell,
+variables those of size <= 2*ell, both in (size, lexicographic) order with
+the empty set at index 0. The order does not depend on ell, so ``rank``
+computes a subset's index from ``d`` alone: the subsets of smaller size
+come first, then its combinatorial lexicographic rank within its size.
 
-Arrays of subsets hold 0-based vertices, sorted ascending along a row and
-padded on the right with ``d``; a row's size is its count of entries below
-``d``. Arrays over the variables (expansivity counts, certificate
-numerators) are indexed in the same order, and ``NonzeroView`` reads the
-nonzero entries of one as a mapping keyed by subsets.
+Subsets have one form, member arrays: rows of 0-based vertices, sorted
+ascending and padded on the right with ``d`` (a row's size is its count of
+entries below ``d``). ``rank`` indexes rows, and ``parents`` the rows one
+member smaller. Arrays over the variables (expansivity counts, certificate
+numerators) are indexed in the same order; sorted tuples of 1-based labels
+are only the key form of their views (``NonzeroView``, ``key_index``).
 """
 from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import chain, combinations
 from typing import Callable, Iterable
 
@@ -35,18 +35,6 @@ _CHUNK = 1 << 15
 def canonical_key(vertices: Iterable[int]) -> tuple[int, ...]:
     """Sorted-tuple key of a vertex collection (duplicates merged)."""
     return tuple(sorted(set(vertices)))
-
-
-def union_key(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(sorted(set(a) | set(b)))
-
-
-def subsets_up_to(d: int, max_size: int) -> list[tuple[int, ...]]:
-    """All subsets of {1..d} with size <= max_size, ordered (size, lex)."""
-    out: list[tuple[int, ...]] = []
-    for k in range(max_size + 1):
-        out.extend(combinations(range(1, d + 1), k))
-    return out
 
 
 def var_count(d: int, max_size: int) -> int:
@@ -95,6 +83,20 @@ def rank(d: int, members: np.ndarray) -> np.ndarray:
     return out
 
 
+def parents(d: int, members: np.ndarray) -> np.ndarray:
+    """``out[r, p]``: the ``rank`` of row r of ``members`` with its p-th
+    member dropped, or, where the row has no p-th member, the pad
+    ``var_count(d, width - 1)``, one past the rank of every subset of
+    fewer than ``width`` members; int64, filled one position at a time
+    (a transposed array, so each column is contiguous)."""
+    n, width = members.shape
+    out = np.full((width, n), var_count(d, width - 1), dtype=np.int64)
+    for p, col in enumerate(out):
+        has = members[:, p] < d
+        col[has] = rank(d, np.delete(members[has], p, axis=1))
+    return out.T
+
+
 def key_index(d: int, key: tuple[int, ...]) -> int:
     """``rank`` of one sorted 1-based key, in Python integers."""
     k = len(key)
@@ -137,13 +139,13 @@ def subset_counts(d: int, max_size: int, sets: np.ndarray) -> np.ndarray:
 
 
 class SubsetIndexer:
-    """Bijections between small subsets and contiguous indices.
+    """The subsets of one program shape (d, ell) as member arrays.
 
     ``members`` holds the variables, the subsets of size <= 2*ell, as a
-    read-only padded member array (width 2*ell); the rows are its first
-    ``dim`` entries. ``row_index`` maps subsets of size <= ell to
-    ``0..N-1`` and ``var_index`` maps subsets of size <= 2*ell to
-    ``0..V-1``; these tuple lists and dicts are built on first use.
+    read-only padded member array (width 2*ell) in index order, so
+    ``rank(d, members)`` is ``0..var_count-1`` and ``parents(d, members)``
+    gives each variable's parents; the rows of the moment matrix are its
+    first ``dim`` entries, and ``entry_map`` gives each cell's variable.
     """
 
     def __init__(self, d: int, ell: int):
@@ -170,22 +172,6 @@ class SubsetIndexer:
             start += n
         self.members = _read_only(members)
         self._entry_map: np.ndarray | None = None
-
-    @cached_property
-    def row_subsets(self) -> list[tuple[int, ...]]:
-        return subsets_up_to(self.d, self.ell)
-
-    @cached_property
-    def row_index(self) -> dict[tuple[int, ...], int]:
-        return {s: i for i, s in enumerate(self.row_subsets)}
-
-    @cached_property
-    def var_subsets(self) -> list[tuple[int, ...]]:
-        return subsets_up_to(self.d, 2 * self.ell)
-
-    @cached_property
-    def var_index(self) -> dict[tuple[int, ...], int]:
-        return {s: i for i, s in enumerate(self.var_subsets)}
 
     def entry_map(self) -> np.ndarray:
         """dim x dim array: cell (r, c) holds the variable index of the
@@ -218,7 +204,8 @@ class NonzeroView(Mapping):
     """Read-only mapping over the nonzero entries of an array indexed by
     the subsets of {1..d} of size <= 2*ell: sorted-tuple keys, values
     passed through ``convert``. ``len`` counts the nonzero entries;
-    iteration, in index order, reads the subsets from ``subset_indexer``."""
+    iteration, in index order, decodes each key from the member rows of
+    ``subset_indexer``."""
 
     def __init__(self, d: int, ell: int, arr: np.ndarray, convert: Callable):
         self._d, self._ell, self._arr, self._convert = d, ell, arr, convert
@@ -227,8 +214,8 @@ class NonzeroView(Mapping):
         return int(np.count_nonzero(self._arr))
 
     def __iter__(self):
-        subsets = subset_indexer(self._d, self._ell).var_subsets
-        return (subsets[j] for j in np.flatnonzero(self._arr).tolist())
+        members = subset_indexer(self._d, self._ell).members[np.flatnonzero(self._arr)]
+        return (tuple(v + 1 for v in row if v < self._d) for row in members.tolist())
 
     def __getitem__(self, key):
         if is_subset_key(key, self._d, 2 * self._ell):

@@ -31,6 +31,7 @@ import soslab
 from soslab.seeds import generator
 from soslab.sos import PseudoExpectation, moment_matrix
 from soslab.subsets import subset_indexer
+from subset_order import subsets_up_to
 
 PATH_3 = NoisyMatrix(d=3, entries=np.array([1.0, -1.0, 1.0]))  # edges 1-2, 2-3
 
@@ -47,11 +48,10 @@ def random_graph(rng, d, p):
 def expansion_identity_violations(table, d):
     """Exact check of: sum_{i not in S} eta(S+{i}) = (2l - |S|) eta(S)."""
     worst = 0
-    for k in range(2 * table.ell):
-        for S in combinations(range(1, d + 1), k):
-            lhs = sum(table.get(S + (i,)) for i in range(1, d + 1) if i not in S)
-            rhs = (2 * table.ell - k) * table.get(S)
-            worst = max(worst, abs(lhs - rhs))
+    for S in subsets_up_to(d, 2 * table.ell - 1):
+        lhs = sum(table.get(S + (i,)) for i in range(1, d + 1) if i not in S)
+        rhs = (2 * table.ell - len(S)) * table.get(S)
+        worst = max(worst, abs(lhs - rhs))
     return worst
 
 
@@ -142,10 +142,9 @@ def test_certificate_complete_graph_closed_form():
     # perm(s*, k) / perm(d, k); oracle computed directly from the formula
     for d, s_star, ell in ((5, 3, 1), (6, 2, 2), (7, 4, 2)):
         pe = build_certificate(expansivity_table(complete_graph(d), ell), s_star, ell)
-        for k in range(2 * ell + 1):
-            expected = Fraction(math.perm(s_star, k), math.perm(d, k))
-            for S in combinations(range(1, d + 1), k):
-                assert pe.get(S) == expected
+        for S in subsets_up_to(d, 2 * ell):
+            expected = Fraction(math.perm(s_star, len(S)), math.perm(d, len(S)))
+            assert pe.get(S) == expected
 
 
 def test_certificate_path_values():
@@ -299,24 +298,32 @@ def test_certificate_rejects_s_star_outside_2_to_d():
             build_certificate(table, s_star, 1)
 
 
+def test_objective_rejects_s_star_below_2():
+    # the weight 2 / (s_star * (s_star - 1)) divides by zero at 0 and 1
+    pe = build_certificate(expansivity_table(complete_graph(4), 1), 2, 1)
+    X = NoisyMatrix(d=4, entries=np.ones(6))
+    for s_star in (-1, 0, 1):
+        with pytest.raises(InvalidParams, match=f"need s_star >= 2, got s_star={s_star}"):
+            certificate_objective(X, pe, s_star)
+
+
 def dense_rowsum_violation(pe, d, s_star, ell):
     """Reference: every identity at every subset of size < 2l, dense."""
     worst = Fraction(0)
-    for k in range(2 * ell):
-        for S in combinations(range(1, d + 1), k):
-            lhs = Fraction(0)
-            for i in range(1, d + 1):
-                if i not in S:
-                    v = pe.values.get(tuple(sorted(S + (i,))))
-                    if v:
-                        lhs += v
-            worst = max(worst, abs(lhs - (s_star - k) * pe.get(S)))
+    for S in subsets_up_to(d, 2 * ell - 1):
+        lhs = Fraction(0)
+        for i in range(1, d + 1):
+            if i not in S:
+                v = pe.values.get(tuple(sorted(S + (i,))))
+                if v:
+                    lhs += v
+        worst = max(worst, abs(lhs - (s_star - len(S)) * pe.get(S)))
     return worst
 
 
 def dense_moment_matrix(pe, idx):
     """Reference: read every variable through pe.get."""
-    return np.array([float(pe.get(S)) for S in idx.var_subsets])[idx.entry_map()]
+    return np.array([float(pe.get(S)) for S in subsets_up_to(idx.d, 2 * idx.ell)])[idx.entry_map()]
 
 
 def dense_objective(X, pe, s_star):

@@ -195,6 +195,32 @@ def test_scan_when_every_pair_sum_overflows():
             assert (r.value, r.support) == (-math.inf, frozenset({1, 2, 3}))
 
 
+# Inputs whose bound sums overflow (entries from {+-1.7e308, -1e308, +-1, 0}).
+# Branch-and-bound used to prune a subtree whose bound was inf - inf = NaN
+# and returned, in order: another support of value inf, -inf against inf,
+# and -inf against inf at d=7.
+OVERFLOWING = [
+    (6, 5, [1.0, 1.0, 1.7e308, 1.7e308, -1e308, -1e308, -1e308, 1.7e308, -1.0, 1.7e308,
+            -1.7e308, 1.7e308, 0.0, -1.0, -1e308]),
+    (6, 5, [-1e308, 1.7e308, 1.0, 1.7e308, -1.7e308, 0.0, -1e308, 1.0, 0.0, -1.7e308, 0.0,
+            -1.0, -1e308, -1.7e308, -1.7e308]),
+    (7, 6, [-1.7e308, -1.7e308, 1.0, -1e308, 1.7e308, -1.7e308, 1.7e308, -1.0, 1.7e308, 1.0,
+            1.7e308, -1.0, -1e308, 1.7e308, 1.0, 0.0, -1.7e308, 0.0, -1.7e308, 1.7e308, 1.0]),
+]
+
+
+@pytest.mark.parametrize("d, s, entries", OVERFLOWING)
+def test_branch_and_bound_equals_exhaustive_when_sums_overflow(d, s, entries):
+    X = NoisyMatrix(d=d, entries=np.array(entries))
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = scan_estimate(X, s, strategy=EXHAUSTIVE)
+        b = scan_estimate(X, s, strategy=BRANCH_AND_BOUND)
+        assert (b.value, b.support) == (a.value, a.support)
+        # the exhaustive path keeps its guard
+        with pytest.raises(TooLarge):
+            scan_estimate(X, s, strategy=BRANCH_AND_BOUND, max_subsets=math.comb(d, s) - 1)
+
+
 def _sorted_row_top_sums(dense, d, s_star):
     """The bound table by one sort per column offset: the reference of
     test_row_top_sums_matches_sorting."""

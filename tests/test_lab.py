@@ -353,6 +353,7 @@ def _sbm_point(**kw):
         (cert_config, "grid", [_sbm_point(d=True)], "d: expected int, got True"),
         (gap_config, "max_subsets", 0, "max_subsets must be >= 1, got 0"),
         (threshold_config, "max_subsets", -5, "max_subsets must be >= 1, got -5"),
+        (gap_config, "scan_strategy", 5, "scan_strategy: expected str, got 5"),
     ],
 )
 def test_config_field_type_errors_name_the_field(tmp_path, make, field, value, message):

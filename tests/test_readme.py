@@ -1,6 +1,9 @@
-"""The README's library quick start runs as written."""
+"""The README's library quick start and CLI commands run as written."""
 import re
+import shlex
 from pathlib import Path
+
+from soslab.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -9,3 +12,16 @@ def test_readme_quick_start_runs():
     blocks = re.findall(r"```python\n(.*?)```", README.read_text(), flags=re.DOTALL)
     assert len(blocks) == 1
     exec(compile(blocks[0], str(README), "exec"), {})
+
+
+def test_readme_cli_commands_run(tmp_path, monkeypatch):
+    # The experiment line names a placeholder config; the others run in
+    # order, the first writing the k4.json the rest read.
+    block = re.search(r"## CLI\n\n```\n(.*?)```", README.read_text(), flags=re.DOTALL).group(1)
+    commands = [shlex.split(line) for line in block.splitlines()]
+    commands = [argv for argv in commands if argv[1] != "experiment"]
+    assert [argv[1] for argv in commands] == ["generate", "certify", "estimate", "solve"]
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert argv[0] == "soslab"
+        assert main(argv[1:]) == 0, argv

@@ -258,7 +258,6 @@ def test_solve_without_equalities():
             b=np.zeros(0),
         ),
         scale=1.0,
-        indexer=prog.indexer,
     )
     sol = solve(free)
     assert sol.status == OPTIMAL

@@ -23,6 +23,7 @@ from soslab.sos import (
     moment_matrix,
 )
 from soslab.subsets import subset_indexer
+from subset_order import TupleOrder
 
 
 def ones_matrix(d):
@@ -38,10 +39,10 @@ def feasible_residuals(program, y):
     return np.abs(program.constraints.A @ y - program.constraints.b).max()
 
 
-def indicator_vector(program, support):
+def indicator_vector(program, support, d, ell):
     supp = set(support)
     y = np.zeros(program.var_count)
-    for s, i in program.indexer.var_index.items():
+    for s, i in TupleOrder(d, ell).var_index.items():
         y[i] = 1.0 if set(s) <= supp else 0.0
     return y
 
@@ -72,7 +73,7 @@ def test_normalization_constraint_present_once():
     A, b = prog.constraints.A, prog.constraints.b
     hits = [r for r in range(len(prog.constraints)) if b[r] == 1.0 and A[r].nnz == 1]
     assert len(hits) == 1
-    assert A[hits[0]].indices.tolist() == [prog.indexer.var_index[()]]
+    assert A[hits[0]].indices.tolist() == [TupleOrder(5, 1).var_index[()]]
     assert A[hits[0]].data.tolist() == [1.0]
 
 
@@ -91,7 +92,7 @@ def test_integral_point_feasible_and_matches_scan():
         X = NoisyMatrix(d=d, entries=rng.standard_normal(n_pairs(d)))
         prog = assemble_level(X, s, ell)
         support = tuple(sorted(rng.permutation(np.arange(1, d + 1))[:s].tolist()))
-        y = indicator_vector(prog, support)
+        y = indicator_vector(prog, support, d, ell)
         assert feasible_residuals(prog, y) == 0.0  # exactly feasible
         M = y[prog.entry_map]
         assert np.linalg.eigvalsh(M)[0] >= -1e-12  # rank-one lift
@@ -120,20 +121,20 @@ class _LinearConstraint:
     rhs: float
 
 
-def _tuple_equalities(idx, s_star, basic):
+def _tuple_equalities(order, s_star, basic):
     """The equalities as the tuple-based builder made them: the oracle of
     test_builder_output_unchanged."""
-    constraints = [_LinearConstraint(terms=((idx.var_index[()], 1.0),), rhs=1.0)]
+    constraints = [_LinearConstraint(terms=((order.var_index[()], 1.0),), rhs=1.0)]
     if basic:
-        terms = tuple((idx.var_index[(i,)], 1.0) for i in range(1, idx.d + 1))
+        terms = tuple((order.var_index[(i,)], 1.0) for i in range(1, order.d + 1))
         return constraints + [_LinearConstraint(terms=terms, rhs=float(s_star))]
-    for S in idx.var_subsets:
-        if len(S) > 2 * idx.ell - 1:
+    for S in order.var_subsets:
+        if len(S) > 2 * order.ell - 1:
             continue
         inside = set(S)
-        terms = [(idx.var_index[tuple(sorted(inside | {i}))], 1.0)
-                 for i in range(1, idx.d + 1) if i not in inside]
-        terms.append((idx.var_index[S], -float(s_star - len(S))))
+        terms = [(order.var_index[tuple(sorted(inside | {i}))], 1.0)
+                 for i in range(1, order.d + 1) if i not in inside]
+        terms.append((order.var_index[S], -float(s_star - len(S))))
         constraints.append(_LinearConstraint(terms=tuple(terms), rhs=0.0))
     return constraints
 
@@ -151,12 +152,12 @@ def _tuple_arrays(constraints, var_count):
     return A, np.array([con.rhs for con in constraints], dtype=np.float64)
 
 
-def _tuple_objective_vector(X, idx):
-    c = np.zeros(idx.var_count)
+def _tuple_objective_vector(X, order):
+    c = np.zeros(len(order.var_subsets))
     for pos, (i, j) in enumerate(pair_iter(X.d)):
         v = float(X.entries[pos])
         if v != 0.0:
-            c[idx.var_index[(i, j)]] += 2.0 * v
+            c[order.var_index[(i, j)]] += 2.0 * v
     return c
 
 
@@ -183,12 +184,13 @@ def _check_builder_output(d, s_star, ell):
     entries[1::7] = -0.0
     X = NoisyMatrix(d=d, entries=entries)
     prog = assemble_basic(X, s_star) if ell is None else assemble_level(X, s_star, ell)
-    A, b = _tuple_arrays(_tuple_equalities(prog.indexer, s_star, ell is None), prog.var_count)
+    order = TupleOrder(d, 1 if ell is None else ell)
+    A, b = _tuple_arrays(_tuple_equalities(order, s_star, ell is None), prog.var_count)
     got = prog.constraints
     assert got.A.shape == A.shape
     for mine, want in ((got.A.indptr, A.indptr), (got.A.indices, A.indices),
                        (got.A.data, A.data), (got.b, b),
-                       (prog.c, _tuple_objective_vector(X, prog.indexer))):
+                       (prog.c, _tuple_objective_vector(X, order))):
         assert mine.dtype == want.dtype
         assert mine.tobytes() == want.tobytes()
 

@@ -9,11 +9,13 @@ from soslab.subsets import (
     SubsetIndexer,
     canonical_key,
     key_index,
+    parents,
     rank,
     subset_counts,
     subset_indexer,
-    union_key,
+    var_count,
 )
+from subset_order import TupleOrder, union_key
 
 SHAPES = [(d, ell) for d in range(1, 13) for ell in (1, 2, 3)] + [(30, 2)]
 
@@ -31,13 +33,13 @@ def test_counts_d10_ell2():
 
 
 def test_ordering_starts_with_empty_set():
-    idx = SubsetIndexer(2, 1)
+    idx = TupleOrder(2, 1)
     assert idx.row_subsets == [(), (1,), (2,)]
     assert idx.row_index[()] == 0
 
 
 def test_ordering_by_size_then_lex():
-    idx = SubsetIndexer(4, 2)
+    idx = TupleOrder(4, 2)
     sizes = [len(s) for s in idx.row_subsets]
     assert sizes == sorted(sizes)
     pairs = [s for s in idx.row_subsets if len(s) == 2]
@@ -45,13 +47,13 @@ def test_ordering_by_size_then_lex():
 
 
 def test_bijections():
-    idx = SubsetIndexer(6, 2)
-    for i, s in enumerate(idx.row_subsets):
-        assert idx.row_index[s] == i
-    for i, s in enumerate(idx.var_subsets):
-        assert idx.var_index[s] == i
-    assert len(idx.row_index) == idx.dim
-    assert len(idx.var_index) == idx.var_count
+    idx, order = SubsetIndexer(6, 2), TupleOrder(6, 2)
+    for i, s in enumerate(order.row_subsets):
+        assert order.row_index[s] == i
+    for i, s in enumerate(order.var_subsets):
+        assert order.var_index[s] == i
+    assert len(order.row_index) == idx.dim
+    assert len(order.var_index) == idx.var_count
     assert idx.var_count == sum(math.comb(6, k) for k in range(5))
 
 
@@ -61,10 +63,11 @@ def test_entry_map_symmetric_and_total():
     assert (em == em.T).all()
     # every variable of size <= 2 appears somewhere in the matrix
     assert set(em.ravel()) == set(range(idx.var_count))
-    r = idx.row_index[(2,)]
-    c = idx.row_index[(4,)]
-    assert em[r, c] == idx.var_index[(2, 4)]
-    assert em[r, r] == idx.var_index[(2,)]
+    order = TupleOrder(5, 1)
+    r = order.row_index[(2,)]
+    c = order.row_index[(4,)]
+    assert em[r, c] == order.var_index[(2, 4)]
+    assert em[r, r] == order.var_index[(2,)]
 
 
 def test_budget_guard():
@@ -85,18 +88,18 @@ def test_cached_factory_returns_shared_instance():
 
 @pytest.mark.parametrize("d, ell", SHAPES)
 def test_rank_and_members_match_the_subset_order(d, ell):
-    idx = SubsetIndexer(d, ell)
+    idx, order = SubsetIndexer(d, ell), TupleOrder(d, ell)
     assert idx.members.dtype == np.int16 and not idx.members.flags.writeable
-    assert [tuple(int(v) + 1 for v in row if v < d) for row in idx.members] == idx.var_subsets
+    assert [tuple(int(v) + 1 for v in row if v < d) for row in idx.members] == order.var_subsets
     assert rank(d, idx.members).tolist() == list(range(idx.var_count))
-    assert [key_index(d, key) for key in idx.var_subsets] == list(range(idx.var_count))
+    assert [key_index(d, key) for key in order.var_subsets] == list(range(idx.var_count))
 
 
 @pytest.mark.parametrize("d, ell", SHAPES)
 def test_entry_map_matches_dict_reference(d, ell):
-    idx = SubsetIndexer(d, ell)
+    idx, order = SubsetIndexer(d, ell), TupleOrder(d, ell)
     ref = np.array(
-        [[idx.var_index[union_key(a, b)] for b in idx.row_subsets] for a in idx.row_subsets],
+        [[order.var_index[union_key(a, b)] for b in order.row_subsets] for a in order.row_subsets],
         dtype=np.int64,
     )
     em = idx.entry_map()
@@ -115,10 +118,9 @@ def test_rank_width_zero_and_padding():
 
 def test_subset_counts_matches_brute_force():
     sets = np.array([(0, 1, 2, 4), (0, 2, 3, 4), (1, 2, 3, 5)])
-    idx = SubsetIndexer(6, 2)
     counts = subset_counts(6, 4, sets)
     assert counts.dtype == np.int64
-    for j, S in enumerate(idx.var_subsets):
+    for j, S in enumerate(TupleOrder(6, 2).var_subsets):
         inside = sum(all(v - 1 in row for v in S) for row in sets.tolist())
         assert counts[j] == inside
     # sizes above max_size are not counted
@@ -134,3 +136,23 @@ def test_nonzero_view_reads_only_nonzero_moments():
     assert view.get((1,)) is None  # zero entry
     for junk in ((3, 1), (1, 1), (0,), (5,), (1, 2, 3), [2]):
         assert junk not in view
+
+
+@pytest.mark.parametrize("d, ell", SHAPES)
+def test_parents_matches_tuple_reference(d, ell):
+    idx, order = subset_indexer(d, ell), TupleOrder(d, ell)
+    pad = var_count(d, 2 * ell - 1)
+    ref = np.full((idx.var_count, 2 * ell), pad, dtype=np.int64)
+    for j, T in enumerate(order.var_subsets):
+        for p in range(len(T)):
+            ref[j, p] = order.var_index[T[:p] + T[p + 1 :]]
+    got = parents(d, idx.members)
+    assert got.dtype == ref.dtype and got.shape == ref.shape
+    assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("d, ell", SHAPES)
+def test_nonzero_view_iterates_in_tuple_order(d, ell):
+    order = TupleOrder(d, ell)
+    arr = np.arange(len(order.var_subsets)) % 3  # zero at every third index
+    assert list(NonzeroView(d, ell, arr, int)) == [S for S, v in zip(order.var_subsets, arr) if v]
