@@ -40,6 +40,7 @@ from .errors import (
     MissingValue,
     NotBinary,
     TooLarge,
+    check_s_star,
 )
 from .matrix import NoisyMatrix, pair_indices, pair_iter
 from .sos import PseudoExpectation, exact_dtype, max_abs, moment_matrix
@@ -153,8 +154,7 @@ def expansivity_table(g: PositivityGraph, ell: int) -> ExpansivityTable:
 def build_certificate(table: ExpansivityTable, s_star: int, ell: int) -> PseudoExpectation:
     """Pseudo-expectation of the expansivity construction: ``eta * w[|S|]``
     over ``eta(empty) * (2l)!``, with ``w_k = perm(s_star, k) * (2l - k)!``."""
-    if not 2 <= s_star <= table.d:
-        raise InvalidParams(f"need 2 <= s_star <= d, got s_star={s_star}, d={table.d}")
+    check_s_star(s_star, table.d)
     if ell != table.ell:
         raise InvalidParams(f"table was built for ell={table.ell}, not {ell}")
     eta0 = table.clique_count
@@ -190,6 +190,7 @@ def verify_certificate(
     are. With a row dropped, lambda_min and lambda_max are those of the
     block taken together with 0; with every row zero both are 0.
     """
+    check_s_star(s_star, d)
     idx = subset_indexer(d, ell)
     min_eig, max_eig = _eig_range(moment_matrix(pe, idx))
     return FeasibilityReport(
@@ -241,8 +242,7 @@ def certificate_objective(X: NoisyMatrix, pe: PseudoExpectation, s_star: int) ->
     per distinct entry value in exact integers, and each value's sum is
     weighted by the value's exact ratio.
     """
-    if s_star < 2:
-        raise InvalidParams(f"need s_star >= 2, got s_star={s_star}")
+    check_s_star(s_star, pe.d)
     if X.d > pe.d:
         raise MissingValue(f"pseudo-expectation covers d={pe.d}, data has d={X.d}")
     pairs = rank(pe.d, np.column_stack(pair_indices(X.d)))  # X's storage order

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one parameter check
+that every stage taking s_star shares."""
 
 
 class SoslabError(Exception):
@@ -7,6 +8,13 @@ class SoslabError(Exception):
 
 class InvalidParams(SoslabError):
     """Parameters violate their documented constraints."""
+
+
+def check_s_star(s_star: int, d: int) -> None:
+    """Every stage takes 2 <= s_star <= d: the averages divide by
+    s_star * (s_star - 1), and d vertices have no larger subset."""
+    if not 2 <= s_star <= d:
+        raise InvalidParams(f"need 2 <= s_star <= d, got s_star={s_star}, d={d}")
 
 
 class InvalidSupport(InvalidParams):

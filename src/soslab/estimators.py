@@ -13,7 +13,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import InvalidParams, TooLarge
+from .errors import InvalidParams, TooLarge, check_s_star
 from .matrix import NoisyMatrix
 
 EXHAUSTIVE = "exhaustive"
@@ -268,8 +268,7 @@ def scan_estimate(
     """Exact maximum of the submatrix average over all s_star-subsets.
     Branch-and-bound scans exhaustively (``max_subsets`` guard included)
     where its sums could overflow (see `_branch_and_bound`)."""
-    if not 2 <= s_star <= X.d:
-        raise InvalidParams(f"need 2 <= s_star <= d, got s_star={s_star}, d={X.d}")
+    check_s_star(s_star, X.d)
     if strategy not in (EXHAUSTIVE, BRANCH_AND_BOUND):
         raise InvalidParams(f"unknown scan strategy {strategy!r}")
     if max_subsets < 1:

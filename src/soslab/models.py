@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParams, InvalidSupport, RademacherWithSignal
+from .errors import InvalidParams, InvalidSupport, RademacherWithSignal, check_s_star
 from .fields import parse, parse_field
 from .matrix import NoisyMatrix, n_pairs, pair_indices
 from .seeds import generator
@@ -85,8 +85,7 @@ class ModelParams:
             raise InvalidParams(f"unknown model kind {self.kind!r}")
         if self.d < 2:
             raise InvalidParams("d must be >= 2")
-        if not 2 <= self.s_star <= self.d:
-            raise InvalidParams(f"need 2 <= s_star <= d, got s_star={self.s_star}, d={self.d}")
+        check_s_star(self.s_star, self.d)
         if self.beta_star < 0:
             raise InvalidParams("beta_star must be >= 0")
         if self.kind == SUBMATRIX:

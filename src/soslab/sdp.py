@@ -21,10 +21,12 @@ so it is computed once per ``Constraints`` object and shared, read-only,
 by every later solve with the same one: an LRU cache of 8, keyed on the
 object's identity. Assembled programs of one shape share one object; a
 ``Constraints`` built by hand gets its own set-up, even when it equals an
-assembled one in value. The loop uses no scipy.sparse: A y and A^T lambda
-are np.bincount sums over the triplets, in the same order as scipy's CSR
-product, so bit-identical to it. A program without equalities skips the
-projection: y = q / (rho m).
+assembled one in value. The inverse of G, the set-up's one large array
+(1352 x 1352 at d=20, l=2), is computed in the buffer that holds G, so the
+set-up's peak memory is about what it keeps. The loop uses no
+scipy.sparse: A y and A^T lambda are np.bincount sums over the triplets, in
+the same order as scipy's CSR product, so bit-identical to it. A program
+without equalities skips the projection: y = q / (rho m).
 
 Residuals:
 
@@ -76,12 +78,14 @@ class SolverOptions:
     step: float = 1.0
 
     def validate(self) -> None:
-        if self.tol <= 0:
-            raise ValueError("tol must be > 0")
+        # A NaN fails every comparison, so the stop test would never pass;
+        # an infinite tol passes it at the first iterate.
+        if not 0 < self.tol < np.inf:
+            raise ValueError(f"tol must be finite and > 0, got {self.tol}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if self.step <= 0:
-            raise ValueError("step must be > 0")
+        if not 0 < self.step < np.inf:
+            raise ValueError(f"step must be finite and > 0, got {self.step}")
 
 
 @dataclass
@@ -153,26 +157,43 @@ _PIVOT_RATIO = 1e-6
 
 
 def _equality_inverse(A: scipy.sparse.csr_matrix, inv_m: np.ndarray) -> np.ndarray:
-    """Inverse of G = A diag(1/m) A^T, or its eigen pseudo-inverse when the
-    equality rows are linearly dependent (then A y = b is still met exactly
-    for consistent b)."""
+    """Inverse of G = A diag(1/m) A^T, symmetric and in Fortran order, or
+    its eigen pseudo-inverse when the equality rows are linearly dependent
+    (then A y = b is still met exactly for consistent b).
+
+    G is built once, in C order; being symmetric, that buffer is the same
+    matrix in Fortran order, which LAPACK overwrites without a copy. potrf
+    writes the Cholesky factor over its lower triangle, potri the inverse
+    over the factor, and the upper triangle is mirrored from the lower one.
+    The rank-deficient path rebuilds G in the same buffer and holds one
+    more n x n array, the eigenvectors.
+    """
     import scipy.linalg
     import scipy.sparse
+    from scipy.linalg.lapack import dpotrf, dpotri
 
     if A.shape[0] == 0:
         return np.zeros((0, 0))
-    G = (A @ scipy.sparse.diags(inv_m) @ A.T).toarray()
-    try:
-        cho = scipy.linalg.cho_factor(G)
-        pivots = np.diag(cho[0])
-        if pivots.min() > _PIVOT_RATIO * pivots.max():
-            return scipy.linalg.cho_solve(cho, np.eye(len(G)))
-    except scipy.linalg.LinAlgError:
-        pass
-    w, Q = np.linalg.eigh(G)
+    G_sparse = A @ scipy.sparse.diags(inv_m) @ A.T
+    G = G_sparse.toarray()
+    # clean=0: potrf leaves the upper triangle as it is, no pass over it.
+    L, info = dpotrf(G.T, lower=1, clean=0, overwrite_a=1)
+    pivots = np.diagonal(L)
+    if info == 0 and pivots.min() > _PIVOT_RATIO * pivots.max():
+        inv, info = dpotri(L, lower=1, overwrite_c=1)
+        if info == 0:
+            for j in range(len(inv) - 1):
+                inv[j, j + 1:] = inv[j + 1:, j]
+            return inv
+    # csr_todense adds into its output, so clear the factor first.
+    G.fill(0.0)
+    G_sparse.toarray(out=G)
+    w, Q = scipy.linalg.eigh(G.T, overwrite_a=True, check_finite=False)
     cut = max(w.max(), 1.0) * 1e-12
-    inv_w = np.where(w > cut, 1.0 / np.maximum(w, cut), 0.0)
-    return (Q * inv_w) @ Q.T
+    # Q diag(1/w) Q^T as P P^T with P = Q diag(1/sqrt(w)), scaled in place.
+    Q *= np.where(w > cut, 1.0 / np.sqrt(np.maximum(w, cut)), 0.0)
+    np.matmul(Q, Q.T, out=G)
+    return G.T
 
 
 @dataclass(frozen=True)
@@ -189,7 +210,7 @@ class _Setup:
     rows: np.ndarray  # row of each stored entry of A
     cols: np.ndarray  # column of each stored entry of A
     data: np.ndarray  # value of each stored entry of A
-    G_inv: np.ndarray  # Fortran order, so symv reads it without a copy
+    G_inv: np.ndarray  # symmetric, Fortran order: symv reads it without a copy
 
     def a_mul(self, x: np.ndarray) -> np.ndarray:
         """A @ x (A has len(G_inv) rows)."""
@@ -213,7 +234,7 @@ def _setup(constraints: Constraints) -> _Setup:
     inv_m = 1.0 / m
     rows = np.repeat(np.arange(A.shape[0], dtype=np.intp), np.diff(A.indptr))
     cols = A.indices.astype(np.intp)
-    G_inv = np.asfortranarray(_equality_inverse(A, inv_m))
+    G_inv = _equality_inverse(A, inv_m)
     for arr in (inv_m, rows, cols, G_inv):
         arr.flags.writeable = False
     return _Setup(inv_m=inv_m, rows=rows, cols=cols, data=A.data, G_inv=G_inv)

@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping
 
 import numpy as np
 
-from .errors import InvalidParams, MissingValue
+from .errors import InvalidParams, MissingValue, check_s_star
 from .matrix import NoisyMatrix
 from .subsets import (
     NonzeroView,
@@ -243,8 +243,7 @@ def _constraints(
 
 def assemble_level(X: NoisyMatrix, s_star: int, ell: int) -> SosProgram:
     """The level-``ell`` relaxation of the scan problem, in reduced form."""
-    if not 2 <= s_star <= X.d:
-        raise InvalidParams(f"need 2 <= s_star <= d, got s_star={s_star}, d={X.d}")
+    check_s_star(s_star, X.d)
     if ell < 1:
         raise InvalidParams("ell must be >= 1")
     idx = subset_indexer(X.d, ell)
@@ -253,8 +252,7 @@ def assemble_level(X: NoisyMatrix, s_star: int, ell: int) -> SosProgram:
 
 def assemble_basic(X: NoisyMatrix, s_star: int) -> SosProgram:
     """The basic (d+1) x (d+1) relaxation; see the module docstring."""
-    if not 2 <= s_star <= X.d:
-        raise InvalidParams(f"need 2 <= s_star <= d, got s_star={s_star}, d={X.d}")
+    check_s_star(s_star, X.d)
     idx = subset_indexer(X.d, 1)
     return _program(X, s_star, idx, _basic_equalities(idx, s_star))
 

@@ -303,8 +303,21 @@ def test_objective_rejects_s_star_below_2():
     pe = build_certificate(expansivity_table(complete_graph(4), 1), 2, 1)
     X = NoisyMatrix(d=4, entries=np.ones(6))
     for s_star in (-1, 0, 1):
-        with pytest.raises(InvalidParams, match=f"need s_star >= 2, got s_star={s_star}"):
+        with pytest.raises(InvalidParams, match=f"need 2 <= s_star <= d, got s_star={s_star}, d=4"):
             certificate_objective(X, pe, s_star)
+
+
+@pytest.mark.parametrize("s_star", [-1, 0, 1, 5, 9])
+def test_verify_and_objective_reject_s_star_outside_2_to_d(s_star):
+    # the same range and message as build_certificate; d is the
+    # certificate's dimension, 4 here
+    pe = build_certificate(expansivity_table(complete_graph(4), 1), 2, 1)
+    X = NoisyMatrix(d=4, entries=np.ones(6))
+    message = f"need 2 <= s_star <= d, got s_star={s_star}, d=4"
+    with pytest.raises(InvalidParams, match=message):
+        verify_certificate(pe, 4, s_star, 1)
+    with pytest.raises(InvalidParams, match=message):
+        certificate_objective(X, pe, s_star)
 
 
 def dense_rowsum_violation(pe, d, s_star, ell):
@@ -341,16 +354,16 @@ def _subset(draw, d, max_size):
 
 @st.composite
 def perturbed_certificates(draw):
-    """An expansivity certificate (or an indicator when it is undefined or
-    s_star > d), then exact bumps, deletions, new keys, zeros and keys that
-    are not moments: unsorted, repeated, out of range or too large."""
+    """An expansivity certificate (or an indicator when it is undefined),
+    then exact bumps, deletions, new keys, zeros and keys that are not
+    moments: unsorted, repeated, out of range or too large."""
     d = draw(st.integers(3, 9))
     ell = draw(st.sampled_from([1, 2]))
-    s_star = draw(st.integers(2, 2 * ell + 1))
+    s_star = draw(st.integers(2, min(2 * ell + 1, d)))
     entries = st.floats(min_value=-4, max_value=4)
     X = NoisyMatrix(d=d, entries=draw(st.lists(entries, min_size=n_pairs(d), max_size=n_pairs(d))))
     table = expansivity_table(positivity_graph(X, SIGN_POSITIVE), ell)
-    if table.clique_count and s_star <= d:
+    if table.clique_count:
         values = dict(build_certificate(table, s_star, ell).values)
     else:
         values = dict(PseudoExpectation.indicator(_subset(draw, d, d), d, ell).values)

@@ -313,6 +313,14 @@ def test_config_validation(tmp_path):
             gap_config(tmp_path, solver=solver)
 
 
+@pytest.mark.parametrize("field", ["tol", "step"])
+@pytest.mark.parametrize("value", ["nan", "inf", math.inf, math.nan])
+def test_config_rejects_non_finite_solver_settings(tmp_path, field, value):
+    # "nan" and "inf" parse as floats; the solver options reject them
+    with pytest.raises(InvalidParams, match=f"solver: {field} must be finite and > 0"):
+        gap_config(tmp_path, solver={field: value})
+
+
 def raw_config(tmp_path, doc):
     return ExperimentConfig.from_dict(doc)
 

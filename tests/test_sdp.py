@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -184,6 +185,18 @@ def test_options_validation():
         SolverOptions(step=-1.0).validate()
 
 
+@pytest.mark.parametrize("field", ["tol", "step"])
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_options_reject_non_finite_tol_and_step(field, value):
+    # tol=inf would stop a solve at its first iterate as optimal, and
+    # tol=nan never stops it before max_iter
+    options = SolverOptions(**{field: value})
+    with pytest.raises(ValueError, match=f"{field} must be finite and > 0"):
+        options.validate()
+    with pytest.raises(ValueError, match=f"{field} must be finite and > 0"):
+        solve(assemble_basic(NoisyMatrix(d=6, entries=np.ones(n_pairs(6))), 2), options)
+
+
 def _with_doubled_equalities(prog):
     """The same program with its first two equalities repeated."""
     cons = prog.constraints
@@ -242,6 +255,62 @@ def test_setup_cache_keyed_on_identity():
     assert assemble_level(NoisyMatrix(d=5, entries=np.ones(10)), 2, 1).constraints is cons
     for f in fields(first):
         assert np.array_equal(getattr(again, f.name), getattr(first, f.name)), f.name
+
+
+def _normal_matrix(cons):
+    """G = A diag(1/m) A^T of the y-step, dense, and the set-up's inverse
+    read from its lower triangle, the one symv reads."""
+    setup = sdp._setup(cons)
+    G = (cons.A @ scipy.sparse.diags(setup.inv_m) @ cons.A.T).toarray()
+    lower = np.tril(setup.G_inv)
+    return G, lower + np.tril(lower, -1).T
+
+
+_X8 = NoisyMatrix(d=8, entries=generator(5).standard_normal(n_pairs(8)))
+INVERSE_SHAPES = {
+    "basic": assemble_basic(_X8, 3),
+    "level1": assemble_level(_X8, 3, 1),
+    "level2": assemble_level(_X8, 3, 2),
+}
+
+
+@pytest.mark.parametrize("prog", INVERSE_SHAPES.values(), ids=INVERSE_SHAPES.keys())
+def test_setup_inverse_times_normal_matrix_is_identity(prog):
+    G, G_inv = _normal_matrix(prog.constraints)
+    setup = sdp._setup(prog.constraints)
+    assert setup.G_inv.flags.f_contiguous
+    assert np.array_equal(setup.G_inv, setup.G_inv.T)  # the upper triangle is mirrored
+    assert np.abs(G_inv @ G - np.eye(len(G))).max() <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "prog",
+    [_with_doubled_equalities(assemble_basic(single_entry_matrix(3.0), 2)),
+     _with_doubled_equalities(assemble_level(_X8, 3, 1)),
+     assemble_level(NoisyMatrix(d=4, entries=generator(11).standard_normal(n_pairs(4))), 2, 2)],
+    ids=["doubled-basic", "doubled-level1", "rank-deficient-level2"],
+)
+def test_setup_pseudo_inverse_of_dependent_equalities(prog):
+    G, G_inv = _normal_matrix(prog.constraints)
+    assert np.linalg.matrix_rank(G) < len(G)
+    assert np.abs(G @ G_inv @ G - G).max() <= 1e-10 * np.abs(G).max()
+
+
+def test_setup_peak_memory_is_what_it_keeps():
+    # the inverse of G is factored and inverted in G's own buffer, so the
+    # set-up allocates little beyond the arrays it keeps; a copy of G for
+    # the factor, an identity and a solve output would read about 3.9x
+    cons = assemble_level(NoisyMatrix(d=20, entries=np.ones(n_pairs(20))), 3, 2).constraints
+    sdp._setup.__wrapped__(assemble_basic(single_entry_matrix(1.0), 2).constraints)  # imports
+    tracemalloc.start()
+    try:
+        setup = sdp._setup.__wrapped__(cons)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert setup.G_inv.shape == (1352, 1352)
+    kept = sum(arr.nbytes for arr in (setup.inv_m, setup.rows, setup.cols, setup.G_inv))
+    assert peak <= 1.25 * kept
 
 
 def test_solve_without_equalities():
