@@ -1,9 +1,9 @@
 """Command-line front end.
 
-Subcommands: generate, estimate, certify, solve, experiment. Each runs the
+Subcommands: generate, estimate, certify, experiment. Each runs the
 library path the experiments use: ``certify`` is ``certificate.certify``,
-``estimate`` and ``solve`` are ``lab.estimate`` (``solve`` with
-``sos_basic`` or ``sos_level``). Values print to stdout with 17 significant
+``estimate`` is ``lab.estimate`` (the relaxations are its ``sos_basic``
+and ``sos_level`` estimators). Values print to stdout with 17 significant
 digits; reports print as one JSON object. Usage errors exit 2 (argparse);
 numeric or model failures print one JSON error line to stderr and exit 1.
 """
@@ -51,7 +51,10 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--level", type=int, default=1, help="level for sos_level")
     est.add_argument("--strategy", choices=[EXHAUSTIVE, BRANCH_AND_BOUND], default=EXHAUSTIVE)
     est.add_argument("--max-subsets", type=int, default=DEFAULT_MAX_SUBSETS)
-    _add_solver_args(est)
+    solver = SolverOptions()
+    est.add_argument("--tol", type=float, default=solver.tol)
+    est.add_argument("--max-iter", type=int, default=solver.max_iter)
+    est.add_argument("--step", type=float, default=solver.step)
 
     cert = sub.add_parser("certify", help="build and verify the expansivity certificate")
     cert.add_argument("--in", dest="infile", required=True)
@@ -59,31 +62,12 @@ def build_parser() -> argparse.ArgumentParser:
     cert.add_argument("--s", type=int, required=True)
     cert.add_argument("--mode", choices=sorted(_MODES), required=True)
 
-    slv = sub.add_parser("solve", help="solve a relaxation on a matrix file")
-    slv.add_argument("--in", dest="infile", required=True)
-    group = slv.add_mutually_exclusive_group(required=True)
-    group.add_argument("--level", type=int, default=None, help="level of the moment relaxation")
-    group.add_argument("--basic", action="store_true", help="the weaker (d+1)-dim program")
-    slv.add_argument("--s", type=int, required=True, help="subset size in the constraints")
-    _add_solver_args(slv)
-
     exp = sub.add_parser("experiment", help="run a configured experiment to CSV")
     exp.add_argument("--config", required=True)
     exp.add_argument("--out", default=None, help="override the config's output path")
     exp.add_argument("--seed", type=int, default=None, help="override the config's base seed")
 
     return parser
-
-
-def _add_solver_args(parser: argparse.ArgumentParser) -> None:
-    defaults = SolverOptions()
-    parser.add_argument("--tol", type=float, default=defaults.tol)
-    parser.add_argument("--max-iter", type=int, default=defaults.max_iter)
-    parser.add_argument("--step", type=float, default=defaults.step)
-
-
-def _solver_options(args) -> SolverOptions:
-    return SolverOptions(tol=args.tol, max_iter=args.max_iter, step=args.step)
 
 
 def _cmd_generate(args) -> int:
@@ -114,29 +98,11 @@ def _cmd_estimate(args) -> int:
         X,
         args.s,
         level=args.level,
-        solver=_solver_options(args),
+        solver=SolverOptions(tol=args.tol, max_iter=args.max_iter, step=args.step),
         strategy=args.strategy,
         max_subsets=args.max_subsets,
     )
-    return _print_estimate(result)
-
-
-def _cmd_certify(args) -> int:
-    X, _ = read_matrix_json(args.infile)
-    report = certify(X, _MODES[args.mode], args.s, args.level)
-    print(json.dumps(report_to_json_dict(report)))
-    return 0
-
-
-def _cmd_solve(args) -> int:
-    X, _ = read_matrix_json(args.infile)
-    name = "sos_basic" if args.basic else "sos_level"
-    result = estimate(name, X, args.s, level=args.level, solver=_solver_options(args))
-    return _print_estimate(result)
-
-
-def _print_estimate(result) -> int:
-    """Print the value; a solve that stopped at max_iter adds one stderr line."""
+    # A solve that stopped at max_iter adds one stderr line.
     solution = result.solution
     if solution is not None and solution.status == MAX_ITER_REACHED:
         print(
@@ -145,6 +111,13 @@ def _print_estimate(result) -> int:
             file=sys.stderr,
         )
     print(fmt_float(result.value))
+    return 0
+
+
+def _cmd_certify(args) -> int:
+    X, _ = read_matrix_json(args.infile)
+    report = certify(X, _MODES[args.mode], args.s, args.level)
+    print(json.dumps(report_to_json_dict(report)))
     return 0
 
 
@@ -160,7 +133,6 @@ _HANDLERS = {
     "generate": _cmd_generate,
     "estimate": _cmd_estimate,
     "certify": _cmd_certify,
-    "solve": _cmd_solve,
     "experiment": _cmd_experiment,
 }
 

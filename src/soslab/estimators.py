@@ -296,8 +296,7 @@ def scan_estimate(
 
 def avg_estimate(X: NoisyMatrix, s_star: int) -> float:
     """Full-matrix sum (both triangles) divided by s_star(s_star - 1)."""
-    if s_star < 2:
-        raise InvalidParams("s_star must be >= 2")
+    check_s_star(s_star, X.d)
     return 2.0 * float(X.entries.sum()) / (s_star * (s_star - 1))
 
 
@@ -309,6 +308,5 @@ def max_estimate(X: NoisyMatrix) -> float:
 def lp_estimate(X: NoisyMatrix, s_star: int) -> float:
     """Closed-form optimum of the entrywise linear relaxation:
     s_star/(s_star - 1) times the max estimator."""
-    if s_star < 2:
-        raise InvalidParams("s_star must be >= 2")
+    check_s_star(s_star, X.d)
     return s_star / (s_star - 1) * max_estimate(X)

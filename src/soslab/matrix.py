@@ -21,6 +21,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import InvalidParams
+from .fields import parse, parse_field
 
 JSON_FORMAT = "upper-tri-row-major"
 
@@ -98,17 +99,6 @@ class NoisyMatrix:
         full += full.T
         return full
 
-    @classmethod
-    def from_dense(cls, full: np.ndarray) -> "NoisyMatrix":
-        """Build from a full symmetric array; diagonal is ignored."""
-        full = np.asarray(full, dtype=np.float64)
-        if full.ndim != 2 or full.shape[0] != full.shape[1]:
-            raise InvalidParams("expected a square array")
-        if not np.allclose(full, full.T, atol=0.0, rtol=0.0):
-            raise InvalidParams("expected an exactly symmetric array")
-        d = full.shape[0]
-        return cls(d=d, entries=full[pair_indices(d)])
-
     def is_binary(self) -> bool:
         """True when every entry is exactly 0 or 1."""
         return bool(np.all((self.entries == 0.0) | (self.entries == 1.0)))
@@ -136,10 +126,13 @@ def write_matrix_json(path: str, matrix: NoisyMatrix, ground_truth: dict | None 
 
 
 def read_matrix_json(path: str) -> tuple[NoisyMatrix, dict | None]:
-    """Load a matrix file; returns the matrix and the ground-truth dict, if any."""
+    """Load a matrix file; returns the matrix and the ground-truth dict, if
+    any. A malformed file raises ``InvalidParams`` naming the field."""
     with open(path) as fh:
-        doc = json.load(fh)
+        doc = parse(dict, json.load(fh), "matrix")
     if doc.get("format") != JSON_FORMAT:
         raise InvalidParams(f"unsupported matrix format: {doc.get('format')!r}")
-    matrix = NoisyMatrix(d=int(doc["d"]), entries=np.asarray(doc["entries"], dtype=np.float64))
+    entries = parse_field(doc, "entries", list)
+    values = [parse(float, v, f"entries[{i}]") for i, v in enumerate(entries)]
+    matrix = NoisyMatrix(d=parse_field(doc, "d", int), entries=np.array(values, dtype=np.float64))
     return matrix, doc.get("ground_truth")

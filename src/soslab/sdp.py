@@ -16,17 +16,16 @@ is ADMM on the splitting Z = M(y), Z PSD, with scaled dual U:
   U-step   U += M(y) - Z.
 
 The set-up (1/m, the CSR triplets of A and the inverse of G) reads only
-the program's ``Constraints``, the entry map and A of its shape, never c,
-so it is computed once per ``Constraints`` object and shared, read-only,
-by every later solve with the same one: an LRU cache of 8, keyed on the
-object's identity. Assembled programs of one shape share one object; a
-``Constraints`` built by hand gets its own set-up, even when it equals an
-assembled one in value. The inverse of G, the set-up's one large array
-(1352 x 1352 at d=20, l=2), is computed in the buffer that holds G, so the
-set-up's peak memory is about what it keeps. The loop uses no
-scipy.sparse: A y and A^T lambda are np.bincount sums over the triplets, in
-the same order as scipy's CSR product, so bit-identical to it. A program
-without equalities skips the projection: y = q / (rho m).
+the program's ``Constraints``, never c, so it lives on that object: cached
+properties computed by its first solve and read-only, shared by every later
+solve of the same object. ``sos`` builds one ``Constraints`` per shape and
+shares it, so every program of a shape shares one set-up. The inverse of G,
+the set-up's one large array (1352 x 1352 at d=20, l=2), is computed in the
+buffer that holds G, so the set-up's peak memory is about what it keeps.
+The loop uses no scipy.sparse: A y and A^T lambda are np.bincount sums
+over the triplets, in the same order as scipy's CSR product, so
+bit-identical to it. A program without equalities skips the projection:
+y = q / (rho m).
 
 Residuals:
 
@@ -52,16 +51,17 @@ this is deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import EigFailure
-from .sos import Constraints, SosProgram
 
 if TYPE_CHECKING:
     import scipy.sparse
+
+    from .sos import SosProgram
 
 OPTIMAL = "optimal"
 MAX_ITER_REACHED = "max-iter-reached"
@@ -196,57 +196,75 @@ def _equality_inverse(A: scipy.sparse.csr_matrix, inv_m: np.ndarray) -> np.ndarr
     return G.T
 
 
-@dataclass(frozen=True)
-class _Setup:
-    """What the iteration needs of one ``Constraints``; all arrays read-only.
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
 
-    A is kept as its CSR triplets in CSR order: ``np.bincount`` adds the
-    terms of each sum in that order from 0.0, as scipy's CSR product does,
-    so the products below are bit-identical to scipy's without its per-call
-    overhead.
+
+@dataclass(frozen=True, eq=False)
+class Constraints:
+    """The equalities ``A y = b`` of one program shape, with the entry map
+    of its moment matrix, and the solver's set-up for them; every array
+    read-only.
+
+    ``inv_m``, ``rows``, ``cols`` and ``G_inv`` are computed on first use
+    and kept. A is read through its CSR triplets in CSR order:
+    ``np.bincount`` adds the terms of each sum in that order from 0.0, as
+    scipy's CSR product does, so ``a_mul`` and ``at_mul`` are bit-identical
+    to scipy's without its per-call overhead. Compared and hashed by
+    identity (``eq=False``); ``len()`` is the number of equality rows.
     """
 
-    inv_m: np.ndarray  # 1 / (cell count) per variable
-    rows: np.ndarray  # row of each stored entry of A
-    cols: np.ndarray  # column of each stored entry of A
-    data: np.ndarray  # value of each stored entry of A
-    G_inv: np.ndarray  # symmetric, Fortran order: symv reads it without a copy
+    entry_map: np.ndarray
+    A: scipy.sparse.csr_matrix
+    b: np.ndarray
+
+    def __post_init__(self) -> None:
+        for arr in (self.entry_map, self.A.data, self.A.indices, self.A.indptr, self.b):
+            arr.flags.writeable = False
+
+    def __len__(self) -> int:
+        return self.A.shape[0]
+
+    @cached_property
+    def inv_m(self) -> np.ndarray:
+        """1 / (cell count) per variable; every variable appears in the
+        matrix, so m >= 1 (program invariant)."""
+        m = np.bincount(self.entry_map.ravel(), minlength=self.A.shape[1]).astype(np.float64)
+        return _read_only(1.0 / m)
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        """Row of each stored entry of A."""
+        return _read_only(np.repeat(np.arange(len(self), dtype=np.intp), np.diff(self.A.indptr)))
+
+    @cached_property
+    def cols(self) -> np.ndarray:
+        """Column of each stored entry of A."""
+        return _read_only(self.A.indices.astype(np.intp))
+
+    @cached_property
+    def G_inv(self) -> np.ndarray:
+        """Inverse of G = A diag(1/m) A^T; symmetric, in Fortran order, so
+        symv reads it without a copy."""
+        return _read_only(_equality_inverse(self.A, self.inv_m))
 
     def a_mul(self, x: np.ndarray) -> np.ndarray:
-        """A @ x (A has len(G_inv) rows)."""
-        return np.bincount(self.rows, weights=self.data * x[self.cols], minlength=len(self.G_inv))
+        """A @ x."""
+        return np.bincount(self.rows, weights=self.A.data * x[self.cols], minlength=len(self.b))
 
     def at_mul(self, lam: np.ndarray) -> np.ndarray:
         """A^T @ lam."""
-        return np.bincount(self.cols, weights=self.data * lam[self.rows], minlength=len(self.inv_m))
-
-
-# The level-2 set-up at d=16 holds a 698 x 698 inverse (3.9 MB); the gap
-# experiment uses three shapes.
-_SETUPS_CACHED = 8
-
-
-@lru_cache(maxsize=_SETUPS_CACHED)
-def _setup(constraints: Constraints) -> _Setup:
-    A = constraints.A
-    m = np.bincount(constraints.entry_map.ravel(), minlength=A.shape[1]).astype(np.float64)
-    # Every variable appears in the matrix, so m >= 1 (program invariant).
-    inv_m = 1.0 / m
-    rows = np.repeat(np.arange(A.shape[0], dtype=np.intp), np.diff(A.indptr))
-    cols = A.indices.astype(np.intp)
-    G_inv = _equality_inverse(A, inv_m)
-    for arr in (inv_m, rows, cols, G_inv):
-        arr.flags.writeable = False
-    return _Setup(inv_m=inv_m, rows=rows, cols=cols, data=A.data, G_inv=G_inv)
+        return np.bincount(self.cols, weights=self.A.data * lam[self.rows], minlength=len(self.inv_m))
 
 
 def solve(program: SosProgram, options: SolverOptions | None = None) -> SdpSolution:
     """Run the splitting iteration on an assembled program."""
     options = options or SolverOptions()
     options.validate()
-    setup = _setup(program.constraints)
-    entry, b, c = program.entry_map, program.constraints.b, program.c
-    inv_m, G_inv = setup.inv_m, setup.G_inv
+    cons = program.constraints
+    entry, b, c = cons.entry_map, cons.b, program.c
+    inv_m, G_inv = cons.inv_m, cons.G_inv
     entry_flat = entry.ravel()
     symv = _symv()
     V = program.var_count
@@ -264,8 +282,8 @@ def solve(program: SosProgram, options: SolverOptions | None = None) -> SdpSolut
         w = np.bincount(entry_flat, weights=np.subtract(Z, U, out=T).ravel(), minlength=V)
         q = rho * w + c
         if b.size:
-            lam = symv(1.0, G_inv, setup.a_mul(q * inv_m) - rho * b, lower=1)
-            q = q - setup.at_mul(lam)
+            lam = symv(1.0, G_inv, cons.a_mul(q * inv_m) - rho * b, lower=1)
+            q = q - cons.at_mul(lam)
         return q * inv_m / rho
 
     primal = dual = eq_res = psd_gap = np.inf
@@ -286,7 +304,7 @@ def solve(program: SosProgram, options: SolverOptions | None = None) -> SdpSolut
         # while psd_gap > tol, by the rho adaptation and by the return.
         if psd_gap > options.tol and not adapt and it < options.max_iter:
             continue
-        eq_res = float(np.max(np.abs(setup.a_mul(y) - b))) if b.size else 0.0
+        eq_res = float(np.max(np.abs(cons.a_mul(y) - b))) if b.size else 0.0
         primal = eq_res + psd_gap
         dual = rho * float(np.linalg.norm(np.subtract(Z, Z_prev, out=T)))
         bar = options.tol * (1.0 + abs(value))

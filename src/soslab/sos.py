@@ -11,10 +11,10 @@ the explicit equalities are only
 
 stored in that folded, sparse form. They depend only on the program's
 shape, (d, s_star, ell) or (d, s_star) for the basic program, never on the
-data. Each shape's equalities live in one ``Constraints`` object: the entry
-map, a CSR ``A`` and ``b``, all read-only. It is built once and shared by
-every program of that shape (a bounded LRU cache), and it compares by
-identity, so the solver keys its set-up cache on the object itself. An
+data. Each shape's equalities live in one ``sdp.Constraints`` object: the
+entry map, a CSR ``A`` and ``b``, all read-only, and the solver's set-up
+for them once a program of the shape is solved. It is built once and
+shared by every program of that shape (a bounded LRU cache). An
 ``assemble_*`` call computes only the objective vector ``c``, with weight
 2*X_ij on each pair variable; the reported value divides by
 ``scale = s_star*(s_star-1)``.
@@ -26,22 +26,20 @@ but omits family (b) at singletons, so level 1 is the tighter program.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
 from .errors import InvalidParams, MissingValue, check_s_star
 from .matrix import NoisyMatrix
+from .sdp import Constraints
 from .subsets import (
     NonzeroView,
     SubsetIndexer,
     canonical_key,
-    is_subset_key,
-    key_index,
     parents,
     sizes,
     subset_counts,
@@ -49,31 +47,7 @@ from .subsets import (
     var_count,
 )
 
-if TYPE_CHECKING:
-    import scipy.sparse
-
 _ZERO = Fraction(0)
-
-
-@dataclass(frozen=True, eq=False)
-class Constraints:
-    """The equalities ``A y = b`` of one program shape, with the entry map
-    of its moment matrix; every array read-only from construction.
-
-    Compared and hashed by identity (``eq=False``): the solver caches its
-    set-up per object. ``len()`` is the number of equality rows.
-    """
-
-    entry_map: np.ndarray
-    A: scipy.sparse.csr_matrix
-    b: np.ndarray
-
-    def __post_init__(self) -> None:
-        for arr in (self.entry_map, self.A.data, self.A.indices, self.A.indptr, self.b):
-            arr.flags.writeable = False
-
-    def __len__(self) -> int:
-        return self.A.shape[0]
 
 
 @dataclass(frozen=True)
@@ -151,25 +125,6 @@ class PseudoExpectation:
         return (self.num.astype(object) / self.den).astype(np.float64)
 
     @classmethod
-    def from_values(
-        cls,
-        d: int,
-        ell: int,
-        s_star: int,
-        values: Mapping[tuple[int, ...], Fraction],
-        eta_empty: int | None = None,
-    ) -> "PseudoExpectation":
-        """From a map of subsets to rationals. Zero values, and keys that
-        are not moments (sorted tuples inside 1..d of size <= 2*ell), are
-        ignored; the denominator is the least common one."""
-        moments = {k: v for k, v in values.items() if v and is_subset_key(k, d, 2 * ell)}
-        den = math.lcm(*{v.denominator for v in moments.values()})
-        nums = [v.numerator * (den // v.denominator) for v in moments.values()]
-        num = np.zeros(var_count(d, 2 * ell), dtype=exact_dtype(max(map(abs, nums), default=0)))
-        num[[key_index(d, key) for key in moments]] = nums
-        return cls(d=d, ell=ell, s_star=s_star, num=num, den=den, eta_empty=eta_empty)
-
-    @classmethod
     def indicator(cls, support: Iterable[int], d: int, ell: int) -> "PseudoExpectation":
         """The integral lift of a vertex subset: y[T] = 1 iff T is inside it."""
         supp = np.array([canonical_key(support)], dtype=np.int64).reshape(1, -1) - 1
@@ -189,10 +144,11 @@ def max_abs(arr: np.ndarray) -> int:
     return int(np.abs(arr).max()) if arr.size else 0
 
 
-# Equality systems per shape. The level-2 system at d=16 (698 rows) holds
-# 0.12 MB of CSR arrays beside its 0.15 MB entry map (the indexer's); the
-# bound keeps a long run over many shapes from growing.
-_SHAPES_CACHED = 16
+# Equality systems per shape, each with the solver's set-up once solved:
+# the one bound on per-shape solver state. The level-2 system at d=16 (698
+# rows) keeps a 3.9 MB inverse (14.6 MB at d=20) beside 0.12 MB of CSR
+# arrays and its 0.15 MB entry map (the indexer's).
+_SHAPES_CACHED = 8
 
 
 @lru_cache(maxsize=_SHAPES_CACHED)

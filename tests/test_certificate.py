@@ -31,6 +31,7 @@ import soslab
 from soslab.seeds import generator
 from soslab.sos import PseudoExpectation, moment_matrix
 from soslab.subsets import subset_indexer
+from constructors import pe_from_values
 from subset_order import subsets_up_to
 
 PATH_3 = NoisyMatrix(d=3, entries=np.array([1.0, -1.0, 1.0]))  # edges 1-2, 2-3
@@ -189,7 +190,7 @@ def test_verify_detects_exact_perturbation():
     pe = build_certificate(expansivity_table(complete_graph(4), 1), 2, 1)
     values = dict(pe.values)
     values[(1, 2)] = values[(1, 2)] + Fraction(1, 100)
-    bent = PseudoExpectation.from_values(d=4, ell=1, s_star=2, values=values, eta_empty=pe.eta_empty)
+    bent = pe_from_values(d=4, ell=1, s_star=2, values=values, eta_empty=pe.eta_empty)
     report = verify_certificate(bent, 4, 2, 1)
     assert report.rowsum_max_violation == Fraction(1, 100)
 
@@ -388,7 +389,7 @@ def perturbed_certificates(draw):
                 )
             )
             values[key] = draw(fractions.filter(bool))
-    pe = PseudoExpectation.from_values(d=d, ell=ell, s_star=s_star, values=values)
+    pe = pe_from_values(d=d, ell=ell, s_star=s_star, values=values)
     return pe, X
 
 
@@ -417,7 +418,7 @@ def test_verify_zero_rows_add_exact_zero_eigenvalue():
     # Rows {2}, {3}, {4} are zero; the block on {empty, {1}} is
     # [[1, 1/2], [1/2, 1/2]] (determinant 1/4), so lambda_min is the
     # zero rows' eigenvalue, exactly 0.
-    pe = PseudoExpectation.from_values(d=4, ell=1, s_star=2, values={(): Fraction(1), (1,): Fraction(1, 2)})
+    pe = pe_from_values(d=4, ell=1, s_star=2, values={(): Fraction(1), (1,): Fraction(1, 2)})
     report = verify_certificate(pe, 4, 2, 1)
     assert report.min_eigenvalue == 0.0
     assert report.psd
@@ -425,7 +426,7 @@ def test_verify_zero_rows_add_exact_zero_eigenvalue():
 
 
 def test_verify_all_zero_moments():
-    report = verify_certificate(PseudoExpectation.from_values(d=4, ell=1, s_star=2, values={}), 4, 2, 1)
+    report = verify_certificate(pe_from_values(d=4, ell=1, s_star=2, values={}), 4, 2, 1)
     assert report.min_eigenvalue == 0.0
     assert report.psd
     assert not report.normalization_ok
@@ -441,7 +442,7 @@ def test_verify_rowsum_at_deleted_key():
     values = dict(pe.values)
     del values[(1,)]
     values[()] = Fraction(3, 4)
-    bent = PseudoExpectation.from_values(d=4, ell=1, s_star=2, values=values)
+    bent = pe_from_values(d=4, ell=1, s_star=2, values=values)
     assert dense_rowsum_violation(bent, 4, 2, 1) == Fraction(1, 2)
     report = verify_certificate(bent, 4, 2, 1)
     assert report.rowsum_max_violation == Fraction(1, 2)
@@ -454,7 +455,7 @@ def test_verify_rowsum_at_key_without_supersets():
     # at {2}, {3}, {4} are off by only 1/2 - 2/6 = 1/6.
     pe = build_certificate(expansivity_table(complete_graph(4), 1), 2, 1)
     values = {k: v for k, v in pe.values.items() if not (len(k) == 2 and 1 in k)}
-    bent = PseudoExpectation.from_values(d=4, ell=1, s_star=2, values=values)
+    bent = pe_from_values(d=4, ell=1, s_star=2, values=values)
     assert dense_rowsum_violation(bent, 4, 2, 1) == Fraction(1, 2)
     report = verify_certificate(bent, 4, 2, 1)
     assert report.rowsum_max_violation == Fraction(1, 2)
@@ -470,12 +471,12 @@ def test_python_int_path_matches_dense_reference():
     values[(1, 2)] += Fraction(1, 2**61 - 1)
     values[(3, 4, 5)] -= Fraction(1, 2**31 - 1)
     values[(2,)] = Fraction(2**61 - 1, 2**31 - 1)
-    pe = PseudoExpectation.from_values(d=6, ell=2, s_star=5, values=values)
+    pe = pe_from_values(d=6, ell=2, s_star=5, values=values)
     assert pe.num.dtype == object and pe.den > 2**63
     # Numerators that fit int64, but whose row sums would not; and one
     # above 2**53, whose float must be rounded once, not twice:
     # (2**54 + 1) / 3 is nearer 6004799503160662 than 2**54 / 3 is.
-    big = PseudoExpectation.from_values(
+    big = pe_from_values(
         d=6, ell=2, s_star=5,
         values={(): Fraction(1), (1,): Fraction(2**54 + 1, 3), (1, 2): Fraction(-(2**61)), (2, 3, 4): Fraction(3)},
     )

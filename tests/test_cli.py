@@ -1,4 +1,5 @@
 import json
+from functools import partial
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ from soslab.cli import main
 from soslab.lab import ESTIMATORS, ExperimentConfig, fmt_float, run_gap_experiment
 from soslab.matrix import read_matrix_json, write_matrix_json
 from soslab.models import generate
+from soslab.sdp import MAX_ITER_REACHED, SolverOptions, solve
+from soslab.sos import assemble_basic, assemble_level
 
 
 def run_cli(capsys, *args):
@@ -70,11 +73,13 @@ def test_estimate_sos_level(tmp_path, capsys):
     assert float(stdout) >= 4.0 - 1e-5
 
 
-def test_solve_basic_analytic(tmp_path, capsys):
+def test_estimate_basic_analytic(tmp_path, capsys):
     path = str(tmp_path / "pair.json")
     doc = {"d": 2, "format": "upper-tri-row-major", "entries": [3.0]}
     (tmp_path / "pair.json").write_text(json.dumps(doc))
-    code, stdout, _ = run_cli(capsys, "solve", "--in", path, "--basic", "--s", "2")
+    code, stdout, _ = run_cli(
+        capsys, "estimate", "--in", path, "--estimator", "sos_basic", "--s", "2"
+    )
     assert code == 0
     assert float(stdout) == pytest.approx(3.0, abs=1e-5)
 
@@ -116,12 +121,51 @@ def test_numeric_failures_exit_1_with_json_line(tmp_path, capsys):
     assert json.loads(stderr)["error"] == "FileNotFoundError"
 
 
+@pytest.mark.parametrize("estimator", ["avg", "lp"])
+@pytest.mark.parametrize("s_star", [1, 9])
+def test_closed_forms_reject_s_star_outside_2_to_d(tmp_path, capsys, estimator, s_star):
+    path = write_example_matrix(tmp_path)
+    code, stdout, stderr = run_cli(
+        capsys, "estimate", "--in", path, "--estimator", estimator, "--s", str(s_star)
+    )
+    assert (code, stdout) == (1, "")
+    assert json.loads(stderr) == {
+        "error": "InvalidParams",
+        "message": f"need 2 <= s_star <= d, got s_star={s_star}, d=3",
+    }
+
+
+MALFORMED_MATRIX_FILES = {
+    "not-an-object": ([1, 2], "matrix: expected dict, got [1, 2]"),
+    "null-d": ({"d": None, "entries": [1.0]}, "d: expected int, got None"),
+    "object-entry": ({"d": 2, "entries": [{"a": 1}]}, "entries[0]: expected float, got {'a': 1}"),
+    "no-entries": ({"d": 2}, "entries: missing"),
+}
+
+
+@pytest.mark.parametrize(
+    "doc, message", MALFORMED_MATRIX_FILES.values(), ids=MALFORMED_MATRIX_FILES.keys()
+)
+def test_malformed_matrix_file_exits_1_naming_the_field(tmp_path, capsys, doc, message):
+    if isinstance(doc, dict):
+        doc = {"format": "upper-tri-row-major", **doc}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, stdout, stderr = run_cli(capsys, "estimate", "--in", str(path), "--estimator", "max")
+    assert (code, stdout) == (1, "")
+    assert stderr.count("\n") == 1
+    assert json.loads(stderr) == {"error": "InvalidParams", "message": message}
+
+
 def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["estimate", "--estimator", "scan"])  # missing --in
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         main(["certify", "--in", "x.json", "--level", "1", "--s", "2", "--mode", "fuzzy"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--in", "x.json", "--basic", "--s", "2"])  # folded into estimate
     assert exc.value.code == 2
 
 
@@ -187,21 +231,29 @@ def test_estimate_matches_gap_rows(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "estimator, program", [("sos_basic", ["--basic"]), ("sos_level", ["--level", "1"])]
+    "estimator, program",
+    [("sos_basic", partial(assemble_basic, s_star=3)),
+     ("sos_level", partial(assemble_level, s_star=3, ell=1))],
 )
 def test_estimate_warns_like_solve_at_max_iter(tmp_path, capsys, estimator, program):
-    # 50 iterations do not converge here; both commands still print the
-    # value and exit 0, with the same warning line on stderr
+    # 50 iterations do not converge here; the command still prints the
+    # value of the library solve and exits 0, with its residuals in one
+    # warning line on stderr
     path = str(tmp_path / "d9.json")
     code, _, _ = run_cli(
         capsys, "generate", "--model", "submatrix", "--d", "9", "--s", "3",
         "--beta", "1", "--seed", "3", "--out", path,
     )
     assert code == 0
-    est = run_cli(
+    code, stdout, stderr = run_cli(
         capsys, "estimate", "--in", path, "--estimator", estimator, "--s", "3",
         "--level", "1", "--max-iter", "50",
     )
-    slv = run_cli(capsys, "solve", "--in", path, *program, "--s", "3", "--max-iter", "50")
-    assert slv[2].startswith("warning: max_iter reached (primal=")
-    assert est == slv
+    sol = solve(program(read_matrix_json(path)[0]), SolverOptions(max_iter=50))
+    assert sol.status == MAX_ITER_REACHED
+    assert code == 0
+    assert stdout == fmt_float(sol.value) + "\n"
+    assert stderr == (
+        f"warning: max_iter reached (primal={sol.primal_residual:.3g}, "
+        f"dual={sol.dual_residual:.3g})\n"
+    )

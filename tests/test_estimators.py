@@ -23,6 +23,7 @@ from soslab.estimators import (
 from soslab.matrix import NoisyMatrix, n_pairs, pair_index
 from soslab.models import ModelParams, Noise, generate
 from soslab.seeds import generator
+from constructors import matrix_from_dense
 
 
 def brute_force_scan(X, s_star):
@@ -333,6 +334,14 @@ def test_lp_examples():
     assert lp_estimate(NoisyMatrix(d=3, entries=np.zeros(3)), 2) == 0.0
 
 
+@pytest.mark.parametrize("estimator", [avg_estimate, lp_estimate])
+@pytest.mark.parametrize("s_star", [-1, 0, 1, 5, 9])
+def test_closed_forms_reject_s_star_outside_2_to_d(estimator, s_star):
+    X = NoisyMatrix(d=4, entries=np.ones(6))
+    with pytest.raises(InvalidParams, match=f"need 2 <= s_star <= d, got s_star={s_star}, d=4"):
+        estimator(X, s_star)
+
+
 def test_scan_at_pairs_equals_max_exactly():
     rng = generator(4)
     for _ in range(20):
@@ -366,7 +375,7 @@ def test_permutation_equivariance():
         dense = X.to_dense()
         permuted = np.zeros_like(dense)
         permuted[np.ix_(perm, perm)] = dense
-        Y = NoisyMatrix.from_dense(permuted)
+        Y = matrix_from_dense(permuted)
         assert scan_estimate(Y, s).value == pytest.approx(scan_estimate(X, s).value, abs=1e-12)
         mapped = frozenset(int(perm[v - 1]) + 1 for v in scan_estimate(X, s).support)
         assert scan_estimate(Y, s).support == mapped or scan_estimate(Y, s).value == pytest.approx(

@@ -11,6 +11,7 @@ from soslab.matrix import (
     read_matrix_json,
     write_matrix_json,
 )
+from constructors import matrix_from_dense
 
 
 def test_pair_index_round_trip():
@@ -57,7 +58,7 @@ def test_dense_round_trip():
     full = rng.standard_normal((5, 5))
     full = full + full.T
     np.fill_diagonal(full, 0.0)
-    X = NoisyMatrix.from_dense(full)
+    X = matrix_from_dense(full)
     assert np.array_equal(X.to_dense(), full)
 
 

@@ -11,6 +11,7 @@ from soslab.models import (
     sample_support,
 )
 from soslab.seeds import generator, mix_seed
+from constructors import matrix_from_dense
 
 
 def submatrix_params(**kw):
@@ -173,7 +174,6 @@ def test_sbm_exchangeable_null_statistics_relabel_invariant():
     # with beta = beta_tilde the law ignores the support, so relabeling the
     # vertices leaves every label-free estimator value unchanged
     from soslab.estimators import avg_estimate, max_estimate, scan_estimate
-    from soslab.matrix import NoisyMatrix
 
     inst = generate(sbm_params(d=9, s_star=3, beta_star=0.5, beta_tilde=0.5, seed=44))
     dense = inst.matrix.to_dense()
@@ -181,7 +181,7 @@ def test_sbm_exchangeable_null_statistics_relabel_invariant():
     perm = rng.permutation(9)
     relabeled = np.zeros_like(dense)
     relabeled[np.ix_(perm, perm)] = dense
-    Y = NoisyMatrix.from_dense(relabeled)
+    Y = matrix_from_dense(relabeled)
     assert max_estimate(Y) == max_estimate(inst.matrix)
     assert avg_estimate(Y, 3) == avg_estimate(inst.matrix, 3)
     assert scan_estimate(Y, 3).value == scan_estimate(inst.matrix, 3).value

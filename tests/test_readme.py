@@ -20,7 +20,7 @@ def test_readme_cli_commands_run(tmp_path, monkeypatch):
     block = re.search(r"## CLI\n\n```\n(.*?)```", README.read_text(), flags=re.DOTALL).group(1)
     commands = [shlex.split(line) for line in block.splitlines()]
     commands = [argv for argv in commands if argv[1] != "experiment"]
-    assert [argv[1] for argv in commands] == ["generate", "certify", "estimate", "solve"]
+    assert [argv[1] for argv in commands] == ["generate", "certify", "estimate", "estimate"]
     monkeypatch.chdir(tmp_path)
     for argv in commands:
         assert argv[0] == "soslab"

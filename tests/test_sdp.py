@@ -12,14 +12,16 @@ from soslab.certificate import (
     expansivity_table,
     positivity_graph,
 )
-from soslab import sdp
+from soslab import sdp, sos
 from soslab.errors import EigFailure
 from soslab.estimators import lp_estimate, scan_estimate
+from soslab.lab import ExperimentConfig, run_gap_experiment
 from soslab.matrix import NoisyMatrix, n_pairs
 from soslab.models import ModelParams, Noise, generate
 from soslab.sdp import MAX_ITER_REACHED, OPTIMAL, SolverOptions, project_psd, solve
 from soslab.seeds import generator
 from soslab.sos import Constraints, SosProgram, assemble_basic, assemble_level
+from soslab.subsets import subset_indexer
 
 CVXPY_REASON = "cvxpy used only as an independent oracle"
 
@@ -235,24 +237,41 @@ def test_cached_arrays_are_read_only():
     prog = assemble_level(NoisyMatrix(d=5, entries=np.ones(10)), 2, 1)
     solve(prog)
     cons = prog.constraints
-    setup = sdp._setup(cons)
     arrays = (cons.A.data, cons.A.indices, cons.A.indptr, cons.b, cons.entry_map,
-              setup.inv_m, setup.rows, setup.cols, setup.data, setup.G_inv)
+              cons.inv_m, cons.rows, cons.cols, cons.G_inv)
     for arr in arrays:
         with pytest.raises(ValueError):
             arr.flat[0] = 1.0
 
 
-def test_setup_cache_keyed_on_identity():
-    # programs of one shape share their Constraints; one equal in value but
-    # built by hand gets its own set-up, and the same solution to the bit
-    prog = assemble_level(NoisyMatrix(d=5, entries=generator(6).standard_normal(10)), 2, 1)
+def test_one_equality_inverse_per_constraints(monkeypatch, tmp_path):
+    # every program of a shape shares one Constraints, which forms its
+    # inverse once; one equal in value but built by hand forms its own,
+    # and solves to the same bits
+    calls = []
+    inverse = sdp._equality_inverse
+    monkeypatch.setattr(sdp, "_equality_inverse", lambda *args: calls.append(1) or inverse(*args))
+    sos._basic_equalities.cache_clear()
+    sos._level_equalities.cache_clear()
+    cfg = ExperimentConfig.from_dict({
+        "experiment": "gap",
+        "grid": [{"model": "submatrix", "d": 5, "s_star": 3, "beta_star": 1.0,
+                  "noise": {"kind": "gaussian", "sigma": 1.0}}],
+        "estimators": ["sos_basic", "sos_level:1", "sos_level:2"],
+        "replicates": 2,
+        "base_seed": 6,
+        "output": str(tmp_path / "gap.csv"),
+    })
+    for _ in range(2):
+        assert all(row["error"] == "" for row in run_gap_experiment(cfg))
+    assert len(calls) == 3
+    prog = assemble_level(NoisyMatrix(d=5, entries=generator(6).standard_normal(10)), 3, 2)
     cons = prog.constraints
     copy = Constraints(entry_map=cons.entry_map.copy(), A=cons.A.copy(), b=cons.b.copy())
     first = solve(prog)
     again = solve(replace(prog, constraints=copy))
-    assert sdp._setup(copy) is not sdp._setup(cons)
-    assert assemble_level(NoisyMatrix(d=5, entries=np.ones(10)), 2, 1).constraints is cons
+    assert len(calls) == 4
+    assert copy.G_inv is not cons.G_inv
     for f in fields(first):
         assert np.array_equal(getattr(again, f.name), getattr(first, f.name)), f.name
 
@@ -260,9 +279,8 @@ def test_setup_cache_keyed_on_identity():
 def _normal_matrix(cons):
     """G = A diag(1/m) A^T of the y-step, dense, and the set-up's inverse
     read from its lower triangle, the one symv reads."""
-    setup = sdp._setup(cons)
-    G = (cons.A @ scipy.sparse.diags(setup.inv_m) @ cons.A.T).toarray()
-    lower = np.tril(setup.G_inv)
+    G = (cons.A @ scipy.sparse.diags(cons.inv_m) @ cons.A.T).toarray()
+    lower = np.tril(cons.G_inv)
     return G, lower + np.tril(lower, -1).T
 
 
@@ -277,9 +295,9 @@ INVERSE_SHAPES = {
 @pytest.mark.parametrize("prog", INVERSE_SHAPES.values(), ids=INVERSE_SHAPES.keys())
 def test_setup_inverse_times_normal_matrix_is_identity(prog):
     G, G_inv = _normal_matrix(prog.constraints)
-    setup = sdp._setup(prog.constraints)
-    assert setup.G_inv.flags.f_contiguous
-    assert np.array_equal(setup.G_inv, setup.G_inv.T)  # the upper triangle is mirrored
+    kept = prog.constraints.G_inv
+    assert kept.flags.f_contiguous
+    assert np.array_equal(kept, kept.T)  # the upper triangle is mirrored
     assert np.abs(G_inv @ G - np.eye(len(G))).max() <= 1e-10
 
 
@@ -300,16 +318,16 @@ def test_setup_peak_memory_is_what_it_keeps():
     # the inverse of G is factored and inverted in G's own buffer, so the
     # set-up allocates little beyond the arrays it keeps; a copy of G for
     # the factor, an identity and a solve output would read about 3.9x
-    cons = assemble_level(NoisyMatrix(d=20, entries=np.ones(n_pairs(20))), 3, 2).constraints
-    sdp._setup.__wrapped__(assemble_basic(single_entry_matrix(1.0), 2).constraints)  # imports
+    cons = sos._level_equalities.__wrapped__(subset_indexer(20, 2), 3)  # no set-up yet
+    assemble_basic(single_entry_matrix(1.0), 2).constraints.G_inv  # imports
     tracemalloc.start()
     try:
-        setup = sdp._setup.__wrapped__(cons)
+        setup = (cons.inv_m, cons.rows, cons.cols, cons.G_inv)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert setup.G_inv.shape == (1352, 1352)
-    kept = sum(arr.nbytes for arr in (setup.inv_m, setup.rows, setup.cols, setup.G_inv))
+    assert cons.G_inv.shape == (1352, 1352)
+    kept = sum(arr.nbytes for arr in setup)
     assert peak <= 1.25 * kept
 
 
@@ -341,9 +359,9 @@ def _reference_solve(program, options=None):
     on every iteration. The oracle of the differential test below."""
     options = options or SolverOptions()
     options.validate()
-    A, b = program.constraints.A, program.constraints.b
-    setup = sdp._setup(program.constraints)
-    entry, inv_m, G_inv = program.entry_map, setup.inv_m, setup.G_inv
+    cons = program.constraints
+    A, b = cons.A, cons.b
+    entry, inv_m, G_inv = program.entry_map, cons.inv_m, cons.G_inv
     AT = A.T.tocsr()
     entry_flat = entry.ravel()
     symv = sdp._symv()
