@@ -5,22 +5,27 @@ A field of the wrong type, or a required field that is absent, raises
 """
 from __future__ import annotations
 
+import numbers
+
 from .errors import InvalidParams
 
 _REQUIRED = object()
 
 
 def parse(kind: type, value, name: str):
-    """``value`` as a ``kind``: ``int`` and ``float`` convert as
-    ``kind(value)``, except that an ``int`` is never a bool or a float with
-    a fractional part (``3.0`` reads 3, ``2.5`` is an error); any other
-    kind, ``bool`` included, must already be an instance."""
+    """``value`` as a ``kind``. ``int`` and ``float`` take only numbers,
+    never a bool or a string: a ``float`` any of them, an ``int`` an
+    integer or a float without a fractional part (``3.0`` reads 3, ``2.5``
+    is an error). Any other kind, ``bool`` included, must already be an
+    instance."""
     if kind in (int, float):
-        fractional = isinstance(value, float) and not value.is_integer()
-        if not (kind is int and (isinstance(value, bool) or fractional)):
+        if isinstance(value, numbers.Real) and not isinstance(value, bool):
             try:
-                return kind(value)
-            except (TypeError, ValueError, OverflowError):
+                if kind is float:
+                    return float(value)
+                if isinstance(value, numbers.Integral) or float(value).is_integer():
+                    return int(value)
+            except OverflowError:  # an integer beyond the float range
                 pass
     elif isinstance(value, kind):
         return value

@@ -11,20 +11,27 @@ is ADMM on the splitting Z = M(y), Z PSD, with scaled dual U:
            reads one triangle) with the inverse of G = A diag(1/m) A^T (the
            eigen pseudo-inverse when the equalities are linearly dependent).
   Z-step   Z = PSD projection of M(y) + U, recomposed from the positive
-           eigenpairs only (near the optimum there are a few) as W W^T with
-           W = V+ sqrt(w+), a BLAS syrk: Z is exactly symmetric.
+           eigenpairs only as W W^T with W = V+ sqrt(w+), a BLAS syrk: Z is
+           exactly symmetric. The eigensolver is chosen by the previous
+           iteration's positive count k (the first counts as k = n): above
+           12, LAPACK syevd computes the full spectrum; else syevr computes
+           the positive range only, at a cost that grows with the
+           eigenpairs it finds (early and block-model iterates keep many
+           positive eigenvalues, late planted ones a few). Z is written
+           into the buffer of the Z before last.
   U-step   U += M(y) - Z.
 
-The set-up (1/m, the CSR triplets of A and the inverse of G) reads only
-the program's ``Constraints``, never c, so it lives on that object: cached
-properties computed by its first solve and read-only, shared by every later
-solve of the same object. ``sos`` builds one ``Constraints`` per shape and
-shares it, so every program of a shape shares one set-up. The inverse of G,
-the set-up's one large array (1352 x 1352 at d=20, l=2), is computed in the
-buffer that holds G, so the set-up's peak memory is about what it keeps.
-The loop uses no scipy.sparse: A y and A^T lambda are np.bincount sums
-over the triplets, in the same order as scipy's CSR product, so
-bit-identical to it. A program without equalities skips the projection:
+The set-up (the cell-sum matrix, 1/m, A^T in CSR and the inverse of G)
+reads only the program's ``Constraints``, never c, so it lives on that
+object: cached properties computed by its first solve and read-only,
+shared by every later solve of the same object. ``sos`` builds one
+``Constraints`` per shape and shares it, so every program of a shape
+shares one set-up. The inverse of G, the set-up's one large array
+(1352 x 1352 at d=20, l=2), is computed in the buffer that holds G, so the
+set-up's peak memory is about what it keeps. The loop's sparse products
+(the cell sums of Z - U per variable, A x and A^T lambda) call scipy's CSR
+kernel directly, so they give the bits of scipy's public product without
+its per-call checks. A program without equalities skips the projection:
 y = q / (rho m).
 
 Residuals:
@@ -104,19 +111,21 @@ class SdpSolution:
     psd_gap: float
 
 
-# LAPACK's MRRR eigensolver (what scipy.linalg.eigh runs for a value range),
-# called directly: eigh re-validates its arguments and re-queries the
-# workspace on every call, over a third of its time at dim 17. scipy is
-# imported by the first solve, not with the package: a process that only
-# scans or certifies never loads it (about 30 MiB of resident memory).
+# The LAPACK eigensolvers, called directly: eigh re-validates its arguments
+# and re-queries the workspace on every call, over a third of its time at
+# dim 17. scipy is imported by the first solve, not with the package: a
+# process that only scans or certifies never loads it (about 30 MiB of
+# resident memory).
 @lru_cache(maxsize=None)
-def _syevr(n: int):
-    """LAPACK syevr and its workspace sizes (lwork, liwork) at dimension n."""
+def _eigensolver(name: str, n: int):
+    """LAPACK ``name`` and its workspace sizes (lwork, liwork) at dimension
+    n: syevr (MRRR, here the eigenpairs of a value range) or syevd (divide
+    and conquer, the full spectrum)."""
     import scipy.linalg
 
-    syevr, syevr_lwork = scipy.linalg.get_lapack_funcs(("syevr", "syevr_lwork"), dtype=np.float64)
-    lwork, liwork, _ = syevr_lwork(n, lower=1)
-    return syevr, int(lwork), int(liwork)
+    driver, query = scipy.linalg.get_lapack_funcs((name, f"{name}_lwork"), dtype=np.float64)
+    lwork, liwork, _ = query(n, lower=1)
+    return driver, int(lwork), int(liwork)
 
 
 @lru_cache(maxsize=None)
@@ -127,28 +136,57 @@ def _symv():
     return scipy.linalg.blas.dsymv
 
 
-def project_psd(S: np.ndarray) -> np.ndarray:
+# Above this many positive eigenvalues the full syevd is faster than syevr
+# on the positive range: syevr's cost grows with the eigenpairs it
+# computes, syevd's does not. On ADMM iterates syevd wins from k = 6 at
+# n = 17 and from k = 12 at n = 137, and by 3x at n = 79, k >= 33
+# (BENCH_admm_iteration.json); k > 5 is rare at n = 17.
+_FULL_ABOVE = 12
+
+
+def project_psd(S: np.ndarray, *, out: np.ndarray | None = None, positive: int | None = None):
     """Spectral projection onto the PSD cone (symmetrizes defensively).
 
-    Only the eigenpairs with positive eigenvalues are computed, and the
-    result is W W^T with W = V+ diag(sqrt(w+)): numpy runs that product as
-    a BLAS syrk, so it is exactly symmetric.
+    The result is W W^T with W = V+ diag(sqrt(w+)) over the eigenpairs with
+    positive eigenvalues: numpy runs that product as a BLAS syrk, so it is
+    exactly symmetric. It is written into ``out`` when given, else into a
+    fresh array.
+
+    Called with ``S`` alone, only the positive eigenpairs are computed
+    (syevr on the range (0, inf)) and the projection is returned. With
+    ``positive``, the positive count of the previous projection in a
+    sequence of nearby inputs (the ADMM loop's), the eigensolver is chosen
+    by it: the full spectrum (syevd) when it is above ``_FULL_ABOVE``, else
+    the positive range; the call then returns the projection and its own
+    positive count.
     """
     S = np.asarray(S, dtype=np.float64)
-    S = (S + S.T) / 2.0
-    if not np.isfinite(S).all():
+    # One temporary, exactly symmetric; (a + b) * 0.5 rounds as (a + b) / 2.
+    X = np.add(S, S.T)
+    X *= 0.5
+    if not np.isfinite(X).all():
         raise EigFailure("symmetric eigendecomposition failed: non-finite entries")
-    syevr, lwork, liwork = _syevr(len(S))
-    # S is exactly symmetric, so S.T is the same matrix in Fortran order,
-    # which LAPACK may overwrite without a copy.
-    w, V, k, _, info = syevr(
-        S.T, compute_v=1, range="V", lower=1, vl=0.0, vu=np.inf, lwork=lwork, liwork=liwork,
-        overwrite_a=1,
-    )
+    n = len(X)
+    # X is exactly symmetric, so X.T is the same matrix in Fortran order,
+    # which LAPACK overwrites without a copy.
+    if positive is not None and positive > _FULL_ABOVE:
+        syevd, lwork, liwork = _eigensolver("syevd", n)
+        w, V, info = syevd(X.T, compute_v=1, lower=1, lwork=lwork, liwork=liwork, overwrite_a=1)
+        # ascending: the positive eigenvalues are the last k
+        k = n - int(np.searchsorted(w, 0.0, side="right"))
+        w, V = w[n - k:], V[:, n - k:]
+    else:
+        syevr, lwork, liwork = _eigensolver("syevr", n)
+        w, V, k, _, info = syevr(
+            X.T, compute_v=1, range="V", lower=1, vl=0.0, vu=np.inf, lwork=lwork, liwork=liwork,
+            overwrite_a=1,
+        )
+        w, V = w[:k], V[:, :k]
     if info != 0:
         raise EigFailure(f"symmetric eigendecomposition failed: LAPACK info {info}")
-    W = V[:, :k] * np.sqrt(w[:k])
-    return W @ W.T
+    W = V * np.sqrt(w)
+    P = np.matmul(W, W.T, out=out)
+    return P if positive is None else (P, k)
 
 
 # Cholesky pivots below this fraction of the largest one mark G as rank
@@ -201,18 +239,39 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _matvec(M: scipy.sparse.csr_matrix):
+    """x -> M @ x for a CSR M, through scipy's CSR kernel called directly:
+    the public product spends most of its time at dim 17 on argument
+    checks. Same bits. x must be a contiguous float64 vector of length
+    M.shape[1]; the kernel does not check."""
+    from scipy.sparse._sparsetools import csr_matvec
+
+    n_row, n_col = M.shape
+    indptr, indices, data = M.indptr, M.indices, M.data
+
+    def mul(x: np.ndarray) -> np.ndarray:
+        out = np.zeros(n_row)
+        csr_matvec(n_row, n_col, indptr, indices, data, x, out)
+        return out
+
+    return mul
+
+
+def _read_only_csr(M: scipy.sparse.csr_matrix) -> scipy.sparse.csr_matrix:
+    for arr in (M.data, M.indices, M.indptr):
+        arr.flags.writeable = False
+    return M
+
+
 @dataclass(frozen=True, eq=False)
 class Constraints:
     """The equalities ``A y = b`` of one program shape, with the entry map
     of its moment matrix, and the solver's set-up for them; every array
     read-only.
 
-    ``inv_m``, ``rows``, ``cols`` and ``G_inv`` are computed on first use
-    and kept. A is read through its CSR triplets in CSR order:
-    ``np.bincount`` adds the terms of each sum in that order from 0.0, as
-    scipy's CSR product does, so ``a_mul`` and ``at_mul`` are bit-identical
-    to scipy's without its per-call overhead. Compared and hashed by
-    identity (``eq=False``); ``len()`` is the number of equality rows.
+    ``cells``, ``inv_m``, ``AT`` and ``G_inv`` are computed on first use
+    and kept. Compared and hashed by identity (``eq=False``); ``len()`` is
+    the number of equality rows.
     """
 
     entry_map: np.ndarray
@@ -220,42 +279,42 @@ class Constraints:
     b: np.ndarray
 
     def __post_init__(self) -> None:
-        for arr in (self.entry_map, self.A.data, self.A.indices, self.A.indptr, self.b):
+        _read_only_csr(self.A)
+        for arr in (self.entry_map, self.b):
             arr.flags.writeable = False
 
     def __len__(self) -> int:
         return self.A.shape[0]
 
     @cached_property
+    def cells(self) -> scipy.sparse.csr_matrix:
+        """The cell sums per variable as a 0/1 CSR matrix: row v holds the
+        flat indices of the cells of variable v, ascending, so
+        ``cells @ X.ravel()`` adds them in the order ``np.bincount`` would."""
+        import scipy.sparse
+
+        flat = self.entry_map.ravel()
+        shape = (self.A.shape[1], len(flat))
+        return _read_only_csr(
+            scipy.sparse.csr_matrix((np.ones(len(flat)), (flat, np.arange(len(flat)))), shape=shape)
+        )
+
+    @cached_property
     def inv_m(self) -> np.ndarray:
         """1 / (cell count) per variable; every variable appears in the
         matrix, so m >= 1 (program invariant)."""
-        m = np.bincount(self.entry_map.ravel(), minlength=self.A.shape[1]).astype(np.float64)
-        return _read_only(1.0 / m)
+        return _read_only(1.0 / np.diff(self.cells.indptr))
 
     @cached_property
-    def rows(self) -> np.ndarray:
-        """Row of each stored entry of A."""
-        return _read_only(np.repeat(np.arange(len(self), dtype=np.intp), np.diff(self.A.indptr)))
-
-    @cached_property
-    def cols(self) -> np.ndarray:
-        """Column of each stored entry of A."""
-        return _read_only(self.A.indices.astype(np.intp))
+    def AT(self) -> scipy.sparse.csr_matrix:
+        """A^T in CSR form."""
+        return _read_only_csr(self.A.T.tocsr())
 
     @cached_property
     def G_inv(self) -> np.ndarray:
         """Inverse of G = A diag(1/m) A^T; symmetric, in Fortran order, so
         symv reads it without a copy."""
         return _read_only(_equality_inverse(self.A, self.inv_m))
-
-    def a_mul(self, x: np.ndarray) -> np.ndarray:
-        """A @ x."""
-        return np.bincount(self.rows, weights=self.A.data * x[self.cols], minlength=len(self.b))
-
-    def at_mul(self, lam: np.ndarray) -> np.ndarray:
-        """A^T @ lam."""
-        return np.bincount(self.cols, weights=self.A.data * lam[self.rows], minlength=len(self.inv_m))
 
 
 def solve(program: SosProgram, options: SolverOptions | None = None) -> SdpSolution:
@@ -265,25 +324,27 @@ def solve(program: SosProgram, options: SolverOptions | None = None) -> SdpSolut
     cons = program.constraints
     entry, b, c = cons.entry_map, cons.b, program.c
     inv_m, G_inv = cons.inv_m, cons.G_inv
-    entry_flat = entry.ravel()
+    cell_sums, a_mul, at_mul = _matvec(cons.cells), _matvec(cons.A), _matvec(cons.AT)
     symv = _symv()
-    V = program.var_count
 
     rho = options.step
     rho_changes = 0
+    # Buffers updated in place: U, M(y), M(y) - Z, a scratch matrix, and Z
+    # with its previous value, which swap.
     Z = np.zeros(entry.shape)
-    # Buffers updated in place: U, M(y), M(y) - Z, and a scratch matrix.
+    Z_spare = np.empty_like(Z)
     U = np.zeros_like(Z)
     My = np.empty_like(Z)
     R = np.empty_like(Z)
     T = np.empty_like(Z)
+    # the first projection counts as all positive
+    positive = len(Z)
 
     def y_step(rho: float) -> np.ndarray:
-        w = np.bincount(entry_flat, weights=np.subtract(Z, U, out=T).ravel(), minlength=V)
-        q = rho * w + c
+        q = rho * cell_sums(np.subtract(Z, U, out=T).ravel()) + c
         if b.size:
-            lam = symv(1.0, G_inv, cons.a_mul(q * inv_m) - rho * b, lower=1)
-            q = q - cons.at_mul(lam)
+            lam = symv(1.0, G_inv, a_mul(q * inv_m) - rho * b, lower=1)
+            q = q - at_mul(lam)
         return q * inv_m / rho
 
     primal = dual = eq_res = psd_gap = np.inf
@@ -292,9 +353,11 @@ def solve(program: SosProgram, options: SolverOptions | None = None) -> SdpSolut
     status = MAX_ITER_REACHED
     for it in range(1, options.max_iter + 1):
         y = y_step(rho)
-        np.take(y, entry, out=My)
+        # mode='wrap': 'raise' would buffer the output; every index is in range
+        y.take(entry, out=My, mode="wrap")
         Z_prev = Z
-        Z = project_psd(np.add(My, U, out=T))
+        Z, positive = project_psd(np.add(My, U, out=T), out=Z_spare, positive=positive)
+        Z_spare = Z_prev
         np.subtract(My, Z, out=R)
         U += R
         psd_gap = float(np.linalg.norm(R))
@@ -304,7 +367,7 @@ def solve(program: SosProgram, options: SolverOptions | None = None) -> SdpSolut
         # while psd_gap > tol, by the rho adaptation and by the return.
         if psd_gap > options.tol and not adapt and it < options.max_iter:
             continue
-        eq_res = float(np.max(np.abs(cons.a_mul(y) - b))) if b.size else 0.0
+        eq_res = float(np.max(np.abs(a_mul(y) - b))) if b.size else 0.0
         primal = eq_res + psd_gap
         dual = rho * float(np.linalg.norm(np.subtract(Z, Z_prev, out=T)))
         bar = options.tol * (1.0 + abs(value))

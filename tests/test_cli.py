@@ -140,6 +140,9 @@ MALFORMED_MATRIX_FILES = {
     "null-d": ({"d": None, "entries": [1.0]}, "d: expected int, got None"),
     "object-entry": ({"d": 2, "entries": [{"a": 1}]}, "entries[0]: expected float, got {'a': 1}"),
     "no-entries": ({"d": 2}, "entries: missing"),
+    "bool-entry": ({"d": 2, "entries": [True]}, "entries[0]: expected float, got True"),
+    "string-entry": ({"d": 2, "entries": ["2.5"]}, "entries[0]: expected float, got '2.5'"),
+    "string-d": ({"d": "2", "entries": [1.0]}, "d: expected int, got '2'"),
 }
 
 

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 
 import pytest
 
@@ -316,8 +317,13 @@ def test_config_validation(tmp_path):
 @pytest.mark.parametrize("field", ["tol", "step"])
 @pytest.mark.parametrize("value", ["nan", "inf", math.inf, math.nan])
 def test_config_rejects_non_finite_solver_settings(tmp_path, field, value):
-    # "nan" and "inf" parse as floats; the solver options reject them
-    with pytest.raises(InvalidParams, match=f"solver: {field} must be finite and > 0"):
+    # the strings "nan" and "inf" are not numbers, so they fail as the wrong
+    # type; the non-finite numbers fail the solver options' check
+    if isinstance(value, str):
+        message = f"solver.{field}: expected float, got '{value}'"
+    else:
+        message = f"solver: {field} must be finite and > 0"
+    with pytest.raises(InvalidParams, match=re.escape(message)):
         gap_config(tmp_path, solver={field: value})
 
 
@@ -362,6 +368,10 @@ def _sbm_point(**kw):
         (gap_config, "max_subsets", 0, "max_subsets must be >= 1, got 0"),
         (threshold_config, "max_subsets", -5, "max_subsets must be >= 1, got -5"),
         (gap_config, "scan_strategy", 5, "scan_strategy: expected str, got 5"),
+        (cert_config, "grid", [_sbm_point(beta_star=True)], "beta_star: expected float, got True"),
+        (cert_config, "grid", [_sbm_point(d="6")], "d: expected int, got '6'"),
+        (gap_config, "multipliers", [1, "2.5"], "multipliers: expected float, got '2.5'"),
+        (gap_config, "solver", {"tol": False}, "solver.tol: expected float, got False"),
     ],
 )
 def test_config_field_type_errors_name_the_field(tmp_path, make, field, value, message):

@@ -1,4 +1,5 @@
 import tracemalloc
+from collections import Counter
 from dataclasses import fields, replace
 
 import numpy as np
@@ -71,15 +72,63 @@ PROJECTION_INPUTS = {
     "137x137-three-positive": (
         lambda Q: (Q * np.r_[2.0, 1.0, 0.5, -np.linspace(0.1, 3.0, 134)]) @ Q.T
     )(np.linalg.qr(_RNG.standard_normal((137, 137)))[0]),
+    # the block-model level-2 side at d=12, where most eigenvalues stay
+    # positive through the whole solve
+    "79x79-53-positive": (
+        lambda Q: (Q * np.r_[np.linspace(0.1, 3.0, 53), -np.linspace(0.1, 3.0, 26)]) @ Q.T
+    )(np.linalg.qr(_RNG.standard_normal((79, 79)))[0]),
 }
 
 
+@pytest.fixture
+def drivers(monkeypatch):
+    """Counts the calls of each LAPACK eigensolver by its name."""
+    ran = Counter()
+    factory = sdp._eigensolver
+
+    def counted(name, n):
+        driver, *sizes = factory(name, n)
+
+        def call(*args, **kwargs):
+            ran[name] += 1
+            return driver(*args, **kwargs)
+
+        return (call, *sizes)
+
+    monkeypatch.setattr(sdp, "_eigensolver", counted)
+    return ran
+
+
 @pytest.mark.parametrize("S", PROJECTION_INPUTS.values(), ids=PROJECTION_INPUTS.keys())
-def test_project_psd_matches_full_spectrum(S):
-    P = project_psd(S)
-    assert P.shape == S.shape
-    assert np.array_equal(P, P.T)
-    assert np.abs(P - _full_spectrum_projection(S)).max() <= 1e-12
+def test_project_psd_matches_full_spectrum(S, drivers, monkeypatch):
+    # the one-argument call and both drivers of the solve loop's call
+    runs = {"one-argument": project_psd(S)}
+    runs["syevr"], k_range = project_psd(S, positive=0)
+    monkeypatch.setattr(sdp, "_FULL_ABOVE", -1)  # every count selects the full spectrum
+    runs["syevd"], k_full = project_psd(S, positive=0)
+    assert drivers == {"syevr": 2, "syevd": 1}
+    assert k_range == k_full
+    for name, P in runs.items():
+        assert P.shape == S.shape, name
+        assert np.array_equal(P, P.T), name
+        assert np.abs(P - _full_spectrum_projection(S)).max() <= 1e-12, name
+
+
+def test_project_psd_driver_by_previous_count(drivers):
+    # the full spectrum above 12 previous positive eigenvalues, else the
+    # positive range; the count returned is this projection's
+    S = PROJECTION_INPUTS["79x79-53-positive"]
+    counts = [project_psd(S, positive=k)[1] for k in (0, 12, 13, 79)]
+    assert drivers == {"syevr": 2, "syevd": 2}
+    assert counts == [53] * 4
+
+
+def test_project_psd_writes_into_out():
+    S = PROJECTION_INPUTS["random"]
+    out = np.full_like(S, np.nan)
+    P, _ = project_psd(S, out=out, positive=0)
+    assert P is out
+    assert np.array_equal(P, project_psd(S))
 
 
 def test_project_psd_rejects_nan():
@@ -238,7 +287,9 @@ def test_cached_arrays_are_read_only():
     solve(prog)
     cons = prog.constraints
     arrays = (cons.A.data, cons.A.indices, cons.A.indptr, cons.b, cons.entry_map,
-              cons.inv_m, cons.rows, cons.cols, cons.G_inv)
+              cons.inv_m, cons.G_inv)
+    arrays += tuple(getattr(M, name) for M in (cons.cells, cons.AT)
+                    for name in ("data", "indices", "indptr"))
     for arr in arrays:
         with pytest.raises(ValueError):
             arr.flat[0] = 1.0
@@ -322,7 +373,9 @@ def test_setup_peak_memory_is_what_it_keeps():
     assemble_basic(single_entry_matrix(1.0), 2).constraints.G_inv  # imports
     tracemalloc.start()
     try:
-        setup = (cons.inv_m, cons.rows, cons.cols, cons.G_inv)
+        setup = (cons.inv_m, cons.G_inv)
+        setup += tuple(getattr(M, name) for M in (cons.cells, cons.AT)
+                       for name in ("data", "indices", "indptr"))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -353,10 +406,14 @@ def test_solve_without_equalities():
     assert np.linalg.eigvalsh(sol.matrix)[0] >= -1e-7
 
 
-def _reference_solve(program, options=None):
+def _reference_solve(program, options=None, choose_driver=True):
     """The solver loop as it was before ``solve`` dropped scipy.sparse and
-    computed residuals only when read: scipy CSR products, every residual
-    on every iteration. The oracle of the differential test below."""
+    computed residuals only when read: scipy CSR products, ``np.bincount``
+    cell sums, a fresh Z per iteration, every residual on every iteration.
+    Each projection is passed the previous one's positive count, as in
+    ``solve``; with ``choose_driver=False`` it is the one-argument call,
+    which runs syevr on every iteration. The oracle of the differential
+    tests below."""
     options = options or SolverOptions()
     options.validate()
     cons = program.constraints
@@ -375,6 +432,7 @@ def _reference_solve(program, options=None):
     My = np.empty_like(Z)
     R = np.empty_like(Z)
     T = np.empty_like(Z)
+    positive = len(Z)
 
     def y_step(rho):
         w = np.bincount(entry_flat, weights=np.subtract(Z, U, out=T).ravel(), minlength=V)
@@ -390,7 +448,10 @@ def _reference_solve(program, options=None):
         y = y_step(rho)
         np.take(y, entry, out=My)
         Z_prev = Z
-        Z = project_psd(np.add(My, U, out=T))
+        if choose_driver:
+            Z, positive = project_psd(np.add(My, U, out=T), positive=positive)
+        else:
+            Z = project_psd(np.add(My, U, out=T))
         np.subtract(My, Z, out=R)
         U += R
         psd_gap = float(np.linalg.norm(R))
@@ -447,10 +508,39 @@ def test_solve_matches_reference_loop(prog, options):
     want = _reference_solve(prog, options)
     if options is not None:
         assert got.status == MAX_ITER_REACHED
+    _assert_same_solution(got, want)
+
+
+def _assert_same_solution(got, want):
     for name in ("status", "value", "primal_residual", "dual_residual", "iterations",
                  "rho_changes", "eq_res", "psd_gap"):
         assert getattr(got, name) == getattr(want, name), name
     assert np.array_equal(got.matrix, want.matrix)
+
+
+def test_solve_switching_drivers_matches_reference_loop(drivers):
+    # the positive count of this program's iterates starts above the cut,
+    # falls below it, rises above it again and falls for good
+    X = NoisyMatrix(d=6, entries=generator(1).standard_normal(n_pairs(6)))
+    prog = assemble_level(X, 3, 2)
+    got = solve(prog)
+    assert drivers["syevr"] > 0 and drivers["syevd"] > 1
+    assert drivers["syevr"] + drivers["syevd"] == got.iterations
+    _assert_same_solution(got, _reference_solve(prog))
+
+
+def test_solve_matches_syevr_only_loop(drivers):
+    # most eigenvalues of a block-model program's iterates stay positive,
+    # so solve runs the full spectrum on every iteration; the one-argument
+    # projection runs syevr. The iterates differ in their last bits only.
+    X = generate(ModelParams(kind="sbm", d=7, s_star=3, beta_star=0.8, beta_tilde=0.8, seed=1)).matrix
+    prog = assemble_level(X, 3, 2)
+    got = solve(prog)
+    assert drivers == {"syevd": got.iterations}
+    want = _reference_solve(prog, choose_driver=False)
+    assert drivers["syevr"] == want.iterations
+    assert (got.status, got.iterations) == (want.status, want.iterations)
+    assert abs(got.value - want.value) <= 1e-12
 
 
 def test_solution_counters():
