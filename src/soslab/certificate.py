@@ -43,7 +43,7 @@ from .errors import (
     check_s_star,
 )
 from .matrix import NoisyMatrix, pair_indices, pair_iter
-from .sos import PseudoExpectation, exact_dtype, max_abs, moment_matrix
+from .sos import PseudoExpectation, exact_dtype, max_abs, nonzero_block
 from .subsets import NonzeroView, SubsetIndexer, parents, rank, sizes, subset_counts, subset_indexer, var_count
 
 SIGN_POSITIVE = "sign-positive"
@@ -185,14 +185,15 @@ def verify_certificate(
     violation is reported exactly.
 
     lambda_min and the PSD verdict come from the float moment matrix,
-    restricted to its nonzero rows: a zero row is a zero column too, so it
+    restricted to its nonzero rows and gathered as that block alone
+    (``sos.nonzero_block``): a zero row is a zero column too, so it
     contributes one eigenvalue of exactly 0 and leaves the others as they
     are. With a row dropped, lambda_min and lambda_max are those of the
     block taken together with 0; with every row zero both are 0.
     """
     check_s_star(s_star, d)
     idx = subset_indexer(d, ell)
-    min_eig, max_eig = _eig_range(moment_matrix(pe, idx))
+    min_eig, max_eig = _eig_range(nonzero_block(pe, idx), idx.dim)
     return FeasibilityReport(
         normalization_ok=int(pe.num[0]) == pe.den,
         rowsum_max_violation=_rowsum_violation(pe, idx, s_star),
@@ -217,18 +218,17 @@ def _rowsum_violation(pe: PseudoExpectation, idx: SubsetIndexer, s_star: int) ->
     return Fraction(max_abs(lhs[:n_rows] - rhs), pe.den)
 
 
-def _eig_range(M: np.ndarray) -> tuple[float, float]:
-    """(lambda_min, lambda_max) of a symmetric M, from its nonzero rows."""
-    keep = M.any(axis=1)
-    if not keep.any():
+def _eig_range(block: np.ndarray, dim: int) -> tuple[float, float]:
+    """(lambda_min, lambda_max) of a symmetric dim x dim matrix, from its
+    principal block on its nonzero rows."""
+    if not len(block):
         return 0.0, 0.0
-    block = M if keep.all() else M[np.ix_(keep, keep)]
     try:
         evals = np.linalg.eigvalsh(block)
     except np.linalg.LinAlgError as exc:
         raise EigFailure(f"eigvalsh failed on the moment matrix: {exc}") from exc
     lo, hi = float(evals[0]), float(evals[-1])
-    if block is M:
+    if len(block) == dim:
         return lo, hi
     return min(lo, 0.0), max(hi, 0.0)
 

@@ -7,9 +7,12 @@ is ADMM on the splitting Z = M(y), Z PSD, with scaled dual U:
   y-step   minimize -c.y + (rho/2) ||M(y) - Z + U||_F^2  s.t.  A y = b.
            M(y) is linear with disjoint cell supports per variable, so the
            quadratic is diagonal (weight m_v = cell count of variable v) and
-           the step is one symmetric matrix-vector product (BLAS symv, which
-           reads one triangle) with the inverse of G = A diag(1/m) A^T (the
-           eigen pseudo-inverse when the equalities are linearly dependent).
+           the step applies the inverse of G = A diag(1/m) A^T (the eigen
+           pseudo-inverse when the equalities are linearly dependent) as
+           two sparse products, Up (Down x): relabelling the vertices
+           permutes the equalities among themselves, so the inverse is
+           fixed by a few coefficients per pair of row types and intersection
+           size (``_equality_orbits``).
   Z-step   Z = PSD projection of M(y) + U, recomposed from the positive
            eigenpairs only as W W^T with W = V+ sqrt(w+), a BLAS syrk: Z is
            exactly symmetric. The eigensolver is chosen by the previous
@@ -17,22 +20,25 @@ is ADMM on the splitting Z = M(y), Z PSD, with scaled dual U:
            12, LAPACK syevd computes the full spectrum; else syevr computes
            the positive range only, at a cost that grows with the
            eigenpairs it finds (early and block-model iterates keep many
-           positive eigenvalues, late planted ones a few). Z is written
-           into the buffer of the Z before last.
+           positive eigenvalues, late planted ones a few). M(y) + U is
+           exactly symmetric, so it is projected as it is, without the
+           defensive symmetrization, and LAPACK overwrites its buffer. Z
+           is written into the buffer of the Z before last.
   U-step   U += M(y) - Z.
 
-The set-up (the cell-sum matrix, 1/m, A^T in CSR and the inverse of G)
-reads only the program's ``Constraints``, never c, so it lives on that
-object: cached properties computed by its first solve and read-only,
-shared by every later solve of the same object. ``sos`` builds one
-``Constraints`` per shape and shares it, so every program of a shape
-shares one set-up. The inverse of G, the set-up's one large array
-(1352 x 1352 at d=20, l=2), is computed in the buffer that holds G, so the
-set-up's peak memory is about what it keeps. The loop's sparse products
-(the cell sums of Z - U per variable, A x and A^T lambda) call scipy's CSR
-kernel directly, so they give the bits of scipy's public product without
-its per-call checks. A program without equalities skips the projection:
-y = q / (rho m).
+The set-up (the cell-sum matrix, 1/m, A^T, Down and Up, all CSR) reads
+only the program's ``Constraints``, never c, so it lives on that object:
+cached properties computed by its first solve and read-only, shared by
+every later solve of the same object. ``sos`` builds one ``Constraints``
+per shape and shares it, so every program of a shape shares one set-up.
+Down and Up are read off G's dense Cholesky factor (or eigenvectors) at
+one row per type; that n x n buffer (1352 x 1352 at d=20, l=2) is the
+set-up's peak and is freed before they are built, so the set-up keeps
+only sparse arrays (Down and Up: 21k nonzeros at d=20, l=2). The loop's
+sparse products (the cell sums of Z - U per variable, A x, Down, Up and
+A^T lambda) call scipy's CSR kernel directly, so they give the bits of
+scipy's public product without its per-call checks. A program without
+equalities skips the projection: y = q / (rho m).
 
 Residuals:
 
@@ -57,13 +63,16 @@ this is deterministic.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import combinations
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import EigFailure
+from .errors import EigFailure, InvalidParams
+from .subsets import rank, var_count
 
 if TYPE_CHECKING:
     import scipy.sparse
@@ -128,14 +137,6 @@ def _eigensolver(name: str, n: int):
     return driver, int(lwork), int(liwork)
 
 
-@lru_cache(maxsize=None)
-def _symv():
-    """BLAS dsymv: y = alpha * A x, reading one triangle of a symmetric A."""
-    import scipy.linalg.blas
-
-    return scipy.linalg.blas.dsymv
-
-
 # Above this many positive eigenvalues the full syevd is faster than syevr
 # on the positive range: syevr's cost grows with the eigenpairs it
 # computes, syevd's does not. On ADMM iterates syevd wins from k = 6 at
@@ -144,8 +145,14 @@ def _symv():
 _FULL_ABOVE = 12
 
 
-def project_psd(S: np.ndarray, *, out: np.ndarray | None = None, positive: int | None = None):
-    """Spectral projection onto the PSD cone (symmetrizes defensively).
+def project_psd(
+    S: np.ndarray,
+    *,
+    out: np.ndarray | None = None,
+    positive: int | None = None,
+    overwrite: bool = False,
+):
+    """Spectral projection onto the PSD cone.
 
     The result is W W^T with W = V+ diag(sqrt(w+)) over the eigenpairs with
     positive eigenvalues: numpy runs that product as a BLAS syrk, so it is
@@ -159,14 +166,25 @@ def project_psd(S: np.ndarray, *, out: np.ndarray | None = None, positive: int |
     by it: the full spectrum (syevd) when it is above ``_FULL_ABOVE``, else
     the positive range; the call then returns the projection and its own
     positive count.
+
+    S is symmetrized defensively into a temporary, unless ``overwrite``:
+    then S must be an exactly symmetric float64 array (the loop's
+    M(y) + U), and LAPACK overwrites it.
     """
     S = np.asarray(S, dtype=np.float64)
-    # One temporary, exactly symmetric; (a + b) * 0.5 rounds as (a + b) / 2.
-    X = np.add(S, S.T)
-    X *= 0.5
+    if overwrite:
+        X = S
+    else:
+        # One temporary, exactly symmetric; (a + b) * 0.5 rounds as (a + b) / 2.
+        X = np.add(S, S.T)
+        X *= 0.5
     if not np.isfinite(X).all():
         raise EigFailure("symmetric eigendecomposition failed: non-finite entries")
     n = len(X)
+    if n == 0:
+        # LAPACK's wrappers reject an empty matrix
+        P = np.zeros((0, 0)) if out is None else out
+        return P if positive is None else (P, 0)
     # X is exactly symmetric, so X.T is the same matrix in Fortran order,
     # which LAPACK overwrites without a copy.
     if positive is not None and positive > _FULL_ABOVE:
@@ -190,48 +208,133 @@ def project_psd(S: np.ndarray, *, out: np.ndarray | None = None, positive: int |
 
 
 # Cholesky pivots below this fraction of the largest one mark G as rank
-# deficient: its explicit inverse would then amplify rounding without bound.
+# deficient: its inverse would then amplify rounding without bound.
 _PIVOT_RATIO = 1e-6
 
+# Largest distance, relative to the largest entry of the dense result, of
+# Up (Down p) from the dense inverse applied to a probe vector p.
+_PROBE_TOL = 1e-8
 
-def _equality_inverse(A: scipy.sparse.csr_matrix, inv_m: np.ndarray) -> np.ndarray:
-    """Inverse of G = A diag(1/m) A^T, symmetric and in Fortran order, or
-    its eigen pseudo-inverse when the equality rows are linearly dependent
-    (then A y = b is still met exactly for consistent b).
+
+def _inverse_columns(
+    A: scipy.sparse.csr_matrix, inv_m: np.ndarray, rows: np.ndarray, probe: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Columns ``rows`` of the inverse of G = A diag(1/m) A^T, or of its
+    eigen pseudo-inverse when the equality rows are linearly dependent
+    (then A y = b is still met exactly for consistent b), and the inverse
+    applied to ``probe``.
 
     G is built once, in C order; being symmetric, that buffer is the same
     matrix in Fortran order, which LAPACK overwrites without a copy. potrf
-    writes the Cholesky factor over its lower triangle, potri the inverse
-    over the factor, and the upper triangle is mirrored from the lower one.
-    The rank-deficient path rebuilds G in the same buffer and holds one
-    more n x n array, the eigenvectors.
+    writes the Cholesky factor over its lower triangle and potrs solves for
+    the unit vectors of ``rows`` and the probe. The rank-deficient path
+    rebuilds G in the same buffer and holds one more n x n array, the
+    eigenvectors. Both are freed on return.
     """
     import scipy.linalg
     import scipy.sparse
-    from scipy.linalg.lapack import dpotrf, dpotri
+    from scipy.linalg.lapack import dpotrf, dpotrs
 
-    if A.shape[0] == 0:
-        return np.zeros((0, 0))
-    G_sparse = A @ scipy.sparse.diags(inv_m) @ A.T
-    G = G_sparse.toarray()
+    def normal_matrix() -> scipy.sparse.csr_matrix:
+        return A @ scipy.sparse.diags(inv_m) @ A.T
+
+    # G's sparse form is not held beside the dense buffer: the
+    # rank-deficient path forms it again
+    G = normal_matrix().toarray()
+    rhs = np.zeros((len(G), len(rows) + 1), order="F")
+    rhs[rows, np.arange(len(rows))] = 1.0
+    rhs[:, -1] = probe
     # clean=0: potrf leaves the upper triangle as it is, no pass over it.
     L, info = dpotrf(G.T, lower=1, clean=0, overwrite_a=1)
     pivots = np.diagonal(L)
     if info == 0 and pivots.min() > _PIVOT_RATIO * pivots.max():
-        inv, info = dpotri(L, lower=1, overwrite_c=1)
+        X, info = dpotrs(L, rhs, lower=1, overwrite_b=1)
         if info == 0:
-            for j in range(len(inv) - 1):
-                inv[j, j + 1:] = inv[j + 1:, j]
-            return inv
+            return X[:, :-1], X[:, -1]
     # csr_todense adds into its output, so clear the factor first.
     G.fill(0.0)
-    G_sparse.toarray(out=G)
+    normal_matrix().toarray(out=G)
     w, Q = scipy.linalg.eigh(G.T, overwrite_a=True, check_finite=False)
     cut = max(w.max(), 1.0) * 1e-12
     # Q diag(1/w) Q^T as P P^T with P = Q diag(1/sqrt(w)), scaled in place.
     Q *= np.where(w > cut, 1.0 / np.sqrt(np.maximum(w, cut)), 0.0)
-    np.matmul(Q, Q.T, out=G)
-    return G.T
+    X = Q @ (Q.T @ rhs)
+    return X[:, :-1], X[:, -1]
+
+
+def _equality_orbits(
+    cons: Constraints,
+) -> tuple[scipy.sparse.csr_matrix, scipy.sparse.csr_matrix]:
+    """``(Down, Up)``, sparse, with ``Up @ Down`` the inverse of
+    G = A diag(1/m) A^T, or its pseudo-inverse, by the relabelling symmetry
+    of the equalities.
+
+    Relabelling the vertices permutes the variables and the rows of each
+    equality family among themselves, and m depends only on a variable's
+    size, so G and its inverse are invariant: the inverse's entry at rows
+    r, r' is ``g(type r, type r', |S_r & S_r'|)``, where a row's type is its
+    family and the size of its subset. The 0/1 inclusion matrix W_j of the
+    j-subsets in the rows' subsets has ``(W_j^T W_j)[r, r'] =
+    C(|S_r & S_r'|, j)``. So with ``g(i) = sum_j gamma(j) C(i, j)`` per pair
+    of types (binomial inversion; an intersection size that no pair of rows
+    has reads g = 0), the inverse is ``Down^T Gamma Down``: Down stacks W_j
+    restricted to each type, rows ordered (j, type, j-subset), and Gamma is
+    block diagonal with blocks ``gamma_j (x) I``. Up is ``Down^T Gamma``.
+
+    g is read from the dense inverse's columns at one row per type
+    (``_inverse_columns``), which also applies the dense inverse to a probe
+    vector; the sparse matrices are built after the dense buffer is freed
+    and must reproduce that product, else the equalities were not
+    invariant and InvalidParams is raised.
+    """
+    import scipy.sparse
+
+    d, sets = cons.d, cons.row_sets
+    width = sets.shape[1]
+    size = (sets < d).sum(axis=1)
+    # the first row of each (family, size) type stands for it
+    _, reps, kind = np.unique(
+        np.column_stack([cons.row_families, size]), axis=0, return_index=True, return_inverse=True
+    )
+    kind = kind.ravel()  # numpy 2.0.0 returns it as a column
+    probe = np.random.default_rng(0).standard_normal(len(sets))
+    cols, want = _inverse_columns(cons.A, cons.inv_m, reps, probe)
+    # |S_r & S_rep| for every row r and representative rep
+    shared = (sets[:, None, :, None] == sets[reps][None, :, None, :]) & (sets < d)[:, None, :, None]
+    g = np.zeros((len(reps), len(reps), width + 1))
+    g[kind[:, None], np.arange(len(reps)), shared.sum(axis=(2, 3))] = cols
+    # G's inverse is symmetric: averaging the two readings of each type
+    # pair makes Gamma symmetric too, so Up = (Gamma Down)^T = Down^T Gamma
+    g = (g + g.transpose(1, 0, 2)) / 2.0
+    inverse_pascal = np.array(
+        [[(-1) ** (j - i) * math.comb(j, i) for i in range(width + 1)] for j in range(width + 1)]
+    )
+    gamma = g @ inverse_pascal.T
+    down_rows, down_cols, blocks = [], [], []
+    offset = 0
+    for j in range(size.max() + 1):
+        types = np.flatnonzero(size[reps] >= j)
+        n_j = math.comb(d, j)
+        for k, t in enumerate(types):
+            rows = np.flatnonzero(kind == t)
+            picks = np.array(list(combinations(range(size[reps[t]]), j)), dtype=np.intp)
+            subsets = sets[rows][:, picks.reshape(len(picks), j)].reshape(len(rows) * len(picks), j)
+            down_rows.append(offset + k * n_j + rank(d, subsets) - var_count(d, j - 1))
+            down_cols.append(np.repeat(rows, len(picks)))
+        blocks.append(scipy.sparse.kron(gamma[np.ix_(types, types)][..., j], scipy.sparse.identity(n_j)))
+        offset += len(types) * n_j
+    down_rows = np.concatenate(down_rows)
+    down = scipy.sparse.csr_matrix(
+        (np.ones(len(down_rows)), (down_rows, np.concatenate(down_cols))), shape=(offset, len(sets))
+    )
+    up = (scipy.sparse.block_diag(blocks, format="csr") @ down).T.tocsr()
+    up.eliminate_zeros()
+    if not np.abs(up @ (down @ probe) - want).max() <= _PROBE_TOL * np.abs(want).max():
+        raise InvalidParams(
+            "the equalities are not invariant under relabelling the vertices: "
+            "the inverse of their normal matrix does not follow the row subsets and families"
+        )
+    return _read_only_csr(down), _read_only_csr(up)
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -269,18 +372,24 @@ class Constraints:
     of its moment matrix, and the solver's set-up for them; every array
     read-only.
 
-    ``cells``, ``inv_m``, ``AT`` and ``G_inv`` are computed on first use
-    and kept. Compared and hashed by identity (``eq=False``); ``len()`` is
-    the number of equality rows.
+    Each equality row names the subset of {1..d} it belongs to, as a row of
+    ``row_sets`` (sorted 0-based vertices padded with ``d``, the form of
+    ``subsets``), and its family in ``row_families``; rows that repeat an
+    equality carry a family of their own. ``cells``, ``inv_m``, ``AT`` and
+    ``orbits`` are computed on first use and kept. Compared and hashed by
+    identity (``eq=False``); ``len()`` is the number of equality rows.
     """
 
     entry_map: np.ndarray
     A: scipy.sparse.csr_matrix
     b: np.ndarray
+    d: int
+    row_sets: np.ndarray
+    row_families: np.ndarray
 
     def __post_init__(self) -> None:
         _read_only_csr(self.A)
-        for arr in (self.entry_map, self.b):
+        for arr in (self.entry_map, self.b, self.row_sets, self.row_families):
             arr.flags.writeable = False
 
     def __len__(self) -> int:
@@ -311,10 +420,10 @@ class Constraints:
         return _read_only_csr(self.A.T.tocsr())
 
     @cached_property
-    def G_inv(self) -> np.ndarray:
-        """Inverse of G = A diag(1/m) A^T; symmetric, in Fortran order, so
-        symv reads it without a copy."""
-        return _read_only(_equality_inverse(self.A, self.inv_m))
+    def orbits(self) -> tuple[scipy.sparse.csr_matrix, scipy.sparse.csr_matrix]:
+        """``(Down, Up)``, CSR, with ``Up @ Down`` the inverse of
+        G = A diag(1/m) A^T (see ``_equality_orbits``)."""
+        return _equality_orbits(self)
 
 
 def solve(program: SosProgram, options: SolverOptions | None = None) -> SdpSolution:
@@ -323,9 +432,11 @@ def solve(program: SosProgram, options: SolverOptions | None = None) -> SdpSolut
     options.validate()
     cons = program.constraints
     entry, b, c = cons.entry_map, cons.b, program.c
-    inv_m, G_inv = cons.inv_m, cons.G_inv
-    cell_sums, a_mul, at_mul = _matvec(cons.cells), _matvec(cons.A), _matvec(cons.AT)
-    symv = _symv()
+    inv_m = cons.inv_m
+    cell_sums, a_mul = _matvec(cons.cells), _matvec(cons.A)
+    if b.size:
+        down_mul, up_mul = map(_matvec, cons.orbits)
+        at_mul = _matvec(cons.AT)
 
     rho = options.step
     rho_changes = 0
@@ -343,7 +454,7 @@ def solve(program: SosProgram, options: SolverOptions | None = None) -> SdpSolut
     def y_step(rho: float) -> np.ndarray:
         q = rho * cell_sums(np.subtract(Z, U, out=T).ravel()) + c
         if b.size:
-            lam = symv(1.0, G_inv, a_mul(q * inv_m) - rho * b, lower=1)
+            lam = up_mul(down_mul(a_mul(q * inv_m) - rho * b))
             q = q - at_mul(lam)
         return q * inv_m / rho
 
@@ -356,7 +467,9 @@ def solve(program: SosProgram, options: SolverOptions | None = None) -> SdpSolut
         # mode='wrap': 'raise' would buffer the output; every index is in range
         y.take(entry, out=My, mode="wrap")
         Z_prev = Z
-        Z, positive = project_psd(np.add(My, U, out=T), out=Z_spare, positive=positive)
+        Z, positive = project_psd(
+            np.add(My, U, out=T), out=Z_spare, positive=positive, overwrite=True
+        )
         Z_spare = Z_prev
         np.subtract(My, Z, out=R)
         U += R

@@ -146,8 +146,10 @@ def max_abs(arr: np.ndarray) -> int:
 
 # Equality systems per shape, each with the solver's set-up once solved:
 # the one bound on per-shape solver state. The level-2 system at d=16 (698
-# rows) keeps a 3.9 MB inverse (14.6 MB at d=20) beside 0.12 MB of CSR
-# arrays and its 0.15 MB entry map (the indexer's).
+# rows) keeps about 0.6 MB of CSR arrays, A included (1.5 MB at d=20); the
+# equality inverse's Down and Up are 0.13 MB of it (0.26 MB), where the
+# dense inverse took 3.9 MB (14.6 MB). The entry map, 0.15 MB, is the
+# indexer's.
 _SHAPES_CACHED = 8
 
 
@@ -174,7 +176,12 @@ def _level_equalities(idx: SubsetIndexer, s_star: int) -> Constraints:
         vals.append(np.ones(len(T)))
     b = np.zeros(n_rows + 1)
     b[0] = 1.0
-    return _constraints(idx, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals), b)
+    # (a) belongs to the empty set, (b) at S to S
+    sets = np.concatenate([np.full((1, width), d, dtype=idx.members.dtype), idx.members[:n_rows]])
+    families = np.minimum(np.arange(n_rows + 1), 1)
+    return _constraints(
+        idx, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals), b, sets, families
+    )
 
 
 @lru_cache(maxsize=_SHAPES_CACHED)
@@ -182,19 +189,31 @@ def _basic_equalities(idx: SubsetIndexer, s_star: int) -> Constraints:
     """y[empty] = 1 and the one row-sum; singleton {i} is variable i."""
     cols = np.arange(idx.d + 1)
     rows = np.minimum(cols, 1)
-    return _constraints(idx, rows, cols, np.ones(idx.d + 1), np.array([1.0, float(s_star)]))
+    b = np.array([1.0, float(s_star)])
+    # both rows belong to the empty set, in families of their own
+    sets = np.full((2, 2), idx.d, dtype=idx.members.dtype)
+    return _constraints(idx, rows, cols, np.ones(idx.d + 1), b, sets, np.arange(2))
 
 
 def _constraints(
-    idx: SubsetIndexer, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, b: np.ndarray
+    idx: SubsetIndexer,
+    rows: np.ndarray,
+    cols: np.ndarray,
+    vals: np.ndarray,
+    b: np.ndarray,
+    sets: np.ndarray,
+    families: np.ndarray,
 ) -> Constraints:
     """CSR A from (row, variable, coefficient) triplets; repeated triplets
-    add up and zero coefficients are dropped."""
+    add up and zero coefficients are dropped. ``sets`` and ``families``
+    give each row's subset and equality family."""
     import scipy.sparse
 
     A = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(len(b), idx.var_count)).tocsr()
     A.eliminate_zeros()
-    return Constraints(entry_map=idx.entry_map(), A=A, b=b)
+    return Constraints(
+        entry_map=idx.entry_map(), A=A, b=b, d=idx.d, row_sets=sets, row_families=families
+    )
 
 
 def assemble_level(X: NoisyMatrix, s_star: int, ell: int) -> SosProgram:
@@ -226,9 +245,27 @@ def _program(
 
 def moment_matrix(pe: PseudoExpectation, idx: SubsetIndexer) -> np.ndarray:
     """Dense symmetric matrix M[r, c] = float(pe value at S_r union S_c)."""
+    _check_covers(pe, idx)
+    return pe.floats()[idx.entry_map()]
+
+
+def nonzero_block(pe: PseudoExpectation, idx: SubsetIndexer) -> np.ndarray:
+    """The principal block of ``moment_matrix(pe, idx)`` on its nonzero
+    rows, gathered without the full float matrix: the rows are read from
+    a boolean mask of the nonzero moments through the entry map, and
+    only the block's cells are gathered as floats."""
+    _check_covers(pe, idx)
+    em = idx.entry_map()
+    keep = (pe.num != 0)[em].any(axis=1)
+    if not keep.all():
+        rows = np.flatnonzero(keep)
+        em = em.take(rows, axis=0).take(rows, axis=1)
+    return pe.floats().take(em)
+
+
+def _check_covers(pe: PseudoExpectation, idx: SubsetIndexer) -> None:
     if pe.d != idx.d or pe.ell != idx.ell:
         raise MissingValue(
             f"pseudo-expectation covers (d={pe.d}, ell={pe.ell}), "
             f"indexer wants (d={idx.d}, ell={idx.ell})"
         )
-    return pe.floats()[idx.entry_map()]

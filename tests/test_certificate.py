@@ -29,7 +29,7 @@ from soslab.matrix import NoisyMatrix, n_pairs, pair_iter
 from soslab.models import ModelParams, Noise, generate
 import soslab
 from soslab.seeds import generator
-from soslab.sos import PseudoExpectation, moment_matrix
+from soslab.sos import PseudoExpectation, moment_matrix, nonzero_block
 from soslab.subsets import subset_indexer
 from constructors import pe_from_values
 from subset_order import subsets_up_to
@@ -405,6 +405,10 @@ def test_verify_matches_dense_reference(case):
     M, ref = moment_matrix(pe, idx), dense_moment_matrix(pe, idx)
     assert M.dtype == ref.dtype and M.shape == ref.shape
     assert M.tobytes() == ref.tobytes()
+    keep = ref.any(axis=1)
+    block = nonzero_block(pe, idx)
+    assert block.shape == (keep.sum(),) * 2
+    assert block.tobytes() == ref[np.ix_(keep, keep)].tobytes()
     evals = np.linalg.eigvalsh(ref)
     ref_min, ref_max = float(evals[0]), float(evals[-1])
     assert abs(report.min_eigenvalue - ref_min) <= 1e-10 * max(1.0, abs(ref_max))

@@ -14,7 +14,7 @@ from soslab.certificate import (
     positivity_graph,
 )
 from soslab import sdp, sos
-from soslab.errors import EigFailure
+from soslab.errors import EigFailure, InvalidParams
 from soslab.estimators import lp_estimate, scan_estimate
 from soslab.lab import ExperimentConfig, run_gap_experiment
 from soslab.matrix import NoisyMatrix, n_pairs
@@ -129,6 +129,28 @@ def test_project_psd_writes_into_out():
     P, _ = project_psd(S, out=out, positive=0)
     assert P is out
     assert np.array_equal(P, project_psd(S))
+
+
+@pytest.mark.parametrize("positive", [None, 0, 13])
+def test_project_psd_of_empty_matrix(positive):
+    # LAPACK's wrappers reject n = 0; the projection of a 0 x 0 matrix is
+    # a 0 x 0 matrix with no positive eigenvalue
+    got = project_psd(np.zeros((0, 0)), positive=positive)
+    P, k = (got, 0) if positive is None else got
+    assert P.shape == (0, 0)
+    assert k == 0
+
+
+def test_project_psd_overwrite_skips_symmetrization():
+    # the loop's input is exactly symmetric: projected as it is, it gives
+    # the bits of the symmetrizing call, and LAPACK overwrites it
+    S = PROJECTION_INPUTS["random"]
+    S = S + S.T
+    scratch = S.copy()
+    P, k = project_psd(scratch, positive=0, overwrite=True)
+    assert k == project_psd(S, positive=0)[1]
+    assert np.array_equal(P, project_psd(S))
+    assert not np.array_equal(scratch, S)
 
 
 def test_project_psd_rejects_nan():
@@ -255,6 +277,10 @@ def _with_doubled_equalities(prog):
         entry_map=cons.entry_map,
         A=scipy.sparse.vstack([cons.A, cons.A[:2]], format="csr"),
         b=np.concatenate([cons.b, cons.b[:2]]),
+        d=cons.d,
+        row_sets=np.concatenate([cons.row_sets, cons.row_sets[:2]]),
+        # a repeated row is a family of its own
+        row_families=np.concatenate([cons.row_families, cons.row_families.max() + 1 + np.arange(2)]),
     )
     return replace(prog, constraints=doubled)
 
@@ -287,8 +313,8 @@ def test_cached_arrays_are_read_only():
     solve(prog)
     cons = prog.constraints
     arrays = (cons.A.data, cons.A.indices, cons.A.indptr, cons.b, cons.entry_map,
-              cons.inv_m, cons.G_inv)
-    arrays += tuple(getattr(M, name) for M in (cons.cells, cons.AT)
+              cons.row_sets, cons.row_families, cons.inv_m)
+    arrays += tuple(getattr(M, name) for M in (cons.cells, cons.AT, *cons.orbits)
                     for name in ("data", "indices", "indptr"))
     for arr in arrays:
         with pytest.raises(ValueError):
@@ -300,8 +326,8 @@ def test_one_equality_inverse_per_constraints(monkeypatch, tmp_path):
     # inverse once; one equal in value but built by hand forms its own,
     # and solves to the same bits
     calls = []
-    inverse = sdp._equality_inverse
-    monkeypatch.setattr(sdp, "_equality_inverse", lambda *args: calls.append(1) or inverse(*args))
+    inverse = sdp._equality_orbits
+    monkeypatch.setattr(sdp, "_equality_orbits", lambda *args: calls.append(1) or inverse(*args))
     sos._basic_equalities.cache_clear()
     sos._level_equalities.cache_clear()
     cfg = ExperimentConfig.from_dict({
@@ -318,37 +344,43 @@ def test_one_equality_inverse_per_constraints(monkeypatch, tmp_path):
     assert len(calls) == 3
     prog = assemble_level(NoisyMatrix(d=5, entries=generator(6).standard_normal(10)), 3, 2)
     cons = prog.constraints
-    copy = Constraints(entry_map=cons.entry_map.copy(), A=cons.A.copy(), b=cons.b.copy())
+    copy = Constraints(
+        entry_map=cons.entry_map.copy(), A=cons.A.copy(), b=cons.b.copy(), d=cons.d,
+        row_sets=cons.row_sets.copy(), row_families=cons.row_families.copy(),
+    )
     first = solve(prog)
     again = solve(replace(prog, constraints=copy))
     assert len(calls) == 4
-    assert copy.G_inv is not cons.G_inv
+    assert copy.orbits is not cons.orbits
     for f in fields(first):
         assert np.array_equal(getattr(again, f.name), getattr(first, f.name)), f.name
 
 
 def _normal_matrix(cons):
-    """G = A diag(1/m) A^T of the y-step, dense, and the set-up's inverse
-    read from its lower triangle, the one symv reads."""
+    """G = A diag(1/m) A^T of the y-step, and the set-up's inverse
+    ``Up @ Down``, both dense."""
     G = (cons.A @ scipy.sparse.diags(cons.inv_m) @ cons.A.T).toarray()
-    lower = np.tril(cons.G_inv)
-    return G, lower + np.tril(lower, -1).T
+    down, up = cons.orbits
+    return G, (up @ down).toarray()
 
 
-_X8 = NoisyMatrix(d=8, entries=generator(5).standard_normal(n_pairs(8)))
+def _random_matrix(d, seed=5):
+    return NoisyMatrix(d=d, entries=generator(seed).standard_normal(n_pairs(d)))
+
+
+_X8 = _random_matrix(8)
 INVERSE_SHAPES = {
     "basic": assemble_basic(_X8, 3),
     "level1": assemble_level(_X8, 3, 1),
     "level2": assemble_level(_X8, 3, 2),
+    "level2-d8-s4": assemble_level(_X8, 4, 2),
+    "level2-d20": assemble_level(_random_matrix(20), 3, 2),
 }
 
 
 @pytest.mark.parametrize("prog", INVERSE_SHAPES.values(), ids=INVERSE_SHAPES.keys())
 def test_setup_inverse_times_normal_matrix_is_identity(prog):
     G, G_inv = _normal_matrix(prog.constraints)
-    kept = prog.constraints.G_inv
-    assert kept.flags.f_contiguous
-    assert np.array_equal(kept, kept.T)  # the upper triangle is mirrored
     assert np.abs(G_inv @ G - np.eye(len(G))).max() <= 1e-10
 
 
@@ -356,8 +388,12 @@ def test_setup_inverse_times_normal_matrix_is_identity(prog):
     "prog",
     [_with_doubled_equalities(assemble_basic(single_entry_matrix(3.0), 2)),
      _with_doubled_equalities(assemble_level(_X8, 3, 1)),
-     assemble_level(NoisyMatrix(d=4, entries=generator(11).standard_normal(n_pairs(4))), 2, 2)],
-    ids=["doubled-basic", "doubled-level1", "rank-deficient-level2"],
+     assemble_level(_random_matrix(4, seed=11), 2, 2),
+     assemble_level(_random_matrix(5), 2, 2),
+     assemble_level(_random_matrix(6), 3, 2),
+     assemble_level(_random_matrix(7), 3, 3)],
+    ids=["doubled-basic", "doubled-level1", "rank-deficient-level2", "rank-deficient-level2-d5",
+         "rank-deficient-level2-d6", "rank-deficient-level3"],
 )
 def test_setup_pseudo_inverse_of_dependent_equalities(prog):
     G, G_inv = _normal_matrix(prog.constraints)
@@ -365,23 +401,45 @@ def test_setup_pseudo_inverse_of_dependent_equalities(prog):
     assert np.abs(G @ G_inv @ G - G).max() <= 1e-10 * np.abs(G).max()
 
 
+def test_setup_rejects_equalities_without_the_symmetry():
+    # doubling one row of family (b) breaks the relabelling symmetry of G:
+    # the set-up reads the inverse at one row per type, so it must refuse
+    cons = assemble_level(_X8, 3, 1).constraints
+    A = cons.A.copy()
+    A.data[A.indptr[2]:A.indptr[3]] *= 2.0
+    skewed = Constraints(
+        entry_map=cons.entry_map, A=A, b=cons.b, d=cons.d,
+        row_sets=cons.row_sets, row_families=cons.row_families,
+    )
+    with pytest.raises(InvalidParams, match="not invariant"):
+        skewed.orbits
+
+
+# The peak bound of the set-up that kept the dense inverse at d=20, l=2:
+# 1.25 times the 15,537,572 bytes it kept (the 1352 x 1352 inverse, 1/m and
+# the CSR arrays of the cell sums and A^T).
+_DENSE_SETUP_PEAK_BOUND = 19_421_965
+
+
 def test_setup_peak_memory_is_what_it_keeps():
-    # the inverse of G is factored and inverted in G's own buffer, so the
-    # set-up allocates little beyond the arrays it keeps; a copy of G for
-    # the factor, an identity and a solve output would read about 3.9x
+    # G is factored in its own buffer and freed before the sparse operators
+    # are built, so the set-up's peak is that buffer and what it keeps
+    # little more than sparse arrays
     cons = sos._level_equalities.__wrapped__(subset_indexer(20, 2), 3)  # no set-up yet
-    assemble_basic(single_entry_matrix(1.0), 2).constraints.G_inv  # imports
+    assemble_basic(single_entry_matrix(1.0), 2).constraints.orbits  # imports
     tracemalloc.start()
     try:
-        setup = (cons.inv_m, cons.G_inv)
-        setup += tuple(getattr(M, name) for M in (cons.cells, cons.AT)
+        # in the order solve builds them
+        setup = (cons.inv_m,)
+        setup += tuple(getattr(M, name) for M in (*cons.orbits, cons.cells, cons.AT)
                        for name in ("data", "indices", "indptr"))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert cons.G_inv.shape == (1352, 1352)
+    assert len(cons) == 1352
     kept = sum(arr.nbytes for arr in setup)
-    assert peak <= 1.25 * kept
+    assert peak <= _DENSE_SETUP_PEAK_BOUND
+    assert kept <= 1352**2 * 8 / 10
 
 
 def test_solve_without_equalities():
@@ -396,6 +454,9 @@ def test_solve_without_equalities():
             entry_map=prog.entry_map,
             A=scipy.sparse.csr_matrix((0, prog.var_count)),
             b=np.zeros(0),
+            d=4,
+            row_sets=np.zeros((0, 2), dtype=np.int16),
+            row_families=np.zeros(0, dtype=np.int64),
         ),
         scale=1.0,
     )
@@ -408,8 +469,10 @@ def test_solve_without_equalities():
 
 def _reference_solve(program, options=None, choose_driver=True):
     """The solver loop as it was before ``solve`` dropped scipy.sparse and
-    computed residuals only when read: scipy CSR products, ``np.bincount``
-    cell sums, a fresh Z per iteration, every residual on every iteration.
+    computed residuals only when read: scipy CSR products (the equality
+    inverse applied as ``Up @ (Down @ x)``), ``np.bincount`` cell sums, the
+    symmetrizing projection into a fresh Z per iteration, every residual on
+    every iteration.
     Each projection is passed the previous one's positive count, as in
     ``solve``; with ``choose_driver=False`` it is the one-argument call,
     which runs syevr on every iteration. The oracle of the differential
@@ -418,10 +481,10 @@ def _reference_solve(program, options=None, choose_driver=True):
     options.validate()
     cons = program.constraints
     A, b = cons.A, cons.b
-    entry, inv_m, G_inv = program.entry_map, cons.inv_m, cons.G_inv
+    entry, inv_m = program.entry_map, cons.inv_m
+    down, up = cons.orbits
     AT = A.T.tocsr()
     entry_flat = entry.ravel()
-    symv = sdp._symv()
     V = program.var_count
     c = program.c
 
@@ -437,7 +500,7 @@ def _reference_solve(program, options=None, choose_driver=True):
     def y_step(rho):
         w = np.bincount(entry_flat, weights=np.subtract(Z, U, out=T).ravel(), minlength=V)
         q = rho * w + c
-        lam = symv(1.0, G_inv, A @ (q * inv_m) - rho * b, lower=1)
+        lam = up @ (down @ (A @ (q * inv_m) - rho * b))
         return (q - AT @ lam) * inv_m / rho
 
     primal = dual = eq_res = psd_gap = np.inf
