@@ -143,6 +143,10 @@ class ExperimentConfig:
             for g in self.grid:
                 if g.ell is None or g.ell < 1:
                     raise InvalidParams("certificate grid points need an 'ell' field >= 1")
+        for c in self.multipliers:
+            # a NaN separation makes every H1 cell fail, which reads as no type II error
+            if not 0 <= c < math.inf:
+                raise InvalidParams(f"multipliers must be finite and >= 0, got {c}")
         if self.experiment == THRESHOLD:
             if not self.multipliers:
                 raise InvalidParams("threshold experiment needs signal multipliers")

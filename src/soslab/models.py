@@ -48,11 +48,13 @@ class Noise:
 
     def validate(self) -> None:
         if self.kind == GAUSSIAN:
-            if self.scale < 0:
-                raise InvalidParams("gaussian sigma must be >= 0 (0 = noiseless mode)")
+            if not 0 <= self.scale < np.inf:
+                raise InvalidParams(
+                    f"gaussian sigma must be finite and >= 0 (0 = noiseless mode), got {self.scale}"
+                )
         elif self.kind == RADEMACHER:
-            if self.scale <= 0:
-                raise InvalidParams("rademacher nu must be > 0")
+            if not 0 < self.scale < np.inf:
+                raise InvalidParams(f"rademacher nu must be finite and > 0, got {self.scale}")
         else:
             raise InvalidParams(f"unknown noise kind {self.kind!r}")
 
@@ -86,8 +88,8 @@ class ModelParams:
         if self.d < 2:
             raise InvalidParams("d must be >= 2")
         check_s_star(self.s_star, self.d)
-        if self.beta_star < 0:
-            raise InvalidParams("beta_star must be >= 0")
+        if not 0 <= self.beta_star < np.inf:
+            raise InvalidParams(f"beta_star must be finite and >= 0, got {self.beta_star}")
         if self.kind == SUBMATRIX:
             if self.noise is None:
                 raise InvalidParams("submatrix model requires a noise spec")

@@ -7,7 +7,7 @@ is ADMM on the splitting Z = M(y), Z PSD, with scaled dual U:
   y-step   minimize -c.y + (rho/2) ||M(y) - Z + U||_F^2  s.t.  A y = b.
            M(y) is linear with disjoint cell supports per variable, so the
            quadratic is diagonal (weight m_v = cell count of variable v) and
-           the step applies the inverse of G = A diag(1/m) A^T (the eigen
+           the step applies the inverse of G = A diag(1/m) A^T (the
            pseudo-inverse when the equalities are linearly dependent) as
            two sparse products, Up (Down x): relabelling the vertices
            permutes the equalities among themselves, so the inverse is
@@ -31,10 +31,11 @@ only the program's ``Constraints``, never c, so it lives on that object:
 cached properties computed by its first solve and read-only, shared by
 every later solve of the same object. ``sos`` builds one ``Constraints``
 per shape and shares it, so every program of a shape shares one set-up.
-Down and Up are read off G's dense Cholesky factor (or eigenvectors) at
-one row per type; that n x n buffer (1352 x 1352 at d=20, l=2) is the
-set-up's peak and is freed before they are built, so the set-up keeps
-only sparse arrays (Down and Up: 21k nonzeros at d=20, l=2). The loop's
+Down and Up are read off one small quotient system per row type, on the
+orbits of the relabellings that fix that type's representative row, with
+one path for independent and dependent equalities: the set-up forms no
+n x n array and keeps only sparse arrays (Down and Up: 21k nonzeros at
+d=20, l=2), and its peak is under 1.5 times what it keeps. The loop's
 sparse products (the cell sums of Z - U per variable, A x, Down, Up and
 A^T lambda) call scipy's CSR kernel directly, so they give the bits of
 scipy's public product without its per-call checks. A program without
@@ -207,59 +208,13 @@ def project_psd(
     return P if positive is None else (P, k)
 
 
-# Cholesky pivots below this fraction of the largest one mark G as rank
-# deficient: its inverse would then amplify rounding without bound.
-_PIVOT_RATIO = 1e-6
+# Eigenvalues of a quotient matrix at most this fraction of its largest one
+# (or of 1, if that is larger) count as zero: the pseudo-inverse drops them.
+_EIG_CUT = 1e-12
 
-# Largest distance, relative to the largest entry of the dense result, of
-# Up (Down p) from the dense inverse applied to a probe vector p.
+# Largest distance, relative to the largest entry of G p, of G Up Down G p
+# from G p for a probe vector p.
 _PROBE_TOL = 1e-8
-
-
-def _inverse_columns(
-    A: scipy.sparse.csr_matrix, inv_m: np.ndarray, rows: np.ndarray, probe: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Columns ``rows`` of the inverse of G = A diag(1/m) A^T, or of its
-    eigen pseudo-inverse when the equality rows are linearly dependent
-    (then A y = b is still met exactly for consistent b), and the inverse
-    applied to ``probe``.
-
-    G is built once, in C order; being symmetric, that buffer is the same
-    matrix in Fortran order, which LAPACK overwrites without a copy. potrf
-    writes the Cholesky factor over its lower triangle and potrs solves for
-    the unit vectors of ``rows`` and the probe. The rank-deficient path
-    rebuilds G in the same buffer and holds one more n x n array, the
-    eigenvectors. Both are freed on return.
-    """
-    import scipy.linalg
-    import scipy.sparse
-    from scipy.linalg.lapack import dpotrf, dpotrs
-
-    def normal_matrix() -> scipy.sparse.csr_matrix:
-        return A @ scipy.sparse.diags(inv_m) @ A.T
-
-    # G's sparse form is not held beside the dense buffer: the
-    # rank-deficient path forms it again
-    G = normal_matrix().toarray()
-    rhs = np.zeros((len(G), len(rows) + 1), order="F")
-    rhs[rows, np.arange(len(rows))] = 1.0
-    rhs[:, -1] = probe
-    # clean=0: potrf leaves the upper triangle as it is, no pass over it.
-    L, info = dpotrf(G.T, lower=1, clean=0, overwrite_a=1)
-    pivots = np.diagonal(L)
-    if info == 0 and pivots.min() > _PIVOT_RATIO * pivots.max():
-        X, info = dpotrs(L, rhs, lower=1, overwrite_b=1)
-        if info == 0:
-            return X[:, :-1], X[:, -1]
-    # csr_todense adds into its output, so clear the factor first.
-    G.fill(0.0)
-    normal_matrix().toarray(out=G)
-    w, Q = scipy.linalg.eigh(G.T, overwrite_a=True, check_finite=False)
-    cut = max(w.max(), 1.0) * 1e-12
-    # Q diag(1/w) Q^T as P P^T with P = Q diag(1/sqrt(w)), scaled in place.
-    Q *= np.where(w > cut, 1.0 / np.sqrt(np.maximum(w, cut)), 0.0)
-    X = Q @ (Q.T @ rhs)
-    return X[:, :-1], X[:, -1]
 
 
 def _equality_orbits(
@@ -281,28 +236,49 @@ def _equality_orbits(
     restricted to each type, rows ordered (j, type, j-subset), and Gamma is
     block diagonal with blocks ``gamma_j (x) I``. Up is ``Down^T Gamma``.
 
-    g is read from the dense inverse's columns at one row per type
-    (``_inverse_columns``), which also applies the dense inverse to a probe
-    vector; the sparse matrices are built after the dense buffer is freed
-    and must reproduce that product, else the equalities were not
-    invariant and InvalidParams is raised.
+    g is the column of the inverse at one representative row per type. The
+    relabellings that fix the representative's subset split the rows into
+    orbits, labelled (type r, |S_r & S_rep|), the representative an orbit of
+    its own, and the column is constant on them. With P the 0/1
+    row-by-orbit matrix, G P = P B, B read as A diag(1/m) A^T P at one row
+    per orbit; with D the orbit sizes, C = D^1/2 B D^-1/2 is symmetric, and
+    the column is P D^-1/2 pinv(C) e_o, o the representative's orbit: one
+    eigendecomposition of a few dozen orbits, with eigenvalues below
+    ``_EIG_CUT`` of the largest dropped. That is the inverse's column when G
+    is invertible and the pseudo-inverse's when the rows are dependent
+    (A y = b is then still met exactly for consistent b), on one path; no
+    n x n array is formed. Should the equalities not be invariant, the
+    sparse operator is no generalized inverse of G, which a probe vector p
+    shows: G Up Down G p must be G p, else InvalidParams is raised.
     """
     import scipy.sparse
 
-    d, sets = cons.d, cons.row_sets
-    width = sets.shape[1]
+    d, sets, A = cons.d, cons.row_sets, cons.A
+    n, width = sets.shape
     size = (sets < d).sum(axis=1)
     # the first row of each (family, size) type stands for it
     _, reps, kind = np.unique(
         np.column_stack([cons.row_families, size]), axis=0, return_index=True, return_inverse=True
     )
     kind = kind.ravel()  # numpy 2.0.0 returns it as a column
-    probe = np.random.default_rng(0).standard_normal(len(sets))
-    cols, want = _inverse_columns(cons.A, cons.inv_m, reps, probe)
     # |S_r & S_rep| for every row r and representative rep
-    shared = (sets[:, None, :, None] == sets[reps][None, :, None, :]) & (sets < d)[:, None, :, None]
+    shared = (
+        (sets[:, None, :, None] == sets[reps][None, :, None, :]) & (sets < d)[:, None, :, None]
+    ).sum(axis=(2, 3))
     g = np.zeros((len(reps), len(reps), width + 1))
-    g[kind[:, None], np.arange(len(reps)), shared.sum(axis=(2, 3))] = cols
+    for t, rep in enumerate(reps):
+        # the orbits of the relabellings that fix S_rep, and one row of each
+        _, first, orbit = np.unique(
+            kind * (width + 1) + shared[:, t], return_index=True, return_inverse=True
+        )
+        P = scipy.sparse.csr_matrix((np.ones(n), orbit, np.arange(n + 1)), shape=(n, len(first)))
+        B = (A[first] @ scipy.sparse.diags(cons.inv_m) @ (cons.AT @ P)).toarray()
+        root = np.sqrt(np.bincount(orbit))
+        w, Q = np.linalg.eigh(root[:, None] * B / root)
+        # D^-1/2 times the column of pinv(C) at the representative's orbit
+        cut = max(w.max(), 1.0) * _EIG_CUT
+        column = Q @ np.where(w > cut, Q[orbit[rep]] / np.maximum(w, cut), 0.0) / root
+        g[kind[first], t, shared[first, t]] = column
     # G's inverse is symmetric: averaging the two readings of each type
     # pair makes Gamma symmetric too, so Up = (Gamma Down)^T = Down^T Gamma
     g = (g + g.transpose(1, 0, 2)) / 2.0
@@ -329,7 +305,12 @@ def _equality_orbits(
     )
     up = (scipy.sparse.block_diag(blocks, format="csr") @ down).T.tocsr()
     up.eliminate_zeros()
-    if not np.abs(up @ (down @ probe) - want).max() <= _PROBE_TOL * np.abs(want).max():
+
+    def normal(x: np.ndarray) -> np.ndarray:
+        return A @ (cons.inv_m * (cons.AT @ x))
+
+    Gp = normal(np.random.default_rng(0).standard_normal(n))
+    if not np.abs(normal(up @ (down @ Gp)) - Gp).max() <= _PROBE_TOL * np.abs(Gp).max():
         raise InvalidParams(
             "the equalities are not invariant under relabelling the vertices: "
             "the inverse of their normal matrix does not follow the row subsets and families"

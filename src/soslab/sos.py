@@ -147,9 +147,8 @@ def max_abs(arr: np.ndarray) -> int:
 # Equality systems per shape, each with the solver's set-up once solved:
 # the one bound on per-shape solver state. The level-2 system at d=16 (698
 # rows) keeps about 0.6 MB of CSR arrays, A included (1.5 MB at d=20); the
-# equality inverse's Down and Up are 0.13 MB of it (0.26 MB), where the
-# dense inverse took 3.9 MB (14.6 MB). The entry map, 0.15 MB, is the
-# indexer's.
+# equality inverse's Down and Up are 0.13 MB of it (0.26 MB). The entry
+# map, 0.15 MB, is the indexer's.
 _SHAPES_CACHED = 8
 
 

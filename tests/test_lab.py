@@ -372,6 +372,22 @@ def _sbm_point(**kw):
         (cert_config, "grid", [_sbm_point(d="6")], "d: expected int, got '6'"),
         (gap_config, "multipliers", [1, "2.5"], "multipliers: expected float, got '2.5'"),
         (gap_config, "solver", {"tol": False}, "solver.tol: expected float, got False"),
+        (threshold_config, "multipliers", [1.0, math.nan],
+         "multipliers must be finite and >= 0, got nan"),
+        (threshold_config, "multipliers", [math.inf], "multipliers must be finite and >= 0, got inf"),
+        (threshold_config, "multipliers", [0.0, -1.0],
+         "multipliers must be finite and >= 0, got -1.0"),
+        (gap_config, "grid", [_gaussian_point(beta_star=math.nan)],
+         "beta_star must be finite and >= 0, got nan"),
+        (gap_config, "grid", [_gaussian_point(beta_star=math.inf)],
+         "beta_star must be finite and >= 0, got inf"),
+        (gap_config, "grid", [_gaussian_point(noise={"kind": "gaussian", "sigma": math.nan})],
+         "gaussian sigma must be finite and >= 0 (0 = noiseless mode), got nan"),
+        (gap_config, "grid", [_gaussian_point(noise={"kind": "gaussian", "sigma": math.inf})],
+         "gaussian sigma must be finite and >= 0 (0 = noiseless mode), got inf"),
+        (cert_config, "grid", [_gaussian_point(beta_star=0.0, ell=1,
+                                               noise={"kind": "rademacher", "nu": math.inf})],
+         "rademacher nu must be finite and > 0, got inf"),
     ],
 )
 def test_config_field_type_errors_name_the_field(tmp_path, make, field, value, message):
