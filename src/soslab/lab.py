@@ -385,10 +385,11 @@ def run_threshold_sweep(cfg: ExperimentConfig) -> tuple[list[dict], list[dict]]:
                         "rep": rep, "seed": seed, "hypothesis": hyp,
                     }
                     rows.append(_run_cell(row, THRESHOLD_COLUMNS, work))
-            # type I: reject under H0; type II: accept under H1; failed cells hold reject ""
+            # type I: no accept under H0; type II: no reject under H1. A failed
+            # cell holds reject "", a wrong decision under either hypothesis.
             cells = rows[-2 * cfg.replicates :]
-            type_i = sum(r["reject"] == 1 for r in cells if r["hypothesis"] == 0) / cfg.replicates
-            type_ii = sum(r["reject"] == 0 for r in cells if r["hypothesis"] == 1) / cfg.replicates
+            type_i = sum(r["reject"] != 0 for r in cells if r["hypothesis"] == 0) / cfg.replicates
+            type_ii = sum(r["reject"] != 1 for r in cells if r["hypothesis"] == 1) / cfg.replicates
             summary.append(
                 {
                     "d": g.d,

@@ -13,17 +13,24 @@ is ADMM on the splitting Z = M(y), Z PSD, with scaled dual U:
            permutes the equalities among themselves, so the inverse is
            fixed by a few coefficients per pair of row types and intersection
            size (``_equality_orbits``).
-  Z-step   Z = PSD projection of M(y) + U, recomposed from the positive
-           eigenpairs only as W W^T with W = V+ sqrt(w+), a BLAS syrk: Z is
-           exactly symmetric. The eigensolver is chosen by the previous
-           iteration's positive count k (the first counts as k = n): above
-           12, LAPACK syevd computes the full spectrum; else syevr computes
-           the positive range only, at a cost that grows with the
-           eigenpairs it finds (early and block-model iterates keep many
-           positive eigenvalues, late planted ones a few). M(y) + U is
-           exactly symmetric, so it is projected as it is, without the
-           defensive symmetrization, and LAPACK overwrites its buffer. Z
-           is written into the buffer of the Z before last.
+  Z-step   Z = PSD projection of M(y) + U, recomposed from the eigenpairs
+           above the cut tau = n eps ||M(y) + U||_F only, as W W^T with
+           W = V+ sqrt(w+), a BLAS syrk: Z is exactly symmetric. An
+           eigenpair at or below tau moves Z by at most tau, LAPACK's own
+           backward error; the known kernel of the moment matrix leaves
+           late iterates with such rounding-level positive eigenvalues
+           beside the real ones. The eigensolver is chosen by the previous
+           iteration's count k above the cut (the first counts as k = n):
+           above 12, LAPACK syevd computes the full spectrum; else syevr
+           computes the range (tau, inf) only, at a cost that grows with
+           the eigenpairs it finds (early and block-model iterates keep
+           many positive eigenvalues, late planted ones a few). Both run
+           with LAPACK's minimum workspace. M(y) + U is exactly symmetric,
+           so it is projected as it is, without the defensive
+           symmetrization, and LAPACK overwrites its buffer; its Frobenius
+           norm, the one pass over it before LAPACK's, also rejects a NaN
+           or an infinity. Z is written into the buffer of the Z before
+           last.
   U-step   U += M(y) - Z.
 
 The set-up (the cell-sum matrix, 1/m, A^T, Down and Up, all CSR) reads
@@ -127,23 +134,28 @@ class SdpSolution:
 # process that only scans or certifies never loads it (about 30 MiB of
 # resident memory).
 @lru_cache(maxsize=None)
-def _eigensolver(name: str, n: int):
-    """LAPACK ``name`` and its workspace sizes (lwork, liwork) at dimension
-    n: syevr (MRRR, here the eigenpairs of a value range) or syevd (divide
-    and conquer, the full spectrum)."""
+def _eigensolver(name: str):
+    """LAPACK ``name``: syevr (MRRR, here the eigenpairs of a value range)
+    or syevd (divide and conquer, the full spectrum). Called without
+    lwork/liwork, the wrappers pass LAPACK's documented minimum workspace:
+    26n and 10n for syevr, 1 + 6n + 2n^2 and 3 + 5n for syevd. syevd's
+    query returns the same sizes; syevr's returns more (4521 against 3562
+    at n = 137), and that larger workspace is slower at these sizes
+    (BENCH_admm_psd_cut.json)."""
     import scipy.linalg
 
-    driver, query = scipy.linalg.get_lapack_funcs((name, f"{name}_lwork"), dtype=np.float64)
-    lwork, liwork, _ = query(n, lower=1)
-    return driver, int(lwork), int(liwork)
+    return scipy.linalg.get_lapack_funcs(name, dtype=np.float64)
 
 
-# Above this many positive eigenvalues the full syevd is faster than syevr
-# on the positive range: syevr's cost grows with the eigenpairs it
-# computes, syevd's does not. On ADMM iterates syevd wins from k = 6 at
-# n = 17 and from k = 12 at n = 137, and by 3x at n = 79, k >= 33
-# (BENCH_admm_iteration.json); k > 5 is rare at n = 17.
+# Above this many eigenvalues over the cut the full syevd is faster than
+# syevr on the range: syevr's cost grows with the eigenpairs it computes,
+# syevd's does not. On ADMM iterates syevd wins from k = 6 at n = 17, from
+# k = 17-19 at n = 137 (k = 13-16 was 4 of 1,538 projections there) and by
+# 2.4-4x at n = 79, k >= 32 (BENCH_admm_psd_cut.json); k > 5 is rare at
+# n = 17.
 _FULL_ABOVE = 12
+
+_EPS = float(np.finfo(np.float64).eps)
 
 
 def project_psd(
@@ -156,17 +168,27 @@ def project_psd(
     """Spectral projection onto the PSD cone.
 
     The result is W W^T with W = V+ diag(sqrt(w+)) over the eigenpairs with
-    positive eigenvalues: numpy runs that product as a BLAS syrk, so it is
-    exactly symmetric. It is written into ``out`` when given, else into a
-    fresh array.
+    eigenvalues above the cut tau = n eps ||X||_F: numpy runs that product
+    as a BLAS syrk, so it is exactly symmetric. It is written into ``out``
+    when given, else into a fresh array. An eigenpair at or below tau moves
+    the projection by at most tau in 2-norm, the size of LAPACK's own
+    backward error; ADMM iterates of a program whose moment matrix has a
+    kernel carry such rounding-level positive eigenvalues, which the cut
+    neither computes nor adds back.
 
-    Called with ``S`` alone, only the positive eigenpairs are computed
-    (syevr on the range (0, inf)) and the projection is returned. With
-    ``positive``, the positive count of the previous projection in a
+    Called with ``S`` alone, only the eigenpairs above tau are computed
+    (syevr on the range (tau, inf)) and the projection is returned. With
+    ``positive``, the count above tau of the previous projection in a
     sequence of nearby inputs (the ADMM loop's), the eigensolver is chosen
     by it: the full spectrum (syevd) when it is above ``_FULL_ABOVE``, else
-    the positive range; the call then returns the projection and its own
-    positive count.
+    the range; the call then returns the projection and its own count
+    above tau, the same on both paths. Both drivers run with LAPACK's
+    minimum workspace (``_eigensolver``).
+
+    ||X||_F is one pass over X, and the only one before LAPACK's: a NaN or
+    an infinity makes it non-finite, and only then are the entries checked,
+    so non-finite input raises EigFailure while a finite X whose sum of
+    squares overflows is measured again scaled by its largest entry.
 
     S is symmetrized defensively into a temporary, unless ``overwrite``:
     then S must be an exactly symmetric float64 array (the loop's
@@ -179,9 +201,14 @@ def project_psd(
         # One temporary, exactly symmetric; (a + b) * 0.5 rounds as (a + b) / 2.
         X = np.add(S, S.T)
         X *= 0.5
-    if not np.isfinite(X).all():
-        raise EigFailure("symmetric eigendecomposition failed: non-finite entries")
     n = len(X)
+    cut = n * _EPS * math.sqrt(np.vdot(X, X))
+    if not math.isfinite(cut):
+        if not np.isfinite(X).all():
+            raise EigFailure("symmetric eigendecomposition failed: non-finite entries")
+        top = float(np.abs(X).max())
+        Y = X / top
+        cut = n * _EPS * math.sqrt(np.vdot(Y, Y)) * top
     if n == 0:
         # LAPACK's wrappers reject an empty matrix
         P = np.zeros((0, 0)) if out is None else out
@@ -189,16 +216,13 @@ def project_psd(
     # X is exactly symmetric, so X.T is the same matrix in Fortran order,
     # which LAPACK overwrites without a copy.
     if positive is not None and positive > _FULL_ABOVE:
-        syevd, lwork, liwork = _eigensolver("syevd", n)
-        w, V, info = syevd(X.T, compute_v=1, lower=1, lwork=lwork, liwork=liwork, overwrite_a=1)
-        # ascending: the positive eigenvalues are the last k
-        k = n - int(np.searchsorted(w, 0.0, side="right"))
+        w, V, info = _eigensolver("syevd")(X.T, compute_v=1, lower=1, overwrite_a=1)
+        # ascending: the eigenvalues above the cut are the last k
+        k = n - int(np.searchsorted(w, cut, side="right"))
         w, V = w[n - k:], V[:, n - k:]
     else:
-        syevr, lwork, liwork = _eigensolver("syevr", n)
-        w, V, k, _, info = syevr(
-            X.T, compute_v=1, range="V", lower=1, vl=0.0, vu=np.inf, lwork=lwork, liwork=liwork,
-            overwrite_a=1,
+        w, V, k, _, info = _eigensolver("syevr")(
+            X.T, compute_v=1, range="V", lower=1, vl=cut, vu=np.inf, overwrite_a=1
         )
         w, V = w[:k], V[:, :k]
     if info != 0:

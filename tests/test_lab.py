@@ -223,10 +223,28 @@ def test_threshold_failed_cells_recorded(tmp_path):
         assert row["error"].startswith("TooLarge")
         assert row["scan_value"] == ""
         assert row["reject"] == ""
+    # a failed cell is a wrong decision under either hypothesis
     for s in summary:
-        assert s["type_i_error"] == 0.0
-        assert s["type_ii_error"] == 0.0
-        assert s["summed_error"] == 0.0
+        assert s["type_i_error"] == 1.0
+        assert s["type_ii_error"] == 1.0
+        assert s["summed_error"] == 2.0
+
+
+def test_threshold_failed_cells_are_errors_in_the_summary(tmp_path):
+    # every scan cell fails with TooLarge; the summary must not read as a
+    # perfect test
+    cfg = threshold_config(
+        tmp_path,
+        grid=[{"model": "submatrix", "d": 8, "s_star": 3, "beta_star": 0.0,
+               "noise": {"kind": "gaussian", "sigma": 1.0}}],
+        replicates=3,
+        max_subsets=1,
+    )
+    run_experiment(cfg)
+    with open(summary_path(cfg.output), newline="") as fh:
+        summary = list(csv.DictReader(fh))
+    assert [float(s["c"]) for s in summary] == list(cfg.multipliers)
+    assert [float(s["summed_error"]) for s in summary] == [2.0] * len(cfg.multipliers)
 
 
 def test_threshold_noiseless_with_large_c_separates(tmp_path):

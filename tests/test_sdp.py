@@ -86,14 +86,14 @@ def drivers(monkeypatch):
     ran = Counter()
     factory = sdp._eigensolver
 
-    def counted(name, n):
-        driver, *sizes = factory(name, n)
+    def counted(name):
+        driver = factory(name)
 
         def call(*args, **kwargs):
             ran[name] += 1
             return driver(*args, **kwargs)
 
-        return (call, *sizes)
+        return call
 
     monkeypatch.setattr(sdp, "_eigensolver", counted)
     return ran
@@ -157,6 +157,48 @@ def test_project_psd_rejects_nan():
     S = np.eye(3)
     S[1, 2] = np.nan
     with pytest.raises(EigFailure):
+        project_psd(S)
+
+
+def _with_rounding_level_cluster():
+    # three clear positive eigenvalues, a cluster at +-1e-16, below the
+    # rounding of forming S (the kernel of a moment matrix, seen through
+    # rounding), and negative ones
+    Q = np.linalg.qr(generator(7).standard_normal((40, 40)))[0]
+    w = np.r_[3.0, 2.0, 1.0, np.tile([1e-16, -1e-16], 6), -np.linspace(0.5, 3.0, 25)]
+    return (Q * w) @ Q.T
+
+
+def test_project_psd_cuts_rounding_level_eigenvalues(drivers, monkeypatch):
+    S = _with_rounding_level_cluster()
+    S = (S + S.T) / 2.0
+    w = np.linalg.eigvalsh(S)
+    cut = len(S) * np.finfo(float).eps * np.linalg.norm(S)
+    assert (w > 0).sum() > 3  # some of the cluster lands above 0
+    assert (w > cut).sum() == 3
+    P_range, k_range = project_psd(S, positive=0)
+    monkeypatch.setattr(sdp, "_FULL_ABOVE", -1)
+    P_full, k_full = project_psd(S, positive=0)
+    assert drivers == {"syevr": 1, "syevd": 1}
+    assert k_range == k_full == 3
+    for P in (P_range, P_full):
+        assert np.abs(P - _full_spectrum_projection(S)).max() <= 1e-12
+
+
+def test_project_psd_finite_input_whose_norm_overflows():
+    # entries near 1e200: the sum of squares overflows, the matrix is finite
+    scale = 2.0**664
+    S = PROJECTION_INPUTS["random"]
+    S = (S + S.T) * scale
+    assert np.vdot(S, S) == np.inf
+    P, k = project_psd(S, positive=0)
+    P_scaled, k_scaled = project_psd(S / scale, positive=0)
+    assert k == k_scaled > 0
+    tol = 1e-12 * np.abs(S).max()
+    assert np.abs(P - P_scaled * scale).max() <= tol
+    assert np.abs(project_psd(S) - P_scaled * scale).max() <= tol
+    S[0, 1] = S[1, 0] = np.inf
+    with pytest.raises(EigFailure, match="non-finite entries"):
         project_psd(S)
 
 
