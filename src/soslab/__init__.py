@@ -31,15 +31,9 @@ from .models import (
     generate,
     mean_matrix,
 )
-from .sdp import SdpSolution, SolverOptions, project_psd, solve
+from .sdp import SdpSolution, SolverOptions, solve
 from .seeds import generator, mix_seed
-from .sos import (
-    PseudoExpectation,
-    SosProgram,
-    assemble_basic,
-    assemble_level,
-    moment_matrix,
-)
+from .sos import PseudoExpectation, SosProgram, assemble_basic, assemble_level
 from .subsets import SubsetIndexer, subset_indexer
 
 __all__ = [
@@ -74,7 +68,6 @@ __all__ = [
     "mean_matrix",
     "SdpSolution",
     "SolverOptions",
-    "project_psd",
     "solve",
     "generator",
     "mix_seed",
@@ -82,7 +75,6 @@ __all__ = [
     "SosProgram",
     "assemble_basic",
     "assemble_level",
-    "moment_matrix",
     "SubsetIndexer",
     "subset_indexer",
 ]

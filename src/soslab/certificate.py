@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -42,9 +41,9 @@ from .errors import (
     TooLarge,
     check_s_star,
 )
-from .matrix import NoisyMatrix, pair_indices, pair_iter
+from .matrix import NoisyMatrix, pair_indices
 from .sos import PseudoExpectation, exact_dtype, max_abs, nonzero_block
-from .subsets import NonzeroView, SubsetIndexer, parents, rank, sizes, subset_counts, subset_indexer, var_count
+from .subsets import SubsetIndexer, parents, rank, sizes, subset_counts, subset_indexer, var_count
 
 SIGN_POSITIVE = "sign-positive"
 BINARY_ONE = "binary-one"
@@ -63,10 +62,6 @@ class PositivityGraph:
     d: int
     positive: np.ndarray
 
-    @property
-    def edges(self) -> frozenset[tuple[int, int]]:
-        return frozenset(pair for pair, k in zip(pair_iter(self.d), self.positive) if k)
-
     def adjacency(self) -> np.ndarray:
         """Symmetric boolean d x d adjacency matrix."""
         adj = np.zeros((self.d, self.d), dtype=bool)
@@ -77,8 +72,7 @@ class PositivityGraph:
 @dataclass(frozen=True, eq=False)
 class ExpansivityTable:
     """Counts eta(S) for all subsets with |S| <= 2*ell: a read-only int64
-    array in the indexer's variable order. ``counts`` views its nonzero
-    entries by subset; absent subsets read 0."""
+    array in the indexer's variable order."""
 
     d: int
     ell: int
@@ -87,13 +81,6 @@ class ExpansivityTable:
     @property
     def clique_count(self) -> int:
         return int(self.eta[0])
-
-    @cached_property
-    def counts(self) -> NonzeroView:
-        return NonzeroView(self.d, self.ell, self.eta, int)
-
-    def get(self, subset) -> int:
-        return self.counts.get(tuple(sorted(subset)), 0)
 
 
 @dataclass(frozen=True)

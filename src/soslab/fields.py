@@ -1,11 +1,12 @@
 """Typed reads of the fields of a JSON document (configs, model params).
 
-A field of the wrong type, or a required field that is absent, raises
-``InvalidParams`` naming the field.
+A field of the wrong type, a required field that is absent, or a key that
+the reader does not read raises ``InvalidParams`` naming the field.
 """
 from __future__ import annotations
 
 import numbers
+from collections.abc import Collection
 
 from .errors import InvalidParams
 
@@ -40,3 +41,11 @@ def parse_field(doc: dict, key: str, kind: type, default=_REQUIRED, name: str | 
     if default is _REQUIRED:
         raise InvalidParams(f"{name or key}: missing")
     return default
+
+
+def check_keys(doc: dict, known: Collection[str], prefix: str = "") -> None:
+    """Raise on the first key of ``doc`` outside ``known``, named with
+    ``prefix``: a misspelled field would otherwise read its default."""
+    for key in doc:
+        if key not in known:
+            raise InvalidParams(f"{prefix}{key}: unknown key")

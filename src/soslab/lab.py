@@ -16,7 +16,7 @@ import csv
 import json
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from typing import Callable
 
@@ -31,7 +31,7 @@ from .estimators import (
     max_estimate,
     scan_estimate,
 )
-from .fields import parse, parse_field
+from .fields import check_keys, parse, parse_field
 from .matrix import NoisyMatrix
 from .models import GAUSSIAN, SBM, SUBMATRIX, ModelParams, Noise, generate
 from .sdp import SdpSolution, SolverOptions, solve
@@ -60,6 +60,11 @@ THRESHOLD_SUMMARY_COLUMNS = [
 ]
 
 ESTIMATORS = ("scan", "avg", "max", "lp", "sos_basic", "sos_level")
+
+
+def _field_names(cls) -> set[str]:
+    """The config keys of a level: the fields of the dataclass it builds."""
+    return {f.name for f in fields(cls)}
 
 
 @dataclass(frozen=True)
@@ -96,6 +101,7 @@ class GridPoint:
     @classmethod
     def from_dict(cls, doc: dict) -> "GridPoint":
         doc = parse(dict, doc, "grid")
+        check_keys(doc, _field_names(cls), "grid.")
         model = parse_field(doc, "model", str, SUBMATRIX)
         noise = None
         if model == SUBMATRIX:
@@ -165,7 +171,9 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
         doc = parse(dict, doc, "config")
+        check_keys(doc, _field_names(cls))
         solver_doc = parse_field(doc, "solver", dict, {})
+        check_keys(solver_doc, _field_names(SolverOptions), "solver.")
         defaults = SolverOptions()
         solver = SolverOptions(
             tol=parse_field(solver_doc, "tol", float, defaults.tol, "solver.tol"),

@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
 
 import numpy as np
 
@@ -31,13 +30,6 @@ def n_pairs(d: int) -> int:
     return d * (d - 1) // 2
 
 
-def pair_index(d: int, i: int, j: int) -> int:
-    """Position of pair ``(i, j)``, 1 <= i < j <= d, in storage order."""
-    if not (1 <= i < j <= d):
-        raise InvalidParams(f"pair ({i},{j}) out of range for d={d}")
-    return (i - 1) * d - i * (i + 1) // 2 + j - 1
-
-
 @lru_cache(maxsize=64)
 def pair_indices(d: int) -> tuple[np.ndarray, np.ndarray]:
     """``np.triu_indices(d, 1)``: the 0-based row and column of each pair
@@ -45,13 +37,6 @@ def pair_indices(d: int) -> tuple[np.ndarray, np.ndarray]:
     rows, cols = np.triu_indices(d, 1)
     rows.flags.writeable = cols.flags.writeable = False
     return rows, cols
-
-
-def pair_iter(d: int) -> Iterable[tuple[int, int]]:
-    """Pairs ``(i, j)``, i < j, in storage order."""
-    for i in range(1, d + 1):
-        for j in range(i + 1, d + 1):
-            yield i, j
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,16 +66,6 @@ class NoisyMatrix:
         if not isinstance(other, NoisyMatrix):
             return NotImplemented
         return self.d == other.d and np.array_equal(self.entries, other.entries)
-
-    def value(self, i: int, j: int) -> float:
-        """Entry ``X_ij`` with symmetry and the zero diagonal applied."""
-        if i == j:
-            if not 1 <= i <= self.d:
-                raise InvalidParams(f"index {i} out of range for d={self.d}")
-            return 0.0
-        if i > j:
-            i, j = j, i
-        return float(self.entries[pair_index(self.d, i, j)])
 
     def to_dense(self) -> np.ndarray:
         """Full symmetric ``d x d`` array (0-based indexing)."""

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParams, InvalidSupport, RademacherWithSignal, check_s_star
-from .fields import parse, parse_field
+from .fields import check_keys, parse, parse_field
 from .matrix import NoisyMatrix, n_pairs, pair_indices
 from .seeds import generator
 
@@ -67,6 +67,8 @@ class Noise:
         doc = parse(dict, doc, "noise")
         kind = parse_field(doc, "kind", str, name="noise.kind")
         key = "sigma" if kind == GAUSSIAN else "nu"
+        if kind in (GAUSSIAN, RADEMACHER):  # else validate() names the unknown kind
+            check_keys(doc, ("kind", key), "noise.")
         return cls(kind=kind, scale=parse_field(doc, key, float, 1.0, f"noise.{key}"))
 
 

@@ -26,11 +26,10 @@ is ADMM on the splitting Z = M(y), Z PSD, with scaled dual U:
            the eigenpairs it finds (early and block-model iterates keep
            many positive eigenvalues, late planted ones a few). Both run
            with LAPACK's minimum workspace. M(y) + U is exactly symmetric,
-           so it is projected as it is, without the defensive
-           symmetrization, and LAPACK overwrites its buffer; its Frobenius
-           norm, the one pass over it before LAPACK's, also rejects a NaN
-           or an infinity. Z is written into the buffer of the Z before
-           last.
+           so LAPACK works in its scratch buffer and overwrites it; its
+           Frobenius norm, the one pass over it before LAPACK's, also
+           rejects a NaN or an infinity. Z is written into the buffer of
+           the Z before last.
   U-step   U += M(y) - Z.
 
 The set-up (the cell-sum matrix, 1/m, A^T, Down and Up, all CSR) reads
@@ -80,7 +79,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import EigFailure, InvalidParams
-from .subsets import rank, var_count
+from .subsets import _read_only, rank, var_count
 
 if TYPE_CHECKING:
     import scipy.sparse
@@ -158,49 +157,31 @@ _FULL_ABOVE = 12
 _EPS = float(np.finfo(np.float64).eps)
 
 
-def project_psd(
-    S: np.ndarray,
-    *,
-    out: np.ndarray | None = None,
-    positive: int | None = None,
-    overwrite: bool = False,
-):
-    """Spectral projection onto the PSD cone.
+def project_psd(X: np.ndarray, *, out: np.ndarray | None = None, positive: int):
+    """Spectral projection onto the PSD cone, and its count of eigenvalues
+    above the cut: ``(P, k)``.
 
-    The result is W W^T with W = V+ diag(sqrt(w+)) over the eigenpairs with
-    eigenvalues above the cut tau = n eps ||X||_F: numpy runs that product
-    as a BLAS syrk, so it is exactly symmetric. It is written into ``out``
-    when given, else into a fresh array. An eigenpair at or below tau moves
-    the projection by at most tau in 2-norm, the size of LAPACK's own
-    backward error; ADMM iterates of a program whose moment matrix has a
-    kernel carry such rounding-level positive eigenvalues, which the cut
-    neither computes nor adds back.
+    X must be an exactly symmetric float64 array (the loop's M(y) + U);
+    LAPACK overwrites it. The result is W W^T with W = V+ diag(sqrt(w+))
+    over the eigenpairs with eigenvalues above the cut tau = n eps ||X||_F:
+    numpy runs that product as a BLAS syrk, so it is exactly symmetric. It
+    is written into ``out`` when given, else into a fresh array. An
+    eigenpair at or below tau moves the projection by at most tau in
+    2-norm, the size of LAPACK's own backward error; ADMM iterates of a
+    program whose moment matrix has a kernel carry such rounding-level
+    positive eigenvalues, which the cut neither computes nor adds back.
 
-    Called with ``S`` alone, only the eigenpairs above tau are computed
-    (syevr on the range (tau, inf)) and the projection is returned. With
-    ``positive``, the count above tau of the previous projection in a
-    sequence of nearby inputs (the ADMM loop's), the eigensolver is chosen
+    ``positive`` is the count above tau of the previous projection in a
+    sequence of nearby inputs (the ADMM loop's); the eigensolver is chosen
     by it: the full spectrum (syevd) when it is above ``_FULL_ABOVE``, else
-    the range; the call then returns the projection and its own count
-    above tau, the same on both paths. Both drivers run with LAPACK's
-    minimum workspace (``_eigensolver``).
+    only the range (tau, inf) (syevr). k is the same on both paths. Both
+    drivers run with LAPACK's minimum workspace (``_eigensolver``).
 
     ||X||_F is one pass over X, and the only one before LAPACK's: a NaN or
     an infinity makes it non-finite, and only then are the entries checked,
     so non-finite input raises EigFailure while a finite X whose sum of
     squares overflows is measured again scaled by its largest entry.
-
-    S is symmetrized defensively into a temporary, unless ``overwrite``:
-    then S must be an exactly symmetric float64 array (the loop's
-    M(y) + U), and LAPACK overwrites it.
     """
-    S = np.asarray(S, dtype=np.float64)
-    if overwrite:
-        X = S
-    else:
-        # One temporary, exactly symmetric; (a + b) * 0.5 rounds as (a + b) / 2.
-        X = np.add(S, S.T)
-        X *= 0.5
     n = len(X)
     cut = n * _EPS * math.sqrt(np.vdot(X, X))
     if not math.isfinite(cut):
@@ -211,11 +192,10 @@ def project_psd(
         cut = n * _EPS * math.sqrt(np.vdot(Y, Y)) * top
     if n == 0:
         # LAPACK's wrappers reject an empty matrix
-        P = np.zeros((0, 0)) if out is None else out
-        return P if positive is None else (P, 0)
+        return (np.zeros((0, 0)) if out is None else out), 0
     # X is exactly symmetric, so X.T is the same matrix in Fortran order,
     # which LAPACK overwrites without a copy.
-    if positive is not None and positive > _FULL_ABOVE:
+    if positive > _FULL_ABOVE:
         w, V, info = _eigensolver("syevd")(X.T, compute_v=1, lower=1, overwrite_a=1)
         # ascending: the eigenvalues above the cut are the last k
         k = n - int(np.searchsorted(w, cut, side="right"))
@@ -228,8 +208,7 @@ def project_psd(
     if info != 0:
         raise EigFailure(f"symmetric eigendecomposition failed: LAPACK info {info}")
     W = V * np.sqrt(w)
-    P = np.matmul(W, W.T, out=out)
-    return P if positive is None else (P, k)
+    return np.matmul(W, W.T, out=out), k
 
 
 # Eigenvalues of a quotient matrix at most this fraction of its largest one
@@ -340,11 +319,6 @@ def _equality_orbits(
             "the inverse of their normal matrix does not follow the row subsets and families"
         )
     return _read_only_csr(down), _read_only_csr(up)
-
-
-def _read_only(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    return arr
 
 
 def _matvec(M: scipy.sparse.csr_matrix):
@@ -472,9 +446,7 @@ def solve(program: SosProgram, options: SolverOptions | None = None) -> SdpSolut
         # mode='wrap': 'raise' would buffer the output; every index is in range
         y.take(entry, out=My, mode="wrap")
         Z_prev = Z
-        Z, positive = project_psd(
-            np.add(My, U, out=T), out=Z_spare, positive=positive, overwrite=True
-        )
+        Z, positive = project_psd(np.add(My, U, out=T), out=Z_spare, positive=positive)
         Z_spare = Z_prev
         np.subtract(My, Z, out=R)
         U += R

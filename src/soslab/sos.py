@@ -39,7 +39,6 @@ from .sdp import Constraints
 from .subsets import (
     NonzeroView,
     SubsetIndexer,
-    canonical_key,
     parents,
     sizes,
     subset_counts,
@@ -47,32 +46,19 @@ from .subsets import (
     var_count,
 )
 
-_ZERO = Fraction(0)
-
 
 @dataclass(frozen=True)
 class SosProgram:
     """maximize ``c.y / scale`` subject to ``A y = b`` and ``M(y)`` PSD, where
-    ``M(y)`` reads ``y`` through the entry map."""
+    ``M(y)`` reads ``y`` through ``constraints.entry_map``."""
 
     c: np.ndarray
     constraints: Constraints
     scale: float
 
     @property
-    def dim(self) -> int:
-        return len(self.constraints.entry_map)
-
-    @property
     def var_count(self) -> int:
         return len(self.c)
-
-    @property
-    def entry_map(self) -> np.ndarray:
-        return self.constraints.entry_map
-
-    def value_of(self, y: np.ndarray) -> float:
-        return float(self.c @ y) / self.scale
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,16 +93,6 @@ class PseudoExpectation:
     def values(self) -> Mapping[tuple[int, ...], Fraction]:
         return NonzeroView(self.d, self.ell, self.num, lambda n: Fraction(int(n), self.den))
 
-    def get(self, subset: Iterable[int]) -> Fraction:
-        key = canonical_key(subset)
-        if len(key) > 2 * self.ell:
-            raise MissingValue(
-                f"subset of size {len(key)} exceeds the covered size {2 * self.ell}"
-            )
-        if key and (key[0] < 1 or key[-1] > self.d):
-            raise MissingValue(f"subset {key} not within 1..{self.d}")
-        return self.values.get(key, _ZERO)
-
     def floats(self) -> np.ndarray:
         """``num / den`` correctly rounded: a float division when both sides
         are exact as floats (below 2**53), else Python ``int / int``."""
@@ -127,9 +103,10 @@ class PseudoExpectation:
     @classmethod
     def indicator(cls, support: Iterable[int], d: int, ell: int) -> "PseudoExpectation":
         """The integral lift of a vertex subset: y[T] = 1 iff T is inside it."""
-        supp = np.array([canonical_key(support)], dtype=np.int64).reshape(1, -1) - 1
+        key = tuple(sorted(set(support)))
+        supp = np.array([key], dtype=np.int64).reshape(1, -1) - 1
         if supp.size and not (0 <= supp[0, 0] and supp[0, -1] < d):
-            raise InvalidParams(f"support {canonical_key(support)} not within 1..{d}")
+            raise InvalidParams(f"support {key} not within 1..{d}")
         return cls(d=d, ell=ell, s_star=supp.shape[1], num=subset_counts(d, 2 * ell, supp), den=1)
 
 
@@ -235,22 +212,18 @@ def _program(
     X: NoisyMatrix, s_star: int, idx: SubsetIndexer, constraints: Constraints
 ) -> SosProgram:
     # The pair variables follow the empty set and the d singletons, in
-    # pair_iter order. Weight 2*X_ij covers both orders of the trace;
-    # value_of divides by scale. Adding 0.0 turns a -0.0 weight into 0.0.
+    # the pair storage order of X.entries. Weight 2*X_ij covers both orders
+    # of the trace; the value divides by scale. Adding 0.0 turns a -0.0
+    # weight into 0.0.
     c = np.zeros(idx.var_count)
     c[1 + X.d : 1 + X.d + len(X.entries)] = 2.0 * X.entries + 0.0
     return SosProgram(c=c, constraints=constraints, scale=float(s_star * (s_star - 1)))
 
 
-def moment_matrix(pe: PseudoExpectation, idx: SubsetIndexer) -> np.ndarray:
-    """Dense symmetric matrix M[r, c] = float(pe value at S_r union S_c)."""
-    _check_covers(pe, idx)
-    return pe.floats()[idx.entry_map()]
-
-
 def nonzero_block(pe: PseudoExpectation, idx: SubsetIndexer) -> np.ndarray:
-    """The principal block of ``moment_matrix(pe, idx)`` on its nonzero
-    rows, gathered without the full float matrix: the rows are read from
+    """The principal block of the float moment matrix of ``pe``,
+    ``pe.floats()[idx.entry_map()]``, on its nonzero rows, gathered
+    without the full float matrix: the rows are read from
     a boolean mask of the nonzero moments through the entry map, and
     only the block's cells are gathered as floats."""
     _check_covers(pe, idx)

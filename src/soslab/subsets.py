@@ -19,7 +19,7 @@ import math
 from collections.abc import Mapping
 from functools import lru_cache
 from itertools import chain, combinations
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -30,11 +30,6 @@ MAX_DIM = 4096
 
 # Elements per int64 temporary of a chunked array computation (256 KiB).
 _CHUNK = 1 << 15
-
-
-def canonical_key(vertices: Iterable[int]) -> tuple[int, ...]:
-    """Sorted-tuple key of a vertex collection (duplicates merged)."""
-    return tuple(sorted(set(vertices)))
 
 
 def var_count(d: int, max_size: int) -> int:

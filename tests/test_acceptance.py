@@ -37,6 +37,7 @@ from soslab.models import ModelParams, Noise, generate
 from soslab.sdp import SolverOptions, solve
 from soslab.seeds import generator, mix_seed
 from soslab.sos import assemble_basic, assemble_level
+from constructors import eta
 
 BASE_SEED = 20260809
 
@@ -128,8 +129,8 @@ def test_c03_expansivity_identity():
         table = expansivity_table(g, ell)
         for k in range(2 * ell):
             for S in combinations(range(1, d + 1), k):
-                lhs = sum(table.get(S + (i,)) for i in range(1, d + 1) if i not in S)
-                assert lhs == (2 * ell - k) * table.get(S)
+                lhs = sum(eta(table, S + (i,)) for i in range(1, d + 1) if i not in S)
+                assert lhs == (2 * ell - k) * eta(table, S)
         graphs += 1
     note(3, "counting identity exact on 100 random graphs")
 

@@ -1,11 +1,33 @@
 """What the benchmark in ``perfbench/`` reads of the program.
 
 The traced benchmark run (``perfbench/tracing.py``) replays each workload
-through public functions and attributes (``len(program.constraints)``,
-``program.var_count``, ``sdp.project_psd``, ...) and must write the rows
-``run_experiment`` writes. This runs the replica on one call of each
-workload and checks both, so a change that breaks the benchmark's reads
-fails here first.
+and must write the rows ``run_experiment`` writes. It calls, from the
+package root, ``mix_seed``, ``generate``, the estimators (``scan_estimate``,
+``avg_estimate``, ``max_estimate``, ``lp_estimate``), ``assemble_basic``,
+``assemble_level``, ``solve`` and the certificate stages
+(``positivity_graph``, ``expansivity_table``, ``build_certificate``,
+``verify_certificate``, ``certificate_objective``); from ``lab`` the
+experiment names, the column lists, ``write_csv`` and ``summary_path``;
+``certificate.BINARY_ONE``/``SIGN_POSITIVE`` and ``errors.SoslabError``.
+Of what those return it reads:
+
+- ``sdp.project_psd``, wrapped through the module attribute that ``solve``
+  looks up on every iteration, and ``sdp.OPTIMAL``;
+- of an assembled program, ``len(program.constraints)`` and
+  ``program.var_count``;
+- of a solution, ``sol.iterations``, ``sol.status`` and ``sol.value``;
+- of an expansivity table, ``table.clique_count``;
+- of a certificate, ``len(pe.values)``;
+- of a feasibility report, ``report.psd``, ``report.min_eigenvalue`` and
+  ``report.rowsum_max_violation``;
+- of a scan, ``result.subsets_examined`` and ``result.value``;
+- of a config, ``cfg.validate()`` and its fields, ``cfg.scan_strategy``,
+  ``cfg.max_subsets``, ``cfg.solve_sdp`` and ``cfg.solver`` among them;
+  of a grid point, its fields, ``params(seed, beta_star=...)`` and
+  ``noise_label()``; of an instance, ``matrix`` and ``params.s_star``.
+
+This runs the replica on one call of each workload and checks both, so a
+change that breaks the benchmark's reads fails here first.
 """
 import csv
 from pathlib import Path

@@ -25,13 +25,13 @@ from soslab.certificate import (
     verify_certificate,
 )
 from soslab.errors import CertificateUndefined, InvalidParams, NotBinary, TooLarge
-from soslab.matrix import NoisyMatrix, n_pairs, pair_iter
+from soslab.matrix import NoisyMatrix, n_pairs
 from soslab.models import ModelParams, Noise, generate
 import soslab
 from soslab.seeds import generator
-from soslab.sos import PseudoExpectation, moment_matrix, nonzero_block
+from soslab.sos import PseudoExpectation, nonzero_block
 from soslab.subsets import subset_indexer
-from constructors import pe_from_values
+from constructors import counts, edges, entry, eta, moment, moment_matrix, pairs, pe_from_values
 from subset_order import subsets_up_to
 
 PATH_3 = NoisyMatrix(d=3, entries=np.array([1.0, -1.0, 1.0]))  # edges 1-2, 2-3
@@ -50,25 +50,25 @@ def expansion_identity_violations(table, d):
     """Exact check of: sum_{i not in S} eta(S+{i}) = (2l - |S|) eta(S)."""
     worst = 0
     for S in subsets_up_to(d, 2 * table.ell - 1):
-        lhs = sum(table.get(S + (i,)) for i in range(1, d + 1) if i not in S)
-        rhs = (2 * table.ell - len(S)) * table.get(S)
+        lhs = sum(eta(table, S + (i,)) for i in range(1, d + 1) if i not in S)
+        rhs = (2 * table.ell - len(S)) * eta(table, S)
         worst = max(worst, abs(lhs - rhs))
     return worst
 
 
 def test_positivity_graph_sign_mode():
     g = positivity_graph(PATH_3, SIGN_POSITIVE)
-    assert g.edges == frozenset({(1, 2), (2, 3)})
+    assert edges(g) == frozenset({(1, 2), (2, 3)})
 
 
 def test_positivity_graph_complete():
     g = complete_graph(5)
-    assert len(g.edges) == 10
+    assert len(edges(g)) == 10
 
 
 def test_positivity_graph_zero_matrix_has_no_edges():
     g = positivity_graph(NoisyMatrix(d=4, entries=np.zeros(6)), SIGN_POSITIVE)
-    assert g.edges == frozenset()
+    assert edges(g) == frozenset()
 
 
 def test_positivity_graph_binary_rejects_nonbinary():
@@ -82,18 +82,18 @@ def test_expansivity_k4():
     table = expansivity_table(complete_graph(4), 1)
     assert table.clique_count == 6
     for i in range(1, 5):
-        assert table.get((i,)) == 3
+        assert eta(table, (i,)) == 3
     for pair in combinations(range(1, 5), 2):
-        assert table.get(pair) == 1
+        assert eta(table, pair) == 1
 
 
 def test_expansivity_path():
     table = expansivity_table(positivity_graph(PATH_3, SIGN_POSITIVE), 1)
     assert table.clique_count == 2
-    assert [table.get((i,)) for i in (1, 2, 3)] == [1, 2, 1]
-    assert table.get((1, 2)) == 1
-    assert table.get((2, 3)) == 1
-    assert table.get((1, 3)) == 0
+    assert [eta(table, (i,)) for i in (1, 2, 3)] == [1, 2, 1]
+    assert eta(table, (1, 2)) == 1
+    assert eta(table, (2, 3)) == 1
+    assert eta(table, (1, 3)) == 0
 
 
 def test_expansivity_empty_graph():
@@ -119,23 +119,24 @@ def test_expansivity_monotone_and_clique_supported():
     rng = generator(501)
     g = random_graph(rng, 8, 0.6)
     table = expansivity_table(g, 2)
-    for S, count in table.counts.items():
+    g_edges = edges(g)
+    for S, count in counts(table).items():
         for v in S:
             smaller = tuple(x for x in S if x != v)
-            assert table.get(smaller) >= count
+            assert eta(table, smaller) >= count
         if len(S) >= 2 and count > 0:
             assert all(
-                tuple(sorted(p)) in g.edges for p in combinations(S, 2)
+                tuple(sorted(p)) in g_edges for p in combinations(S, 2)
             )
 
 
 def test_certificate_k4_values():
     pe = build_certificate(expansivity_table(complete_graph(4), 1), 2, 1)
-    assert pe.get(()) == 1
+    assert moment(pe, ()) == 1
     for i in range(1, 5):
-        assert pe.get((i,)) == Fraction(1, 2)
+        assert moment(pe, (i,)) == Fraction(1, 2)
     for pair in combinations(range(1, 5), 2):
-        assert pe.get(pair) == Fraction(1, 6)
+        assert moment(pe, pair) == Fraction(1, 6)
 
 
 def test_certificate_complete_graph_closed_form():
@@ -145,19 +146,19 @@ def test_certificate_complete_graph_closed_form():
         pe = build_certificate(expansivity_table(complete_graph(d), ell), s_star, ell)
         for S in subsets_up_to(d, 2 * ell):
             expected = Fraction(math.perm(s_star, len(S)), math.perm(d, len(S)))
-            assert pe.get(S) == expected
+            assert moment(pe, S) == expected
 
 
 def test_certificate_path_values():
     pe = build_certificate(
         expansivity_table(positivity_graph(PATH_3, SIGN_POSITIVE), 1), 2, 1
     )
-    assert pe.get((1,)) == Fraction(1, 2)
-    assert pe.get((2,)) == 1
-    assert pe.get((3,)) == Fraction(1, 2)
-    assert pe.get((1, 2)) == Fraction(1, 2)
-    assert pe.get((2, 3)) == Fraction(1, 2)
-    assert pe.get((1, 3)) == 0
+    assert moment(pe, (1,)) == Fraction(1, 2)
+    assert moment(pe, (2,)) == 1
+    assert moment(pe, (3,)) == Fraction(1, 2)
+    assert moment(pe, (1, 2)) == Fraction(1, 2)
+    assert moment(pe, (2, 3)) == Fraction(1, 2)
+    assert moment(pe, (1, 3)) == 0
 
 
 def test_certificate_undefined_on_empty_graph():
@@ -202,9 +203,9 @@ def test_certificate_row_sums():
         table = expansivity_table(g, ell)
         assert table.clique_count > 0
         pe = build_certificate(table, s_star, ell)
-        assert sum(pe.get((i,)) for i in range(1, 10)) == s_star
+        assert sum(moment(pe, (i,)) for i in range(1, 10)) == s_star
         ordered = sum(
-            pe.get((i, j)) if i != j else pe.get((i,))
+            moment(pe, (i, j)) if i != j else moment(pe, (i,))
             for i in range(1, 10)
             for j in range(1, 10)
         )
@@ -258,7 +259,7 @@ def test_objective_integral_indicator_is_scan_average():
     rng = generator(63)
     X = NoisyMatrix(d=6, entries=rng.standard_normal(15))
     ind = PseudoExpectation.indicator((2, 4, 5), d=6, ell=2)
-    expected = sum(X.value(i, j) for i in (2, 4, 5) for j in (2, 4, 5) if i != j) / 6
+    expected = sum(entry(X, i, j) for i in (2, 4, 5) for j in (2, 4, 5) if i != j) / 6
     got = certificate_objective(X, ind, 3)
     assert float(got) == pytest.approx(expected, abs=1e-12)
 
@@ -331,20 +332,20 @@ def dense_rowsum_violation(pe, d, s_star, ell):
                 v = pe.values.get(tuple(sorted(S + (i,))))
                 if v:
                     lhs += v
-        worst = max(worst, abs(lhs - (s_star - len(S)) * pe.get(S)))
+        worst = max(worst, abs(lhs - (s_star - len(S)) * moment(pe, S)))
     return worst
 
 
 def dense_moment_matrix(pe, idx):
-    """Reference: read every variable through pe.get."""
-    return np.array([float(pe.get(S)) for S in subsets_up_to(idx.d, 2 * idx.ell)])[idx.entry_map()]
+    """Reference: read every variable through its key."""
+    return np.array([float(moment(pe, S)) for S in subsets_up_to(idx.d, 2 * idx.ell)])[idx.entry_map()]
 
 
 def dense_objective(X, pe, s_star):
-    """Reference: read every pair through pe.get."""
+    """Reference: read every pair through its key."""
     total = Fraction(0)
-    for pos, pair in enumerate(pair_iter(X.d)):
-        total += Fraction(float(X.entries[pos])) * pe.get(pair)
+    for pos, pair in enumerate(pairs(X.d)):
+        total += Fraction(float(X.entries[pos])) * moment(pe, pair)
     return total * Fraction(2, s_star * (s_star - 1))
 
 
@@ -400,7 +401,7 @@ def test_verify_matches_dense_reference(case):
     report = verify_certificate(pe, d, s_star, ell)
     assert report.rowsum_max_violation == dense_rowsum_violation(pe, d, s_star, ell)
     assert isinstance(report.rowsum_max_violation, Fraction)
-    assert report.normalization_ok == (pe.get(()) == 1)
+    assert report.normalization_ok == (moment(pe, ()) == 1)
     idx = subset_indexer(d, ell)
     M, ref = moment_matrix(pe, idx), dense_moment_matrix(pe, idx)
     assert M.dtype == ref.dtype and M.shape == ref.shape

@@ -20,17 +20,17 @@ from soslab.estimators import (
     max_estimate,
     scan_estimate,
 )
-from soslab.matrix import NoisyMatrix, n_pairs, pair_index
+from soslab.matrix import NoisyMatrix, n_pairs
 from soslab.models import ModelParams, Noise, generate
 from soslab.seeds import generator
-from constructors import matrix_from_dense
+from constructors import entry, matrix_from_dense, pair_position
 
 
 def brute_force_scan(X, s_star):
     """Independent oracle: enumerate subsets, averaging with a fresh formula."""
     best = (-math.inf, None)
     for subset in combinations(range(1, X.d + 1), s_star):
-        total = sum(X.value(i, j) for i in subset for j in subset if i != j)
+        total = sum(entry(X, i, j) for i in subset for j in subset if i != j)
         val = total / (s_star * (s_star - 1))
         if val > best[0]:
             best = (val, frozenset(subset))
@@ -263,7 +263,7 @@ def test_scan_search_counters():
     # 3, 4, 5 sum to 3, 1, 1. So 3 nodes, 1 leaf and 2 cuts at each level.
     entries = np.zeros(n_pairs(5))
     for i, j in ((1, 2), (1, 3), (2, 3)):
-        entries[pair_index(5, i, j)] = 1.0
+        entries[pair_position(5, i, j)] = 1.0
     X = NoisyMatrix(d=5, entries=entries)
     b = scan_estimate(X, 3, strategy=BRANCH_AND_BOUND)
     assert (b.value, b.support) == (1.0, frozenset({1, 2, 3}))
@@ -277,8 +277,8 @@ def test_scan_search_counters():
 def test_scan_tie_breaks_lexicographically():
     # two disjoint pairs with the same value; {1,2} wins over {3,4}
     entries = np.zeros(n_pairs(4))
-    entries[pair_index(4, 1, 2)] = 1.0
-    entries[pair_index(4, 3, 4)] = 1.0
+    entries[pair_position(4, 1, 2)] = 1.0
+    entries[pair_position(4, 3, 4)] = 1.0
     X = NoisyMatrix(d=4, entries=entries)
     for strategy in (EXHAUSTIVE, BRANCH_AND_BOUND):
         assert scan_estimate(X, 2, strategy=strategy).support == frozenset({1, 2})

@@ -406,6 +406,16 @@ def _sbm_point(**kw):
         (cert_config, "grid", [_gaussian_point(beta_star=0.0, ell=1,
                                                noise={"kind": "rademacher", "nu": math.inf})],
          "rademacher nu must be finite and > 0, got inf"),
+        # a key the parser does not read would otherwise leave its field at
+        # the default: sigma = 1, branch-and-bound, tol = 1e-7, ell = None
+        (gap_config, "grid", [_gaussian_point(noise={"kind": "gaussian", "nu": 3.0})],
+         "noise.nu: unknown key"),
+        (gap_config, "scan_stratgy", "exhaustive", "scan_stratgy: unknown key"),
+        (gap_config, "solver", {"tolerance": 1e-3}, "solver.tolerance: unknown key"),
+        (cert_config, "grid", [_sbm_point(ell=None, level=2)], "grid.level: unknown key"),
+        # an unknown noise kind is named as such, whatever its scale key
+        (gap_config, "grid", [_gaussian_point(noise={"kind": "laplace", "sigma": 1.0})],
+         "unknown noise kind 'laplace'"),
     ],
 )
 def test_config_field_type_errors_name_the_field(tmp_path, make, field, value, message):

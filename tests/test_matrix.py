@@ -5,20 +5,18 @@ from soslab.errors import InvalidParams
 from soslab.matrix import (
     NoisyMatrix,
     n_pairs,
-    pair_index,
     pair_indices,
-    pair_iter,
     read_matrix_json,
     write_matrix_json,
 )
-from constructors import matrix_from_dense
+from constructors import entry, matrix_from_dense, pair_position, pairs
 
 
 def test_pair_index_round_trip():
     d = 7
     seen = set()
-    for pos, (i, j) in enumerate(pair_iter(d)):
-        assert pair_index(d, i, j) == pos
+    for pos, (i, j) in enumerate(pairs(d)):
+        assert pair_position(d, i, j) == pos
         seen.add(pos)
     assert seen == set(range(n_pairs(d)))
 
@@ -30,24 +28,15 @@ def test_pair_indices_are_cached_read_only_triu_indices():
         assert np.array_equal(rows, want[0]) and np.array_equal(cols, want[1])
         assert not rows.flags.writeable and not cols.flags.writeable
         assert pair_indices(d)[0] is rows
-        assert [(i + 1, j + 1) for i, j in zip(rows.tolist(), cols.tolist())] == list(pair_iter(d))
-
-
-def test_pair_index_rejects_bad_pairs():
-    with pytest.raises(InvalidParams):
-        pair_index(4, 2, 2)
-    with pytest.raises(InvalidParams):
-        pair_index(4, 3, 2)
-    with pytest.raises(InvalidParams):
-        pair_index(4, 1, 5)
+        assert [(i + 1, j + 1) for i, j in zip(rows.tolist(), cols.tolist())] == pairs(d)
 
 
 def test_storage_enforces_symmetry_and_zero_diagonal():
     X = NoisyMatrix(d=3, entries=np.array([1.0, 2.0, 3.0]))
-    assert X.value(1, 2) == 1.0
-    assert X.value(2, 1) == 1.0
-    assert X.value(3, 1) == 2.0
-    assert X.value(2, 2) == 0.0
+    assert entry(X, 1, 2) == 1.0
+    assert entry(X, 2, 1) == 1.0
+    assert entry(X, 3, 1) == 2.0
+    assert entry(X, 2, 2) == 0.0
     dense = X.to_dense()
     assert np.array_equal(dense, dense.T)
     assert np.all(np.diag(dense) == 0.0)

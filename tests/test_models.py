@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from soslab.errors import InvalidParams, InvalidSupport, RademacherWithSignal
-from soslab.matrix import n_pairs, pair_iter
+from soslab.matrix import n_pairs
 from soslab.models import (
     ModelParams,
     Noise,
@@ -11,7 +11,7 @@ from soslab.models import (
     sample_support,
 )
 from soslab.seeds import generator, mix_seed
-from constructors import matrix_from_dense
+from constructors import entry, matrix_from_dense, pairs
 
 
 def submatrix_params(**kw):
@@ -30,7 +30,7 @@ def sbm_params(**kw):
 
 def test_mean_matrix_single_pair():
     theta = mean_matrix(submatrix_params(), {1, 2})
-    assert theta.value(1, 2) == 1.0
+    assert entry(theta, 1, 2) == 1.0
     assert theta.entries.sum() == 1.0
 
 
@@ -43,9 +43,9 @@ def test_mean_matrix_sbm():
     theta = mean_matrix(
         sbm_params(d=3, s_star=2, beta_star=0.9, beta_tilde=0.1), {2, 3}
     )
-    assert theta.value(2, 3) == 0.9
-    assert theta.value(1, 2) == 0.1
-    assert theta.value(1, 3) == 0.1
+    assert entry(theta, 2, 3) == 0.9
+    assert entry(theta, 1, 2) == 0.1
+    assert entry(theta, 1, 3) == 0.1
 
 
 def test_mean_matrix_matches_pair_loop():
@@ -60,7 +60,7 @@ def test_mean_matrix_matches_pair_loop():
             outside = 0.2 if params.kind == "sbm" else 0.0
             expected = [
                 params.beta_star if i in support and j in support else outside
-                for i, j in pair_iter(d)
+                for i, j in pairs(d)
             ]
             assert mean_matrix(params, support).entries.tolist() == expected
 
@@ -121,7 +121,7 @@ def test_sbm_single_triangle():
     members = sorted(inst.support)
     for a in range(3):
         for b in range(a + 1, 3):
-            assert inst.matrix.value(members[a], members[b]) == 1.0
+            assert entry(inst.matrix, members[a], members[b]) == 1.0
 
 
 def test_sbm_entries_binary():

@@ -23,6 +23,7 @@ from soslab.sdp import MAX_ITER_REACHED, OPTIMAL, SolverOptions, project_psd, so
 from soslab.seeds import generator
 from soslab.sos import Constraints, SosProgram, assemble_basic, assemble_level
 from soslab.subsets import subset_indexer
+from constructors import project_symmetrized
 
 CVXPY_REASON = "cvxpy used only as an independent oracle"
 
@@ -33,23 +34,23 @@ def single_entry_matrix(c):
 
 def test_project_psd_identity():
     eye = np.eye(3)
-    assert np.allclose(project_psd(eye), eye)
+    assert np.allclose(project_symmetrized(eye)[0], eye)
 
 
 def test_project_psd_clamps_diagonal():
-    assert np.allclose(project_psd(np.diag([3.0, -2.0])), np.diag([3.0, 0.0]))
+    assert np.allclose(project_symmetrized(np.diag([3.0, -2.0]))[0], np.diag([3.0, 0.0]))
 
 
 def test_project_psd_rank_one_example():
-    P = project_psd(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    P, _ = project_symmetrized(np.array([[0.0, 1.0], [1.0, 0.0]]))
     assert np.allclose(P, np.full((2, 2), 0.5))
 
 
 def test_project_psd_idempotent():
     rng = generator(1)
     S = rng.standard_normal((6, 6))
-    P = project_psd(S)
-    assert np.allclose(project_psd(P), P, atol=1e-12)
+    P, _ = project_symmetrized(S)
+    assert np.allclose(project_symmetrized(P)[0], P, atol=1e-12)
     assert np.linalg.eigvalsh(P)[0] >= -1e-12
 
 
@@ -101,12 +102,12 @@ def drivers(monkeypatch):
 
 @pytest.mark.parametrize("S", PROJECTION_INPUTS.values(), ids=PROJECTION_INPUTS.keys())
 def test_project_psd_matches_full_spectrum(S, drivers, monkeypatch):
-    # the one-argument call and both drivers of the solve loop's call
-    runs = {"one-argument": project_psd(S)}
-    runs["syevr"], k_range = project_psd(S, positive=0)
+    # both drivers of the solve loop's call
+    runs = {}
+    runs["syevr"], k_range = project_symmetrized(S)
     monkeypatch.setattr(sdp, "_FULL_ABOVE", -1)  # every count selects the full spectrum
-    runs["syevd"], k_full = project_psd(S, positive=0)
-    assert drivers == {"syevr": 2, "syevd": 1}
+    runs["syevd"], k_full = project_symmetrized(S)
+    assert drivers == {"syevr": 1, "syevd": 1}
     assert k_range == k_full
     for name, P in runs.items():
         assert P.shape == S.shape, name
@@ -118,7 +119,7 @@ def test_project_psd_driver_by_previous_count(drivers):
     # the full spectrum above 12 previous positive eigenvalues, else the
     # positive range; the count returned is this projection's
     S = PROJECTION_INPUTS["79x79-53-positive"]
-    counts = [project_psd(S, positive=k)[1] for k in (0, 12, 13, 79)]
+    counts = [project_symmetrized(S, positive=k)[1] for k in (0, 12, 13, 79)]
     assert drivers == {"syevr": 2, "syevd": 2}
     assert counts == [53] * 4
 
@@ -126,30 +127,29 @@ def test_project_psd_driver_by_previous_count(drivers):
 def test_project_psd_writes_into_out():
     S = PROJECTION_INPUTS["random"]
     out = np.full_like(S, np.nan)
-    P, _ = project_psd(S, out=out, positive=0)
+    P, _ = project_symmetrized(S, out=out)
     assert P is out
-    assert np.array_equal(P, project_psd(S))
+    assert np.array_equal(P, project_symmetrized(S)[0])
 
 
-@pytest.mark.parametrize("positive", [None, 0, 13])
+@pytest.mark.parametrize("positive", [0, 13])
 def test_project_psd_of_empty_matrix(positive):
     # LAPACK's wrappers reject n = 0; the projection of a 0 x 0 matrix is
     # a 0 x 0 matrix with no positive eigenvalue
-    got = project_psd(np.zeros((0, 0)), positive=positive)
-    P, k = (got, 0) if positive is None else got
+    P, k = project_psd(np.zeros((0, 0)), positive=positive)
     assert P.shape == (0, 0)
     assert k == 0
 
 
 def test_project_psd_overwrite_skips_symmetrization():
     # the loop's input is exactly symmetric: projected as it is, it gives
-    # the bits of the symmetrizing call, and LAPACK overwrites it
+    # the bits of a symmetrized copy, and LAPACK overwrites it
     S = PROJECTION_INPUTS["random"]
     S = S + S.T
     scratch = S.copy()
-    P, k = project_psd(scratch, positive=0, overwrite=True)
-    assert k == project_psd(S, positive=0)[1]
-    assert np.array_equal(P, project_psd(S))
+    P, k = project_psd(scratch, positive=0)
+    assert k == project_symmetrized(S)[1]
+    assert np.array_equal(P, project_symmetrized(S)[0])
     assert not np.array_equal(scratch, S)
 
 
@@ -157,7 +157,7 @@ def test_project_psd_rejects_nan():
     S = np.eye(3)
     S[1, 2] = np.nan
     with pytest.raises(EigFailure):
-        project_psd(S)
+        project_symmetrized(S)
 
 
 def _with_rounding_level_cluster():
@@ -176,9 +176,9 @@ def test_project_psd_cuts_rounding_level_eigenvalues(drivers, monkeypatch):
     cut = len(S) * np.finfo(float).eps * np.linalg.norm(S)
     assert (w > 0).sum() > 3  # some of the cluster lands above 0
     assert (w > cut).sum() == 3
-    P_range, k_range = project_psd(S, positive=0)
+    P_range, k_range = project_symmetrized(S)
     monkeypatch.setattr(sdp, "_FULL_ABOVE", -1)
-    P_full, k_full = project_psd(S, positive=0)
+    P_full, k_full = project_symmetrized(S)
     assert drivers == {"syevr": 1, "syevd": 1}
     assert k_range == k_full == 3
     for P in (P_range, P_full):
@@ -191,15 +191,15 @@ def test_project_psd_finite_input_whose_norm_overflows():
     S = PROJECTION_INPUTS["random"]
     S = (S + S.T) * scale
     assert np.vdot(S, S) == np.inf
-    P, k = project_psd(S, positive=0)
-    P_scaled, k_scaled = project_psd(S / scale, positive=0)
+    P, k = project_symmetrized(S)
+    P_scaled, k_scaled = project_symmetrized(S / scale)
     assert k == k_scaled > 0
     tol = 1e-12 * np.abs(S).max()
     assert np.abs(P - P_scaled * scale).max() <= tol
-    assert np.abs(project_psd(S) - P_scaled * scale).max() <= tol
+    assert np.abs(project_symmetrized(S)[0] - P_scaled * scale).max() <= tol
     S[0, 1] = S[1, 0] = np.inf
     with pytest.raises(EigFailure, match="non-finite entries"):
-        project_psd(S)
+        project_symmetrized(S)
 
 
 @pytest.mark.parametrize("c", [-1.0, 0.0, 3.0])
@@ -232,9 +232,9 @@ def test_solution_feasibility_roundtrip():
         assert sol.status == OPTIMAL
         A, b = prog.constraints.A, prog.constraints.b
         y = np.zeros(prog.var_count)
-        em = prog.entry_map
-        for r in range(prog.dim):
-            for c in range(prog.dim):
+        em = prog.constraints.entry_map
+        for r in range(len(em)):
+            for c in range(len(em)):
                 y[em[r, c]] = sol.matrix[r, c]
         assert np.abs(A @ y - b).max() <= 1e-6
         evals = np.linalg.eigvalsh(sol.matrix)
@@ -491,11 +491,11 @@ def test_solve_without_equalities():
     # the y-step has no equalities to project onto
     prog = assemble_basic(NoisyMatrix(d=4, entries=np.ones(6)), 2)
     c = np.zeros(prog.var_count)
-    c[np.diag(prog.entry_map)] = -1.0
+    c[np.diag(prog.constraints.entry_map)] = -1.0
     free = SosProgram(
         c=c,
         constraints=Constraints(
-            entry_map=prog.entry_map,
+            entry_map=prog.constraints.entry_map,
             A=scipy.sparse.csr_matrix((0, prog.var_count)),
             b=np.zeros(0),
             d=4,
@@ -518,14 +518,13 @@ def _reference_solve(program, options=None, choose_driver=True):
     symmetrizing projection into a fresh Z per iteration, every residual on
     every iteration.
     Each projection is passed the previous one's positive count, as in
-    ``solve``; with ``choose_driver=False`` it is the one-argument call,
-    which runs syevr on every iteration. The oracle of the differential
-    tests below."""
+    ``solve``; with ``choose_driver=False`` it is passed 0, which runs
+    syevr on every iteration. The oracle of the differential tests below."""
     options = options or SolverOptions()
     options.validate()
     cons = program.constraints
     A, b = cons.A, cons.b
-    entry, inv_m = program.entry_map, cons.inv_m
+    entry, inv_m = cons.entry_map, cons.inv_m
     down, up = cons.orbits
     AT = A.T.tocsr()
     entry_flat = entry.ravel()
@@ -555,10 +554,8 @@ def _reference_solve(program, options=None, choose_driver=True):
         y = y_step(rho)
         np.take(y, entry, out=My)
         Z_prev = Z
-        if choose_driver:
-            Z, positive = project_psd(np.add(My, U, out=T), positive=positive)
-        else:
-            Z = project_psd(np.add(My, U, out=T))
+        previous = positive if choose_driver else 0
+        Z, positive = project_symmetrized(np.add(My, U, out=T), positive=previous)
         np.subtract(My, Z, out=R)
         U += R
         psd_gap = float(np.linalg.norm(R))
@@ -638,8 +635,8 @@ def test_solve_switching_drivers_matches_reference_loop(drivers):
 
 def test_solve_matches_syevr_only_loop(drivers):
     # most eigenvalues of a block-model program's iterates stay positive,
-    # so solve runs the full spectrum on every iteration; the one-argument
-    # projection runs syevr. The iterates differ in their last bits only.
+    # so solve runs the full spectrum on every iteration; the reference
+    # loop passed 0 runs syevr. The iterates differ in their last bits only.
     X = generate(ModelParams(kind="sbm", d=7, s_star=3, beta_star=0.8, beta_tilde=0.8, seed=1)).matrix
     prog = assemble_level(X, 3, 2)
     got = solve(prog)
@@ -671,7 +668,7 @@ def test_rank_deficient_equalities_level2():
     assert sol.status == OPTIMAL
     A, b = prog.constraints.A, prog.constraints.b
     y = np.zeros(prog.var_count)
-    y[prog.entry_map.ravel()] = sol.matrix.ravel()
+    y[prog.constraints.entry_map.ravel()] = sol.matrix.ravel()
     assert np.abs(A @ y - b).max() <= 1e-9
     scan = scan_estimate(X, 2).value
     v1 = solve(assemble_level(X, 2, 1)).value

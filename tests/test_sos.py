@@ -14,16 +14,11 @@ from soslab.certificate import (
 )
 from soslab.errors import InvalidParams, MissingValue
 from soslab.estimators import scan_estimate
-from soslab.matrix import NoisyMatrix, n_pairs, pair_iter
+from soslab.matrix import NoisyMatrix, n_pairs
 from soslab.seeds import generator
-from soslab.sos import (
-    PseudoExpectation,
-    assemble_basic,
-    assemble_level,
-    moment_matrix,
-)
+from soslab.sos import PseudoExpectation, assemble_basic, assemble_level, nonzero_block
 from soslab.subsets import subset_indexer
-from constructors import pe_from_values
+from constructors import entry, moment_matrix, pairs, pe_from_values
 from subset_order import TupleOrder
 
 
@@ -40,6 +35,14 @@ def feasible_residuals(program, y):
     return np.abs(program.constraints.A @ y - program.constraints.b).max()
 
 
+def dim(program):
+    return len(program.constraints.entry_map)
+
+
+def value_of(program, y):
+    return float(program.c @ y) / program.scale
+
+
 def indicator_vector(program, support, d, ell):
     supp = set(support)
     y = np.zeros(program.var_count)
@@ -50,21 +53,21 @@ def indicator_vector(program, support, d, ell):
 
 def test_level_counting_d4():
     prog = assemble_level(ones_matrix(4), 2, 1)
-    assert prog.dim == 5
+    assert dim(prog) == 5
     assert prog.var_count == 11
     assert len(prog.constraints) == 6
 
 
 def test_level_counting_d10_ell2():
     prog = assemble_level(ones_matrix(10), 3, 2)
-    assert prog.dim == 56
+    assert dim(prog) == 56
     assert prog.var_count == 386
     assert len(prog.constraints) == 177
 
 
 def test_basic_counting():
     prog = assemble_basic(ones_matrix(6), 3)
-    assert prog.dim == 7
+    assert dim(prog) == 7
     assert prog.var_count == 1 + 6 + 15
     assert len(prog.constraints) == 2
 
@@ -80,8 +83,9 @@ def test_normalization_constraint_present_once():
 
 def test_entry_map_reaches_every_variable():
     for prog in (assemble_level(ones_matrix(5), 2, 1), assemble_level(ones_matrix(4), 2, 2)):
-        assert set(prog.entry_map.ravel()) == set(range(prog.var_count))
-        assert (prog.entry_map == prog.entry_map.T).all()
+        em = prog.constraints.entry_map
+        assert set(em.ravel()) == set(range(prog.var_count))
+        assert (em == em.T).all()
 
 
 def test_integral_point_feasible_and_matches_scan():
@@ -95,10 +99,10 @@ def test_integral_point_feasible_and_matches_scan():
         support = tuple(sorted(rng.permutation(np.arange(1, d + 1))[:s].tolist()))
         y = indicator_vector(prog, support, d, ell)
         assert feasible_residuals(prog, y) == 0.0  # exactly feasible
-        M = y[prog.entry_map]
+        M = y[prog.constraints.entry_map]
         assert np.linalg.eigvalsh(M)[0] >= -1e-12  # rank-one lift
-        avg = sum(X.value(i, j) for i in support for j in support if i != j) / (s * (s - 1))
-        assert prog.value_of(y) == pytest.approx(avg, abs=1e-12)
+        avg = sum(entry(X, i, j) for i in support for j in support if i != j) / (s * (s - 1))
+        assert value_of(prog, y) == pytest.approx(avg, abs=1e-12)
 
 
 def test_all_ones_objective_constant_on_feasible_set():
@@ -113,7 +117,7 @@ def test_all_ones_objective_constant_on_feasible_set():
         lam = np.linalg.solve(AtA, A @ y0 - b)
         y = y0 - A.T @ lam
         assert feasible_residuals(prog, y) < 1e-10
-        assert prog.value_of(y) == pytest.approx(1.0, abs=1e-9)
+        assert value_of(prog, y) == pytest.approx(1.0, abs=1e-9)
 
 
 @dataclass(frozen=True)
@@ -155,7 +159,7 @@ def _tuple_arrays(constraints, var_count):
 
 def _tuple_objective_vector(X, order):
     c = np.zeros(len(order.var_subsets))
-    for pos, (i, j) in enumerate(pair_iter(X.d)):
+    for pos, (i, j) in enumerate(pairs(X.d)):
         v = float(X.entries[pos])
         if v != 0.0:
             c[order.var_index[(i, j)]] += 2.0 * v
@@ -214,19 +218,9 @@ def test_moment_matrix_k4_certificate():
 def test_moment_matrix_requires_matching_indexer():
     pe = pe_from_values(d=4, ell=1, s_star=2, values={(): Fraction(1)})
     with pytest.raises(MissingValue):
-        moment_matrix(pe, subset_indexer(4, 2))
+        nonzero_block(pe, subset_indexer(4, 2))
     with pytest.raises(MissingValue):
-        moment_matrix(pe, subset_indexer(5, 1))
-
-
-def test_pseudo_expectation_get():
-    pe = k4_certificate()
-    assert pe.get((2, 1)) == Fraction(1, 6)  # canonicalization
-    assert pe.get(()) == 1
-    with pytest.raises(MissingValue):
-        pe.get((1, 2, 3))  # size 3 > 2*ell
-    with pytest.raises(MissingValue):
-        pe.get((9,))
+        nonzero_block(pe, subset_indexer(5, 1))
 
 
 def test_objective_value_examples():
@@ -237,7 +231,7 @@ def test_objective_value_examples():
     ind = PseudoExpectation.indicator((1, 3), d=4, ell=1)
     rng = generator(12)
     Y = NoisyMatrix(d=4, entries=rng.standard_normal(6))
-    assert float(certificate_objective(Y, ind, 2)) == pytest.approx(Y.value(1, 3))
+    assert float(certificate_objective(Y, ind, 2)) == pytest.approx(entry(Y, 1, 3))
     with pytest.raises(MissingValue):
         certificate_objective(ones_matrix(5), k4_certificate(), 2)
 

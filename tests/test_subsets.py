@@ -7,7 +7,6 @@ from soslab.errors import InvalidParams, TooLarge
 from soslab.subsets import (
     NonzeroView,
     SubsetIndexer,
-    canonical_key,
     key_index,
     parents,
     rank,
@@ -78,7 +77,6 @@ def test_budget_guard():
 
 
 def test_keys():
-    assert canonical_key([3, 1, 3]) == (1, 3)
     assert union_key((1, 2), (2, 5)) == (1, 2, 5)
 
 
