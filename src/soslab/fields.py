@@ -5,6 +5,7 @@ the reader does not read raises ``InvalidParams`` naming the field.
 """
 from __future__ import annotations
 
+import dataclasses
 import numbers
 from collections.abc import Collection
 
@@ -41,6 +42,12 @@ def parse_field(doc: dict, key: str, kind: type, default=_REQUIRED, name: str | 
     if default is _REQUIRED:
         raise InvalidParams(f"{name or key}: missing")
     return default
+
+
+def field_names(cls) -> set[str]:
+    """The keys of a document that builds the dataclass ``cls``: its
+    fields."""
+    return {f.name for f in dataclasses.fields(cls)}
 
 
 def check_keys(doc: dict, known: Collection[str], prefix: str = "") -> None:

@@ -16,7 +16,7 @@ import csv
 import json
 import math
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable
 
@@ -31,7 +31,7 @@ from .estimators import (
     max_estimate,
     scan_estimate,
 )
-from .fields import check_keys, parse, parse_field
+from .fields import check_keys, field_names, parse, parse_field
 from .matrix import NoisyMatrix
 from .models import GAUSSIAN, SBM, SUBMATRIX, ModelParams, Noise, generate
 from .sdp import SdpSolution, SolverOptions, solve
@@ -60,11 +60,6 @@ THRESHOLD_SUMMARY_COLUMNS = [
 ]
 
 ESTIMATORS = ("scan", "avg", "max", "lp", "sos_basic", "sos_level")
-
-
-def _field_names(cls) -> set[str]:
-    """The config keys of a level: the fields of the dataclass it builds."""
-    return {f.name for f in fields(cls)}
 
 
 @dataclass(frozen=True)
@@ -101,8 +96,13 @@ class GridPoint:
     @classmethod
     def from_dict(cls, doc: dict) -> "GridPoint":
         doc = parse(dict, doc, "grid")
-        check_keys(doc, _field_names(cls), "grid.")
+        check_keys(doc, field_names(cls), "grid.")
         model = parse_field(doc, "model", str, SUBMATRIX)
+        # a key of the other model would be dropped: the run would use a
+        # model other than the one written
+        dropped = {SUBMATRIX: "beta_tilde", SBM: "noise"}.get(model)
+        if dropped in doc:
+            raise InvalidParams(f"grid.{dropped}: not a parameter of the {model} model")
         noise = None
         if model == SUBMATRIX:
             noise = Noise.from_dict(doc.get("noise", {"kind": GAUSSIAN, "sigma": 1.0}))
@@ -171,9 +171,9 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
         doc = parse(dict, doc, "config")
-        check_keys(doc, _field_names(cls))
+        check_keys(doc, field_names(cls))
         solver_doc = parse_field(doc, "solver", dict, {})
-        check_keys(solver_doc, _field_names(SolverOptions), "solver.")
+        check_keys(solver_doc, field_names(SolverOptions), "solver.")
         defaults = SolverOptions()
         solver = SolverOptions(
             tol=parse_field(solver_doc, "tol", float, defaults.tol, "solver.tol"),

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParams, InvalidSupport, RademacherWithSignal, check_s_star
-from .fields import check_keys, parse, parse_field
+from .fields import check_keys, field_names, parse, parse_field
 from .matrix import NoisyMatrix, n_pairs, pair_indices
 from .seeds import generator
 
@@ -126,6 +126,7 @@ class ModelParams:
     @classmethod
     def from_dict(cls, doc: dict) -> "ModelParams":
         doc = parse(dict, doc, "params")
+        check_keys(doc, field_names(cls))
         return cls(
             kind=parse_field(doc, "kind", str),
             d=parse_field(doc, "d", int),

@@ -6,13 +6,16 @@ is ADMM on the splitting Z = M(y), Z PSD, with scaled dual U:
 
   y-step   minimize -c.y + (rho/2) ||M(y) - Z + U||_F^2  s.t.  A y = b.
            M(y) is linear with disjoint cell supports per variable, so the
-           quadratic is diagonal (weight m_v = cell count of variable v) and
-           the step applies the inverse of G = A diag(1/m) A^T (the
-           pseudo-inverse when the equalities are linearly dependent) as
-           two sparse products, Up (Down x): relabelling the vertices
-           permutes the equalities among themselves, so the inverse is
-           fixed by a few coefficients per pair of row types and intersection
-           size (``_equality_orbits``).
+           quadratic is diagonal (weight m_v = cell count of variable v):
+           its free minimizer is y0 = (mean over v's cells of Z - U)
+           + c / (rho m), and the step is y0's projection onto A y = b in
+           the diag(m) metric, y = y0 - diag(1/m) A^T G^+ (A y0 - b). G^+
+           is the inverse of G = A diag(1/m) A^T (the pseudo-inverse when
+           the equalities are linearly dependent), applied as two sparse
+           products, Up (Down x): relabelling the vertices permutes the
+           equalities among themselves, so the inverse is fixed by a few
+           coefficients per pair of row types and intersection size
+           (``_equality_orbits``).
   Z-step   Z = PSD projection of M(y) + U, recomposed from the eigenpairs
            above the cut tau = n eps ||M(y) + U||_F only, as W W^T with
            W = V+ sqrt(w+), a BLAS syrk: Z is exactly symmetric. An
@@ -32,8 +35,9 @@ is ADMM on the splitting Z = M(y), Z PSD, with scaled dual U:
            the Z before last.
   U-step   U += M(y) - Z.
 
-The set-up (the cell-sum matrix, 1/m, A^T, Down and Up, all CSR) reads
-only the program's ``Constraints``, never c, so it lives on that object:
+The set-up (1/m, the cell-mean matrix, -diag(1/m) A^T, Down and Up, the
+matrices CSR) reads only the program's ``Constraints``, never c, so it
+lives on that object:
 cached properties computed by its first solve and read-only, shared by
 every later solve of the same object. ``sos`` builds one ``Constraints``
 per shape and shares it, so every program of a shape shares one set-up.
@@ -41,11 +45,16 @@ Down and Up are read off one small quotient system per row type, on the
 orbits of the relabellings that fix that type's representative row, with
 one path for independent and dependent equalities: the set-up forms no
 n x n array and keeps only sparse arrays (Down and Up: 21k nonzeros at
-d=20, l=2), and its peak is under 1.5 times what it keeps. The loop's
-sparse products (the cell sums of Z - U per variable, A x, Down, Up and
-A^T lambda) call scipy's CSR kernel directly, so they give the bits of
-scipy's public product without its per-call checks. A program without
-equalities skips the projection: y = q / (rho m).
+d=20, l=2), and its peak is under 1.5 times what it keeps.
+
+The y-step allocates no array. Its five sparse products (the cell means
+of Z - U, A y0, Down, Up and -diag(1/m) A^T lambda) call scipy's CSR
+kernel directly, without the public product's per-call checks; the
+kernel adds each row's products, in CSR order, to the entry already in
+its output buffer. So y is seeded with c / (rho m) (recomputed when rho
+changes) and takes the cell means, the buffer of A y0 - b is seeded with
+-b, the outputs of Down and Up are zeroed, and the last product adds the
+correction into y. A program without equalities ends at y0.
 
 Residuals:
 
@@ -54,8 +63,8 @@ Residuals:
   primal_residual = eq_res + psd_gap
   dual_residual   = rho * ||Z - Z_prev||_F
 
-psd_gap (and the value) are computed every iteration; the other three
-only where something reads them: when psd_gap <= tol (the stop test cannot
+psd_gap is computed every iteration; the other three and the value only
+where something reads them: when psd_gap <= tol (the stop test cannot
 pass otherwise), on the rho-adaptation iterations, and on the last one. So
 every decision and every returned field is what computing all of them on
 every iteration would give. The iterate is Optimal when primal and dual
@@ -72,7 +81,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from itertools import combinations
 from typing import TYPE_CHECKING
 
@@ -275,7 +284,8 @@ def _equality_orbits(
             kind * (width + 1) + shared[:, t], return_index=True, return_inverse=True
         )
         P = scipy.sparse.csr_matrix((np.ones(n), orbit, np.arange(n + 1)), shape=(n, len(first)))
-        B = (A[first] @ scipy.sparse.diags(cons.inv_m) @ (cons.AT @ P)).toarray()
+        # G restricted to the orbits' rows, read through -diag(1/m) A^T
+        B = -(A[first] @ (cons.neg_weighted_AT @ P)).toarray()
         root = np.sqrt(np.bincount(orbit))
         w, Q = np.linalg.eigh(root[:, None] * B / root)
         # D^-1/2 times the column of pinv(C) at the representative's orbit
@@ -310,7 +320,7 @@ def _equality_orbits(
     up.eliminate_zeros()
 
     def normal(x: np.ndarray) -> np.ndarray:
-        return A @ (cons.inv_m * (cons.AT @ x))
+        return -(A @ (cons.neg_weighted_AT @ x))
 
     Gp = normal(np.random.default_rng(0).standard_normal(n))
     if not np.abs(normal(up @ (down @ Gp)) - Gp).max() <= _PROBE_TOL * np.abs(Gp).max():
@@ -321,22 +331,16 @@ def _equality_orbits(
     return _read_only_csr(down), _read_only_csr(up)
 
 
-def _matvec(M: scipy.sparse.csr_matrix):
-    """x -> M @ x for a CSR M, through scipy's CSR kernel called directly:
-    the public product spends most of its time at dim 17 on argument
-    checks. Same bits. x must be a contiguous float64 vector of length
-    M.shape[1]; the kernel does not check."""
+def _accumulate(M: scipy.sparse.csr_matrix):
+    """(x, out) -> out += M @ x for a CSR M, through scipy's CSR kernel
+    called directly: the public product spends most of its time at dim 17
+    on argument checks. Row i adds its products to out[i] in CSR order, so
+    on an out of zeros it gives the bits of ``M @ x``. x and out must be
+    contiguous float64 vectors of lengths M.shape[1] and M.shape[0]; the
+    kernel does not check."""
     from scipy.sparse._sparsetools import csr_matvec
 
-    n_row, n_col = M.shape
-    indptr, indices, data = M.indptr, M.indices, M.data
-
-    def mul(x: np.ndarray) -> np.ndarray:
-        out = np.zeros(n_row)
-        csr_matvec(n_row, n_col, indptr, indices, data, x, out)
-        return out
-
-    return mul
+    return partial(csr_matvec, *M.shape, M.indptr, M.indices, M.data)
 
 
 def _read_only_csr(M: scipy.sparse.csr_matrix) -> scipy.sparse.csr_matrix:
@@ -354,9 +358,10 @@ class Constraints:
     Each equality row names the subset of {1..d} it belongs to, as a row of
     ``row_sets`` (sorted 0-based vertices padded with ``d``, the form of
     ``subsets``), and its family in ``row_families``; rows that repeat an
-    equality carry a family of their own. ``cells``, ``inv_m``, ``AT`` and
-    ``orbits`` are computed on first use and kept. Compared and hashed by
-    identity (``eq=False``); ``len()`` is the number of equality rows.
+    equality carry a family of their own. The solver's set-up, ``inv_m``,
+    ``cell_means``, ``neg_weighted_AT`` and ``orbits``, is computed on
+    first use and kept. Compared and hashed by identity (``eq=False``);
+    ``len()`` is the number of equality rows.
     """
 
     entry_map: np.ndarray
@@ -375,28 +380,32 @@ class Constraints:
         return self.A.shape[0]
 
     @cached_property
-    def cells(self) -> scipy.sparse.csr_matrix:
-        """The cell sums per variable as a 0/1 CSR matrix: row v holds the
-        flat indices of the cells of variable v, ascending, so
-        ``cells @ X.ravel()`` adds them in the order ``np.bincount`` would."""
+    def inv_m(self) -> np.ndarray:
+        """1 / (cell count) per variable; every variable appears in the
+        matrix, so m >= 1 (program invariant)."""
+        return _read_only(1.0 / np.bincount(self.entry_map.ravel(), minlength=self.A.shape[1]))
+
+    @cached_property
+    def cell_means(self) -> scipy.sparse.csr_matrix:
+        """The mean of each variable's cells as a CSR matrix: row v holds
+        1/m_v at the flat indices of the cells of variable v, ascending,
+        so ``cell_means @ X.ravel()`` adds v's cells of X in the order
+        ``np.bincount`` would, each times 1/m_v."""
         import scipy.sparse
 
         flat = self.entry_map.ravel()
         shape = (self.A.shape[1], len(flat))
         return _read_only_csr(
-            scipy.sparse.csr_matrix((np.ones(len(flat)), (flat, np.arange(len(flat)))), shape=shape)
+            scipy.sparse.csr_matrix((self.inv_m[flat], (flat, np.arange(len(flat)))), shape=shape)
         )
 
     @cached_property
-    def inv_m(self) -> np.ndarray:
-        """1 / (cell count) per variable; every variable appears in the
-        matrix, so m >= 1 (program invariant)."""
-        return _read_only(1.0 / np.diff(self.cells.indptr))
-
-    @cached_property
-    def AT(self) -> scipy.sparse.csr_matrix:
-        """A^T in CSR form."""
-        return _read_only_csr(self.A.T.tocsr())
+    def neg_weighted_AT(self) -> scipy.sparse.csr_matrix:
+        """-diag(1/m) A^T in CSR form: the y-step adds its product with the
+        multipliers to y."""
+        AT = self.A.T.tocsr()
+        AT.data *= np.repeat(-self.inv_m, np.diff(AT.indptr))
+        return _read_only_csr(AT)
 
     @cached_property
     def orbits(self) -> tuple[scipy.sparse.csr_matrix, scipy.sparse.csr_matrix]:
@@ -412,37 +421,53 @@ def solve(program: SosProgram, options: SolverOptions | None = None) -> SdpSolut
     cons = program.constraints
     entry, b, c = cons.entry_map, cons.b, program.c
     inv_m = cons.inv_m
-    cell_sums, a_mul = _matvec(cons.cells), _matvec(cons.A)
+    add_cell_means = _accumulate(cons.cell_means)
     if b.size:
-        down_mul, up_mul = map(_matvec, cons.orbits)
-        at_mul = _matvec(cons.AT)
+        down, up = cons.orbits
+        add_A, add_down, add_up = _accumulate(cons.A), _accumulate(down), _accumulate(up)
+        add_correction = _accumulate(cons.neg_weighted_AT)
+        minus_b = -b
+        # A y0 - b (then A y - b for eq_res), Down's and Up's outputs
+        Ay_b = np.empty(len(b))
+        coarse = np.empty(down.shape[0])
+        lam = np.empty(len(b))
 
     rho = options.step
     rho_changes = 0
-    # Buffers updated in place: U, M(y), M(y) - Z, a scratch matrix, and Z
-    # with its previous value, which swap.
+    # y's seed, recomputed when rho changes
+    c_step = c * inv_m / rho
+    # Buffers updated in place: y, U, M(y), M(y) - Z, a scratch matrix (its
+    # flat view is the cell means' input), and Z with its previous value,
+    # which swap.
+    y = np.empty(len(c))
     Z = np.zeros(entry.shape)
     Z_spare = np.empty_like(Z)
     U = np.zeros_like(Z)
     My = np.empty_like(Z)
     R = np.empty_like(Z)
     T = np.empty_like(Z)
+    T_flat = T.reshape(-1)
     # the first projection counts as all positive
     positive = len(Z)
-
-    def y_step(rho: float) -> np.ndarray:
-        q = rho * cell_sums(np.subtract(Z, U, out=T).ravel()) + c
-        if b.size:
-            lam = up_mul(down_mul(a_mul(q * inv_m) - rho * b))
-            q = q - at_mul(lam)
-        return q * inv_m / rho
 
     primal = dual = eq_res = psd_gap = np.inf
     value = 0.0
     it = 0
     status = MAX_ITER_REACHED
     for it in range(1, options.max_iter + 1):
-        y = y_step(rho)
+        # y-step: y0 = cell means of Z - U + c / (rho m), then
+        # y = y0 - diag(1/m) A^T Up Down (A y0 - b), accumulated in place
+        np.copyto(y, c_step)
+        np.subtract(Z, U, out=T)
+        add_cell_means(T_flat, y)
+        if b.size:
+            np.copyto(Ay_b, minus_b)
+            add_A(y, Ay_b)
+            coarse.fill(0.0)
+            add_down(Ay_b, coarse)
+            lam.fill(0.0)
+            add_up(coarse, lam)
+            add_correction(lam, y)
         # mode='wrap': 'raise' would buffer the output; every index is in range
         y.take(entry, out=My, mode="wrap")
         Z_prev = Z
@@ -450,16 +475,22 @@ def solve(program: SosProgram, options: SolverOptions | None = None) -> SdpSolut
         Z_spare = Z_prev
         np.subtract(My, Z, out=R)
         U += R
-        psd_gap = float(np.linalg.norm(R))
-        value = float(c @ y) / program.scale
+        psd_gap = math.sqrt(np.vdot(R, R))
         adapt = it % _ADAPT_EVERY == 0
-        # The other residuals are read by the stop test, which cannot pass
-        # while psd_gap > tol, by the rho adaptation and by the return.
+        # The value and the other residuals are read by the stop test, which
+        # cannot pass while psd_gap > tol, by the rho adaptation and by the
+        # return.
         if psd_gap > options.tol and not adapt and it < options.max_iter:
             continue
-        eq_res = float(np.max(np.abs(a_mul(y) - b))) if b.size else 0.0
+        value = float(c @ y) / program.scale
+        eq_res = 0.0
+        if b.size:
+            np.copyto(Ay_b, minus_b)
+            add_A(y, Ay_b)
+            eq_res = float(np.abs(Ay_b).max())
         primal = eq_res + psd_gap
-        dual = rho * float(np.linalg.norm(np.subtract(Z, Z_prev, out=T)))
+        np.subtract(Z, Z_prev, out=T)
+        dual = rho * math.sqrt(np.vdot(T, T))
         bar = options.tol * (1.0 + abs(value))
         if primal <= bar and dual <= bar and psd_gap <= options.tol:
             status = OPTIMAL
@@ -474,6 +505,7 @@ def solve(program: SosProgram, options: SolverOptions | None = None) -> SdpSolut
                 U *= rho / new_rho
                 rho = new_rho
                 rho_changes += 1
+                c_step = c * inv_m / rho
     return SdpSolution(
         status=status,
         value=value,

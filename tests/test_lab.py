@@ -416,6 +416,12 @@ def _sbm_point(**kw):
         # an unknown noise kind is named as such, whatever its scale key
         (gap_config, "grid", [_gaussian_point(noise={"kind": "laplace", "sigma": 1.0})],
          "unknown noise kind 'laplace'"),
+        # a key that the point's model drops: the run would use a model
+        # other than the one written
+        (gap_config, "grid", [_sbm_point(noise={"kind": "gaussian", "sigma": 5.0})],
+         "grid.noise: not a parameter of the sbm model"),
+        (gap_config, "grid", [_gaussian_point(beta_tilde=0.3)],
+         "grid.beta_tilde: not a parameter of the submatrix model"),
     ],
 )
 def test_config_field_type_errors_name_the_field(tmp_path, make, field, value, message):

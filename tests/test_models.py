@@ -170,6 +170,13 @@ def test_params_dict_round_trip():
         assert ModelParams.from_dict(params.to_dict()) == params
 
 
+def test_params_from_dict_rejects_unknown_keys():
+    # a misspelled field would otherwise read its default
+    doc = {**sbm_params(d=6, s_star=3, beta_star=0.8, beta_tilde=0.2, seed=1).to_dict(), "sed": 5}
+    with pytest.raises(InvalidParams, match="^sed: unknown key$"):
+        ModelParams.from_dict(doc)
+
+
 def test_sbm_exchangeable_null_statistics_relabel_invariant():
     # with beta = beta_tilde the law ignores the support, so relabeling the
     # vertices leaves every label-free estimator value unchanged

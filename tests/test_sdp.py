@@ -356,7 +356,7 @@ def test_cached_arrays_are_read_only():
     cons = prog.constraints
     arrays = (cons.A.data, cons.A.indices, cons.A.indptr, cons.b, cons.entry_map,
               cons.row_sets, cons.row_families, cons.inv_m)
-    arrays += tuple(getattr(M, name) for M in (cons.cells, cons.AT, *cons.orbits)
+    arrays += tuple(getattr(M, name) for M in (cons.cell_means, cons.neg_weighted_AT, *cons.orbits)
                     for name in ("data", "indices", "indptr"))
     for arr in arrays:
         with pytest.raises(ValueError):
@@ -475,7 +475,8 @@ def test_setup_peak_memory_is_what_it_keeps():
     try:
         # in the order solve builds them
         setup = (cons.inv_m,)
-        setup += tuple(getattr(M, name) for M in (*cons.orbits, cons.cells, cons.AT)
+        setup += tuple(getattr(M, name)
+                       for M in (cons.cell_means, *cons.orbits, cons.neg_weighted_AT)
                        for name in ("data", "indices", "indptr"))
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -511,15 +512,28 @@ def test_solve_without_equalities():
     assert np.linalg.eigvalsh(sol.matrix)[0] >= -1e-7
 
 
+def _add_product(out, rows, data, indices, x):
+    """out += M @ x for M with these CSR triplets (``rows`` repeated from
+    indptr): np.add.at adds each row's products to its entry of out in
+    CSR order, as scipy's CSR kernel does."""
+    np.add.at(out, rows, data * x[indices])
+
+
+def _csr_rows(M):
+    return np.repeat(np.arange(M.shape[0]), np.diff(M.indptr))
+
+
 def _reference_solve(program, options=None, choose_driver=True):
-    """The solver loop as it was before ``solve`` dropped scipy.sparse and
-    computed residuals only when read: scipy CSR products (the equality
-    inverse applied as ``Up @ (Down @ x)``), ``np.bincount`` cell sums, the
-    symmetrizing projection into a fresh Z per iteration, every residual on
-    every iteration.
+    """The solver loop without its buffers and short cuts: the y-step
+    y = y0 - diag(1/m) A^T Up Down (A y0 - b), y0 = cell means of Z - U
+    + c / (rho m), with each sparse product added into its seed by
+    ``np.add.at`` in CSR order (the cell means and -diag(1/m) A^T built here
+    from the entry map and A), the symmetrizing projection into a fresh Z
+    per iteration, and every residual and the value on every iteration.
     Each projection is passed the previous one's positive count, as in
     ``solve``; with ``choose_driver=False`` it is passed 0, which runs
-    syevr on every iteration. The oracle of the differential tests below."""
+    syevr on every iteration. The bit-for-bit oracle of the differential
+    tests below."""
     options = options or SolverOptions()
     options.validate()
     cons = program.constraints
@@ -527,8 +541,8 @@ def _reference_solve(program, options=None, choose_driver=True):
     entry, inv_m = cons.entry_map, cons.inv_m
     down, up = cons.orbits
     AT = A.T.tocsr()
+    AT_rows = _csr_rows(AT)
     entry_flat = entry.ravel()
-    V = program.var_count
     c = program.c
 
     rho = options.step
@@ -540,11 +554,22 @@ def _reference_solve(program, options=None, choose_driver=True):
     T = np.empty_like(Z)
     positive = len(Z)
 
+    def residual(y):
+        # A y - b, seeded with -b
+        r = -b
+        _add_product(r, _csr_rows(A), A.data, A.indices, y)
+        return r
+
     def y_step(rho):
-        w = np.bincount(entry_flat, weights=np.subtract(Z, U, out=T).ravel(), minlength=V)
-        q = rho * w + c
-        lam = up @ (down @ (A @ (q * inv_m) - rho * b))
-        return (q - AT @ lam) * inv_m / rho
+        y = c * inv_m / rho
+        ZU = np.subtract(Z, U, out=T).ravel()
+        _add_product(y, entry_flat, inv_m[entry_flat], slice(None), ZU)
+        coarse = np.zeros(down.shape[0])
+        _add_product(coarse, _csr_rows(down), down.data, down.indices, residual(y))
+        lam = np.zeros(len(b))
+        _add_product(lam, _csr_rows(up), up.data, up.indices, coarse)
+        _add_product(y, AT_rows, -(AT.data * inv_m[AT_rows]), AT.indices, lam)
+        return y
 
     primal = dual = eq_res = psd_gap = np.inf
     value = 0.0
@@ -559,7 +584,7 @@ def _reference_solve(program, options=None, choose_driver=True):
         np.subtract(My, Z, out=R)
         U += R
         psd_gap = float(np.linalg.norm(R))
-        eq_res = float(np.max(np.abs(A @ y - b))) if b.size else 0.0
+        eq_res = float(np.max(np.abs(residual(y))))
         primal = eq_res + psd_gap
         dual = rho * float(np.linalg.norm(np.subtract(Z, Z_prev, out=T)))
         value = float(c @ y) / program.scale
@@ -590,6 +615,56 @@ def _reference_solve(program, options=None, choose_driver=True):
     )
 
 
+def _old_formula_solve(program, options=None):
+    """The loop with the y-step written as before it was one weighted
+    projection: q = rho (cell sums of Z - U) + c,
+    y = (q - A^T Up Down (A diag(1/m) q - rho b)) / (rho m), with scipy's
+    public CSR products. The same iteration in exact arithmetic, so a
+    second oracle: it must take the same decisions, not give the same
+    bits."""
+    options = options or SolverOptions()
+    cons = program.constraints
+    A, b = cons.A, cons.b
+    entry, inv_m = cons.entry_map, cons.inv_m
+    down, up = cons.orbits
+    AT = A.T.tocsr()
+    c = program.c
+
+    rho = options.step
+    rho_changes = 0
+    Z = np.zeros(entry.shape)
+    U = np.zeros_like(Z)
+    positive = len(Z)
+    status = MAX_ITER_REACHED
+    for it in range(1, options.max_iter + 1):
+        q = rho * np.bincount(entry.ravel(), weights=(Z - U).ravel(), minlength=len(c)) + c
+        lam = up @ (down @ (A @ (q * inv_m) - rho * b))
+        y = (q - AT @ lam) * inv_m / rho
+        My = y[entry]
+        Z_prev = Z
+        Z, positive = project_symmetrized(My + U, positive=positive)
+        U = U + My - Z
+        psd_gap = float(np.linalg.norm(My - Z))
+        primal = float(np.max(np.abs(A @ y - b))) + psd_gap
+        dual = rho * float(np.linalg.norm(Z - Z_prev))
+        value = float(c @ y) / program.scale
+        bar = options.tol * (1.0 + abs(value))
+        if primal <= bar and dual <= bar and psd_gap <= options.tol:
+            status = OPTIMAL
+            break
+        if it % 100 == 0:
+            new_rho = rho
+            if primal > 10.0 * dual:
+                new_rho = min(rho * 2.0, 1e4)
+            elif dual > 10.0 * primal:
+                new_rho = max(rho / 2.0, 1e-4)
+            if new_rho != rho:
+                U *= rho / new_rho
+                rho = new_rho
+                rho_changes += 1
+    return status, it, rho_changes, value
+
+
 _X5 = NoisyMatrix(d=5, entries=generator(0).standard_normal(n_pairs(5)))
 _X6 = NoisyMatrix(d=6, entries=generator(3).standard_normal(n_pairs(6)))
 DIFFERENTIAL_CASES = {
@@ -613,6 +688,41 @@ def test_solve_matches_reference_loop(prog, options):
     if options is not None:
         assert got.status == MAX_ITER_REACHED
     _assert_same_solution(got, want)
+
+
+@pytest.mark.parametrize(
+    "prog, options", DIFFERENTIAL_CASES.values(), ids=DIFFERENTIAL_CASES.keys()
+)
+def test_solve_matches_old_formula_loop(prog, options):
+    # the y-step as one weighted projection takes the decisions of the
+    # formula it replaced; the values differ in their last bits only
+    got = solve(prog, options)
+    status, iterations, rho_changes, value = _old_formula_solve(prog, options)
+    assert (got.status, got.iterations, got.rho_changes) == (status, iterations, rho_changes)
+    assert abs(got.value - value) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "prog", [DIFFERENTIAL_CASES[k][0] for k in ("basic", "level1", "level2", "doubled-equalities")],
+    ids=["basic", "level1", "level2", "doubled-equalities"],
+)
+def test_y_step_is_the_weighted_least_distance_point(prog):
+    # the second iteration's y-step, from the Z and U the first one leaves,
+    # against the point of {A y = b} nearest to y0 in the diag(m) metric,
+    # by a dense pseudo-inverse: y = y0 + m^-1/2 pinv(A m^-1/2) (b - A y0)
+    cons = prog.constraints
+    flat = cons.entry_map.ravel()
+    first = solve(prog, SolverOptions(max_iter=1)).matrix
+    Z, _ = project_psd(first.copy(), positive=len(first))
+    U = first - Z
+    m = np.bincount(flat)
+    y0 = (np.bincount(flat, weights=(Z - U).ravel()) + prog.c) / m  # rho = 1
+    A, root = cons.A.toarray(), np.sqrt(m)
+    want = y0 + np.linalg.pinv(A / root) @ (cons.b - A @ y0) / root
+    got = np.empty(prog.var_count)
+    got[flat] = solve(prog, SolverOptions(max_iter=2)).matrix.ravel()
+    assert np.abs(got - want).max() <= 1e-12
+    assert np.abs(A @ got - cons.b).max() <= 1e-12
 
 
 def _assert_same_solution(got, want):
