@@ -37,9 +37,10 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--d", type=int, required=True)
     gen.add_argument("--s", type=int, required=True, help="planted subset size")
     gen.add_argument("--beta", type=float, required=True, help="signal strength")
-    gen.add_argument("--noise", choices=[GAUSSIAN, RADEMACHER], default=GAUSSIAN)
-    gen.add_argument("--sigma", type=float, default=1.0, help="gaussian scale (0 = noiseless)")
-    gen.add_argument("--nu", type=float, default=1.0, help="two-point noise scale")
+    # submatrix only; defaults: gaussian, sigma = nu = 1
+    gen.add_argument("--noise", choices=[GAUSSIAN, RADEMACHER], default=None)
+    gen.add_argument("--sigma", type=float, default=None, help="gaussian scale (0 = noiseless)")
+    gen.add_argument("--nu", type=float, default=None, help="two-point noise scale")
     gen.add_argument("--beta-tilde", type=float, default=None, help="sbm outside probability")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", required=True)
@@ -51,10 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--level", type=int, default=1, help="level for sos_level")
     est.add_argument("--strategy", choices=[EXHAUSTIVE, BRANCH_AND_BOUND], default=EXHAUSTIVE)
     est.add_argument("--max-subsets", type=int, default=DEFAULT_MAX_SUBSETS)
-    solver = SolverOptions()
-    est.add_argument("--tol", type=float, default=solver.tol)
-    est.add_argument("--max-iter", type=int, default=solver.max_iter)
-    est.add_argument("--step", type=float, default=solver.step)
+    est.add_argument("--max-iter", type=int, default=SolverOptions.max_iter)
 
     cert = sub.add_parser("certify", help="build and verify the expansivity certificate")
     cert.add_argument("--in", dest="infile", required=True)
@@ -72,9 +70,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_generate(args) -> int:
     noise = None
-    if args.model == SUBMATRIX:
-        scale = args.sigma if args.noise == GAUSSIAN else args.nu
-        noise = Noise(kind=args.noise, scale=scale)
+    # an sbm given a noise flag gets the noise too, which validation rejects
+    if args.model == SUBMATRIX or (args.noise, args.sigma, args.nu) != (None, None, None):
+        kind = args.noise or GAUSSIAN
+        scale = args.sigma if kind == GAUSSIAN else args.nu
+        noise = Noise(kind=kind, scale=1.0 if scale is None else scale)
     params = ModelParams(
         kind=args.model,
         d=args.d,
@@ -98,7 +98,7 @@ def _cmd_estimate(args) -> int:
         X,
         args.s,
         level=args.level,
-        solver=SolverOptions(tol=args.tol, max_iter=args.max_iter, step=args.step),
+        solver=SolverOptions(max_iter=args.max_iter),
         strategy=args.strategy,
         max_subsets=args.max_subsets,
     )

@@ -85,14 +85,9 @@ def _exhaustive(dense: np.ndarray, d: int, s_star: int) -> tuple[float, tuple[in
 
 
 def _greedy_seed(dense: np.ndarray, d: int, s_star: int) -> tuple[float, tuple[int, ...]]:
-    """A feasible subset and its pair sum, a floor for the search: greedy
-    growth, then 1-swaps while they raise the canonical pair sum.
-
-    A swap is proposed from incrementally updated row sums but accepted
-    only when `_pair_sum` of the new set is strictly larger. The row sums
-    drift when large entries cancel, so they alone can propose a cycle of
-    swaps; the canonical sum cannot rise forever over finitely many sets.
-    """
+    """A feasible subset and its canonical pair sum, a floor for the
+    search: the largest entry's pair, grown by the vertex of largest row
+    sum into the chosen set until it has s_star vertices."""
     masked = dense.copy()
     np.fill_diagonal(masked, -np.inf)
     i, j = np.unravel_index(int(np.argmax(masked)), masked.shape)
@@ -105,24 +100,7 @@ def _greedy_seed(dense: np.ndarray, d: int, s_star: int) -> tuple[float, tuple[i
         chosen.append(v)
         rowsum = rowsum + dense[v]
     subset = tuple(sorted(chosen))
-    value = _pair_sum(dense, subset)
-    improved = True
-    while improved:
-        improved = False
-        for idx, u in enumerate(list(chosen)):
-            base = rowsum - dense[u]
-            gains = base.copy()
-            gains[chosen] = -np.inf
-            v = int(np.argmax(gains))
-            if gains[v] > base[u]:
-                trial = tuple(sorted(chosen[:idx] + [v] + chosen[idx + 1 :]))
-                trial_value = _pair_sum(dense, trial)
-                if trial_value > value:
-                    chosen[idx] = v
-                    rowsum = base + dense[v]
-                    subset, value = trial, trial_value
-                    improved = True
-    return value, subset
+    return _pair_sum(dense, subset), subset
 
 
 def _row_top_sums(dense: np.ndarray, d: int, s_star: int) -> np.ndarray:

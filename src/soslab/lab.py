@@ -33,7 +33,7 @@ from .estimators import (
 )
 from .fields import check_keys, field_names, parse, parse_field
 from .matrix import NoisyMatrix
-from .models import GAUSSIAN, SBM, SUBMATRIX, ModelParams, Noise, generate
+from .models import GAUSSIAN, SBM, SUBMATRIX, ModelParams, Noise, check_model_keys, generate
 from .sdp import SdpSolution, SolverOptions, solve
 from .seeds import mix_seed
 from .sos import assemble_basic, assemble_level
@@ -98,11 +98,7 @@ class GridPoint:
         doc = parse(dict, doc, "grid")
         check_keys(doc, field_names(cls), "grid.")
         model = parse_field(doc, "model", str, SUBMATRIX)
-        # a key of the other model would be dropped: the run would use a
-        # model other than the one written
-        dropped = {SUBMATRIX: "beta_tilde", SBM: "noise"}.get(model)
-        if dropped in doc:
-            raise InvalidParams(f"grid.{dropped}: not a parameter of the {model} model")
+        check_model_keys(model, doc, "grid.")
         noise = None
         if model == SUBMATRIX:
             noise = Noise.from_dict(doc.get("noise", {"kind": GAUSSIAN, "sigma": 1.0}))
@@ -163,10 +159,7 @@ class ExperimentConfig:
             raise InvalidParams(f"unknown scan strategy {self.scan_strategy!r}")
         if self.max_subsets < 1:
             raise InvalidParams(f"max_subsets must be >= 1, got {self.max_subsets}")
-        try:
-            self.solver.validate()
-        except ValueError as exc:
-            raise InvalidParams(f"solver: {exc}") from exc
+        self.solver.validate()
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
@@ -174,11 +167,10 @@ class ExperimentConfig:
         check_keys(doc, field_names(cls))
         solver_doc = parse_field(doc, "solver", dict, {})
         check_keys(solver_doc, field_names(SolverOptions), "solver.")
-        defaults = SolverOptions()
         solver = SolverOptions(
-            tol=parse_field(solver_doc, "tol", float, defaults.tol, "solver.tol"),
-            max_iter=parse_field(solver_doc, "max_iter", int, defaults.max_iter, "solver.max_iter"),
-            step=parse_field(solver_doc, "step", float, defaults.step, "solver.step"),
+            max_iter=parse_field(
+                solver_doc, "max_iter", int, SolverOptions.max_iter, "solver.max_iter"
+            ),
         )
         cfg = cls(
             experiment=parse_field(doc, "experiment", str),

@@ -23,12 +23,13 @@ instance.
 """
 from __future__ import annotations
 
+from collections.abc import Collection
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidParams, InvalidSupport, RademacherWithSignal, check_s_star
-from .fields import check_keys, field_names, parse, parse_field
+from .fields import check_keys, parse, parse_field
 from .matrix import NoisyMatrix, n_pairs, pair_indices
 from .seeds import generator
 
@@ -72,6 +73,15 @@ class Noise:
         return cls(kind=kind, scale=parse_field(doc, key, float, 1.0, f"noise.{key}"))
 
 
+def check_model_keys(kind: str, keys: Collection[str], prefix: str = "") -> None:
+    """Raise if ``keys`` holds the other model's parameter (``noise`` for
+    an sbm, ``beta_tilde`` for a submatrix model): a draw of ``kind``
+    ignores it, so the instance would not be the one written."""
+    other = {SUBMATRIX: "beta_tilde", SBM: "noise"}.get(kind)
+    if other in keys:
+        raise InvalidParams(f"{prefix}{other}: not a parameter of the {kind} model")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Full description of one planted model, including the seed."""
@@ -87,6 +97,7 @@ class ModelParams:
     def validate(self) -> None:
         if self.kind not in (SUBMATRIX, SBM):
             raise InvalidParams(f"unknown model kind {self.kind!r}")
+        check_model_keys(self.kind, self.to_dict())
         if self.d < 2:
             raise InvalidParams("d must be >= 2")
         check_s_star(self.s_star, self.d)
@@ -122,20 +133,6 @@ class ModelParams:
         if self.beta_tilde is not None:
             doc["beta_tilde"] = self.beta_tilde
         return doc
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "ModelParams":
-        doc = parse(dict, doc, "params")
-        check_keys(doc, field_names(cls))
-        return cls(
-            kind=parse_field(doc, "kind", str),
-            d=parse_field(doc, "d", int),
-            s_star=parse_field(doc, "s_star", int),
-            beta_star=parse_field(doc, "beta_star", float),
-            noise=Noise.from_dict(doc["noise"]) if "noise" in doc else None,
-            beta_tilde=parse_field(doc, "beta_tilde", float, None),
-            seed=parse_field(doc, "seed", int),
-        )
 
 
 @dataclass(frozen=True)

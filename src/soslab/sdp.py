@@ -64,15 +64,17 @@ Residuals:
   dual_residual   = rho * ||Z - Z_prev||_F
 
 psd_gap is computed every iteration; the other three and the value only
-where something reads them: when psd_gap <= tol (the stop test cannot
+where something reads them: when psd_gap <= TOL (the stop test cannot
 pass otherwise), on the rho-adaptation iterations, and on the last one. So
 every decision and every returned field is what computing all of them on
 every iteration would give. The iterate is Optimal when primal and dual
-residuals are both at most tol * (1 + |value|) and psd_gap <= tol; the
-returned matrix is M(y), which satisfies the equalities exactly and has
-lambda_min >= -psd_gap.
+residuals are both at most TOL * (1 + |value|) and psd_gap <= TOL, with
+the constant TOL = 1e-7; the returned matrix is M(y), which satisfies the
+equalities exactly and has lambda_min >= -psd_gap. A solve that has not
+stopped after ``SolverOptions.max_iter`` iterations, the one setting,
+returns its last iterate as max-iter-reached.
 
-Step-size adaptation: every 100 iterations the penalty rho is doubled
+Step-size adaptation: rho starts at 1; every 100 iterations it is doubled
 (halved) when the primal residual exceeds 10x the dual (or vice versa),
 clamped to [1e-4, 1e4], with the scaled dual U rescaled accordingly. All of
 this is deterministic.
@@ -98,26 +100,24 @@ if TYPE_CHECKING:
 OPTIMAL = "optimal"
 MAX_ITER_REACHED = "max-iter-reached"
 
-_RHO_MIN, _RHO_MAX = 1e-4, 1e4
+# The stop test's tolerance; the penalty rho starts at _RHO_START and adapts
+# within [_RHO_MIN, _RHO_MAX].
+TOL = 1e-7
+_RHO_START, _RHO_MIN, _RHO_MAX = 1.0, 1e-4, 1e4
 _ADAPT_EVERY = 100
 _ADAPT_RATIO = 10.0
 
 
 @dataclass(frozen=True)
 class SolverOptions:
-    tol: float = 1e-7
+    """The iteration budget: a solve that has not met the stop test after
+    ``max_iter`` iterations returns its last iterate as max-iter-reached."""
+
     max_iter: int = 100_000
-    step: float = 1.0
 
     def validate(self) -> None:
-        # A NaN fails every comparison, so the stop test would never pass;
-        # an infinite tol passes it at the first iterate.
-        if not 0 < self.tol < np.inf:
-            raise ValueError(f"tol must be finite and > 0, got {self.tol}")
         if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-        if not 0 < self.step < np.inf:
-            raise ValueError(f"step must be finite and > 0, got {self.step}")
+            raise InvalidParams(f"max_iter must be >= 1, got {self.max_iter}")
 
 
 @dataclass
@@ -432,7 +432,7 @@ def solve(program: SosProgram, options: SolverOptions | None = None) -> SdpSolut
         coarse = np.empty(down.shape[0])
         lam = np.empty(len(b))
 
-    rho = options.step
+    rho = _RHO_START
     rho_changes = 0
     # y's seed, recomputed when rho changes
     c_step = c * inv_m / rho
@@ -478,9 +478,9 @@ def solve(program: SosProgram, options: SolverOptions | None = None) -> SdpSolut
         psd_gap = math.sqrt(np.vdot(R, R))
         adapt = it % _ADAPT_EVERY == 0
         # The value and the other residuals are read by the stop test, which
-        # cannot pass while psd_gap > tol, by the rho adaptation and by the
+        # cannot pass while psd_gap > TOL, by the rho adaptation and by the
         # return.
-        if psd_gap > options.tol and not adapt and it < options.max_iter:
+        if psd_gap > TOL and not adapt and it < options.max_iter:
             continue
         value = float(c @ y) / program.scale
         eq_res = 0.0
@@ -491,8 +491,8 @@ def solve(program: SosProgram, options: SolverOptions | None = None) -> SdpSolut
         primal = eq_res + psd_gap
         np.subtract(Z, Z_prev, out=T)
         dual = rho * math.sqrt(np.vdot(T, T))
-        bar = options.tol * (1.0 + abs(value))
-        if primal <= bar and dual <= bar and psd_gap <= options.tol:
+        bar = TOL * (1.0 + abs(value))
+        if primal <= bar and dual <= bar and psd_gap <= TOL:
             status = OPTIMAL
             break
         if adapt:

@@ -183,7 +183,7 @@ def test_c06_relaxation_sandwich():
     (cross-checked against an independent interior-point solver).
     """
     rng = generator(BASE_SEED + 4)
-    options = SolverOptions(tol=1e-7)
+    options = SolverOptions()
     violations = {"scan<=l2": [], "l2<=l1": [], "l1<=basic": [], "basic<=lp": []}
     for k in range(100):
         d = int(rng.integers(4, 11))

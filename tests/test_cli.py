@@ -160,6 +160,41 @@ def test_malformed_matrix_file_exits_1_naming_the_field(tmp_path, capsys, doc, m
     assert json.loads(stderr) == {"error": "InvalidParams", "message": message}
 
 
+@pytest.mark.parametrize(
+    "model_args, message",
+    [
+        (["--model", "submatrix", "--beta-tilde", "0.3"],
+         "beta_tilde: not a parameter of the submatrix model"),
+        (["--model", "sbm", "--beta-tilde", "0.3", "--noise", "gaussian"],
+         "noise: not a parameter of the sbm model"),
+        (["--model", "sbm", "--beta-tilde", "0.3", "--sigma", "2"],
+         "noise: not a parameter of the sbm model"),
+        (["--model", "sbm", "--beta-tilde", "0.3", "--nu", "2"],
+         "noise: not a parameter of the sbm model"),
+    ],
+)
+def test_generate_rejects_the_other_models_parameter(tmp_path, capsys, model_args, message):
+    # the draw would ignore it, and the ground truth would record it
+    out = tmp_path / "m.json"
+    code, stdout, stderr = run_cli(
+        capsys, "generate", *model_args, "--d", "5", "--s", "2", "--beta", "1", "--out", str(out)
+    )
+    assert (code, stdout) == (1, "")
+    assert stderr.count("\n") == 1
+    assert json.loads(stderr) == {"error": "InvalidParams", "message": message}
+    assert not out.exists()
+
+
+def test_generate_submatrix_noise_defaults_to_unit_gaussian(tmp_path, capsys):
+    out = str(tmp_path / "m.json")
+    code, _, _ = run_cli(
+        capsys, "generate", "--model", "submatrix", "--d", "5", "--s", "2", "--beta", "1",
+        "--out", out,
+    )
+    assert code == 0
+    assert read_matrix_json(out)[1]["params"]["noise"] == {"kind": "gaussian", "sigma": 1.0}
+
+
 def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["estimate", "--estimator", "scan"])  # missing --in

@@ -146,8 +146,11 @@ def test_branch_and_bound_equals_exhaustive_d22(beta):
     assert a.support == b.support
 
 
-# Inputs where large entries cancel. On the first the greedy seed's 1-swap
-# loop cycled forever; on the others a slack of 1e-9 * (1 + |best|) did not
+# Inputs where large entries cancel. The first once hung the greedy seed's
+# 1-swap loop, since removed; it stays because its greedy floor (pair sum 2,
+# grown from row sums that lose the small entries) is below the maximum (4),
+# so the search must still climb to the exhaustive argmax from a floor built
+# on cancelling sums. On the others a slack of 1e-9 * (1 + |best|) did not
 # cover the rounding of the bound sums, so the search cut the argmax and
 # failed an assertion (the second) or returned another support of the same
 # value (the third).

@@ -162,19 +162,27 @@ def test_param_validation():
 
 
 def test_params_dict_round_trip():
-    for params in (
-        submatrix_params(d=9, s_star=3, seed=17),
-        submatrix_params(beta_star=0.0, noise=Noise("rademacher", 2.0), seed=4),
-        sbm_params(d=6, s_star=3, beta_star=0.8, beta_tilde=0.2, seed=12),
-    ):
-        assert ModelParams.from_dict(params.to_dict()) == params
+    # the ground-truth format of matrix files, pinned field by field
+    assert submatrix_params(d=9, s_star=3, seed=17).to_dict() == {
+        "kind": "submatrix", "d": 9, "s_star": 3, "beta_star": 1.0, "seed": 17,
+        "noise": {"kind": "gaussian", "sigma": 1.0},
+    }
+    assert submatrix_params(beta_star=0.0, noise=Noise("rademacher", 2.0), seed=4).to_dict() == {
+        "kind": "submatrix", "d": 4, "s_star": 2, "beta_star": 0.0, "seed": 4,
+        "noise": {"kind": "rademacher", "nu": 2.0},
+    }
+    assert sbm_params(d=6, s_star=3, beta_star=0.8, beta_tilde=0.2, seed=12).to_dict() == {
+        "kind": "sbm", "d": 6, "s_star": 3, "beta_star": 0.8, "seed": 12, "beta_tilde": 0.2,
+    }
 
 
-def test_params_from_dict_rejects_unknown_keys():
-    # a misspelled field would otherwise read its default
-    doc = {**sbm_params(d=6, s_star=3, beta_star=0.8, beta_tilde=0.2, seed=1).to_dict(), "sed": 5}
-    with pytest.raises(InvalidParams, match="^sed: unknown key$"):
-        ModelParams.from_dict(doc)
+def test_params_reject_the_other_models_parameter():
+    # a draw ignores it, so the ground truth would record a parameter the
+    # instance was not drawn with
+    with pytest.raises(InvalidParams, match="^beta_tilde: not a parameter of the submatrix model$"):
+        generate(submatrix_params(beta_tilde=0.3))
+    with pytest.raises(InvalidParams, match="^noise: not a parameter of the sbm model$"):
+        generate(sbm_params(noise=Noise("gaussian", 1.0)))
 
 
 def test_sbm_exchangeable_null_statistics_relabel_invariant():

@@ -1,9 +1,12 @@
-"""The README's library quick start and CLI commands run as written."""
+"""The README's library quick start and CLI commands run as written, and
+its annotated experiment config parses."""
+import json
 import re
 import shlex
 from pathlib import Path
 
 from soslab.cli import main
+from soslab.lab import ExperimentConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -25,3 +28,12 @@ def test_readme_cli_commands_run(tmp_path, monkeypatch):
     for argv in commands:
         assert argv[0] == "soslab"
         assert main(argv[1:]) == 0, argv
+
+
+def test_readme_config_example_parses():
+    # A key the parser rejects must not be documented as one it reads.
+    text = README.read_text()
+    block = re.search(r"### Experiment configs\n\n```json\n(.*?)```", text, flags=re.DOTALL).group(1)
+    doc = json.loads(re.sub(r"//[^\n]*", "", block))
+    cfg = ExperimentConfig.from_dict(doc)
+    assert cfg.solver.max_iter == doc["solver"]["max_iter"]

@@ -14,6 +14,7 @@ from soslab.certificate import (
     positivity_graph,
 )
 from soslab import sdp, sos
+from soslab.cli import main
 from soslab.errors import EigFailure, InvalidParams
 from soslab.estimators import lp_estimate, scan_estimate
 from soslab.lab import ExperimentConfig, run_gap_experiment
@@ -238,10 +239,9 @@ def test_solution_feasibility_roundtrip():
                 y[em[r, c]] = sol.matrix[r, c]
         assert np.abs(A @ y - b).max() <= 1e-6
         evals = np.linalg.eigvalsh(sol.matrix)
-        tol = 1e-7
-        assert evals[0] >= -tol * max(1.0, evals[-1])
-        assert sol.primal_residual <= tol * (1 + abs(sol.value))
-        assert sol.dual_residual <= tol * (1 + abs(sol.value))
+        assert evals[0] >= -sdp.TOL * max(1.0, evals[-1])
+        assert sol.primal_residual <= sdp.TOL * (1 + abs(sol.value))
+        assert sol.dual_residual <= sdp.TOL * (1 + abs(sol.value))
 
 
 def test_noiseless_plant_basic_at_least_beta():
@@ -286,30 +286,33 @@ def test_certificate_point_dominated_by_optimum():
 
 def test_max_iter_status():
     X = single_entry_matrix(2.0)
-    sol = solve(assemble_basic(X, 2), SolverOptions(tol=1e-12, max_iter=3))
+    program = assemble_basic(X, 2)
+    sol = solve(program, SolverOptions(max_iter=3))
     assert sol.status == MAX_ITER_REACHED
     assert sol.iterations == 3
+    # the budget, not the program, stopped it
+    assert solve(program).status == OPTIMAL
 
 
 def test_options_validation():
-    with pytest.raises(ValueError):
-        SolverOptions(tol=0.0).validate()
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParams, match="^max_iter must be >= 1, got 0$"):
         SolverOptions(max_iter=0).validate()
-    with pytest.raises(ValueError):
-        SolverOptions(step=-1.0).validate()
+    with pytest.raises(InvalidParams, match="^max_iter must be >= 1, got -1$"):
+        solve(assemble_basic(single_entry_matrix(2.0), 2), SolverOptions(max_iter=-1))
 
 
 @pytest.mark.parametrize("field", ["tol", "step"])
 @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
 def test_options_reject_non_finite_tol_and_step(field, value):
-    # tol=inf would stop a solve at its first iterate as optimal, and
-    # tol=nan never stops it before max_iter
-    options = SolverOptions(**{field: value})
-    with pytest.raises(ValueError, match=f"{field} must be finite and > 0"):
-        options.validate()
-    with pytest.raises(ValueError, match=f"{field} must be finite and > 0"):
-        solve(assemble_basic(NoisyMatrix(d=6, entries=np.ones(n_pairs(6))), 2), options)
+    # tol and step are constants of the solver (sdp.TOL, rho starting at
+    # 1), not options: neither SolverOptions nor `soslab estimate` takes
+    # them, whatever the value (a usage error exits 2 before any file is read)
+    with pytest.raises(TypeError):
+        SolverOptions(**{field: value})
+    argv = ["estimate", "--in", "x.json", "--estimator", "sos_basic", "--s", "2"]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, f"--{field}", str(value)])
+    assert exc.value.code == 2
 
 
 def _with_doubled_equalities(prog):
@@ -545,7 +548,7 @@ def _reference_solve(program, options=None, choose_driver=True):
     entry_flat = entry.ravel()
     c = program.c
 
-    rho = options.step
+    rho = sdp._RHO_START
     rho_changes = 0
     Z = np.zeros(entry.shape)
     U = np.zeros_like(Z)
@@ -588,8 +591,8 @@ def _reference_solve(program, options=None, choose_driver=True):
         primal = eq_res + psd_gap
         dual = rho * float(np.linalg.norm(np.subtract(Z, Z_prev, out=T)))
         value = float(c @ y) / program.scale
-        bar = options.tol * (1.0 + abs(value))
-        if primal <= bar and dual <= bar and psd_gap <= options.tol:
+        bar = sdp.TOL * (1.0 + abs(value))
+        if primal <= bar and dual <= bar and psd_gap <= sdp.TOL:
             status = OPTIMAL
             break
         if it % 100 == 0:
@@ -630,7 +633,7 @@ def _old_formula_solve(program, options=None):
     AT = A.T.tocsr()
     c = program.c
 
-    rho = options.step
+    rho = sdp._RHO_START
     rho_changes = 0
     Z = np.zeros(entry.shape)
     U = np.zeros_like(Z)
@@ -648,8 +651,8 @@ def _old_formula_solve(program, options=None):
         primal = float(np.max(np.abs(A @ y - b))) + psd_gap
         dual = rho * float(np.linalg.norm(Z - Z_prev))
         value = float(c @ y) / program.scale
-        bar = options.tol * (1.0 + abs(value))
-        if primal <= bar and dual <= bar and psd_gap <= options.tol:
+        bar = sdp.TOL * (1.0 + abs(value))
+        if primal <= bar and dual <= bar and psd_gap <= sdp.TOL:
             status = OPTIMAL
             break
         if it % 100 == 0:
