@@ -246,7 +246,9 @@ def certificate_objective(X: NoisyMatrix, pe: PseudoExpectation, s_star: int) ->
 
 def certify(X: NoisyMatrix, mode: str, s_star: int, ell: int) -> FeasibilityReport:
     """The certificate of X end to end: positivity graph, expansivity table,
-    certificate, verification, and the report with its exact objective."""
+    certificate, verification, and the report with its exact objective.
+    The moment-matrix side budget is checked first, before any counting."""
+    subset_indexer(X.d, ell)
     table = expansivity_table(positivity_graph(X, mode), ell)
     pe = build_certificate(table, s_star, ell)
     report = verify_certificate(pe, X.d, s_star, ell)

@@ -14,7 +14,7 @@ import json
 import sys
 
 from .certificate import BINARY_ONE, SIGN_POSITIVE, certify, report_to_json_dict
-from .errors import SoslabError
+from .errors import InvalidParams, SoslabError
 from .estimators import BRANCH_AND_BOUND, DEFAULT_MAX_SUBSETS, EXHAUSTIVE
 from .lab import ESTIMATORS, ExperimentConfig, estimate, fmt_float, run_experiment, with_overrides
 from .matrix import read_matrix_json, write_matrix_json
@@ -50,7 +50,9 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--estimator", choices=ESTIMATORS, required=True)
     est.add_argument("--s", type=int, default=None)
     est.add_argument("--level", type=int, default=1, help="level for sos_level")
-    est.add_argument("--strategy", choices=[EXHAUSTIVE, BRANCH_AND_BOUND], default=EXHAUSTIVE)
+    est.add_argument(
+        "--strategy", choices=[EXHAUSTIVE, BRANCH_AND_BOUND], default=BRANCH_AND_BOUND
+    )
     est.add_argument("--max-subsets", type=int, default=DEFAULT_MAX_SUBSETS)
     est.add_argument("--max-iter", type=int, default=SolverOptions.max_iter)
 
@@ -73,7 +75,10 @@ def _cmd_generate(args) -> int:
     # an sbm given a noise flag gets the noise too, which validation rejects
     if args.model == SUBMATRIX or (args.noise, args.sigma, args.nu) != (None, None, None):
         kind = args.noise or GAUSSIAN
-        scale = args.sigma if kind == GAUSSIAN else args.nu
+        scale, other = (args.sigma, "nu") if kind == GAUSSIAN else (args.nu, "sigma")
+        # the draw would ignore the other law's scale
+        if args.model == SUBMATRIX and getattr(args, other) is not None:
+            raise InvalidParams(f"--{other}: not a parameter of {kind} noise")
         noise = Noise(kind=kind, scale=1.0 if scale is None else scale)
     params = ModelParams(
         kind=args.model,

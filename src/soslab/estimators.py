@@ -240,12 +240,13 @@ def _branch_and_bound(
 def scan_estimate(
     X: NoisyMatrix,
     s_star: int,
-    strategy: str = EXHAUSTIVE,
+    strategy: str = BRANCH_AND_BOUND,
     max_subsets: int = DEFAULT_MAX_SUBSETS,
 ) -> ScanResult:
-    """Exact maximum of the submatrix average over all s_star-subsets.
-    Branch-and-bound scans exhaustively (``max_subsets`` guard included)
-    where its sums could overflow (see `_branch_and_bound`)."""
+    """Exact maximum of the submatrix average over all s_star-subsets, by
+    branch-and-bound unless ``strategy`` is exhaustive. Branch-and-bound
+    scans exhaustively (``max_subsets`` guard included) where its sums
+    could overflow (see `_branch_and_bound`)."""
     check_s_star(s_star, X.d)
     if strategy not in (EXHAUSTIVE, BRANCH_AND_BOUND):
         raise InvalidParams(f"unknown scan strategy {strategy!r}")

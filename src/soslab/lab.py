@@ -249,7 +249,7 @@ def estimate(
     *,
     level: int | None,
     solver: SolverOptions,
-    strategy: str = EXHAUSTIVE,
+    strategy: str = BRANCH_AND_BOUND,
     max_subsets: int = DEFAULT_MAX_SUBSETS,
 ) -> Estimate:
     """The estimator ``name`` (one of ``ESTIMATORS``) on X; each estimator

@@ -14,37 +14,31 @@ shape, (d, s_star, ell) or (d, s_star) for the basic program, never on the
 data. Each shape's equalities live in one ``sdp.Constraints`` object: the
 entry map, a CSR ``A`` and ``b``, all read-only, and the solver's set-up
 for them once a program of the shape is solved. It is built once and
-shared by every program of that shape (a bounded LRU cache). An
-``assemble_*`` call computes only the objective vector ``c``, with weight
-2*X_ij on each pair variable; the reported value divides by
-``scale = s_star*(s_star-1)``.
+shared by every program of that shape (an LRU cache of
+``subsets.SHAPES_CACHED`` shapes). An ``assemble_*`` call computes only
+the objective vector ``c``, with weight 2*X_ij on each pair variable; the
+reported value divides by ``scale = s_star*(s_star-1)``.
 
 ``assemble_basic`` is the weaker (d+1) x (d+1) program whose only explicit
 equalities are (a) and the row-sum ``sum_i y[{i}] = s_star``; it shares the
 entry map with level 1 (diagonal cells alias the first column there too),
 but omits family (b) at singletons, so level 1 is the tighter program.
+
+A ``PseudoExpectation`` holds its moments the same way: integer
+numerators over one denominator, indexed in the variable order
+(``subsets.rank``), the one form of a subset in the package.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import cached_property, lru_cache
-from typing import Iterable, Mapping
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import InvalidParams, MissingValue, check_s_star
 from .matrix import NoisyMatrix
 from .sdp import Constraints
-from .subsets import (
-    NonzeroView,
-    SubsetIndexer,
-    parents,
-    sizes,
-    subset_counts,
-    subset_indexer,
-    var_count,
-)
+from .subsets import SHAPES_CACHED, SubsetIndexer, parents, sizes, subset_indexer, var_count
 
 
 @dataclass(frozen=True)
@@ -69,10 +63,10 @@ class PseudoExpectation:
 
     ``num`` is a read-only integer array, int64 or Python ints
     (``dtype=object``) when a value does not fit, and ``den`` a positive
-    Python int, not necessarily in lowest terms. ``values`` is a read-only
-    view of the nonzero moments as Fractions; ``len(values)`` counts them.
-    ``eta_empty`` records the clique count when the moments came from the
-    expansivity construction.
+    Python int, not necessarily in lowest terms. ``values`` holds the
+    nonzero numerators in variable order; its length counts the nonzero
+    moments. ``eta_empty`` records the clique count when the moments came
+    from the expansivity construction.
     """
 
     d: int
@@ -89,9 +83,9 @@ class PseudoExpectation:
             )
         self.num.flags.writeable = False
 
-    @cached_property
-    def values(self) -> Mapping[tuple[int, ...], Fraction]:
-        return NonzeroView(self.d, self.ell, self.num, lambda n: Fraction(int(n), self.den))
+    @property
+    def values(self) -> np.ndarray:
+        return self.num[self.num != 0]
 
     def floats(self) -> np.ndarray:
         """``num / den`` correctly rounded: a float division when both sides
@@ -99,15 +93,6 @@ class PseudoExpectation:
         if self.den < 2**53 and max_abs(self.num) < 2**53:
             return self.num.astype(np.float64) / float(self.den)
         return (self.num.astype(object) / self.den).astype(np.float64)
-
-    @classmethod
-    def indicator(cls, support: Iterable[int], d: int, ell: int) -> "PseudoExpectation":
-        """The integral lift of a vertex subset: y[T] = 1 iff T is inside it."""
-        key = tuple(sorted(set(support)))
-        supp = np.array([key], dtype=np.int64).reshape(1, -1) - 1
-        if supp.size and not (0 <= supp[0, 0] and supp[0, -1] < d):
-            raise InvalidParams(f"support {key} not within 1..{d}")
-        return cls(d=d, ell=ell, s_star=supp.shape[1], num=subset_counts(d, 2 * ell, supp), den=1)
 
 
 def exact_dtype(bound: int):
@@ -121,15 +106,7 @@ def max_abs(arr: np.ndarray) -> int:
     return int(np.abs(arr).max()) if arr.size else 0
 
 
-# Equality systems per shape, each with the solver's set-up once solved:
-# the one bound on per-shape solver state. The level-2 system at d=16 (698
-# rows) keeps about 0.6 MB of CSR arrays, A included (1.5 MB at d=20); the
-# equality inverse's Down and Up are 0.13 MB of it (0.26 MB). The entry
-# map, 0.15 MB, is the indexer's.
-_SHAPES_CACHED = 8
-
-
-@lru_cache(maxsize=_SHAPES_CACHED)
+@lru_cache(maxsize=SHAPES_CACHED)
 def _level_equalities(idx: SubsetIndexer, s_star: int) -> Constraints:
     """Constraints (a) and (b) of the level-``idx.ell`` program.
 
@@ -160,7 +137,7 @@ def _level_equalities(idx: SubsetIndexer, s_star: int) -> Constraints:
     )
 
 
-@lru_cache(maxsize=_SHAPES_CACHED)
+@lru_cache(maxsize=SHAPES_CACHED)
 def _basic_equalities(idx: SubsetIndexer, s_star: int) -> Constraints:
     """y[empty] = 1 and the one row-sum; singleton {i} is variable i."""
     cols = np.arange(idx.d + 1)

@@ -8,18 +8,15 @@ come first, then its combinatorial lexicographic rank within its size.
 
 Subsets have one form, member arrays: rows of 0-based vertices, sorted
 ascending and padded on the right with ``d`` (a row's size is its count of
-entries below ``d``). ``rank`` indexes rows, and ``parents`` the rows one
-member smaller. Arrays over the variables (expansivity counts, certificate
-numerators) are indexed in the same order; sorted tuples of 1-based labels
-are only the key form of their views (``NonzeroView``, ``key_index``).
+entries below ``d``). ``rank`` is the one ranking of rows, and ``parents``
+gives the ranks of the rows one member smaller. Arrays over the variables
+(expansivity counts, certificate numerators) are indexed in the same order.
 """
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
 from functools import lru_cache
 from itertools import chain, combinations
-from typing import Callable
 
 import numpy as np
 
@@ -30,6 +27,13 @@ MAX_DIM = 4096
 
 # Elements per int64 temporary of a chunked array computation (256 KiB).
 _CHUNK = 1 << 15
+
+# Shapes kept by each per-shape cache, the one bound on per-shape state:
+# the indexers here, each with its entry map once built (88 MB at d=80,
+# ell=2), and the equality systems of ``sos``, each with the solver's
+# set-up once solved (the level-2 system at d=16 keeps about 0.6 MB of
+# CSR arrays, 1.5 MB at d=20).
+SHAPES_CACHED = 8
 
 
 def var_count(d: int, max_size: int) -> int:
@@ -90,29 +94,6 @@ def parents(d: int, members: np.ndarray) -> np.ndarray:
         has = members[:, p] < d
         col[has] = rank(d, np.delete(members[has], p, axis=1))
     return out.T
-
-
-def key_index(d: int, key: tuple[int, ...]) -> int:
-    """``rank`` of one sorted 1-based key, in Python integers."""
-    k = len(key)
-    return _size_end(d, k) - sum(math.comb(d - a, k - i) for i, a in enumerate(key))
-
-
-@lru_cache(maxsize=1024)
-def _size_end(d: int, k: int) -> int:
-    """Index of the last subset of size k."""
-    return var_count(d, k) - 1
-
-
-def is_subset_key(key, d: int, max_size: int) -> bool:
-    """True for a strictly increasing tuple of at most max_size vertices
-    inside 1..d."""
-    return (
-        isinstance(key, tuple)
-        and len(key) <= max_size
-        and all(a < b for a, b in zip(key, key[1:]))
-        and (not key or (1 <= key[0] and key[-1] <= d))
-    )
 
 
 def subset_counts(d: int, max_size: int, sets: np.ndarray) -> np.ndarray:
@@ -189,32 +170,8 @@ class SubsetIndexer:
         return self._entry_map
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=SHAPES_CACHED)
 def subset_indexer(d: int, ell: int) -> SubsetIndexer:
     """Shared indexer instances; safe to cache because they are immutable."""
     return SubsetIndexer(d, ell)
 
-
-class NonzeroView(Mapping):
-    """Read-only mapping over the nonzero entries of an array indexed by
-    the subsets of {1..d} of size <= 2*ell: sorted-tuple keys, values
-    passed through ``convert``. ``len`` counts the nonzero entries;
-    iteration, in index order, decodes each key from the member rows of
-    ``subset_indexer``."""
-
-    def __init__(self, d: int, ell: int, arr: np.ndarray, convert: Callable):
-        self._d, self._ell, self._arr, self._convert = d, ell, arr, convert
-
-    def __len__(self) -> int:
-        return int(np.count_nonzero(self._arr))
-
-    def __iter__(self):
-        members = subset_indexer(self._d, self._ell).members[np.flatnonzero(self._arr)]
-        return (tuple(v + 1 for v in row if v < self._d) for row in members.tolist())
-
-    def __getitem__(self, key):
-        if is_subset_key(key, self._d, 2 * self._ell):
-            value = self._arr[key_index(self._d, key)]
-            if value:
-                return self._convert(value)
-        raise KeyError(key)

@@ -1,8 +1,9 @@
 """Constructors and readers that only the tests use: a ``NoisyMatrix`` from
 a full array, and its entries and pairs by 1-based label; a
-``PseudoExpectation`` from a map of subsets to rationals, and its moments,
-expansivity counts and graph edges by subset; the float moment matrix; and
-the PSD projection of a matrix that is not exactly symmetric."""
+``PseudoExpectation`` from a map of subsets to rationals or from a vertex
+support, and its moments, expansivity counts and graph edges keyed by
+sorted 1-based tuples; the float moment matrix; and the PSD projection of a
+matrix that is not exactly symmetric."""
 import math
 from fractions import Fraction
 from itertools import combinations
@@ -13,7 +14,8 @@ from soslab.errors import InvalidParams
 from soslab.matrix import NoisyMatrix, pair_indices
 from soslab.sdp import project_psd
 from soslab.sos import PseudoExpectation, exact_dtype
-from soslab.subsets import NonzeroView, is_subset_key, key_index, var_count
+from soslab.subsets import subset_counts, subset_indexer, var_count
+from subset_order import key_index
 
 
 def matrix_from_dense(full):
@@ -46,17 +48,62 @@ def pe_from_values(d, ell, s_star, values, eta_empty=None):
     """From a map of subsets to rationals. Zero values, and keys that are
     not moments (sorted tuples inside 1..d of size <= 2*ell), are ignored;
     the denominator is the least common one."""
-    moments = {k: v for k, v in values.items() if v and is_subset_key(k, d, 2 * ell)}
-    den = math.lcm(*{v.denominator for v in moments.values()})
-    nums = [v.numerator * (den // v.denominator) for v in moments.values()]
+    kept = {k: v for k, v in values.items() if v and _is_moment_key(k, d, 2 * ell)}
+    den = math.lcm(*{v.denominator for v in kept.values()})
+    nums = [v.numerator * (den // v.denominator) for v in kept.values()]
     num = np.zeros(var_count(d, 2 * ell), dtype=exact_dtype(max(map(abs, nums), default=0)))
-    num[[key_index(d, key) for key in moments]] = nums
+    num[[key_index(d, key) for key in kept]] = nums
     return PseudoExpectation(d=d, ell=ell, s_star=s_star, num=num, den=den, eta_empty=eta_empty)
+
+
+def _is_moment_key(key, d, max_size):
+    """True for a strictly increasing tuple of at most max_size vertices
+    inside 1..d."""
+    return (
+        isinstance(key, tuple)
+        and len(key) <= max_size
+        and all(a < b for a, b in zip(key, key[1:]))
+        and (not key or (1 <= key[0] and key[-1] <= d))
+    )
+
+
+def indicator(support, d, ell):
+    """The integral lift of a vertex subset: y[T] = 1 iff T is inside it."""
+    key = tuple(sorted(set(support)))
+    supp = np.array([key], dtype=np.int64).reshape(1, -1) - 1
+    if supp.size and not (0 <= supp[0, 0] and supp[0, -1] < d):
+        raise InvalidParams(f"support {key} not within 1..{d}")
+    return PseudoExpectation(
+        d=d, ell=ell, s_star=supp.shape[1], num=subset_counts(d, 2 * ell, supp), den=1
+    )
+
+
+def nonzero_entries(d, ell, arr, convert):
+    """The nonzero entries of an array over the variables of (d, ell),
+    passed through ``convert`` and keyed by sorted 1-based tuples decoded
+    from the indexer's member rows, in variable order."""
+    nz = np.flatnonzero(arr)
+    members = subset_indexer(d, ell).members[nz].tolist()
+    return {
+        tuple(v + 1 for v in row if v < d): convert(value)
+        for row, value in zip(members, arr[nz].tolist())
+    }
+
+
+def moments(pe):
+    """The nonzero moments of a pseudo-expectation as Fractions."""
+    return nonzero_entries(pe.d, pe.ell, pe.num, lambda n: Fraction(n, pe.den))
+
+
+def _entry(d, ell, arr, key):
+    """The entry of a sorted 1-based key read through ``key_index``, one
+    lookup; 0 for a key that is not a variable of (d, ell)."""
+    return int(arr[key_index(d, key)]) if _is_moment_key(key, d, 2 * ell) else 0
 
 
 def moment(pe, subset):
     """The moment of a collection of 1-based vertices (repeats merged)."""
-    return pe.values.get(tuple(sorted(set(subset))), Fraction(0))
+    return Fraction(_entry(pe.d, pe.ell, pe.num, tuple(sorted(set(subset)))), pe.den)
 
 
 def moment_matrix(pe, idx):
@@ -66,13 +113,13 @@ def moment_matrix(pe, idx):
 
 
 def counts(table):
-    """The nonzero expansivity counts, keyed by sorted 1-based tuples."""
-    return NonzeroView(table.d, table.ell, table.eta, int)
+    """The nonzero expansivity counts."""
+    return nonzero_entries(table.d, table.ell, table.eta, int)
 
 
 def eta(table, subset):
     """The expansivity count of a collection of 1-based vertices."""
-    return counts(table).get(tuple(sorted(subset)), 0)
+    return _entry(table.d, table.ell, table.eta, tuple(sorted(subset)))
 
 
 def edges(graph):

@@ -5,12 +5,22 @@ lexicographically, straight from ``itertools.combinations``: the order
 that ``soslab.subsets`` computes from member arrays, built independently of
 it. Test modules compare the array code against these lists and maps.
 """
+import math
 from itertools import combinations
 
 
 def subsets_up_to(d, max_size):
     """All subsets of {1..d} of size <= max_size, ordered (size, lex)."""
     return [S for k in range(max_size + 1) for S in combinations(range(1, d + 1), k)]
+
+
+def key_index(d, key):
+    """The index of one sorted 1-based key in Python integers: the last
+    index of its size minus ``sum_i C(d - a_i, k - i)``, the oracle of
+    ``soslab.subsets.rank``."""
+    k = len(key)
+    end = sum(math.comb(d, j) for j in range(k + 1)) - 1
+    return end - sum(math.comb(d - a, k - i) for i, a in enumerate(key))
 
 
 def union_key(a, b):

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
@@ -29,9 +30,20 @@ from soslab.matrix import NoisyMatrix, n_pairs
 from soslab.models import ModelParams, Noise, generate
 import soslab
 from soslab.seeds import generator
-from soslab.sos import PseudoExpectation, nonzero_block
+from soslab.sos import nonzero_block
 from soslab.subsets import subset_indexer
-from constructors import counts, edges, entry, eta, moment, moment_matrix, pairs, pe_from_values
+from constructors import (
+    counts,
+    edges,
+    entry,
+    eta,
+    indicator,
+    moment,
+    moment_matrix,
+    moments,
+    pairs,
+    pe_from_values,
+)
 from subset_order import subsets_up_to
 
 PATH_3 = NoisyMatrix(d=3, entries=np.array([1.0, -1.0, 1.0]))  # edges 1-2, 2-3
@@ -104,6 +116,20 @@ def test_expansivity_empty_graph():
 def test_expansivity_budget():
     with pytest.raises(TooLarge):
         expansivity_table(complete_graph(130), 2)
+
+
+def test_certify_checks_the_side_budget_before_counting():
+    # var_count(16, 8) = 39203 rows: the expansivity table alone would
+    # take 8 MB and 0.3 s of clique counting before verify refused it
+    X = NoisyMatrix(d=16, entries=np.ones(n_pairs(16)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge, match="moment matrix side 39203 exceeds the budget"):
+            certify(X, BINARY_ONE, 8, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_expansivity_identity_random_graphs():
@@ -189,7 +215,7 @@ def test_verify_path_is_genuine_moment():
 
 def test_verify_detects_exact_perturbation():
     pe = build_certificate(expansivity_table(complete_graph(4), 1), 2, 1)
-    values = dict(pe.values)
+    values = moments(pe)
     values[(1, 2)] = values[(1, 2)] + Fraction(1, 100)
     bent = pe_from_values(d=4, ell=1, s_star=2, values=values, eta_empty=pe.eta_empty)
     report = verify_certificate(bent, 4, 2, 1)
@@ -258,7 +284,7 @@ def test_objective_sbm_equals_one():
 def test_objective_integral_indicator_is_scan_average():
     rng = generator(63)
     X = NoisyMatrix(d=6, entries=rng.standard_normal(15))
-    ind = PseudoExpectation.indicator((2, 4, 5), d=6, ell=2)
+    ind = indicator((2, 4, 5), d=6, ell=2)
     expected = sum(entry(X, i, j) for i in (2, 4, 5) for j in (2, 4, 5) if i != j) / 6
     got = certificate_objective(X, ind, 3)
     assert float(got) == pytest.approx(expected, abs=1e-12)
@@ -324,15 +350,16 @@ def test_verify_and_objective_reject_s_star_outside_2_to_d(s_star):
 
 def dense_rowsum_violation(pe, d, s_star, ell):
     """Reference: every identity at every subset of size < 2l, dense."""
+    y = moments(pe)
     worst = Fraction(0)
     for S in subsets_up_to(d, 2 * ell - 1):
         lhs = Fraction(0)
         for i in range(1, d + 1):
             if i not in S:
-                v = pe.values.get(tuple(sorted(S + (i,))))
+                v = y.get(tuple(sorted(S + (i,))))
                 if v:
                     lhs += v
-        worst = max(worst, abs(lhs - (s_star - len(S)) * moment(pe, S)))
+        worst = max(worst, abs(lhs - (s_star - len(S)) * y.get(S, 0)))
     return worst
 
 
@@ -366,9 +393,9 @@ def perturbed_certificates(draw):
     X = NoisyMatrix(d=d, entries=draw(st.lists(entries, min_size=n_pairs(d), max_size=n_pairs(d))))
     table = expansivity_table(positivity_graph(X, SIGN_POSITIVE), ell)
     if table.clique_count:
-        values = dict(build_certificate(table, s_star, ell).values)
+        values = moments(build_certificate(table, s_star, ell))
     else:
-        values = dict(PseudoExpectation.indicator(_subset(draw, d, d), d, ell).values)
+        values = moments(indicator(_subset(draw, d, d), d, ell))
     fractions = st.fractions(min_value=-3, max_value=3, max_denominator=60)
     for op in draw(st.lists(st.sampled_from(["bump", "delete", "add", "zero", "junk"]), max_size=6)):
         keys = sorted(values, key=lambda k: (len(k), k))
@@ -444,7 +471,7 @@ def test_verify_rowsum_at_deleted_key():
     # side 3 * 1/6 = 1/2 and a right side (2 - 1) * 0 = 0, and {1} is no
     # longer a key of the map.
     pe = build_certificate(expansivity_table(complete_graph(4), 1), 2, 1)
-    values = dict(pe.values)
+    values = moments(pe)
     del values[(1,)]
     values[()] = Fraction(3, 4)
     bent = pe_from_values(d=4, ell=1, s_star=2, values=values)
@@ -459,7 +486,7 @@ def test_verify_rowsum_at_key_without_supersets():
     # has a left side 0 and a right side (2 - 1) * 1/2 = 1/2, while the rows
     # at {2}, {3}, {4} are off by only 1/2 - 2/6 = 1/6.
     pe = build_certificate(expansivity_table(complete_graph(4), 1), 2, 1)
-    values = {k: v for k, v in pe.values.items() if not (len(k) == 2 and 1 in k)}
+    values = {k: v for k, v in moments(pe).items() if not (len(k) == 2 and 1 in k)}
     bent = pe_from_values(d=4, ell=1, s_star=2, values=values)
     assert dense_rowsum_violation(bent, 4, 2, 1) == Fraction(1, 2)
     report = verify_certificate(bent, 4, 2, 1)
@@ -472,7 +499,7 @@ def test_python_int_path_matches_dense_reference():
     # denominator past 2**63, so the numerators are Python ints.
     base = build_certificate(expansivity_table(complete_graph(6), 2), 5, 2)
     X = NoisyMatrix(d=6, entries=np.linspace(-1.5, 2.0, n_pairs(6)))
-    values = dict(base.values)
+    values = moments(base)
     values[(1, 2)] += Fraction(1, 2**61 - 1)
     values[(3, 4, 5)] -= Fraction(1, 2**31 - 1)
     values[(2,)] = Fraction(2**61 - 1, 2**31 - 1)

@@ -7,7 +7,7 @@ import pytest
 from soslab.cli import main
 from soslab.lab import ESTIMATORS, ExperimentConfig, fmt_float, run_gap_experiment
 from soslab.matrix import read_matrix_json, write_matrix_json
-from soslab.models import generate
+from soslab.models import ModelParams, Noise, generate
 from soslab.sdp import MAX_ITER_REACHED, SolverOptions, solve
 from soslab.sos import assemble_basic, assemble_level
 
@@ -53,6 +53,20 @@ def test_estimate_scan_prints_value(tmp_path, capsys):
     code, stdout, _ = run_cli(capsys, "estimate", "--in", path, "--estimator", "scan", "--s", "2")
     assert code == 0
     assert stdout.strip() == "4"
+
+
+def test_estimate_scan_defaults_to_branch_and_bound(tmp_path, capsys):
+    # the exhaustive guard would refuse C(8, 3) = 56 subsets at --max-subsets 1
+    path = str(tmp_path / "m.json")
+    write_matrix_json(path, generate(ModelParams(
+        kind="submatrix", d=8, s_star=3, beta_star=1.0, noise=Noise("gaussian", 1.0), seed=5
+    )).matrix)
+    args = ("estimate", "--in", path, "--estimator", "scan", "--s", "3")
+    code, exhaustive, _ = run_cli(capsys, *args, "--strategy", "exhaustive")
+    assert code == 0
+    code, stdout, stderr = run_cli(capsys, *args, "--max-subsets", "1")
+    assert (code, stderr) == (0, "")
+    assert stdout == exhaustive
 
 
 def test_estimate_lp_closed_form(tmp_path, capsys):
@@ -178,6 +192,28 @@ def test_generate_rejects_the_other_models_parameter(tmp_path, capsys, model_arg
     out = tmp_path / "m.json"
     code, stdout, stderr = run_cli(
         capsys, "generate", *model_args, "--d", "5", "--s", "2", "--beta", "1", "--out", str(out)
+    )
+    assert (code, stdout) == (1, "")
+    assert stderr.count("\n") == 1
+    assert json.loads(stderr) == {"error": "InvalidParams", "message": message}
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "noise_args, message",
+    [
+        (["--noise", "gaussian", "--nu", "2"], "--nu: not a parameter of gaussian noise"),
+        (["--nu", "2"], "--nu: not a parameter of gaussian noise"),
+        (["--noise", "rademacher", "--sigma", "2"], "--sigma: not a parameter of rademacher noise"),
+    ],
+    ids=["gaussian-nu", "default-nu", "rademacher-sigma"],
+)
+def test_generate_rejects_the_other_noise_laws_scale(tmp_path, capsys, noise_args, message):
+    # the draw would ignore it
+    out = tmp_path / "m.json"
+    code, stdout, stderr = run_cli(
+        capsys, "generate", "--model", "submatrix", *noise_args,
+        "--d", "5", "--s", "2", "--beta", "0", "--out", str(out),
     )
     assert (code, stdout) == (1, "")
     assert stderr.count("\n") == 1

@@ -49,7 +49,7 @@ X3 = NoisyMatrix(d=3, entries=np.array([4.0, 0.0, 2.0]))
 
 
 def test_scan_pairs_equals_max_entry():
-    r = scan_estimate(X3, 2)
+    r = scan_estimate(X3, 2, strategy=EXHAUSTIVE)
     assert r.value == 4.0
     assert r.support == frozenset({1, 2})
     assert r.subsets_examined == 3
@@ -306,7 +306,7 @@ def test_scan_guard_and_validation():
 
 def test_scan_examines_all_subsets_exhaustively():
     X = NoisyMatrix(d=7, entries=np.zeros(21))
-    assert scan_estimate(X, 3).subsets_examined == math.comb(7, 3)
+    assert scan_estimate(X, 3, strategy=EXHAUSTIVE).subsets_examined == math.comb(7, 3)
 
 
 def test_avg_examples():

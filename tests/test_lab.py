@@ -353,72 +353,85 @@ def _sbm_point(**kw):
             "ell": 1, **kw}
 
 
+def _at(index, make, field, value, message):
+    """A row whose dict or list value pytest would name by its position in
+    the table: pinned at the name it has at ``index``, so that inserting a
+    row renames no other case. Scalar rows are named by their fields; a new
+    row of this kind takes its message as its id."""
+    name = f"{make.__name__}-{field}-value{index}-{message}"
+    return pytest.param(make, field, value, message, id=name)
+
+
 @pytest.mark.parametrize(
     "make, field, value, message",
     [
         (gap_config, "replicates", "two", "replicates: expected int, got 'two'"),
         (gap_config, "base_seed", None, "base_seed: expected int, got None"),
         (gap_config, "max_subsets", math.inf, "max_subsets: expected int, got inf"),
-        (gap_config, "multipliers", [1, "x"], "multipliers: expected float, got 'x'"),
-        (gap_config, "solver", {"max_iter": "many"}, "solver.max_iter: expected int, got 'many'"),
+        _at(3, gap_config, "multipliers", [1, "x"], "multipliers: expected float, got 'x'"),
+        _at(4, gap_config, "solver", {"max_iter": "many"},
+         "solver.max_iter: expected int, got 'many'"),
         # the solver's tolerance and starting penalty are constants, not keys
-        (gap_config, "solver", {"tol": 1e-6}, "solver.tol: unknown key"),
-        (cert_config, "grid", [_sbm_point(ell="x")], "ell: expected int, got 'x'"),
-        (cert_config, "grid", [_sbm_point(d="six")], "d: expected int, got 'six'"),
-        (cert_config, "grid", [_sbm_point(beta_tilde=None)], "beta_tilde: expected float, got None"),
-        (gap_config, "grid", [_gaussian_point(noise={"kind": "gaussian", "sigma": "x"})],
+        _at(5, gap_config, "solver", {"tol": 1e-6}, "solver.tol: unknown key"),
+        _at(6, cert_config, "grid", [_sbm_point(ell="x")], "ell: expected int, got 'x'"),
+        _at(7, cert_config, "grid", [_sbm_point(d="six")], "d: expected int, got 'six'"),
+        _at(8, cert_config, "grid", [_sbm_point(beta_tilde=None)],
+         "beta_tilde: expected float, got None"),
+        _at(9, gap_config, "grid", [_gaussian_point(noise={"kind": "gaussian", "sigma": "x"})],
          "noise.sigma: expected float, got 'x'"),
-        (gap_config, "grid", [_gaussian_point(noise={"sigma": 1.0})], "noise.kind: missing"),
-        (gap_config, "grid", [_gaussian_point(noise="gaussian")],
+        _at(10, gap_config, "grid", [_gaussian_point(noise={"sigma": 1.0})], "noise.kind: missing"),
+        _at(11, gap_config, "grid", [_gaussian_point(noise="gaussian")],
          "noise: expected dict, got 'gaussian'"),
-        (gap_config, "grid", ["x"], "grid: expected dict, got 'x'"),
+        _at(12, gap_config, "grid", ["x"], "grid: expected dict, got 'x'"),
         (gap_config, "solver", "x", "solver: expected dict, got 'x'"),
-        (raw_config, "doc", [1, 2], "config: expected dict, got [1, 2]"),
-        (gap_config, "estimators", [3], "estimators: expected str, got 3"),
+        _at(14, raw_config, "doc", [1, 2], "config: expected dict, got [1, 2]"),
+        _at(15, gap_config, "estimators", [3], "estimators: expected str, got 3"),
         (cert_config, "solve_sdp", "false", "solve_sdp: expected bool, got 'false'"),
-        (cert_config, "grid", [_sbm_point(d=6.9)], "d: expected int, got 6.9"),
+        _at(17, cert_config, "grid", [_sbm_point(d=6.9)], "d: expected int, got 6.9"),
         (gap_config, "replicates", 2.5, "replicates: expected int, got 2.5"),
-        (cert_config, "grid", [_sbm_point(d=True)], "d: expected int, got True"),
+        _at(19, cert_config, "grid", [_sbm_point(d=True)], "d: expected int, got True"),
         (gap_config, "max_subsets", 0, "max_subsets must be >= 1, got 0"),
         (threshold_config, "max_subsets", -5, "max_subsets must be >= 1, got -5"),
         (gap_config, "scan_strategy", 5, "scan_strategy: expected str, got 5"),
-        (cert_config, "grid", [_sbm_point(beta_star=True)], "beta_star: expected float, got True"),
-        (cert_config, "grid", [_sbm_point(d="6")], "d: expected int, got '6'"),
-        (gap_config, "multipliers", [1, "2.5"], "multipliers: expected float, got '2.5'"),
-        (gap_config, "solver", {"step": 1.0}, "solver.step: unknown key"),
-        (threshold_config, "multipliers", [1.0, math.nan],
+        _at(23, cert_config, "grid", [_sbm_point(beta_star=True)],
+         "beta_star: expected float, got True"),
+        _at(24, cert_config, "grid", [_sbm_point(d="6")], "d: expected int, got '6'"),
+        _at(25, gap_config, "multipliers", [1, "2.5"], "multipliers: expected float, got '2.5'"),
+        _at(26, gap_config, "solver", {"step": 1.0}, "solver.step: unknown key"),
+        _at(27, threshold_config, "multipliers", [1.0, math.nan],
          "multipliers must be finite and >= 0, got nan"),
-        (threshold_config, "multipliers", [math.inf], "multipliers must be finite and >= 0, got inf"),
-        (threshold_config, "multipliers", [0.0, -1.0],
+        _at(28, threshold_config, "multipliers", [math.inf],
+         "multipliers must be finite and >= 0, got inf"),
+        _at(29, threshold_config, "multipliers", [0.0, -1.0],
          "multipliers must be finite and >= 0, got -1.0"),
-        (gap_config, "grid", [_gaussian_point(beta_star=math.nan)],
+        _at(30, gap_config, "grid", [_gaussian_point(beta_star=math.nan)],
          "beta_star must be finite and >= 0, got nan"),
-        (gap_config, "grid", [_gaussian_point(beta_star=math.inf)],
+        _at(31, gap_config, "grid", [_gaussian_point(beta_star=math.inf)],
          "beta_star must be finite and >= 0, got inf"),
-        (gap_config, "grid", [_gaussian_point(noise={"kind": "gaussian", "sigma": math.nan})],
+        _at(32, gap_config, "grid", [_gaussian_point(noise={"kind": "gaussian", "sigma": math.nan})],
          "gaussian sigma must be finite and >= 0 (0 = noiseless mode), got nan"),
-        (gap_config, "grid", [_gaussian_point(noise={"kind": "gaussian", "sigma": math.inf})],
+        _at(33, gap_config, "grid", [_gaussian_point(noise={"kind": "gaussian", "sigma": math.inf})],
          "gaussian sigma must be finite and >= 0 (0 = noiseless mode), got inf"),
-        (cert_config, "grid", [_gaussian_point(beta_star=0.0, ell=1,
+        _at(34, cert_config, "grid", [_gaussian_point(beta_star=0.0, ell=1,
                                                noise={"kind": "rademacher", "nu": math.inf})],
          "rademacher nu must be finite and > 0, got inf"),
         # a key the parser does not read would otherwise leave its field at
         # the default: sigma = 1, branch-and-bound, max_iter = 100000, ell = None
-        (gap_config, "grid", [_gaussian_point(noise={"kind": "gaussian", "nu": 3.0})],
+        _at(35, gap_config, "grid", [_gaussian_point(noise={"kind": "gaussian", "nu": 3.0})],
          "noise.nu: unknown key"),
         (gap_config, "scan_stratgy", "exhaustive", "scan_stratgy: unknown key"),
-        (gap_config, "solver", {"tolerance": 1e-3}, "solver.tolerance: unknown key"),
-        (cert_config, "grid", [_sbm_point(ell=None, level=2)], "grid.level: unknown key"),
+        _at(37, gap_config, "solver", {"tolerance": 1e-3}, "solver.tolerance: unknown key"),
+        _at(38, cert_config, "grid", [_sbm_point(ell=None, level=2)], "grid.level: unknown key"),
         # an unknown noise kind is named as such, whatever its scale key
-        (gap_config, "grid", [_gaussian_point(noise={"kind": "laplace", "sigma": 1.0})],
+        _at(39, gap_config, "grid", [_gaussian_point(noise={"kind": "laplace", "sigma": 1.0})],
          "unknown noise kind 'laplace'"),
         # a key that the point's model drops: the run would use a model
         # other than the one written
-        (gap_config, "grid", [_sbm_point(noise={"kind": "gaussian", "sigma": 5.0})],
+        _at(40, gap_config, "grid", [_sbm_point(noise={"kind": "gaussian", "sigma": 5.0})],
          "grid.noise: not a parameter of the sbm model"),
-        (gap_config, "grid", [_gaussian_point(beta_tilde=0.3)],
+        _at(41, gap_config, "grid", [_gaussian_point(beta_tilde=0.3)],
          "grid.beta_tilde: not a parameter of the submatrix model"),
-        (gap_config, "solver", {"max_iter": 0}, "max_iter must be >= 1, got 0"),
+        _at(42, gap_config, "solver", {"max_iter": 0}, "max_iter must be >= 1, got 0"),
     ],
 )
 def test_config_field_type_errors_name_the_field(tmp_path, make, field, value, message):

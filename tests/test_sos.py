@@ -16,9 +16,9 @@ from soslab.errors import InvalidParams, MissingValue
 from soslab.estimators import scan_estimate
 from soslab.matrix import NoisyMatrix, n_pairs
 from soslab.seeds import generator
-from soslab.sos import PseudoExpectation, assemble_basic, assemble_level, nonzero_block
+from soslab.sos import assemble_basic, assemble_level, nonzero_block
 from soslab.subsets import subset_indexer
-from constructors import entry, moment_matrix, pairs, pe_from_values
+from constructors import entry, indicator, moment_matrix, pairs, pe_from_values
 from subset_order import TupleOrder
 
 
@@ -228,7 +228,7 @@ def test_objective_value_examples():
     zero_pe = pe_from_values(d=4, ell=1, s_star=2, values={(): Fraction(1)})
     assert float(certificate_objective(X, zero_pe, 2)) == 0.0
     assert float(certificate_objective(X, k4_certificate(), 2)) == pytest.approx(1.0)
-    ind = PseudoExpectation.indicator((1, 3), d=4, ell=1)
+    ind = indicator((1, 3), d=4, ell=1)
     rng = generator(12)
     Y = NoisyMatrix(d=4, entries=rng.standard_normal(6))
     assert float(certificate_objective(Y, ind, 2)) == pytest.approx(entry(Y, 1, 3))
@@ -240,7 +240,7 @@ def test_indicator_matches_scan_objective():
     rng = generator(13)
     X = NoisyMatrix(d=6, entries=rng.standard_normal(15))
     r = scan_estimate(X, 3)
-    ind = PseudoExpectation.indicator(sorted(r.support), d=6, ell=2)
+    ind = indicator(sorted(r.support), d=6, ell=2)
     assert float(certificate_objective(X, ind, 3)) == pytest.approx(r.value, abs=1e-12)
 
 

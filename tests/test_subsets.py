@@ -5,16 +5,16 @@ import pytest
 
 from soslab.errors import InvalidParams, TooLarge
 from soslab.subsets import (
-    NonzeroView,
+    SHAPES_CACHED,
     SubsetIndexer,
-    key_index,
     parents,
     rank,
     subset_counts,
     subset_indexer,
     var_count,
 )
-from subset_order import TupleOrder, union_key
+from constructors import nonzero_entries
+from subset_order import TupleOrder, key_index, union_key
 
 SHAPES = [(d, ell) for d in range(1, 13) for ell in (1, 2, 3)] + [(30, 2)]
 
@@ -84,6 +84,15 @@ def test_cached_factory_returns_shared_instance():
     assert subset_indexer(7, 1) is subset_indexer(7, 1)
 
 
+def test_cached_factory_keeps_at_most_SHAPES_CACHED_shapes():
+    # each shape holds its entry map once built (88 MB at d=80, ell=2)
+    subset_indexer.cache_clear()
+    first = subset_indexer(3, 1)
+    for d in range(4, 4 + SHAPES_CACHED):
+        subset_indexer(d, 1)
+    assert subset_indexer(3, 1) is not first
+
+
 @pytest.mark.parametrize("d, ell", SHAPES)
 def test_rank_and_members_match_the_subset_order(d, ell):
     idx, order = SubsetIndexer(d, ell), TupleOrder(d, ell)
@@ -126,13 +135,14 @@ def test_subset_counts_matches_brute_force():
 
 
 def test_nonzero_view_reads_only_nonzero_moments():
+    # the tests' reader of an array over the variables, keyed by tuples
     arr = np.zeros(SubsetIndexer(4, 1).var_count, dtype=np.int64)
     arr[[0, 2, 6]] = [5, 7, 9]  # (), (2,), (1, 3)
-    view = NonzeroView(4, 1, arr, lambda v: int(v) * 10)
+    view = nonzero_entries(4, 1, arr, lambda v: int(v) * 10)
     assert len(view) == 3
-    assert dict(view) == {(): 50, (2,): 70, (1, 3): 90}
+    assert view == {(): 50, (2,): 70, (1, 3): 90}
     assert view.get((1,)) is None  # zero entry
-    for junk in ((3, 1), (1, 1), (0,), (5,), (1, 2, 3), [2]):
+    for junk in ((3, 1), (1, 1), (0,), (5,), (1, 2, 3)):
         assert junk not in view
 
 
@@ -153,4 +163,5 @@ def test_parents_matches_tuple_reference(d, ell):
 def test_nonzero_view_iterates_in_tuple_order(d, ell):
     order = TupleOrder(d, ell)
     arr = np.arange(len(order.var_subsets)) % 3  # zero at every third index
-    assert list(NonzeroView(d, ell, arr, int)) == [S for S, v in zip(order.var_subsets, arr) if v]
+    got = list(nonzero_entries(d, ell, arr, int))
+    assert got == [S for S, v in zip(order.var_subsets, arr) if v]
