@@ -6,7 +6,6 @@ from . import errors
 from .certificate import (
     ExpansivityTable,
     FeasibilityReport,
-    PositivityGraph,
     build_certificate,
     certificate_objective,
     certify,
@@ -40,7 +39,6 @@ __all__ = [
     "errors",
     "ExpansivityTable",
     "FeasibilityReport",
-    "PositivityGraph",
     "build_certificate",
     "certificate_objective",
     "certify",

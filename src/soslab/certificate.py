@@ -1,8 +1,9 @@
 """Expansivity-based pseudo-moment certificates, verified in exact arithmetic.
 
 Given a null observation, the positivity graph keeps the pairs whose entry
-is strictly positive (sign mode) or exactly one (binary mode); diagonals are
-positive by construction and never stored. The expansivity of a subset S is
+is strictly positive (sign mode) or exactly one (binary mode), as a
+symmetric boolean d x d adjacency with a False diagonal (cliques need no
+loops). The expansivity of a subset S is
 the number of 2l-cliques of that graph containing S. The certificate maps
 each subset S with |S| = k <= 2l to
 
@@ -38,7 +39,6 @@ from .errors import (
     InvalidParams,
     MissingValue,
     NotBinary,
-    TooLarge,
     check_s_star,
 )
 from .matrix import NoisyMatrix, pair_indices
@@ -48,25 +48,7 @@ from .subsets import SubsetIndexer, parents, rank, sizes, subset_counts, subset_
 SIGN_POSITIVE = "sign-positive"
 BINARY_ONE = "binary-one"
 
-# Largest C(d, 2l) whose 2l-cliques expansivity_table will enumerate.
-MAX_CLIQUE_COMBOS = 10**7
-
 PSD_REL_TOL = 1e-8
-
-
-@dataclass(frozen=True, eq=False)
-class PositivityGraph:
-    """Vertices 1..d; edge {i,j} iff the observed entry counts as positive.
-    ``positive`` marks the edges in pair storage order (read-only)."""
-
-    d: int
-    positive: np.ndarray
-
-    def adjacency(self) -> np.ndarray:
-        """Symmetric boolean d x d adjacency matrix."""
-        adj = np.zeros((self.d, self.d), dtype=bool)
-        adj[pair_indices(self.d)] = self.positive
-        return adj | adj.T
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,8 +75,10 @@ class FeasibilityReport:
     eta_empty: int | None = None
 
 
-def positivity_graph(X: NoisyMatrix, mode: str) -> PositivityGraph:
-    """Edges where X_ij > 0 (sign-positive) or X_ij = 1 (binary-one)."""
+def positivity_graph(X: NoisyMatrix, mode: str) -> np.ndarray:
+    """The read-only symmetric boolean d x d adjacency of vertices 1..d,
+    with edge {i,j} where X_ij > 0 (sign-positive) or X_ij = 1
+    (binary-one); the diagonal is False."""
     if mode == BINARY_ONE:
         if not X.is_binary():
             raise NotBinary("binary-one mode requires a {0,1}-valued matrix")
@@ -103,8 +87,11 @@ def positivity_graph(X: NoisyMatrix, mode: str) -> PositivityGraph:
         keep = X.entries > 0.0
     else:
         raise InvalidParams(f"unknown positivity mode {mode!r}")
-    keep.flags.writeable = False
-    return PositivityGraph(d=X.d, positive=keep)
+    adj = np.zeros((X.d, X.d), dtype=bool)
+    adj[pair_indices(X.d)] = keep
+    adj = adj | adj.T
+    adj.flags.writeable = False
+    return adj
 
 
 def _cliques(adj: np.ndarray, size: int) -> np.ndarray:
@@ -123,19 +110,15 @@ def _cliques(adj: np.ndarray, size: int) -> np.ndarray:
     return cliques
 
 
-def expansivity_table(g: PositivityGraph, ell: int) -> ExpansivityTable:
-    """eta over the indexer's variables: the 2l-cliques containing each subset."""
-    if ell < 1:
-        raise InvalidParams("ell must be >= 1")
-    size = 2 * ell
-    if math.comb(g.d, size) > MAX_CLIQUE_COMBOS:
-        raise TooLarge(
-            f"C({g.d},{size}) = {math.comb(g.d, size)} exceeds the clique "
-            f"enumeration budget {MAX_CLIQUE_COMBOS}"
-        )
-    eta = subset_counts(g.d, size, _cliques(g.adjacency(), size))
+def expansivity_table(adj: np.ndarray, ell: int) -> ExpansivityTable:
+    """eta over the indexer's variables: the 2l-cliques of the graph with
+    adjacency ``adj`` containing each subset. The moment-matrix side
+    budget is checked first, before any counting."""
+    d = len(adj)
+    subset_indexer(d, ell)
+    eta = subset_counts(d, 2 * ell, _cliques(adj, 2 * ell))
     eta.flags.writeable = False
-    return ExpansivityTable(d=g.d, ell=ell, eta=eta)
+    return ExpansivityTable(d=d, ell=ell, eta=eta)
 
 
 def build_certificate(table: ExpansivityTable, s_star: int, ell: int) -> PseudoExpectation:
@@ -247,8 +230,8 @@ def certificate_objective(X: NoisyMatrix, pe: PseudoExpectation, s_star: int) ->
 def certify(X: NoisyMatrix, mode: str, s_star: int, ell: int) -> FeasibilityReport:
     """The certificate of X end to end: positivity graph, expansivity table,
     certificate, verification, and the report with its exact objective.
-    The moment-matrix side budget is checked first, before any counting."""
-    subset_indexer(X.d, ell)
+    The moment-matrix side budget is checked before any counting
+    (``expansivity_table``)."""
     table = expansivity_table(positivity_graph(X, mode), ell)
     pe = build_certificate(table, s_star, ell)
     report = verify_certificate(pe, X.d, s_star, ell)

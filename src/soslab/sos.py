@@ -9,20 +9,22 @@ the explicit equalities are only
   (b) for every subset S with |S| <= 2*ell - 1:
         sum_{i not in S} y[S + {i}] = (s_star - |S|) * y[S],
 
-stored in that folded, sparse form. They depend only on the program's
-shape, (d, s_star, ell) or (d, s_star) for the basic program, never on the
-data. Each shape's equalities live in one ``sdp.Constraints`` object: the
-entry map, a CSR ``A`` and ``b``, all read-only, and the solver's set-up
-for them once a program of the shape is solved. It is built once and
-shared by every program of that shape (an LRU cache of
-``subsets.SHAPES_CACHED`` shapes). An ``assemble_*`` call computes only
-the objective vector ``c``, with weight 2*X_ij on each pair variable; the
-reported value divides by ``scale = s_star*(s_star-1)``.
+stored in that folded, sparse form. One builder makes every program's
+equalities: (a), and (b) at every S with |S| <= ``top`` on the level-ell
+matrix. A level-ell program cuts at ``top = 2*ell - 1``. The basic
+(d+1) x (d+1) program is level 1 cut at ``top = 0``: (a) and (b) at the
+empty set, ``sum_i y[{i}] = s_star * y[empty]``, with the row sums at
+singletons left out, so level 1 is the tighter program.
 
-``assemble_basic`` is the weaker (d+1) x (d+1) program whose only explicit
-equalities are (a) and the row-sum ``sum_i y[{i}] = s_star``; it shares the
-entry map with level 1 (diagonal cells alias the first column there too),
-but omits family (b) at singletons, so level 1 is the tighter program.
+The equalities depend only on the program's shape, never on the data.
+Each shape's equalities live in one ``sdp.Constraints`` object: the entry
+map, a CSR ``A`` and ``b``, all read-only, and the solver's set-up for
+them once a program of the shape is solved. It is built once and shared
+by every program of that shape: an LRU cache of ``subsets.SHAPES_CACHED``
+shapes, keyed on the integers (d, s_star, ell, top), so it keeps no
+indexer alive. An ``assemble_*`` call computes only the objective vector
+``c``, with weight 2*X_ij on each pair variable; the reported value
+divides by ``scale = s_star*(s_star-1)``.
 
 A ``PseudoExpectation`` holds its moments the same way: integer
 numerators over one denominator, indexed in the variable order
@@ -107,92 +109,63 @@ def max_abs(arr: np.ndarray) -> int:
 
 
 @lru_cache(maxsize=SHAPES_CACHED)
-def _level_equalities(idx: SubsetIndexer, s_star: int) -> Constraints:
-    """Constraints (a) and (b) of the level-``idx.ell`` program.
+def _equalities(d: int, s_star: int, ell: int, top: int) -> Constraints:
+    """Constraints (a), and (b) at every S with |S| <= ``top``, on the
+    level-``ell`` moment matrix.
 
     Row 0 is (a); row ``rank(S) + 1`` is (b) at S, for the subsets S with
-    |S| <= 2*ell - 1, which come first in the variable order. Each
-    variable T with |T| >= 1 is a term of the rows of its parents T minus
-    one member, found by ``parents``.
+    |S| <= top, which come first in the variable order. Each variable T
+    with |T| >= 1 is a term of the rows of its parents T minus one member,
+    found by ``parents``. CSR ``A`` from the (row, variable, coefficient)
+    triplets; zero coefficients are dropped.
     """
-    d, width = idx.d, 2 * idx.ell
-    n_rows = var_count(d, width - 1)
-    size = sizes(d, width)
+    import scipy.sparse
+
+    idx = subset_indexer(d, ell)
+    n_rows = var_count(d, top)
     # (a), then the -(s_star - |S|) * y[S] term of each row of (b)
     rows = [np.array([0]), np.arange(1, n_rows + 1)]
     cols = [np.array([0]), np.arange(n_rows)]
-    vals = [np.array([1.0]), (size[:n_rows] - s_star).astype(np.float64)]
+    vals = [np.array([1.0]), (sizes(d, top) - s_star).astype(np.float64)]
     for col in parents(d, idx.members).T:
-        T = np.flatnonzero(col < n_rows)  # n_rows pads a missing member
+        T = np.flatnonzero(col < n_rows)  # a pad or a larger parent is no row
         rows.append(col[T] + 1)
         cols.append(T)
         vals.append(np.ones(len(T)))
     b = np.zeros(n_rows + 1)
     b[0] = 1.0
-    # (a) belongs to the empty set, (b) at S to S
-    sets = np.concatenate([np.full((1, width), d, dtype=idx.members.dtype), idx.members[:n_rows]])
-    families = np.minimum(np.arange(n_rows + 1), 1)
-    return _constraints(
-        idx, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals), b, sets, families
-    )
-
-
-@lru_cache(maxsize=SHAPES_CACHED)
-def _basic_equalities(idx: SubsetIndexer, s_star: int) -> Constraints:
-    """y[empty] = 1 and the one row-sum; singleton {i} is variable i."""
-    cols = np.arange(idx.d + 1)
-    rows = np.minimum(cols, 1)
-    b = np.array([1.0, float(s_star)])
-    # both rows belong to the empty set, in families of their own
-    sets = np.full((2, 2), idx.d, dtype=idx.members.dtype)
-    return _constraints(idx, rows, cols, np.ones(idx.d + 1), b, sets, np.arange(2))
-
-
-def _constraints(
-    idx: SubsetIndexer,
-    rows: np.ndarray,
-    cols: np.ndarray,
-    vals: np.ndarray,
-    b: np.ndarray,
-    sets: np.ndarray,
-    families: np.ndarray,
-) -> Constraints:
-    """CSR A from (row, variable, coefficient) triplets; repeated triplets
-    add up and zero coefficients are dropped. ``sets`` and ``families``
-    give each row's subset and equality family."""
-    import scipy.sparse
-
-    A = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(len(b), idx.var_count)).tocsr()
+    A = scipy.sparse.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n_rows + 1, idx.var_count),
+    ).tocsr()
     A.eliminate_zeros()
+    # (a) belongs to the empty set, (b) at S to S
+    empty = np.full((1, 2 * ell), d, dtype=idx.members.dtype)
     return Constraints(
-        entry_map=idx.entry_map(), A=A, b=b, d=idx.d, row_sets=sets, row_families=families
+        entry_map=idx.entry_map(), A=A, b=b, d=d,
+        row_sets=np.concatenate([empty, idx.members[:n_rows]]),
+        row_families=np.minimum(np.arange(n_rows + 1), 1),
     )
 
 
 def assemble_level(X: NoisyMatrix, s_star: int, ell: int) -> SosProgram:
     """The level-``ell`` relaxation of the scan problem, in reduced form."""
     check_s_star(s_star, X.d)
-    if ell < 1:
-        raise InvalidParams("ell must be >= 1")
-    idx = subset_indexer(X.d, ell)
-    return _program(X, s_star, idx, _level_equalities(idx, s_star))
+    return _program(X, s_star, _equalities(X.d, s_star, ell, 2 * ell - 1))
 
 
 def assemble_basic(X: NoisyMatrix, s_star: int) -> SosProgram:
     """The basic (d+1) x (d+1) relaxation; see the module docstring."""
     check_s_star(s_star, X.d)
-    idx = subset_indexer(X.d, 1)
-    return _program(X, s_star, idx, _basic_equalities(idx, s_star))
+    return _program(X, s_star, _equalities(X.d, s_star, 1, 0))
 
 
-def _program(
-    X: NoisyMatrix, s_star: int, idx: SubsetIndexer, constraints: Constraints
-) -> SosProgram:
+def _program(X: NoisyMatrix, s_star: int, constraints: Constraints) -> SosProgram:
     # The pair variables follow the empty set and the d singletons, in
     # the pair storage order of X.entries. Weight 2*X_ij covers both orders
     # of the trace; the value divides by scale. Adding 0.0 turns a -0.0
     # weight into 0.0.
-    c = np.zeros(idx.var_count)
+    c = np.zeros(constraints.A.shape[1])
     c[1 + X.d : 1 + X.d + len(X.entries)] = 2.0 * X.entries + 0.0
     return SosProgram(c=c, constraints=constraints, scale=float(s_star * (s_star - 1)))
 

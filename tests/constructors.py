@@ -122,9 +122,9 @@ def eta(table, subset):
     return _entry(table.d, table.ell, table.eta, tuple(sorted(subset)))
 
 
-def edges(graph):
-    """The edges of a positivity graph as 1-based pairs."""
-    return frozenset(pair for pair, k in zip(pairs(graph.d), graph.positive) if k)
+def edges(adj):
+    """The edges of a positivity graph's adjacency as 1-based pairs."""
+    return frozenset((i, j) for i, j in pairs(len(adj)) if adj[i - 1, j - 1])
 
 
 def project_symmetrized(S, *, out=None, positive=0):

@@ -73,6 +73,13 @@ def test_positivity_graph_sign_mode():
     assert edges(g) == frozenset({(1, 2), (2, 3)})
 
 
+def test_positivity_graph_is_a_read_only_symmetric_adjacency():
+    g = positivity_graph(PATH_3, SIGN_POSITIVE)
+    assert g.dtype == bool and g.shape == (3, 3)
+    assert np.array_equal(g, g.T) and not g.diagonal().any()
+    assert not g.flags.writeable
+
+
 def test_positivity_graph_complete():
     g = complete_graph(5)
     assert len(edges(g)) == 10
@@ -114,8 +121,22 @@ def test_expansivity_empty_graph():
 
 
 def test_expansivity_budget():
-    with pytest.raises(TooLarge):
+    with pytest.raises(TooLarge, match="moment matrix side"):
         expansivity_table(complete_graph(130), 2)
+
+
+def test_expansivity_checks_the_side_budget_before_counting():
+    # C(16, 16) = 1 clique, but var_count(16, 16) = 65536 subsets would be
+    # counted for a shape whose moment matrix has side 39203
+    g = complete_graph(16)
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge, match="moment matrix side 39203 exceeds the budget"):
+            expansivity_table(g, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_certify_checks_the_side_budget_before_counting():

@@ -23,7 +23,6 @@ from soslab.models import ModelParams, Noise, generate
 from soslab.sdp import MAX_ITER_REACHED, OPTIMAL, SolverOptions, project_psd, solve
 from soslab.seeds import generator
 from soslab.sos import Constraints, SosProgram, assemble_basic, assemble_level
-from soslab.subsets import subset_indexer
 from constructors import project_symmetrized
 
 CVXPY_REASON = "cvxpy used only as an independent oracle"
@@ -373,8 +372,7 @@ def test_one_equality_inverse_per_constraints(monkeypatch, tmp_path):
     calls = []
     inverse = sdp._equality_orbits
     monkeypatch.setattr(sdp, "_equality_orbits", lambda *args: calls.append(1) or inverse(*args))
-    sos._basic_equalities.cache_clear()
-    sos._level_equalities.cache_clear()
+    sos._equalities.cache_clear()
     cfg = ExperimentConfig.from_dict({
         "experiment": "gap",
         "grid": [{"model": "submatrix", "d": 5, "s_star": 3, "beta_star": 1.0,
@@ -472,7 +470,7 @@ def test_setup_rejects_dependent_equalities_without_the_symmetry():
 def test_setup_peak_memory_is_what_it_keeps():
     # the set-up solves one small quotient system per row type and forms no
     # n x n array, so its peak is little more than the sparse arrays it keeps
-    cons = sos._level_equalities.__wrapped__(subset_indexer(20, 2), 3)  # no set-up yet
+    cons = sos._equalities.__wrapped__(20, 3, 2, 3)  # no set-up yet
     assemble_basic(single_entry_matrix(1.0), 2).constraints.orbits  # imports
     tracemalloc.start()
     try:

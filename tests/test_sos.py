@@ -1,3 +1,5 @@
+import gc
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -17,7 +19,7 @@ from soslab.estimators import scan_estimate
 from soslab.matrix import NoisyMatrix, n_pairs
 from soslab.seeds import generator
 from soslab.sos import assemble_basic, assemble_level, nonzero_block
-from soslab.subsets import subset_indexer
+from soslab.subsets import SHAPES_CACHED, subset_indexer
 from constructors import entry, indicator, moment_matrix, pairs, pe_from_values
 from subset_order import TupleOrder
 
@@ -70,6 +72,34 @@ def test_basic_counting():
     assert dim(prog) == 7
     assert prog.var_count == 1 + 6 + 15
     assert len(prog.constraints) == 2
+
+
+def test_basic_program_is_level1_cut_at_the_empty_set():
+    X = NoisyMatrix(d=6, entries=generator(14).standard_normal(15))
+    basic = assemble_basic(X, 3).constraints
+    level = assemble_level(X, 3, 1).constraints
+    assert basic.b.tolist() == [1.0, 0.0]
+    assert np.array_equal(basic.A.toarray(), level.A[:2].toarray())
+    assert np.array_equal(basic.row_sets, level.row_sets[:2])
+    assert np.array_equal(basic.row_families, level.row_families[:2])
+
+
+def test_equality_cache_keeps_no_evicted_indexer_alive():
+    subset_indexer.cache_clear()
+    refs = []
+    for d in range(4, 4 + 3 * SHAPES_CACHED):
+        if d < 4 + 2 * SHAPES_CACHED:
+            assemble_level(ones_matrix(d), 2, 1)
+        refs.append(weakref.ref(subset_indexer(d, 1)))
+    gc.collect()
+    assert sum(ref() is not None for ref in refs) <= SHAPES_CACHED
+
+
+def test_a_shape_built_again_shares_its_constraints():
+    X = ones_matrix(7)
+    first = assemble_level(X, 3, 2).constraints
+    subset_indexer.cache_clear()
+    assert assemble_level(X, 3, 2).constraints is first
 
 
 def test_normalization_constraint_present_once():
@@ -126,15 +156,12 @@ class _LinearConstraint:
     rhs: float
 
 
-def _tuple_equalities(order, s_star, basic):
-    """The equalities as the tuple-based builder made them: the oracle of
-    test_builder_output_unchanged."""
+def _tuple_equalities(order, s_star, top):
+    """The equalities as the tuple-based builder made them, with family (b)
+    cut at |S| <= top: the oracle of test_builder_output_unchanged."""
     constraints = [_LinearConstraint(terms=((order.var_index[()], 1.0),), rhs=1.0)]
-    if basic:
-        terms = tuple((order.var_index[(i,)], 1.0) for i in range(1, order.d + 1))
-        return constraints + [_LinearConstraint(terms=terms, rhs=float(s_star))]
     for S in order.var_subsets:
-        if len(S) > 2 * order.ell - 1:
+        if len(S) > top:
             continue
         inside = set(S)
         terms = [(order.var_index[tuple(sorted(inside | {i}))], 1.0)
@@ -190,7 +217,8 @@ def _check_builder_output(d, s_star, ell):
     X = NoisyMatrix(d=d, entries=entries)
     prog = assemble_basic(X, s_star) if ell is None else assemble_level(X, s_star, ell)
     order = TupleOrder(d, 1 if ell is None else ell)
-    A, b = _tuple_arrays(_tuple_equalities(order, s_star, ell is None), prog.var_count)
+    top = 0 if ell is None else 2 * ell - 1  # the basic program is level 1 cut at |S| <= 0
+    A, b = _tuple_arrays(_tuple_equalities(order, s_star, top), prog.var_count)
     got = prog.constraints
     assert got.A.shape == A.shape
     for mine, want in ((got.A.indptr, A.indptr), (got.A.indices, A.indices),
