@@ -2,26 +2,36 @@
 
 Subcommands: generate, estimate, certify, experiment. Each runs the
 library path the experiments use: ``certify`` is ``certificate.certify``,
-``estimate`` is ``lab.estimate`` (the relaxations are its ``sos_basic``
-and ``sos_level`` estimators). Values print to stdout with 17 significant
-digits; reports print as one JSON object. Usage errors exit 2 (argparse);
-numeric or model failures print one JSON error line to stderr and exit 1.
+``estimate`` is ``lab.estimate`` on a config's estimator names (``sos_level:2``)
+and checks its settings as a config does, before it reads the matrix. Values
+print to stdout with 17 significant digits; reports print as one JSON object.
+Usage errors, a bad estimator name among them, exit 2 (argparse); numeric or
+model failures and bad settings print one JSON error line to stderr and exit 1.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from .certificate import BINARY_ONE, SIGN_POSITIVE, certify, report_to_json_dict
 from .errors import InvalidParams, SoslabError
-from .estimators import BRANCH_AND_BOUND, DEFAULT_MAX_SUBSETS, EXHAUSTIVE
-from .lab import ESTIMATORS, ExperimentConfig, estimate, fmt_float, run_experiment, with_overrides
+from .estimators import BRANCH_AND_BOUND, DEFAULT_MAX_SUBSETS, EXHAUSTIVE, check_scan_settings
+from .lab import ExperimentConfig, estimate, fmt_float, parse_estimator, run_experiment
 from .matrix import read_matrix_json, write_matrix_json
 from .models import GAUSSIAN, RADEMACHER, SBM, SUBMATRIX, ModelParams, Noise, generate
 from .sdp import MAX_ITER_REACHED, SolverOptions
 
 _MODES = {"sign": SIGN_POSITIVE, "binary": BINARY_ONE}
+
+
+def _estimator_name(name: str) -> str:
+    try:
+        parse_estimator(name)
+    except InvalidParams as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return name
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -47,9 +57,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     est = sub.add_parser("estimate", help="run one estimator on a matrix file")
     est.add_argument("--in", dest="infile", required=True)
-    est.add_argument("--estimator", choices=ESTIMATORS, required=True)
+    est.add_argument(
+        "--estimator", type=_estimator_name, required=True,
+        help="scan, avg, max, lp, sos_basic or sos_level:<level>, as in a gap config",
+    )
     est.add_argument("--s", type=int, default=None)
-    est.add_argument("--level", type=int, default=1, help="level for sos_level")
     est.add_argument(
         "--strategy", choices=[EXHAUSTIVE, BRANCH_AND_BOUND], default=BRANCH_AND_BOUND
     )
@@ -95,17 +107,14 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    X, _ = read_matrix_json(args.infile)
+    solver = SolverOptions(max_iter=args.max_iter)
+    check_scan_settings(args.strategy, args.max_subsets)
     if args.estimator != "max" and args.s is None:
         raise SoslabError(f"estimator {args.estimator!r} requires --s")
+    X, _ = read_matrix_json(args.infile)
     result = estimate(
-        args.estimator,
-        X,
-        args.s,
-        level=args.level,
-        solver=SolverOptions(max_iter=args.max_iter),
-        strategy=args.strategy,
-        max_subsets=args.max_subsets,
+        args.estimator, X, args.s,
+        solver=solver, strategy=args.strategy, max_subsets=args.max_subsets,
     )
     # A solve that stopped at max_iter adds one stderr line.
     solution = result.solution
@@ -128,7 +137,8 @@ def _cmd_certify(args) -> int:
 
 def _cmd_experiment(args) -> int:
     cfg = ExperimentConfig.from_json(args.config)
-    cfg = with_overrides(cfg, output=args.out, base_seed=args.seed)
+    overrides = {"output": args.out, "base_seed": args.seed}
+    cfg = replace(cfg, **{key: value for key, value in overrides.items() if value is not None})
     for path in run_experiment(cfg):
         print(path)
     return 0

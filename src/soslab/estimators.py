@@ -237,6 +237,14 @@ def _branch_and_bound(
     return best_val, best_subset, leaves, nodes, pruned
 
 
+def check_scan_settings(strategy: str, max_subsets: int) -> None:
+    """The one check of the scan settings, for ``scan_estimate``, configs and the CLI."""
+    if strategy not in (EXHAUSTIVE, BRANCH_AND_BOUND):
+        raise InvalidParams(f"unknown scan strategy {strategy!r}")
+    if max_subsets < 1:
+        raise InvalidParams(f"max_subsets must be >= 1, got {max_subsets}")
+
+
 def scan_estimate(
     X: NoisyMatrix,
     s_star: int,
@@ -248,10 +256,7 @@ def scan_estimate(
     scans exhaustively (``max_subsets`` guard included) where its sums
     could overflow (see `_branch_and_bound`)."""
     check_s_star(s_star, X.d)
-    if strategy not in (EXHAUSTIVE, BRANCH_AND_BOUND):
-        raise InvalidParams(f"unknown scan strategy {strategy!r}")
-    if max_subsets < 1:
-        raise InvalidParams(f"max_subsets must be >= 1, got {max_subsets}")
+    check_scan_settings(strategy, max_subsets)
     dense = X.to_dense()
     max_abs = float(np.abs(X.entries).max())
     if strategy == EXHAUSTIVE or s_star**2 * max_abs > _SUM_LIMIT:

@@ -6,6 +6,9 @@ draws paired null/alternative instances per multiplier, uses
 ``mix_seed(base_seed, ((gi * n_mult + ci) * replicates + rep) * 2 + hyp)``.
 Rerunning a config reproduces every CSV byte except the runtime_ms column.
 
+Settings check themselves when built, so a config that exists is a valid
+one; an estimator has one name from config to CLI (``parse_estimator``).
+
 Formatting: floats carry 17 significant digits, booleans are ``true`` /
 ``false``, exact rationals are written as ``p/q`` by the report writer, and
 a failed cell keeps its row with the failure in the ``error`` column.
@@ -16,7 +19,7 @@ import csv
 import json
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
 
@@ -25,8 +28,8 @@ from .errors import CertificateUndefined, InvalidParams, SoslabError
 from .estimators import (
     BRANCH_AND_BOUND,
     DEFAULT_MAX_SUBSETS,
-    EXHAUSTIVE,
     avg_estimate,
+    check_scan_settings,
     lp_estimate,
     max_estimate,
     scan_estimate,
@@ -74,8 +77,11 @@ class GridPoint:
     beta_tilde: float | None = None
     ell: int | None = None
 
+    def __post_init__(self) -> None:
+        self.params(seed=0)
+
     def params(self, seed: int, beta_star: float | None = None) -> ModelParams:
-        p = ModelParams(
+        return ModelParams(
             kind=self.model,
             d=self.d,
             s_star=self.s_star,
@@ -84,8 +90,6 @@ class GridPoint:
             beta_tilde=self.beta_tilde,
             seed=seed,
         )
-        p.validate()
-        return p
 
     def noise_label(self) -> str:
         if self.model == SBM:
@@ -127,20 +131,22 @@ class ExperimentConfig:
     scan_strategy: str = BRANCH_AND_BOUND
     max_subsets: int = DEFAULT_MAX_SUBSETS
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     def validate(self) -> None:
+        """The checks across fields; grid points and solver options check themselves."""
         if self.experiment not in (GAP, CERTIFICATE, THRESHOLD):
             raise InvalidParams(f"unknown experiment {self.experiment!r}")
         if self.replicates < 1:
             raise InvalidParams("replicates must be >= 1")
         if not self.grid:
             raise InvalidParams("grid must be non-empty")
-        for g in self.grid:
-            g.params(seed=0)
         if self.experiment == GAP:
             if not self.estimators:
                 raise InvalidParams("gap experiment needs at least one estimator")
             for name in self.estimators:
-                _parse_estimator(name)
+                parse_estimator(name)
         if self.experiment == CERTIFICATE:
             for g in self.grid:
                 if g.ell is None or g.ell < 1:
@@ -155,11 +161,7 @@ class ExperimentConfig:
             for g in self.grid:
                 if g.model != SUBMATRIX or g.noise is None or g.noise.kind != GAUSSIAN:
                     raise InvalidParams("threshold sweep runs on gaussian submatrix grids")
-        if self.scan_strategy not in (EXHAUSTIVE, BRANCH_AND_BOUND):
-            raise InvalidParams(f"unknown scan strategy {self.scan_strategy!r}")
-        if self.max_subsets < 1:
-            raise InvalidParams(f"max_subsets must be >= 1, got {self.max_subsets}")
-        self.solver.validate()
+        check_scan_settings(self.scan_strategy, self.max_subsets)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
@@ -172,7 +174,7 @@ class ExperimentConfig:
                 solver_doc, "max_iter", int, SolverOptions.max_iter, "solver.max_iter"
             ),
         )
-        cfg = cls(
+        return cls(
             experiment=parse_field(doc, "experiment", str),
             grid=tuple(GridPoint.from_dict(g) for g in parse_field(doc, "grid", list)),
             replicates=parse_field(doc, "replicates", int),
@@ -189,8 +191,6 @@ class ExperimentConfig:
             scan_strategy=parse_field(doc, "scan_strategy", str, BRANCH_AND_BOUND),
             max_subsets=parse_field(doc, "max_subsets", int, DEFAULT_MAX_SUBSETS),
         )
-        cfg.validate()
-        return cfg
 
     @classmethod
     def from_json(cls, path: str) -> "ExperimentConfig":
@@ -220,7 +220,9 @@ def write_csv(path: str, columns: list[str], rows: list[dict]) -> None:
             writer.writerow([_fmt_cell(row.get(col)) for col in columns])
 
 
-def _parse_estimator(name: str) -> tuple[str, int | None]:
+def parse_estimator(name: str) -> tuple[str, int | None]:
+    """``(base, level)`` of an estimator name: one of ``ESTIMATORS``, with
+    ``:<level>`` (an integer >= 1) on ``sos_level`` and on no other."""
     base, _, level = name.partition(":")
     if base not in ESTIMATORS:
         raise InvalidParams(f"unknown estimator {name!r}")
@@ -247,28 +249,26 @@ def estimate(
     X: NoisyMatrix,
     s_star: int | None,
     *,
-    level: int | None,
     solver: SolverOptions,
     strategy: str = BRANCH_AND_BOUND,
     max_subsets: int = DEFAULT_MAX_SUBSETS,
 ) -> Estimate:
-    """The estimator ``name`` (one of ``ESTIMATORS``) on X; each estimator
-    reads only the keyword arguments that apply to it, and the scan
-    settings default to ``scan_estimate``'s."""
-    if name == "scan":
+    """The estimator ``name``, spelled as in a gap config (``sos_level:2``;
+    see ``parse_estimator``), on X; each estimator reads only the settings
+    that apply to it, and the scan settings default to ``scan_estimate``'s."""
+    base, level = parse_estimator(name)
+    if base == "scan":
         return Estimate(scan_estimate(X, s_star, strategy=strategy, max_subsets=max_subsets).value)
-    if name == "avg":
+    if base == "avg":
         return Estimate(avg_estimate(X, s_star))
-    if name == "max":
+    if base == "max":
         return Estimate(max_estimate(X))
-    if name == "lp":
+    if base == "lp":
         return Estimate(lp_estimate(X, s_star))
-    if name == "sos_basic":
+    if base == "sos_basic":
         solution = solve(assemble_basic(X, s_star), solver)
-    elif name == "sos_level":
-        solution = solve(assemble_level(X, s_star, level), solver)
     else:
-        raise InvalidParams(f"unknown estimator {name!r}")
+        solution = solve(assemble_level(X, s_star, level), solver)
     return Estimate(solution.value, solution)
 
 
@@ -296,7 +296,6 @@ def _run_cell(row: dict, columns: list[str], work: Callable[[dict], None]) -> di
 
 def run_gap_experiment(cfg: ExperimentConfig) -> list[dict]:
     """Estimate beta_star with every selected estimator on every replicate."""
-    cfg.validate()
     run = _estimator(cfg)
     rows: list[dict] = []
     for gi, g in enumerate(cfg.grid):
@@ -304,10 +303,10 @@ def run_gap_experiment(cfg: ExperimentConfig) -> list[dict]:
             seed = mix_seed(cfg.base_seed, gi * cfg.replicates + rep)
             instance = generate(g.params(seed))
             for name in cfg.estimators:
-                base, level = _parse_estimator(name)
+                base, level = parse_estimator(name)
 
                 def work(row: dict) -> None:
-                    value = run(base, instance.matrix, instance.params.s_star, level=level).value
+                    value = run(name, instance.matrix, instance.params.s_star).value
                     row["estimate"] = value
                     row["abs_error"] = abs(value - g.beta_star)
                     if level is not None:
@@ -323,7 +322,6 @@ def run_gap_experiment(cfg: ExperimentConfig) -> list[dict]:
 
 def run_certificate_experiment(cfg: ExperimentConfig) -> list[dict]:
     """Build and verify the expansivity certificate on null instances."""
-    cfg.validate()
     run = _estimator(cfg)
     rows: list[dict] = []
     for gi, g in enumerate(cfg.grid):
@@ -344,7 +342,7 @@ def run_certificate_experiment(cfg: ExperimentConfig) -> list[dict]:
                 row["psd"] = report.psd
                 row["objective"] = float(report.objective)
                 if cfg.solve_sdp:
-                    row["sdp_value"] = run("sos_level", X, g.s_star, level=g.ell).value
+                    row["sdp_value"] = run(f"sos_level:{g.ell}", X, g.s_star).value
 
             row = {
                 "model": g.model, "d": g.d, "s_star": g.s_star, "ell": g.ell,
@@ -361,7 +359,6 @@ def run_threshold_sweep(cfg: ExperimentConfig) -> tuple[list[dict], list[dict]]:
     replicate draws a null and an alternative instance and applies the test
     reject = (scan > beta_bar / 2). Returns (rows, summary_rows).
     """
-    cfg.validate()
     run = _estimator(cfg)
     rows: list[dict] = []
     summary: list[dict] = []
@@ -376,7 +373,7 @@ def run_threshold_sweep(cfg: ExperimentConfig) -> tuple[list[dict], list[dict]]:
 
                     def work(row: dict) -> None:
                         instance = generate(g.params(seed, beta_star=beta_bar if hyp else 0.0))
-                        value = run("scan", instance.matrix, g.s_star, level=None).value
+                        value = run("scan", instance.matrix, g.s_star).value
                         row["scan_value"] = value
                         row["reject"] = int(value > beta_bar / 2)
 
@@ -411,7 +408,6 @@ def summary_path(output: str) -> str:
 
 def run_experiment(cfg: ExperimentConfig) -> list[str]:
     """Run the configured experiment and write its CSV file(s)."""
-    cfg.validate()
     if cfg.experiment == GAP:
         write_csv(cfg.output, GAP_COLUMNS, run_gap_experiment(cfg))
         return [cfg.output]
@@ -424,12 +420,3 @@ def run_experiment(cfg: ExperimentConfig) -> list[str]:
     write_csv(spath, THRESHOLD_SUMMARY_COLUMNS, summary)
     return [cfg.output, spath]
 
-
-def with_overrides(
-    cfg: ExperimentConfig, output: str | None = None, base_seed: int | None = None
-) -> ExperimentConfig:
-    if output is not None:
-        cfg = replace(cfg, output=output)
-    if base_seed is not None:
-        cfg = replace(cfg, base_seed=base_seed)
-    return cfg

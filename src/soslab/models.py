@@ -47,7 +47,7 @@ class Noise:
     kind: str
     scale: float = 1.0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.kind == GAUSSIAN:
             if not 0 <= self.scale < np.inf:
                 raise InvalidParams(
@@ -68,7 +68,7 @@ class Noise:
         doc = parse(dict, doc, "noise")
         kind = parse_field(doc, "kind", str, name="noise.kind")
         key = "sigma" if kind == GAUSSIAN else "nu"
-        if kind in (GAUSSIAN, RADEMACHER):  # else validate() names the unknown kind
+        if kind in (GAUSSIAN, RADEMACHER):  # else the constructor names the unknown kind
             check_keys(doc, ("kind", key), "noise.")
         return cls(kind=kind, scale=parse_field(doc, key, float, 1.0, f"noise.{key}"))
 
@@ -94,7 +94,7 @@ class ModelParams:
     beta_tilde: float | None = None
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.kind not in (SUBMATRIX, SBM):
             raise InvalidParams(f"unknown model kind {self.kind!r}")
         check_model_keys(self.kind, self.to_dict())
@@ -106,7 +106,6 @@ class ModelParams:
         if self.kind == SUBMATRIX:
             if self.noise is None:
                 raise InvalidParams("submatrix model requires a noise spec")
-            self.noise.validate()
             if self.noise.kind == RADEMACHER and self.beta_star != 0:
                 raise RademacherWithSignal(
                     "rademacher noise models a null instance; beta_star must be 0"
@@ -159,7 +158,6 @@ def _check_support(d: int, s_star: int, support) -> frozenset[int]:
 def mean_matrix(params: ModelParams, support) -> NoisyMatrix:
     """Entrywise mean of the model: beta_star inside the support, else 0
     (for sbm, beta_tilde outside)."""
-    params.validate()
     supp = _check_support(params.d, params.s_star, support)
     outside = params.beta_tilde if params.kind == SBM else 0.0
     return NoisyMatrix(d=params.d, entries=_pair_values(params.d, supp, params.beta_star, outside))
@@ -185,7 +183,6 @@ def _pair_values(d: int, support: frozenset[int], inside: float, outside: float)
 
 def generate(params: ModelParams) -> PlantedInstance:
     """Draw an instance of either model, deterministically from the seed."""
-    params.validate()
     rng = generator(params.seed)
     support = sample_support(params.d, params.s_star, rng)
     m = n_pairs(params.d)

@@ -115,7 +115,7 @@ class SolverOptions:
 
     max_iter: int = 100_000
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.max_iter < 1:
             raise InvalidParams(f"max_iter must be >= 1, got {self.max_iter}")
 
@@ -417,7 +417,6 @@ class Constraints:
 def solve(program: SosProgram, options: SolverOptions | None = None) -> SdpSolution:
     """Run the splitting iteration on an assembled program."""
     options = options or SolverOptions()
-    options.validate()
     cons = program.constraints
     entry, b, c = cons.entry_map, cons.b, program.c
     inv_m = cons.inv_m

@@ -347,6 +347,12 @@ def test_certificate_rejects_s_star_outside_2_to_d():
             build_certificate(table, s_star, 1)
 
 
+def test_certificate_rejects_a_table_of_another_level():
+    table = expansivity_table(complete_graph(4), 1)
+    with pytest.raises(InvalidParams, match="^table was built for ell=1, not 2$"):
+        build_certificate(table, 2, 2)
+
+
 def test_objective_rejects_s_star_below_2():
     # the weight 2 / (s_star * (s_star - 1)) divides by zero at 0 and 1
     pe = build_certificate(expansivity_table(complete_graph(4), 1), 2, 1)

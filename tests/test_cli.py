@@ -81,7 +81,7 @@ def test_estimate_lp_closed_form(tmp_path, capsys):
 def test_estimate_sos_level(tmp_path, capsys):
     path = write_example_matrix(tmp_path)
     code, stdout, _ = run_cli(
-        capsys, "estimate", "--in", path, "--estimator", "sos_level", "--s", "2", "--level", "1"
+        capsys, "estimate", "--in", path, "--estimator", "sos_level:1", "--s", "2"
     )
     assert code == 0
     assert float(stdout) >= 4.0 - 1e-5
@@ -243,6 +243,46 @@ def test_usage_errors_exit_2(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--estimator", "median"], "unknown estimator 'median'"),
+        (["--estimator", "sos_level"], "sos_level needs a level >= 1, e.g. 'sos_level:2'"),
+        (["--estimator", "scan:2"], "estimator 'scan' does not take a level"),
+        # the level is part of the name, as in a config
+        (["--estimator", "sos_basic", "--level", "1"], "unrecognized arguments: --level 1"),
+        (["--estimator", "sos_level:1", "--level", "1"], "unrecognized arguments: --level 1"),
+    ],
+    ids=["unknown", "no-level", "scan-level", "basic-level-flag", "level-flag"],
+)
+def test_estimate_name_errors_exit_2(capsys, args, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["estimate", "--in", "x.json", "--s", "2", *args])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args, error, message",
+    [
+        (["--estimator", "avg", "--s", "3", "--max-subsets", "-5"],
+         "InvalidParams", "max_subsets must be >= 1, got -5"),
+        (["--estimator", "avg", "--s", "3", "--max-iter", "0"],
+         "InvalidParams", "max_iter must be >= 1, got 0"),
+        (["--estimator", "scan"], "SoslabError", "estimator 'scan' requires --s"),
+    ],
+    ids=["max-subsets", "max-iter", "no-s"],
+)
+def test_estimate_rejects_bad_settings_up_front(tmp_path, capsys, args, error, message):
+    # a config rejects these settings whichever estimators it names, and so
+    # does estimate: before the matrix file is read, so a missing one is
+    # never reached
+    for path in (write_example_matrix(tmp_path), str(tmp_path / "nope.json")):
+        code, stdout, stderr = run_cli(capsys, "estimate", "--in", path, *args)
+        assert (code, stdout) == (1, "")
+        assert json.loads(stderr) == {"error": error, "message": message}
+
+
 def test_experiment_command(tmp_path, capsys):
     cfg = {
         "experiment": "gap",
@@ -294,11 +334,10 @@ def test_estimate_matches_gap_rows(tmp_path, capsys):
     assert [row["estimator"] for row in rows] == list(ESTIMATORS)
     path = str(tmp_path / "instance.json")
     write_matrix_json(path, generate(cfg.grid[0].params(rows[0]["seed"])).matrix)
-    for row in rows:
+    for name, row in zip(cfg.estimators, rows):
         assert row["error"] == ""
         code, stdout, _ = run_cli(
-            capsys, "estimate", "--in", path, "--estimator", row["estimator"],
-            "--s", "3", "--level", "2",
+            capsys, "estimate", "--in", path, "--estimator", name, "--s", "3"
         )
         assert code == 0
         assert stdout.strip() == fmt_float(row["estimate"])
@@ -307,7 +346,7 @@ def test_estimate_matches_gap_rows(tmp_path, capsys):
 @pytest.mark.parametrize(
     "estimator, program",
     [("sos_basic", partial(assemble_basic, s_star=3)),
-     ("sos_level", partial(assemble_level, s_star=3, ell=1))],
+     ("sos_level:1", partial(assemble_level, s_star=3, ell=1))],
 )
 def test_estimate_warns_like_solve_at_max_iter(tmp_path, capsys, estimator, program):
     # 50 iterations do not converge here; the command still prints the
@@ -321,7 +360,7 @@ def test_estimate_warns_like_solve_at_max_iter(tmp_path, capsys, estimator, prog
     assert code == 0
     code, stdout, stderr = run_cli(
         capsys, "estimate", "--in", path, "--estimator", estimator, "--s", "3",
-        "--level", "1", "--max-iter", "50",
+        "--max-iter", "50",
     )
     sol = solve(program(read_matrix_json(path)[0]), SolverOptions(max_iter=50))
     assert sol.status == MAX_ITER_REACHED

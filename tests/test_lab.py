@@ -11,14 +11,17 @@ from soslab.lab import (
     THRESHOLD_COLUMNS,
     THRESHOLD_SUMMARY_COLUMNS,
     ExperimentConfig,
+    estimate,
     run_certificate_experiment,
     run_experiment,
     run_gap_experiment,
     run_threshold_sweep,
     summary_path,
-    with_overrides,
     write_csv,
 )
+from soslab.matrix import NoisyMatrix
+from soslab.sdp import SolverOptions, solve
+from soslab.sos import assemble_level
 
 
 def gap_config(tmp_path, **kw):
@@ -432,6 +435,9 @@ def _at(index, make, field, value, message):
         _at(41, gap_config, "grid", [_gaussian_point(beta_tilde=0.3)],
          "grid.beta_tilde: not a parameter of the submatrix model"),
         _at(42, gap_config, "solver", {"max_iter": 0}, "max_iter must be >= 1, got 0"),
+        _at(43, gap_config, "grid", [], "grid must be non-empty"),
+        (gap_config, "scan_strategy", "depth-first", "unknown scan strategy 'depth-first'"),
+        _at(45, gap_config, "estimators", ["scan:2"], "estimator 'scan' does not take a level"),
     ],
 )
 def test_config_field_type_errors_name_the_field(tmp_path, make, field, value, message):
@@ -495,9 +501,49 @@ def test_config_json_round_trip(tmp_path):
     assert loaded == cfg
 
 
-def test_with_overrides(tmp_path):
-    cfg = gap_config(tmp_path)
-    other = with_overrides(cfg, output="other.csv", base_seed=99)
-    assert other.output == "other.csv"
-    assert other.base_seed == 99
-    assert with_overrides(cfg) == cfg
+def test_experiment_cli_overrides_output_and_seed(tmp_path, capsys):
+    # --out and --seed each replace one field of the config as written;
+    # without them the run is the written config's own
+    doc = {
+        "experiment": "gap",
+        "grid": [_gaussian_point(noise={"kind": "gaussian", "sigma": 1.0})],
+        "estimators": ["scan", "max"],
+        "replicates": 2,
+        "base_seed": 3,
+        "output": str(tmp_path / "out.csv"),
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    expected = {}
+    for seed in (3, 99):
+        ref = str(tmp_path / f"ref{seed}.csv")
+        run_experiment(ExperimentConfig.from_dict({**doc, "base_seed": seed, "output": ref}))
+        expected[seed] = strip_runtime(ref)
+    assert expected[3] != expected[99]
+
+    other = str(tmp_path / "other.csv")
+    assert main(["experiment", "--config", str(path), "--out", other, "--seed", "99"]) == 0
+    assert capsys.readouterr().out == other + "\n"
+    assert strip_runtime(other) == expected[99]
+    assert not (tmp_path / "out.csv").exists()
+
+    assert main(["experiment", "--config", str(path)]) == 0
+    assert capsys.readouterr().out == doc["output"] + "\n"
+    assert strip_runtime(doc["output"]) == expected[3]
+
+
+def test_estimate_takes_a_configs_names():
+    X = NoisyMatrix(d=4, entries=[1.0, 0.0, 2.0, 0.5, 0.0, 1.0])
+    solver = SolverOptions()
+    assert estimate("sos_level:1", X, 3, solver=solver).value == solve(
+        assemble_level(X, 3, 1), solver
+    ).value
+    for name, message in (
+        ("sos_level", "'sos_level': sos_level needs a level >= 1, e.g. 'sos_level:2'"),
+        ("avg:1", "estimator 'avg' does not take a level"),
+        ("median", "unknown estimator 'median'"),
+    ):
+        with pytest.raises(InvalidParams) as exc:
+            estimate(name, X, 3, solver=solver)
+        assert str(exc.value) == message
+

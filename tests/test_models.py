@@ -148,17 +148,25 @@ def test_sample_support_uniformish():
 
 def test_param_validation():
     with pytest.raises(InvalidParams):
-        submatrix_params(s_star=1).validate()
+        submatrix_params(s_star=1)
     with pytest.raises(InvalidParams):
-        submatrix_params(s_star=9).validate()
+        submatrix_params(s_star=9)
     with pytest.raises(InvalidParams):
-        sbm_params(beta_tilde=0.9, beta_star=0.5).validate()
+        sbm_params(beta_tilde=0.9, beta_star=0.5)
     with pytest.raises(InvalidParams):
-        sbm_params(beta_star=1.5, beta_tilde=1.0).validate()
+        sbm_params(beta_star=1.5, beta_tilde=1.0)
     with pytest.raises(InvalidParams):
-        submatrix_params(noise=Noise("gaussian", -1.0)).validate()
+        submatrix_params(noise=Noise("gaussian", -1.0))
     with pytest.raises(InvalidParams):
-        submatrix_params(noise=Noise("rademacher", 0.0), beta_star=0.0).validate()
+        submatrix_params(noise=Noise("rademacher", 0.0), beta_star=0.0)
+    with pytest.raises(InvalidParams, match="^unknown model kind 'planted'$"):
+        submatrix_params(kind="planted")
+    with pytest.raises(InvalidParams, match="^d must be >= 2$"):
+        submatrix_params(d=1)
+    with pytest.raises(InvalidParams, match="^submatrix model requires a noise spec$"):
+        submatrix_params(noise=None)
+    with pytest.raises(InvalidParams, match="^sbm requires beta_tilde$"):
+        sbm_params(beta_tilde=None)
 
 
 def test_params_dict_round_trip():

@@ -295,7 +295,7 @@ def test_max_iter_status():
 
 def test_options_validation():
     with pytest.raises(InvalidParams, match="^max_iter must be >= 1, got 0$"):
-        SolverOptions(max_iter=0).validate()
+        SolverOptions(max_iter=0)
     with pytest.raises(InvalidParams, match="^max_iter must be >= 1, got -1$"):
         solve(assemble_basic(single_entry_matrix(2.0), 2), SolverOptions(max_iter=-1))
 
@@ -536,7 +536,6 @@ def _reference_solve(program, options=None, choose_driver=True):
     syevr on every iteration. The bit-for-bit oracle of the differential
     tests below."""
     options = options or SolverOptions()
-    options.validate()
     cons = program.constraints
     A, b = cons.A, cons.b
     entry, inv_m = cons.entry_map, cons.inv_m

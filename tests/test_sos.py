@@ -18,7 +18,7 @@ from soslab.errors import InvalidParams, MissingValue
 from soslab.estimators import scan_estimate
 from soslab.matrix import NoisyMatrix, n_pairs
 from soslab.seeds import generator
-from soslab.sos import assemble_basic, assemble_level, nonzero_block
+from soslab.sos import PseudoExpectation, assemble_basic, assemble_level, nonzero_block
 from soslab.subsets import SHAPES_CACHED, subset_indexer
 from constructors import entry, indicator, moment_matrix, pairs, pe_from_values
 from subset_order import TupleOrder
@@ -249,6 +249,13 @@ def test_moment_matrix_requires_matching_indexer():
         nonzero_block(pe, subset_indexer(4, 2))
     with pytest.raises(MissingValue):
         nonzero_block(pe, subset_indexer(5, 1))
+
+
+def test_pseudo_expectation_checks_its_shape():
+    # (4, 1) has 11 moments: the subsets of at most 2 of 4 vertices
+    for num, den in ((np.zeros(10, dtype=np.int64), 1), (np.zeros(11, dtype=np.int64), 0)):
+        with pytest.raises(InvalidParams, match="^need 11 numerators and a positive denominator$"):
+            PseudoExpectation(d=4, ell=1, s_star=2, num=num, den=den)
 
 
 def test_objective_value_examples():
