@@ -3,7 +3,8 @@
 Subcommands: generate, estimate, certify, experiment. Each runs the
 library path the experiments use: ``certify`` is ``certificate.certify``,
 ``estimate`` is ``lab.estimate`` on a config's estimator names (``sos_level:2``)
-and checks its settings as a config does, before it reads the matrix. Values
+and checks its settings as a config does, before it reads the matrix; a
+given ``--s`` is checked against the matrix's d, whatever the estimator. Values
 print to stdout with 17 significant digits; reports print as one JSON object.
 Usage errors, a bad estimator name among them, exit 2 (argparse); numeric or
 model failures and bad settings print one JSON error line to stderr and exit 1.
@@ -16,7 +17,7 @@ import sys
 from dataclasses import replace
 
 from .certificate import BINARY_ONE, SIGN_POSITIVE, certify, report_to_json_dict
-from .errors import InvalidParams, SoslabError
+from .errors import InvalidParams, SoslabError, check_s_star
 from .estimators import BRANCH_AND_BOUND, DEFAULT_MAX_SUBSETS, EXHAUSTIVE, check_scan_settings
 from .lab import ExperimentConfig, estimate, fmt_float, parse_estimator, run_experiment
 from .matrix import read_matrix_json, write_matrix_json
@@ -112,6 +113,8 @@ def _cmd_estimate(args) -> int:
     if args.estimator != "max" and args.s is None:
         raise SoslabError(f"estimator {args.estimator!r} requires --s")
     X, _ = read_matrix_json(args.infile)
+    if args.s is not None:  # max reads no s, but a given one is checked as a config's is
+        check_s_star(args.s, X.d)
     result = estimate(
         args.estimator, X, args.s,
         solver=solver, strategy=args.strategy, max_subsets=args.max_subsets,

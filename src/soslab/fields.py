@@ -1,4 +1,5 @@
-"""Typed reads of the fields of a JSON document (configs, model params).
+"""Typed reads of the fields of a JSON document (configs, model params):
+``read`` builds a dataclass, and ``parse_field`` reads one key.
 
 A field of the wrong type, a required field that is absent, or a key that
 the reader does not read raises ``InvalidParams`` naming the field.
@@ -44,10 +45,20 @@ def parse_field(doc: dict, key: str, kind: type, default=_REQUIRED, name: str | 
     return default
 
 
-def field_names(cls) -> set[str]:
-    """The keys of a document that builds the dataclass ``cls``: its
-    fields."""
-    return {f.name for f in dataclasses.fields(cls)}
+def read(cls, doc: dict, readers: dict, prefix: str = "", **values):
+    """``cls`` built from ``doc``. Each key of ``readers`` is a field, read
+    by a kind for ``parse`` or by a function of the value and its name;
+    ``values`` holds the fields the caller read. A field left out takes its
+    dataclass default, so each default is stated once, in the dataclass."""
+    check_keys(doc, readers.keys() | values.keys(), prefix)
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    for key, reader in readers.items():
+        if key in doc:
+            value, name = doc[key], prefix + key
+            values[key] = parse(reader, value, name) if isinstance(reader, type) else reader(value, name)
+        elif fields[key].default is fields[key].default_factory is dataclasses.MISSING:
+            raise InvalidParams(f"{prefix}{key}: missing")
+    return cls(**values)
 
 
 def check_keys(doc: dict, known: Collection[str], prefix: str = "") -> None:

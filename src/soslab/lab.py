@@ -7,7 +7,9 @@ draws paired null/alternative instances per multiplier, uses
 Rerunning a config reproduces every CSV byte except the runtime_ms column.
 
 Settings check themselves when built, so a config that exists is a valid
-one; an estimator has one name from config to CLI (``parse_estimator``).
+one. A config is read from its dataclasses (``fields.read``), and each
+experiment reads only its own keys. An estimator has one name from config
+to CLI (``parse_estimator``).
 
 Formatting: floats carry 17 significant digits, booleans are ``true`` /
 ``false``, exact rationals are written as ``p/q`` by the report writer, and
@@ -34,7 +36,7 @@ from .estimators import (
     max_estimate,
     scan_estimate,
 )
-from .fields import check_keys, field_names, parse, parse_field
+from .fields import parse, parse_field, read
 from .matrix import NoisyMatrix
 from .models import GAUSSIAN, SBM, SUBMATRIX, ModelParams, Noise, check_model_keys, generate
 from .sdp import SdpSolution, SolverOptions, solve
@@ -63,6 +65,22 @@ THRESHOLD_SUMMARY_COLUMNS = [
 ]
 
 ESTIMATORS = ("scan", "avg", "max", "lp", "sos_basic", "sos_level")
+
+# The keys of a grid point beside ``model`` and ``noise``.
+_POINT_READERS = {"d": int, "s_star": int, "beta_star": float, "beta_tilde": float, "ell": int}
+
+# The keys each experiment does not read, named as in their errors: in its
+# config such a key is unknown. A missing or unknown experiment reads every key.
+_UNREAD = {
+    GAP: {"multipliers", "solve_sdp", "grid.ell"},
+    CERTIFICATE: {"estimators", "multipliers", "scan_strategy", "max_subsets"},
+    THRESHOLD: {"estimators", "solve_sdp", "solver", "grid.beta_star", "grid.ell"},
+}
+
+
+def _tuple_of(kind: type) -> Callable:
+    """The reader of a list of ``kind`` values, as a tuple."""
+    return lambda value, name: tuple(parse(kind, v, name) for v in parse(list, value, name))
 
 
 @dataclass(frozen=True)
@@ -98,23 +116,16 @@ class GridPoint:
         return f"{self.noise.kind}:{fmt_float(self.noise.scale)}"
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "GridPoint":
+    def from_dict(cls, doc: dict, readers: dict = _POINT_READERS) -> "GridPoint":
+        """A point read with ``readers``, its experiment's share of
+        ``_POINT_READERS``; its model, read first, sets its noise default."""
         doc = parse(dict, doc, "grid")
-        check_keys(doc, field_names(cls), "grid.")
-        model = parse_field(doc, "model", str, SUBMATRIX)
+        model = parse_field(doc, "model", str, SUBMATRIX, "grid.model")
         check_model_keys(model, doc, "grid.")
         noise = None
         if model == SUBMATRIX:
-            noise = Noise.from_dict(doc.get("noise", {"kind": GAUSSIAN, "sigma": 1.0}))
-        return cls(
-            model=model,
-            d=parse_field(doc, "d", int),
-            s_star=parse_field(doc, "s_star", int),
-            beta_star=parse_field(doc, "beta_star", float, 0.0),
-            noise=noise,
-            beta_tilde=parse_field(doc, "beta_tilde", float, None),
-            ell=parse_field(doc, "ell", int, None),
-        )
+            noise = Noise.from_dict(doc["noise"]) if "noise" in doc else Noise(GAUSSIAN)
+        return read(cls, doc, readers, "grid.", model=model, noise=noise)
 
 
 @dataclass(frozen=True)
@@ -166,31 +177,22 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
         doc = parse(dict, doc, "config")
-        check_keys(doc, field_names(cls))
-        solver_doc = parse_field(doc, "solver", dict, {})
-        check_keys(solver_doc, field_names(SolverOptions), "solver.")
-        solver = SolverOptions(
-            max_iter=parse_field(
-                solver_doc, "max_iter", int, SolverOptions.max_iter, "solver.max_iter"
+        experiment = doc.get("experiment")  # a list would be unhashable
+        unread = _UNREAD.get(experiment, set()) if isinstance(experiment, str) else set()
+        point = {key: r for key, r in _POINT_READERS.items() if "grid." + key not in unread}
+        readers = {
+            "experiment": str,
+            "grid": lambda value, name: tuple(
+                GridPoint.from_dict(g, point) for g in parse(list, value, name)
             ),
-        )
-        return cls(
-            experiment=parse_field(doc, "experiment", str),
-            grid=tuple(GridPoint.from_dict(g) for g in parse_field(doc, "grid", list)),
-            replicates=parse_field(doc, "replicates", int),
-            base_seed=parse_field(doc, "base_seed", int),
-            output=parse_field(doc, "output", str),
-            estimators=tuple(
-                parse(str, name, "estimators") for name in parse_field(doc, "estimators", list, ())
+            "replicates": int, "base_seed": int, "output": str,
+            "estimators": _tuple_of(str), "multipliers": _tuple_of(float),
+            "solver": lambda value, name: read(
+                SolverOptions, parse(dict, value, name), {"max_iter": int}, name + "."
             ),
-            multipliers=tuple(
-                parse(float, c, "multipliers") for c in parse_field(doc, "multipliers", list, ())
-            ),
-            solver=solver,
-            solve_sdp=parse_field(doc, "solve_sdp", bool, False),
-            scan_strategy=parse_field(doc, "scan_strategy", str, BRANCH_AND_BOUND),
-            max_subsets=parse_field(doc, "max_subsets", int, DEFAULT_MAX_SUBSETS),
-        )
+            "solve_sdp": bool, "scan_strategy": str, "max_subsets": int,
+        }
+        return read(cls, doc, {key: r for key, r in readers.items() if key not in unread})
 
     @classmethod
     def from_json(cls, path: str) -> "ExperimentConfig":

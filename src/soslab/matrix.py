@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvalidParams
-from .fields import parse, parse_field
+from .fields import check_keys, parse, parse_field
 
 JSON_FORMAT = "upper-tri-row-major"
 
@@ -102,9 +102,12 @@ def write_matrix_json(path: str, matrix: NoisyMatrix, ground_truth: dict | None 
 
 def read_matrix_json(path: str) -> tuple[NoisyMatrix, dict | None]:
     """Load a matrix file; returns the matrix and the ground-truth dict, if
-    any. A malformed file raises ``InvalidParams`` naming the field."""
+    any. A malformed file, or one with a key outside the format's (a
+    misspelled ``ground_truth``), raises ``InvalidParams`` naming the
+    field."""
     with open(path) as fh:
         doc = parse(dict, json.load(fh), "matrix")
+    check_keys(doc, ("d", "format", "entries", "ground_truth"))
     if doc.get("format") != JSON_FORMAT:
         raise InvalidParams(f"unsupported matrix format: {doc.get('format')!r}")
     entries = parse_field(doc, "entries", list)

@@ -70,7 +70,7 @@ class Noise:
         key = "sigma" if kind == GAUSSIAN else "nu"
         if kind in (GAUSSIAN, RADEMACHER):  # else the constructor names the unknown kind
             check_keys(doc, ("kind", key), "noise.")
-        return cls(kind=kind, scale=parse_field(doc, key, float, 1.0, f"noise.{key}"))
+        return cls(kind=kind, scale=parse_field(doc, key, float, cls.scale, f"noise.{key}"))
 
 
 def check_model_keys(kind: str, keys: Collection[str], prefix: str = "") -> None:

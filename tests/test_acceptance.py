@@ -335,7 +335,7 @@ def test_c12_determinism_replay(tmp_path):
         },
         {
             "experiment": "threshold",
-            "grid": [{"model": "submatrix", "d": 12, "s_star": 3, "beta_star": 0.0,
+            "grid": [{"model": "submatrix", "d": 12, "s_star": 3,
                       "noise": {"kind": "gaussian", "sigma": 1.0}}],
             "multipliers": [0.0, 1.0, 2.0],
             "replicates": 4,

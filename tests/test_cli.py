@@ -149,6 +149,21 @@ def test_closed_forms_reject_s_star_outside_2_to_d(tmp_path, capsys, estimator, 
     }
 
 
+@pytest.mark.parametrize("estimator", ["scan", "max", "sos_basic", "sos_level:1"])
+@pytest.mark.parametrize("s_star", [1, 7])
+def test_estimate_checks_a_given_s_for_every_estimator(tmp_path, capsys, estimator, s_star):
+    # max reads no s, but a given one outside 2..d is an error, as in a config
+    path = write_example_matrix(tmp_path)
+    code, stdout, stderr = run_cli(
+        capsys, "estimate", "--in", path, "--estimator", estimator, "--s", str(s_star)
+    )
+    assert (code, stdout) == (1, "")
+    assert json.loads(stderr) == {
+        "error": "InvalidParams",
+        "message": f"need 2 <= s_star <= d, got s_star={s_star}, d=3",
+    }
+
+
 MALFORMED_MATRIX_FILES = {
     "not-an-object": ([1, 2], "matrix: expected dict, got [1, 2]"),
     "null-d": ({"d": None, "entries": [1.0]}, "d: expected int, got None"),
@@ -157,6 +172,12 @@ MALFORMED_MATRIX_FILES = {
     "bool-entry": ({"d": 2, "entries": [True]}, "entries[0]: expected float, got True"),
     "string-entry": ({"d": 2, "entries": ["2.5"]}, "entries[0]: expected float, got '2.5'"),
     "string-d": ({"d": "2", "entries": [1.0]}, "d: expected int, got '2'"),
+    # a misspelled ground truth would be dropped without a word
+    "misspelled-key": (
+        {"d": 2, "entries": [1.0], "ground_truht": {"support": [1, 2]}},
+        "ground_truht: unknown key",
+    ),
+    "extra-key": ({"d": 2, "entries": [1.0], "extra": 1}, "extra: unknown key"),
 }
 
 

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 
@@ -11,6 +12,7 @@ from soslab.lab import (
     THRESHOLD_COLUMNS,
     THRESHOLD_SUMMARY_COLUMNS,
     ExperimentConfig,
+    GridPoint,
     estimate,
     run_certificate_experiment,
     run_experiment,
@@ -20,6 +22,7 @@ from soslab.lab import (
     write_csv,
 )
 from soslab.matrix import NoisyMatrix
+from soslab.models import Noise
 from soslab.sdp import SolverOptions, solve
 from soslab.sos import assemble_level
 
@@ -63,7 +66,7 @@ def threshold_config(tmp_path, **kw):
     doc = {
         "experiment": "threshold",
         "grid": [
-            {"model": "submatrix", "d": 10, "s_star": 2, "beta_star": 0.0,
+            {"model": "submatrix", "d": 10, "s_star": 2,
              "noise": {"kind": "gaussian", "sigma": 1.0}},
         ],
         "multipliers": [0.0, 1.0, 4.0],
@@ -146,7 +149,7 @@ def test_threshold_summed_error_non_increasing(tmp_path):
     # Monte Carlo shape check: more separation can only help the scan test.
     cfg = threshold_config(
         tmp_path,
-        grid=[{"model": "submatrix", "d": 40, "s_star": 4, "beta_star": 0.0,
+        grid=[{"model": "submatrix", "d": 40, "s_star": 4,
                "noise": {"kind": "gaussian", "sigma": 1.0}}],
         multipliers=[0.5, 1.0, 2.0, 4.0],
         replicates=200,
@@ -237,7 +240,7 @@ def test_threshold_failed_cells_are_errors_in_the_summary(tmp_path):
     # perfect test
     cfg = threshold_config(
         tmp_path,
-        grid=[{"model": "submatrix", "d": 8, "s_star": 3, "beta_star": 0.0,
+        grid=[{"model": "submatrix", "d": 8, "s_star": 3,
                "noise": {"kind": "gaussian", "sigma": 1.0}}],
         replicates=3,
         max_subsets=1,
@@ -252,7 +255,7 @@ def test_threshold_failed_cells_are_errors_in_the_summary(tmp_path):
 def test_threshold_noiseless_with_large_c_separates(tmp_path):
     cfg = threshold_config(
         tmp_path,
-        grid=[{"model": "submatrix", "d": 10, "s_star": 2, "beta_star": 0.0,
+        grid=[{"model": "submatrix", "d": 10, "s_star": 2,
                "noise": {"kind": "gaussian", "sigma": 0.0}}],
         multipliers=[4.0],
         replicates=3,
@@ -371,15 +374,15 @@ def _at(index, make, field, value, message):
         (gap_config, "replicates", "two", "replicates: expected int, got 'two'"),
         (gap_config, "base_seed", None, "base_seed: expected int, got None"),
         (gap_config, "max_subsets", math.inf, "max_subsets: expected int, got inf"),
-        _at(3, gap_config, "multipliers", [1, "x"], "multipliers: expected float, got 'x'"),
+        _at(3, threshold_config, "multipliers", [1, "x"], "multipliers: expected float, got 'x'"),
         _at(4, gap_config, "solver", {"max_iter": "many"},
          "solver.max_iter: expected int, got 'many'"),
         # the solver's tolerance and starting penalty are constants, not keys
         _at(5, gap_config, "solver", {"tol": 1e-6}, "solver.tol: unknown key"),
-        _at(6, cert_config, "grid", [_sbm_point(ell="x")], "ell: expected int, got 'x'"),
-        _at(7, cert_config, "grid", [_sbm_point(d="six")], "d: expected int, got 'six'"),
+        _at(6, cert_config, "grid", [_sbm_point(ell="x")], "grid.ell: expected int, got 'x'"),
+        _at(7, cert_config, "grid", [_sbm_point(d="six")], "grid.d: expected int, got 'six'"),
         _at(8, cert_config, "grid", [_sbm_point(beta_tilde=None)],
-         "beta_tilde: expected float, got None"),
+         "grid.beta_tilde: expected float, got None"),
         _at(9, gap_config, "grid", [_gaussian_point(noise={"kind": "gaussian", "sigma": "x"})],
          "noise.sigma: expected float, got 'x'"),
         _at(10, gap_config, "grid", [_gaussian_point(noise={"sigma": 1.0})], "noise.kind: missing"),
@@ -390,16 +393,17 @@ def _at(index, make, field, value, message):
         _at(14, raw_config, "doc", [1, 2], "config: expected dict, got [1, 2]"),
         _at(15, gap_config, "estimators", [3], "estimators: expected str, got 3"),
         (cert_config, "solve_sdp", "false", "solve_sdp: expected bool, got 'false'"),
-        _at(17, cert_config, "grid", [_sbm_point(d=6.9)], "d: expected int, got 6.9"),
+        _at(17, cert_config, "grid", [_sbm_point(d=6.9)], "grid.d: expected int, got 6.9"),
         (gap_config, "replicates", 2.5, "replicates: expected int, got 2.5"),
-        _at(19, cert_config, "grid", [_sbm_point(d=True)], "d: expected int, got True"),
+        _at(19, cert_config, "grid", [_sbm_point(d=True)], "grid.d: expected int, got True"),
         (gap_config, "max_subsets", 0, "max_subsets must be >= 1, got 0"),
         (threshold_config, "max_subsets", -5, "max_subsets must be >= 1, got -5"),
         (gap_config, "scan_strategy", 5, "scan_strategy: expected str, got 5"),
         _at(23, cert_config, "grid", [_sbm_point(beta_star=True)],
-         "beta_star: expected float, got True"),
-        _at(24, cert_config, "grid", [_sbm_point(d="6")], "d: expected int, got '6'"),
-        _at(25, gap_config, "multipliers", [1, "2.5"], "multipliers: expected float, got '2.5'"),
+         "grid.beta_star: expected float, got True"),
+        _at(24, cert_config, "grid", [_sbm_point(d="6")], "grid.d: expected int, got '6'"),
+        _at(25, threshold_config, "multipliers", [1, "2.5"],
+         "multipliers: expected float, got '2.5'"),
         _at(26, gap_config, "solver", {"step": 1.0}, "solver.step: unknown key"),
         _at(27, threshold_config, "multipliers", [1.0, math.nan],
          "multipliers must be finite and >= 0, got nan"),
@@ -438,12 +442,107 @@ def _at(index, make, field, value, message):
         _at(43, gap_config, "grid", [], "grid must be non-empty"),
         (gap_config, "scan_strategy", "depth-first", "unknown scan strategy 'depth-first'"),
         _at(45, gap_config, "estimators", ["scan:2"], "estimator 'scan' does not take a level"),
+        _at(46, gap_config, "grid", [_gaussian_point(model=3)], "grid.model: expected str, got 3"),
+        _at(47, cert_config, "grid", [{"model": "sbm", "s_star": 2, "beta_star": 0.5,
+                                       "beta_tilde": 0.5, "ell": 1}], "grid.d: missing"),
+        _at(48, raw_config, "doc", {"experiment": "gap", "grid": [_gaussian_point()],
+                                    "estimators": ["max"], "base_seed": 1, "output": "x.csv"},
+         "replicates: missing"),
     ],
 )
 def test_config_field_type_errors_name_the_field(tmp_path, make, field, value, message):
     with pytest.raises(InvalidParams) as exc:
         make(tmp_path, **{field: value})
     assert str(exc.value) == message
+
+
+# One document per experiment that sets every key the experiment reads, at
+# the top, in a grid point and in the solver, each to a value other than its
+# default. A threshold point is a gaussian submatrix point, so its model is
+# the one it must be and it has no beta_tilde.
+_SBM_POINT = {"model": "sbm", "d": 7, "s_star": 3, "beta_star": 0.75, "beta_tilde": 0.25}
+_NOISY_POINT = {"model": "submatrix", "d": 9, "s_star": 4,
+                "noise": {"kind": "gaussian", "sigma": 2.0}}
+_COMMON = {"replicates": 3, "base_seed": 17, "output": "every.csv"}
+EVERY_KEY = {
+    "gap": {
+        "experiment": "gap", **_COMMON,
+        "grid": [_SBM_POINT, {**_NOISY_POINT, "beta_star": 1.5}],
+        "estimators": ["scan", "sos_level:2"],
+        "solver": {"max_iter": 7},
+        "scan_strategy": "exhaustive",
+        "max_subsets": 5,
+    },
+    "certificate": {
+        "experiment": "certificate", **_COMMON,
+        "grid": [{**_SBM_POINT, "ell": 2}, {**_NOISY_POINT, "beta_star": 1.5, "ell": 1}],
+        "solver": {"max_iter": 7},
+        "solve_sdp": True,
+    },
+    "threshold": {
+        "experiment": "threshold", **_COMMON,
+        "grid": [_NOISY_POINT],
+        "multipliers": [0.5, 2.0],
+        "scan_strategy": "exhaustive",
+        "max_subsets": 5,
+    },
+}
+
+
+def _as_read(key, value):
+    """A document's value as its field holds it."""
+    if key == "noise":
+        return Noise.from_dict(value)
+    if key == "solver":
+        return SolverOptions(**value)
+    return tuple(value) if isinstance(value, list) else value
+
+
+def _check_fields(obj, doc, name):
+    """Every field of ``obj`` holds what ``doc`` wrote, which is not its
+    default, or its default where ``doc`` wrote nothing."""
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        default = f.default_factory() if f.default_factory is not dataclasses.MISSING else f.default
+        if f.name == "grid":
+            assert len(value) == len(doc["grid"])
+            for point, point_doc in zip(value, doc["grid"]):
+                _check_fields(point, point_doc, "grid.")
+        elif f.name in doc:
+            assert value == _as_read(f.name, doc[f.name]) != default, name + f.name
+        else:
+            assert value == default, name + f.name
+
+
+@pytest.mark.parametrize("experiment", EVERY_KEY)
+def test_a_config_sets_every_field_its_experiment_reads(experiment):
+    # a field the document does not write is one the experiment does not
+    # read: adding it is an error naming it ("grid.beta_tilde: not a
+    # parameter of the submatrix model" on a threshold point)
+    doc = EVERY_KEY[experiment]
+    cfg = ExperimentConfig.from_dict(doc)
+    _check_fields(cfg, doc, "")
+    for key in {f.name for f in dataclasses.fields(ExperimentConfig)} - doc.keys():
+        with pytest.raises(InvalidParams, match=f"^{key}: unknown key$"):
+            ExperimentConfig.from_dict({**doc, key: None})
+    written = {key for point in doc["grid"] for key in point}
+    for key in {f.name for f in dataclasses.fields(GridPoint)} - written:
+        grid = [{**point, key: 1.0} for point in doc["grid"]]
+        with pytest.raises(InvalidParams, match=f"^grid.{key}: "):
+            ExperimentConfig.from_dict({**doc, "grid": grid})
+
+
+def test_every_field_is_read_by_some_experiment():
+    docs = EVERY_KEY.values()
+    assert {key for doc in docs for key in doc} == {
+        f.name for f in dataclasses.fields(ExperimentConfig)
+    }
+    assert {key for doc in docs for point in doc["grid"] for key in point} == {
+        f.name for f in dataclasses.fields(GridPoint)
+    }
+    assert {key for doc in docs for key in doc.get("solver", {})} == {
+        f.name for f in dataclasses.fields(SolverOptions)
+    }
 
 
 def test_config_int_fields_accept_integral_floats(tmp_path):
