@@ -23,13 +23,7 @@ from .lab import (
     run_threshold_sweep,
 )
 from .matrix import NoisyMatrix, read_matrix_json, write_matrix_json
-from .models import (
-    ModelParams,
-    Noise,
-    PlantedInstance,
-    generate,
-    mean_matrix,
-)
+from .models import ModelParams, Noise, PlantedInstance, generate
 from .sdp import SdpSolution, SolverOptions, solve
 from .seeds import generator, mix_seed
 from .sos import PseudoExpectation, SosProgram, assemble_basic, assemble_level
@@ -63,7 +57,6 @@ __all__ = [
     "Noise",
     "PlantedInstance",
     "generate",
-    "mean_matrix",
     "SdpSolution",
     "SolverOptions",
     "solve",

@@ -43,7 +43,7 @@ from .errors import (
 )
 from .matrix import NoisyMatrix, pair_indices
 from .sos import PseudoExpectation, exact_dtype, max_abs, nonzero_block
-from .subsets import SubsetIndexer, parents, rank, sizes, subset_counts, subset_indexer, var_count
+from .subsets import SubsetIndexer, parents, sizes, subset_counts, subset_indexer, var_count
 
 SIGN_POSITIVE = "sign-positive"
 BINARY_ONE = "binary-one"
@@ -213,10 +213,10 @@ def certificate_objective(X: NoisyMatrix, pe: PseudoExpectation, s_star: int) ->
     weighted by the value's exact ratio.
     """
     check_s_star(s_star, pe.d)
-    if X.d > pe.d:
+    if X.d != pe.d:
         raise MissingValue(f"pseudo-expectation covers d={pe.d}, data has d={X.d}")
-    pairs = rank(pe.d, np.column_stack(pair_indices(X.d)))  # X's storage order
-    y = pe.num[pairs]
+    # the pair moments, in X's storage order (where ``sos`` puts the objective)
+    y = pe.num[1 + X.d : 1 + X.d + len(X.entries)]
     nz = np.flatnonzero(y)
     values, group = np.unique(X.entries[nz], return_inverse=True)
     sums = np.zeros(len(values), dtype=exact_dtype(len(nz) * max_abs(y)))

@@ -1,10 +1,12 @@
 """Command-line front end.
 
 Subcommands: generate, estimate, certify, experiment. Each runs the
-library path the experiments use: ``certify`` is ``certificate.certify``,
-``estimate`` is ``lab.estimate`` on a config's estimator names (``sos_level:2``)
-and checks its settings as a config does, before it reads the matrix; a
-given ``--s`` is checked against the matrix's d, whatever the estimator. Values
+library path the experiments use: ``generate`` reads its flags as a
+config's grid point (``lab.GridPoint.from_dict``); ``certify`` is
+``certificate.certify``; ``estimate`` is ``lab.estimate`` on a config's
+estimator names (``sos_level:2``) and checks its settings as a config does,
+before it reads the matrix; a given ``--s`` is checked against the
+matrix's d, whatever the estimator. Values
 print to stdout with 17 significant digits; reports print as one JSON object.
 Usage errors, a bad estimator name among them, exit 2 (argparse); numeric or
 model failures and bad settings print one JSON error line to stderr and exit 1.
@@ -19,9 +21,9 @@ from dataclasses import replace
 from .certificate import BINARY_ONE, SIGN_POSITIVE, certify, report_to_json_dict
 from .errors import InvalidParams, SoslabError, check_s_star
 from .estimators import BRANCH_AND_BOUND, DEFAULT_MAX_SUBSETS, EXHAUSTIVE, check_scan_settings
-from .lab import ExperimentConfig, estimate, fmt_float, parse_estimator, run_experiment
+from .lab import ExperimentConfig, GridPoint, estimate, fmt_float, parse_estimator, run_experiment
 from .matrix import read_matrix_json, write_matrix_json
-from .models import GAUSSIAN, RADEMACHER, SBM, SUBMATRIX, ModelParams, Noise, generate
+from .models import GAUSSIAN, RADEMACHER, SBM, SUBMATRIX, generate
 from .sdp import MAX_ITER_REACHED, SolverOptions
 
 _MODES = {"sign": SIGN_POSITIVE, "binary": BINARY_ONE}
@@ -83,26 +85,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _given(**flags) -> dict:
+    """The flags that were given, as document keys."""
+    return {key: value for key, value in flags.items() if value is not None}
+
+
 def _cmd_generate(args) -> int:
-    noise = None
-    # an sbm given a noise flag gets the noise too, which validation rejects
-    if args.model == SUBMATRIX or (args.noise, args.sigma, args.nu) != (None, None, None):
-        kind = args.noise or GAUSSIAN
-        scale, other = (args.sigma, "nu") if kind == GAUSSIAN else (args.nu, "sigma")
-        # the draw would ignore the other law's scale
-        if args.model == SUBMATRIX and getattr(args, other) is not None:
-            raise InvalidParams(f"--{other}: not a parameter of {kind} noise")
-        noise = Noise(kind=kind, scale=1.0 if scale is None else scale)
-    params = ModelParams(
-        kind=args.model,
-        d=args.d,
-        s_star=args.s,
-        beta_star=args.beta,
-        noise=noise,
-        beta_tilde=args.beta_tilde,
-        seed=args.seed,
+    # the flags as a grid point's document: a flag not given is a key not written
+    doc = _given(
+        model=args.model, d=args.d, s_star=args.s, beta_star=args.beta, beta_tilde=args.beta_tilde
     )
-    instance = generate(params)
+    scale = _given(sigma=args.sigma, nu=args.nu)
+    if args.noise or scale:
+        doc["noise"] = {"kind": args.noise or GAUSSIAN, **scale}
+    instance = generate(GridPoint.from_dict(doc, prefix="").params(args.seed))
     write_matrix_json(args.out, instance.matrix, instance.ground_truth_dict())
     return 0
 

@@ -17,10 +17,6 @@ def check_s_star(s_star: int, d: int) -> None:
         raise InvalidParams(f"need 2 <= s_star <= d, got s_star={s_star}, d={d}")
 
 
-class InvalidSupport(InvalidParams):
-    """A support set has the wrong size or contains out-of-range vertices."""
-
-
 class RademacherWithSignal(InvalidParams):
     """Two-point noise is a null construction and requires beta_star = 0."""
 

@@ -7,8 +7,9 @@ draws paired null/alternative instances per multiplier, uses
 Rerunning a config reproduces every CSV byte except the runtime_ms column.
 
 Settings check themselves when built, so a config that exists is a valid
-one. A config is read from its dataclasses (``fields.read``), and each
-experiment reads only its own keys. An estimator has one name from config
+one. A config is read from its dataclasses (``fields.read``); it holds only
+its experiment's keys, and none that its other fields leave unread
+(``solver`` without an SDP solve). An estimator has one name from config
 to CLI (``parse_estimator``).
 
 Formatting: floats carry 17 significant digits, booleans are ``true`` /
@@ -116,16 +117,19 @@ class GridPoint:
         return f"{self.noise.kind}:{fmt_float(self.noise.scale)}"
 
     @classmethod
-    def from_dict(cls, doc: dict, readers: dict = _POINT_READERS) -> "GridPoint":
+    def from_dict(
+        cls, doc: dict, readers: dict = _POINT_READERS, prefix: str = "grid."
+    ) -> "GridPoint":
         """A point read with ``readers``, its experiment's share of
-        ``_POINT_READERS``; its model, read first, sets its noise default."""
-        doc = parse(dict, doc, "grid")
-        model = parse_field(doc, "model", str, SUBMATRIX, "grid.model")
-        check_model_keys(model, doc, "grid.")
+        ``_POINT_READERS``, its fields named with ``prefix``; its model,
+        read first, sets its noise default."""
+        doc = parse(dict, doc, prefix.rstrip("."))
+        model = parse_field(doc, "model", str, SUBMATRIX, prefix + "model")
+        check_model_keys(model, doc, prefix)
         noise = None
         if model == SUBMATRIX:
-            noise = Noise.from_dict(doc["noise"]) if "noise" in doc else Noise(GAUSSIAN)
-        return read(cls, doc, readers, "grid.", model=model, noise=noise)
+            noise = Noise.from_dict(doc.get("noise", {"kind": GAUSSIAN}), prefix + "noise.")
+        return read(cls, doc, readers, prefix, model=model, noise=noise)
 
 
 @dataclass(frozen=True)
@@ -183,7 +187,7 @@ class ExperimentConfig:
         readers = {
             "experiment": str,
             "grid": lambda value, name: tuple(
-                GridPoint.from_dict(g, point) for g in parse(list, value, name)
+                GridPoint.from_dict(g, point, name + ".") for g in parse(list, value, name)
             ),
             "replicates": int, "base_seed": int, "output": str,
             "estimators": _tuple_of(str), "multipliers": _tuple_of(float),
@@ -192,7 +196,16 @@ class ExperimentConfig:
             ),
             "solve_sdp": bool, "scan_strategy": str, "max_subsets": int,
         }
-        return read(cls, doc, {key: r for key, r in readers.items() if key not in unread})
+        cfg = read(cls, doc, {key: r for key, r in readers.items() if key not in unread})
+        # a setting that no cell of the run reads, given the config's other fields
+        bases = {parse_estimator(name)[0] for name in cfg.estimators}
+        solves = cfg.solve_sdp or bases & {"sos_basic", "sos_level"}
+        scans = cfg.experiment != GAP or "scan" in bases
+        for key, used, what in (("solver", solves, "solves an SDP"),
+                                ("scan_strategy", scans, "scans"), ("max_subsets", scans, "scans")):
+            if key in doc and not used:
+                raise InvalidParams(f"{key}: no cell of this config {what}")
+        return cfg
 
     @classmethod
     def from_json(cls, path: str) -> "ExperimentConfig":

@@ -13,7 +13,8 @@ support connect with probability ``beta_star``, all other pairs with
 probability ``beta_tilde <= beta_star``.
 
 Default scales ``sigma = nu = 1`` ("unit scale"); all downstream rate checks
-are scale-relative.
+are scale-relative. Configs and ``soslab generate`` read a model as a grid
+point (``lab.GridPoint.from_dict``).
 
 Determinism: ``generate`` draws either model as a pure function of the
 params. The support is drawn first, by a Fisher-Yates prefix shuffle of
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParams, InvalidSupport, RademacherWithSignal, check_s_star
+from .errors import InvalidParams, RademacherWithSignal, check_s_star
 from .fields import check_keys, parse, parse_field
 from .matrix import NoisyMatrix, n_pairs, pair_indices
 from .seeds import generator
@@ -64,13 +65,14 @@ class Noise:
         return {"kind": self.kind, key: self.scale}
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "Noise":
-        doc = parse(dict, doc, "noise")
-        kind = parse_field(doc, "kind", str, name="noise.kind")
+    def from_dict(cls, doc: dict, prefix: str) -> "Noise":
+        """Noise read from ``doc``, each field named with ``prefix``."""
+        doc = parse(dict, doc, prefix.rstrip("."))
+        kind = parse_field(doc, "kind", str, name=prefix + "kind")
         key = "sigma" if kind == GAUSSIAN else "nu"
         if kind in (GAUSSIAN, RADEMACHER):  # else the constructor names the unknown kind
-            check_keys(doc, ("kind", key), "noise.")
-        return cls(kind=kind, scale=parse_field(doc, key, float, cls.scale, f"noise.{key}"))
+            check_keys(doc, ("kind", key), prefix)
+        return cls(kind=kind, scale=parse_field(doc, key, float, cls.scale, prefix + key))
 
 
 def check_model_keys(kind: str, keys: Collection[str], prefix: str = "") -> None:
@@ -144,23 +146,6 @@ class PlantedInstance:
 
     def ground_truth_dict(self) -> dict:
         return {"support": sorted(self.support), "params": self.params.to_dict()}
-
-
-def _check_support(d: int, s_star: int, support) -> frozenset[int]:
-    supp = frozenset(int(v) for v in support)
-    if len(supp) != s_star:
-        raise InvalidSupport(f"support must have exactly {s_star} vertices, got {len(supp)}")
-    if not supp <= set(range(1, d + 1)):
-        raise InvalidSupport(f"support must be a subset of 1..{d}")
-    return supp
-
-
-def mean_matrix(params: ModelParams, support) -> NoisyMatrix:
-    """Entrywise mean of the model: beta_star inside the support, else 0
-    (for sbm, beta_tilde outside)."""
-    supp = _check_support(params.d, params.s_star, support)
-    outside = params.beta_tilde if params.kind == SBM else 0.0
-    return NoisyMatrix(d=params.d, entries=_pair_values(params.d, supp, params.beta_star, outside))
 
 
 def sample_support(d: int, s_star: int, rng: np.random.Generator) -> frozenset[int]:

@@ -54,7 +54,7 @@ kernel adds each row's products, in CSR order, to the entry already in
 its output buffer. So y is seeded with c / (rho m) (recomputed when rho
 changes) and takes the cell means, the buffer of A y0 - b is seeded with
 -b, the outputs of Down and Up are zeroed, and the last product adds the
-correction into y. A program without equalities ends at y0.
+correction into y.
 
 Residuals:
 
@@ -170,7 +170,7 @@ def project_psd(X: np.ndarray, *, out: np.ndarray | None = None, positive: int):
     """Spectral projection onto the PSD cone, and its count of eigenvalues
     above the cut: ``(P, k)``.
 
-    X must be an exactly symmetric float64 array (the loop's M(y) + U);
+    X is the loop's M(y) + U, exactly symmetric float64 of side n >= 3;
     LAPACK overwrites it. The result is W W^T with W = V+ diag(sqrt(w+))
     over the eigenpairs with eigenvalues above the cut tau = n eps ||X||_F:
     numpy runs that product as a BLAS syrk, so it is exactly symmetric. It
@@ -199,9 +199,6 @@ def project_psd(X: np.ndarray, *, out: np.ndarray | None = None, positive: int):
         top = float(np.abs(X).max())
         Y = X / top
         cut = n * _EPS * math.sqrt(np.vdot(Y, Y)) * top
-    if n == 0:
-        # LAPACK's wrappers reject an empty matrix
-        return (np.zeros((0, 0)) if out is None else out), 0
     # X is exactly symmetric, so X.T is the same matrix in Fortran order,
     # which LAPACK overwrites without a copy.
     if positive > _FULL_ABOVE:
@@ -361,7 +358,7 @@ class Constraints:
     equality carry a family of their own. The solver's set-up, ``inv_m``,
     ``cell_means``, ``neg_weighted_AT`` and ``orbits``, is computed on
     first use and kept. Compared and hashed by identity (``eq=False``);
-    ``len()`` is the number of equality rows.
+    ``len()`` is the number of equality rows, at least one.
     """
 
     entry_map: np.ndarray
@@ -372,6 +369,8 @@ class Constraints:
     row_families: np.ndarray
 
     def __post_init__(self) -> None:
+        if len(self) == 0:
+            raise InvalidParams("a program needs at least one equality (y[empty] = 1)")
         _read_only_csr(self.A)
         for arr in (self.entry_map, self.b, self.row_sets, self.row_families):
             arr.flags.writeable = False
@@ -421,15 +420,14 @@ def solve(program: SosProgram, options: SolverOptions | None = None) -> SdpSolut
     entry, b, c = cons.entry_map, cons.b, program.c
     inv_m = cons.inv_m
     add_cell_means = _accumulate(cons.cell_means)
-    if b.size:
-        down, up = cons.orbits
-        add_A, add_down, add_up = _accumulate(cons.A), _accumulate(down), _accumulate(up)
-        add_correction = _accumulate(cons.neg_weighted_AT)
-        minus_b = -b
-        # A y0 - b (then A y - b for eq_res), Down's and Up's outputs
-        Ay_b = np.empty(len(b))
-        coarse = np.empty(down.shape[0])
-        lam = np.empty(len(b))
+    down, up = cons.orbits
+    add_A, add_down, add_up = _accumulate(cons.A), _accumulate(down), _accumulate(up)
+    add_correction = _accumulate(cons.neg_weighted_AT)
+    minus_b = -b
+    # A y0 - b (then A y - b for eq_res), Down's and Up's outputs
+    Ay_b = np.empty(len(b))
+    coarse = np.empty(down.shape[0])
+    lam = np.empty(len(b))
 
     rho = _RHO_START
     rho_changes = 0
@@ -459,14 +457,13 @@ def solve(program: SosProgram, options: SolverOptions | None = None) -> SdpSolut
         np.copyto(y, c_step)
         np.subtract(Z, U, out=T)
         add_cell_means(T_flat, y)
-        if b.size:
-            np.copyto(Ay_b, minus_b)
-            add_A(y, Ay_b)
-            coarse.fill(0.0)
-            add_down(Ay_b, coarse)
-            lam.fill(0.0)
-            add_up(coarse, lam)
-            add_correction(lam, y)
+        np.copyto(Ay_b, minus_b)
+        add_A(y, Ay_b)
+        coarse.fill(0.0)
+        add_down(Ay_b, coarse)
+        lam.fill(0.0)
+        add_up(coarse, lam)
+        add_correction(lam, y)
         # mode='wrap': 'raise' would buffer the output; every index is in range
         y.take(entry, out=My, mode="wrap")
         Z_prev = Z
@@ -482,11 +479,9 @@ def solve(program: SosProgram, options: SolverOptions | None = None) -> SdpSolut
         if psd_gap > TOL and not adapt and it < options.max_iter:
             continue
         value = float(c @ y) / program.scale
-        eq_res = 0.0
-        if b.size:
-            np.copyto(Ay_b, minus_b)
-            add_A(y, Ay_b)
-            eq_res = float(np.abs(Ay_b).max())
+        np.copyto(Ay_b, minus_b)
+        add_A(y, Ay_b)
+        eq_res = float(np.abs(Ay_b).max())
         primal = eq_res + psd_gap
         np.subtract(Z, Z_prev, out=T)
         dual = rho * math.sqrt(np.vdot(T, T))

@@ -25,7 +25,7 @@ from soslab.certificate import (
     report_to_json_dict,
     verify_certificate,
 )
-from soslab.errors import CertificateUndefined, InvalidParams, NotBinary, TooLarge
+from soslab.errors import CertificateUndefined, InvalidParams, MissingValue, NotBinary, TooLarge
 from soslab.matrix import NoisyMatrix, n_pairs
 from soslab.models import ModelParams, Noise, generate
 import soslab
@@ -373,6 +373,15 @@ def test_verify_and_objective_reject_s_star_outside_2_to_d(s_star):
         verify_certificate(pe, 4, s_star, 1)
     with pytest.raises(InvalidParams, match=message):
         certificate_objective(X, pe, s_star)
+
+
+def test_objective_rejects_data_on_fewer_vertices():
+    # the pair moments are read at the certificate's own pair indices, so
+    # the data must have the certificate's d (more vertices: test_sos)
+    pe = build_certificate(expansivity_table(complete_graph(4), 1), 2, 1)
+    X = NoisyMatrix(d=3, entries=np.ones(3))
+    with pytest.raises(MissingValue, match="^pseudo-expectation covers d=4, data has d=3$"):
+        certificate_objective(X, pe, 2)
 
 
 def dense_rowsum_violation(pe, d, s_star, ell):

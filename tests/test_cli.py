@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from soslab.cli import main
-from soslab.lab import ESTIMATORS, ExperimentConfig, fmt_float, run_gap_experiment
+from soslab.lab import ESTIMATORS, ExperimentConfig, GridPoint, fmt_float, run_gap_experiment
 from soslab.matrix import read_matrix_json, write_matrix_json
 from soslab.models import ModelParams, Noise, generate
 from soslab.sdp import MAX_ITER_REACHED, SolverOptions, solve
@@ -223,9 +223,9 @@ def test_generate_rejects_the_other_models_parameter(tmp_path, capsys, model_arg
 @pytest.mark.parametrize(
     "noise_args, message",
     [
-        (["--noise", "gaussian", "--nu", "2"], "--nu: not a parameter of gaussian noise"),
-        (["--nu", "2"], "--nu: not a parameter of gaussian noise"),
-        (["--noise", "rademacher", "--sigma", "2"], "--sigma: not a parameter of rademacher noise"),
+        (["--noise", "gaussian", "--nu", "2"], "noise.nu: unknown key"),
+        (["--nu", "2"], "noise.nu: unknown key"),
+        (["--noise", "rademacher", "--sigma", "2"], "noise.sigma: unknown key"),
     ],
     ids=["gaussian-nu", "default-nu", "rademacher-sigma"],
 )
@@ -250,6 +250,32 @@ def test_generate_submatrix_noise_defaults_to_unit_gaussian(tmp_path, capsys):
     )
     assert code == 0
     assert read_matrix_json(out)[1]["params"]["noise"] == {"kind": "gaussian", "sigma": 1.0}
+
+
+@pytest.mark.parametrize(
+    "flags, doc",
+    [
+        (["--model", "submatrix", "--beta", "1"], {"model": "submatrix", "beta_star": 1.0}),
+        (["--model", "submatrix", "--beta", "0", "--noise", "rademacher", "--nu", "2"],
+         {"model": "submatrix", "beta_star": 0.0, "noise": {"kind": "rademacher", "nu": 2.0}}),
+        (["--model", "submatrix", "--beta", "2", "--sigma", "0"],
+         {"model": "submatrix", "beta_star": 2.0, "noise": {"kind": "gaussian", "sigma": 0.0}}),
+        (["--model", "sbm", "--beta", "0.7", "--beta-tilde", "0.2"],
+         {"model": "sbm", "beta_star": 0.7, "beta_tilde": 0.2}),
+    ],
+    ids=["submatrix-default", "rademacher-nu", "noiseless", "sbm"],
+)
+def test_generate_writes_the_draw_of_the_same_grid_point(tmp_path, capsys, flags, doc):
+    # the flags are read as a grid point's document: the same bytes as
+    # the point's draw at the same seed
+    out, ref = tmp_path / "cli.json", tmp_path / "ref.json"
+    code, stdout, stderr = run_cli(
+        capsys, "generate", *flags, "--d", "7", "--s", "3", "--seed", "5", "--out", str(out)
+    )
+    assert (code, stdout, stderr) == (0, "", "")
+    instance = generate(GridPoint.from_dict({**doc, "d": 7, "s_star": 3}, prefix="").params(5))
+    write_matrix_json(str(ref), instance.matrix, instance.ground_truth_dict())
+    assert out.read_bytes() == ref.read_bytes()
 
 
 def test_usage_errors_exit_2(capsys):

@@ -384,10 +384,11 @@ def _at(index, make, field, value, message):
         _at(8, cert_config, "grid", [_sbm_point(beta_tilde=None)],
          "grid.beta_tilde: expected float, got None"),
         _at(9, gap_config, "grid", [_gaussian_point(noise={"kind": "gaussian", "sigma": "x"})],
-         "noise.sigma: expected float, got 'x'"),
-        _at(10, gap_config, "grid", [_gaussian_point(noise={"sigma": 1.0})], "noise.kind: missing"),
+         "grid.noise.sigma: expected float, got 'x'"),
+        _at(10, gap_config, "grid", [_gaussian_point(noise={"sigma": 1.0})],
+         "grid.noise.kind: missing"),
         _at(11, gap_config, "grid", [_gaussian_point(noise="gaussian")],
-         "noise: expected dict, got 'gaussian'"),
+         "grid.noise: expected dict, got 'gaussian'"),
         _at(12, gap_config, "grid", ["x"], "grid: expected dict, got 'x'"),
         (gap_config, "solver", "x", "solver: expected dict, got 'x'"),
         _at(14, raw_config, "doc", [1, 2], "config: expected dict, got [1, 2]"),
@@ -425,7 +426,7 @@ def _at(index, make, field, value, message):
         # a key the parser does not read would otherwise leave its field at
         # the default: sigma = 1, branch-and-bound, max_iter = 100000, ell = None
         _at(35, gap_config, "grid", [_gaussian_point(noise={"kind": "gaussian", "nu": 3.0})],
-         "noise.nu: unknown key"),
+         "grid.noise.nu: unknown key"),
         (gap_config, "scan_stratgy", "exhaustive", "scan_stratgy: unknown key"),
         _at(37, gap_config, "solver", {"tolerance": 1e-3}, "solver.tolerance: unknown key"),
         _at(38, cert_config, "grid", [_sbm_point(ell=None, level=2)], "grid.level: unknown key"),
@@ -492,7 +493,7 @@ EVERY_KEY = {
 def _as_read(key, value):
     """A document's value as its field holds it."""
     if key == "noise":
-        return Noise.from_dict(value)
+        return Noise.from_dict(value, "grid.noise.")
     if key == "solver":
         return SolverOptions(**value)
     return tuple(value) if isinstance(value, list) else value
@@ -545,6 +546,31 @@ def test_every_field_is_read_by_some_experiment():
     }
 
 
+@pytest.mark.parametrize(
+    "experiment, change, message",
+    [
+        ("certificate", {"solver": {"max_iter": 3}}, "solver: no cell of this config solves an SDP"),
+        ("gap", {"estimators": ["scan", "max"], "solver": {"max_iter": 3}},
+         "solver: no cell of this config solves an SDP"),
+        ("gap", {"estimators": ["max", "sos_basic"], "scan_strategy": "exhaustive"},
+         "scan_strategy: no cell of this config scans"),
+        ("gap", {"estimators": ["max"], "max_subsets": 2}, "max_subsets: no cell of this config scans"),
+    ],
+    ids=["certificate-solver", "gap-solver", "gap-scan_strategy", "gap-max_subsets"],
+)
+def test_config_rejects_a_setting_its_run_ignores(experiment, change, message):
+    # the run's other fields leave the setting unread: without it, the
+    # config is read
+    point = _gaussian_point(ell=1) if experiment == "certificate" else _gaussian_point()
+    doc = {"experiment": experiment, "grid": [point], "replicates": 1, "base_seed": 1,
+           "output": "x.csv", **change}
+    with pytest.raises(InvalidParams) as exc:
+        ExperimentConfig.from_dict(doc)
+    assert str(exc.value) == message
+    key = message.partition(":")[0]
+    ExperimentConfig.from_dict({k: v for k, v in doc.items() if k != key})
+
+
 def test_config_int_fields_accept_integral_floats(tmp_path):
     cfg = gap_config(tmp_path, replicates=3.0, grid=[_gaussian_point(d=6.0)])
     assert cfg.replicates == 3 and isinstance(cfg.replicates, int)
@@ -568,7 +594,8 @@ def test_experiment_cli_reports_bad_field(tmp_path, capsys):
     }
     for change, message in (
         ({"replicates": "two"}, "replicates: expected int, got 'two'"),
-        ({"grid": [_gaussian_point(noise="gaussian")]}, "noise: expected dict, got 'gaussian'"),
+        ({"grid": [_gaussian_point(noise="gaussian")]},
+         "grid.noise: expected dict, got 'gaussian'"),
     ):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({**good, **change}))

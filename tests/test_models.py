@@ -1,15 +1,9 @@
 import numpy as np
 import pytest
 
-from soslab.errors import InvalidParams, InvalidSupport, RademacherWithSignal
+from soslab.errors import InvalidParams, RademacherWithSignal
 from soslab.matrix import n_pairs
-from soslab.models import (
-    ModelParams,
-    Noise,
-    generate,
-    mean_matrix,
-    sample_support,
-)
+from soslab.models import ModelParams, Noise, generate, sample_support
 from soslab.seeds import generator, mix_seed
 from constructors import entry, matrix_from_dense, pairs
 
@@ -28,54 +22,13 @@ def sbm_params(**kw):
     return ModelParams(**base)
 
 
-def test_mean_matrix_single_pair():
-    theta = mean_matrix(submatrix_params(), {1, 2})
-    assert entry(theta, 1, 2) == 1.0
-    assert theta.entries.sum() == 1.0
-
-
-def test_mean_matrix_zero_signal():
-    theta = mean_matrix(submatrix_params(d=3, s_star=3, beta_star=0.0), {1, 2, 3})
-    assert np.all(theta.entries == 0.0)
-
-
-def test_mean_matrix_sbm():
-    theta = mean_matrix(
-        sbm_params(d=3, s_star=2, beta_star=0.9, beta_tilde=0.1), {2, 3}
-    )
-    assert entry(theta, 2, 3) == 0.9
-    assert entry(theta, 1, 2) == 0.1
-    assert entry(theta, 1, 3) == 0.1
-
-
-def test_mean_matrix_matches_pair_loop():
-    # reference: the per-pair loop in storage order
-    rng = generator(21)
-    for d, s_star in ((2, 2), (7, 3), (20, 5)):
-        for params in (
-            submatrix_params(d=d, s_star=s_star, beta_star=1.5),
-            sbm_params(d=d, s_star=s_star, beta_star=0.7, beta_tilde=0.2),
-        ):
-            support = sample_support(d, s_star, rng)
-            outside = 0.2 if params.kind == "sbm" else 0.0
-            expected = [
-                params.beta_star if i in support and j in support else outside
-                for i, j in pairs(d)
-            ]
-            assert mean_matrix(params, support).entries.tolist() == expected
-
-
-def test_mean_matrix_rejects_bad_support():
-    with pytest.raises(InvalidSupport):
-        mean_matrix(submatrix_params(), {1})
-    with pytest.raises(InvalidSupport):
-        mean_matrix(submatrix_params(), {1, 7})
-
-
 def test_noiseless_mode_reproduces_mean():
+    # reference: the mean, beta_star inside the support and 0 elsewhere,
+    # by a per-pair loop in storage order
     params = submatrix_params(beta_star=5.0, noise=Noise("gaussian", 0.0), seed=7)
     inst = generate(params)
-    assert inst.matrix == mean_matrix(params, inst.support)
+    expected = [5.0 if i in inst.support and j in inst.support else 0.0 for i, j in pairs(4)]
+    assert inst.matrix.entries.tolist() == expected
 
 
 def test_rademacher_entries_two_point():

@@ -22,7 +22,7 @@ from soslab.matrix import NoisyMatrix, n_pairs
 from soslab.models import ModelParams, Noise, generate
 from soslab.sdp import MAX_ITER_REACHED, OPTIMAL, SolverOptions, project_psd, solve
 from soslab.seeds import generator
-from soslab.sos import Constraints, SosProgram, assemble_basic, assemble_level
+from soslab.sos import Constraints, assemble_basic, assemble_level
 from constructors import project_symmetrized
 
 CVXPY_REASON = "cvxpy used only as an independent oracle"
@@ -130,15 +130,6 @@ def test_project_psd_writes_into_out():
     P, _ = project_symmetrized(S, out=out)
     assert P is out
     assert np.array_equal(P, project_symmetrized(S)[0])
-
-
-@pytest.mark.parametrize("positive", [0, 13])
-def test_project_psd_of_empty_matrix(positive):
-    # LAPACK's wrappers reject n = 0; the projection of a 0 x 0 matrix is
-    # a 0 x 0 matrix with no positive eigenvalue
-    P, k = project_psd(np.zeros((0, 0)), positive=positive)
-    assert P.shape == (0, 0)
-    assert k == 0
 
 
 def test_project_psd_overwrite_skips_symmetrization():
@@ -489,28 +480,18 @@ def test_setup_peak_memory_is_what_it_keeps():
 
 
 def test_solve_without_equalities():
-    # maximize -trace M(y) over M(y) PSD alone: the optimum is M = 0, and
-    # the y-step has no equalities to project onto
+    # every program has the row y[empty] = 1, and the y-step always
+    # projects: a system without equality rows is refused when built
     prog = assemble_basic(NoisyMatrix(d=4, entries=np.ones(6)), 2)
-    c = np.zeros(prog.var_count)
-    c[np.diag(prog.constraints.entry_map)] = -1.0
-    free = SosProgram(
-        c=c,
-        constraints=Constraints(
+    with pytest.raises(InvalidParams, match=r"^a program needs at least one equality \(y\[empty\] = 1\)$"):
+        Constraints(
             entry_map=prog.constraints.entry_map,
             A=scipy.sparse.csr_matrix((0, prog.var_count)),
             b=np.zeros(0),
             d=4,
             row_sets=np.zeros((0, 2), dtype=np.int16),
             row_families=np.zeros(0, dtype=np.int64),
-        ),
-        scale=1.0,
-    )
-    sol = solve(free)
-    assert sol.status == OPTIMAL
-    assert sol.eq_res == 0.0
-    assert sol.value == pytest.approx(0.0, abs=1e-6)
-    assert np.linalg.eigvalsh(sol.matrix)[0] >= -1e-7
+        )
 
 
 def _add_product(out, rows, data, indices, x):
