@@ -6,6 +6,7 @@ from . import errors
 from .certificate import (
     ExpansivityTable,
     FeasibilityReport,
+    PseudoExpectation,
     build_certificate,
     certificate_objective,
     certify,
@@ -26,13 +27,13 @@ from .matrix import NoisyMatrix, read_matrix_json, write_matrix_json
 from .models import ModelParams, Noise, PlantedInstance, generate
 from .sdp import SdpSolution, SolverOptions, solve
 from .seeds import generator, mix_seed
-from .sos import PseudoExpectation, SosProgram, assemble_basic, assemble_level
-from .subsets import SubsetIndexer, subset_indexer
+from .sos import SosProgram, assemble_basic, assemble_level
 
 __all__ = [
     "errors",
     "ExpansivityTable",
     "FeasibilityReport",
+    "PseudoExpectation",
     "build_certificate",
     "certificate_objective",
     "certify",
@@ -62,10 +63,7 @@ __all__ = [
     "solve",
     "generator",
     "mix_seed",
-    "PseudoExpectation",
     "SosProgram",
     "assemble_basic",
     "assemble_level",
-    "SubsetIndexer",
-    "subset_indexer",
 ]

@@ -12,10 +12,10 @@ each subset S with |S| = k <= 2l to
 where perm is the falling factorial, and satisfies the level-l program's
 equalities exactly whenever eta(empty) > 0.
 
-Every stage works on integer arrays in the subset indexer's variable order
-(``subsets.rank``), with no loop over moments: the table is ``eta[j]``, and
-the certificate is the numerators ``num[j] = eta[j] * perm(s_star, k) *
-(2l - k)!`` over the one denominator ``eta(empty) * (2l)!``. Integers are
+Every stage works on integer arrays in the variable order (``subsets.rank``),
+with no loop over moments: the table is ``eta[j]``, and the certificate, a
+``PseudoExpectation``, is the numerators ``num[j] = eta[j] * perm(s_star, k)
+* (2l - k)!`` over the one denominator ``eta(empty) * (2l)!``. Integers are
 int64 where a bound computed beforehand shows that no sum or product can
 overflow, and Python integers (``dtype=object``) otherwise, so the exact
 checks cannot be corrupted by overflow or rounding. Positive
@@ -42,8 +42,7 @@ from .errors import (
     check_s_star,
 )
 from .matrix import NoisyMatrix, pair_indices
-from .sos import PseudoExpectation, exact_dtype, max_abs, nonzero_block
-from .subsets import SubsetIndexer, parents, sizes, subset_counts, subset_indexer, var_count
+from .subsets import check_side, entry_map, parents, sizes, subset_counts, var_count, variables
 
 SIGN_POSITIVE = "sign-positive"
 BINARY_ONE = "binary-one"
@@ -51,10 +50,70 @@ BINARY_ONE = "binary-one"
 PSD_REL_TOL = 1e-8
 
 
+def exact_dtype(bound: int):
+    """int64 when every integer of a computation is at most ``bound`` in
+    absolute value and ``bound`` fits, else Python ints (``object``)."""
+    return np.int64 if bound < 2**63 else object
+
+
+def max_abs(arr: np.ndarray) -> int:
+    """Largest absolute value of an integer array, as a Python int (0 when empty)."""
+    return int(np.abs(arr).max()) if arr.size else 0
+
+
+@dataclass(frozen=True, eq=False)
+class PseudoExpectation:
+    """Exact pseudo-moments ``y[S] = num[j] / den`` of the subsets S of
+    {1..d} with |S| <= 2*ell, where j is S's index in the variable order
+    (``subsets.rank``).
+
+    ``num`` is a read-only integer array, int64 or Python ints
+    (``dtype=object``) when a value does not fit, and ``den`` a positive
+    Python int, not necessarily in lowest terms. ``values`` holds the
+    nonzero numerators in variable order; its length counts the nonzero
+    moments.
+    """
+
+    d: int
+    ell: int
+    num: np.ndarray
+    den: int
+
+    def __post_init__(self) -> None:
+        if self.num.shape != (var_count(self.d, 2 * self.ell),) or self.den < 1:
+            raise InvalidParams(
+                f"need {var_count(self.d, 2 * self.ell)} numerators and a positive denominator"
+            )
+        kind = self.num.dtype.kind
+        if not (kind in "iu" or kind == "O" and all(isinstance(n, int) for n in self.num.tolist())):
+            raise InvalidParams(f"numerators must be integers, got dtype {self.num.dtype}")
+        self.num.flags.writeable = False
+
+    @property
+    def values(self) -> np.ndarray:
+        return self.num[self.num != 0]
+
+    def floats(self) -> np.ndarray:
+        """``num / den`` correctly rounded: a float division when both sides
+        are exact as floats (below 2**53), else Python ``int / int``."""
+        if self.den < 2**53 and max_abs(self.num) < 2**53:
+            return self.num.astype(np.float64) / float(self.den)
+        return (self.num.astype(object) / self.den).astype(np.float64)
+
+
+def nonzero_block(pe: PseudoExpectation) -> np.ndarray:
+    """``pe.floats()[entry_map(pe.d, pe.ell)]`` on its nonzero rows, found
+    from a boolean mask of the nonzero moments; only the block is gathered
+    as floats, never the full float moment matrix."""
+    em = entry_map(pe.d, pe.ell)
+    rows = np.flatnonzero((pe.num != 0)[em].any(axis=1))
+    return pe.floats().take(em.take(rows, axis=0).take(rows, axis=1))
+
+
 @dataclass(frozen=True, eq=False)
 class ExpansivityTable:
     """Counts eta(S) for all subsets with |S| <= 2*ell: a read-only int64
-    array in the indexer's variable order."""
+    array in the variable order."""
 
     d: int
     ell: int
@@ -111,11 +170,11 @@ def _cliques(adj: np.ndarray, size: int) -> np.ndarray:
 
 
 def expansivity_table(adj: np.ndarray, ell: int) -> ExpansivityTable:
-    """eta over the indexer's variables: the 2l-cliques of the graph with
-    adjacency ``adj`` containing each subset. The moment-matrix side
+    """eta over the variables of (d, ell): the 2l-cliques of the graph
+    with adjacency ``adj`` containing each subset. The moment-matrix side
     budget is checked first, before any counting."""
     d = len(adj)
-    subset_indexer(d, ell)
+    check_side(d, ell)
     eta = subset_counts(d, 2 * ell, _cliques(adj, 2 * ell))
     eta.flags.writeable = False
     return ExpansivityTable(d=d, ell=ell, eta=eta)
@@ -136,10 +195,7 @@ def build_certificate(table: ExpansivityTable, s_star: int, ell: int) -> PseudoE
     weights = [math.perm(s_star, k) * math.factorial(2 * ell - k) for k in range(2 * ell + 1)]
     dtype = exact_dtype(eta0 * max(weights))
     num = table.eta.astype(dtype) * np.array(weights, dtype=dtype)[sizes(table.d, 2 * ell)]
-    return PseudoExpectation(
-        d=table.d, ell=ell, s_star=s_star, num=num, den=eta0 * math.factorial(2 * ell),
-        eta_empty=eta0,
-    )
+    return PseudoExpectation(d=table.d, ell=ell, num=num, den=eta0 * math.factorial(2 * ell))
 
 
 def verify_certificate(
@@ -156,33 +212,35 @@ def verify_certificate(
 
     lambda_min and the PSD verdict come from the float moment matrix,
     restricted to its nonzero rows and gathered as that block alone
-    (``sos.nonzero_block``): a zero row is a zero column too, so it
+    (``nonzero_block``): a zero row is a zero column too, so it
     contributes one eigenvalue of exactly 0 and leaves the others as they
     are. With a row dropped, lambda_min and lambda_max are those of the
     block taken together with 0; with every row zero both are 0.
     """
     check_s_star(s_star, d)
-    idx = subset_indexer(d, ell)
-    min_eig, max_eig = _eig_range(nonzero_block(pe, idx), idx.dim)
+    if (pe.d, pe.ell) != (d, ell):
+        raise MissingValue(
+            f"pseudo-expectation covers (d={pe.d}, ell={pe.ell}), not (d={d}, ell={ell})"
+        )
+    min_eig, max_eig = _eig_range(nonzero_block(pe), check_side(d, ell))
     return FeasibilityReport(
         normalization_ok=int(pe.num[0]) == pe.den,
-        rowsum_max_violation=_rowsum_violation(pe, idx, s_star),
+        rowsum_max_violation=_rowsum_violation(pe, s_star),
         min_eigenvalue=min_eig,
         psd=min_eig >= -PSD_REL_TOL * max(1.0, max_eig),
-        eta_empty=pe.eta_empty,
     )
 
 
-def _rowsum_violation(pe: PseudoExpectation, idx: SubsetIndexer, s_star: int) -> Fraction:
+def _rowsum_violation(pe: PseudoExpectation, s_star: int) -> Fraction:
     """max over |S| <= 2l - 1 of |sum_{i not in S} y[S+{i}] - (s_star - |S|) y[S]|."""
-    d, width = idx.d, 2 * idx.ell
+    d, width = pe.d, 2 * pe.ell
     # A left side sums at most d numerators; |s_star - |S|| <= |s_star| + d.
     dtype = exact_dtype((2 * d + abs(s_star)) * max_abs(pe.num))
     nz = np.flatnonzero(pe.num)
     y = pe.num[nz].astype(dtype)
     n_rows = var_count(d, width - 1)
     lhs = np.zeros(n_rows + 1, dtype=dtype)  # the last entry gathers the pads
-    for col in parents(d, idx.members[nz]).T:
+    for col in parents(d, variables(d, pe.ell)[nz]).T:
         np.add.at(lhs, col, y)
     rhs = (s_star - sizes(d, width - 1)).astype(dtype) * pe.num[:n_rows].astype(dtype)
     return Fraction(max_abs(lhs[:n_rows] - rhs), pe.den)
@@ -229,13 +287,15 @@ def certificate_objective(X: NoisyMatrix, pe: PseudoExpectation, s_star: int) ->
 
 def certify(X: NoisyMatrix, mode: str, s_star: int, ell: int) -> FeasibilityReport:
     """The certificate of X end to end: positivity graph, expansivity table,
-    certificate, verification, and the report with its exact objective.
+    certificate, verification, and the report with its exact objective and
+    clique count (``eta_empty``, which ``verify_certificate`` leaves None).
     The moment-matrix side budget is checked before any counting
     (``expansivity_table``)."""
     table = expansivity_table(positivity_graph(X, mode), ell)
     pe = build_certificate(table, s_star, ell)
     report = verify_certificate(pe, X.d, s_star, ell)
-    return replace(report, objective=certificate_objective(X, pe, s_star))
+    objective = certificate_objective(X, pe, s_star)
+    return replace(report, objective=objective, eta_empty=table.clique_count)
 
 
 def frac_str(fr: Fraction) -> str:

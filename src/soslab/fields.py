@@ -9,6 +9,7 @@ from __future__ import annotations
 import dataclasses
 import numbers
 from collections.abc import Collection
+from contextlib import contextmanager
 
 from .errors import InvalidParams
 
@@ -49,7 +50,8 @@ def read(cls, doc: dict, readers: dict, prefix: str = "", **values):
     """``cls`` built from ``doc``. Each key of ``readers`` is a field, read
     by a kind for ``parse`` or by a function of the value and its name;
     ``values`` holds the fields the caller read. A field left out takes its
-    dataclass default, so each default is stated once, in the dataclass."""
+    dataclass default, so each default is stated once, in the dataclass.
+    The object's own checks are named by ``prefix``, less its dot."""
     check_keys(doc, readers.keys() | values.keys(), prefix)
     fields = {f.name: f for f in dataclasses.fields(cls)}
     for key, reader in readers.items():
@@ -58,7 +60,17 @@ def read(cls, doc: dict, readers: dict, prefix: str = "", **values):
             values[key] = parse(reader, value, name) if isinstance(reader, type) else reader(value, name)
         elif fields[key].default is fields[key].default_factory is dataclasses.MISSING:
             raise InvalidParams(f"{prefix}{key}: missing")
-    return cls(**values)
+    with named(prefix.rstrip(".")):
+        return cls(**values)
+
+
+@contextmanager
+def named(name: str):
+    """Put ``name``, if any, before the message of an ``InvalidParams`` raised inside."""
+    try:
+        yield
+    except InvalidParams as exc:
+        raise (type(exc)(f"{name}: {exc}") if name else exc) from None
 
 
 def check_keys(doc: dict, known: Collection[str], prefix: str = "") -> None:

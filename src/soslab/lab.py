@@ -70,8 +70,8 @@ ESTIMATORS = ("scan", "avg", "max", "lp", "sos_basic", "sos_level")
 # The keys of a grid point beside ``model`` and ``noise``.
 _POINT_READERS = {"d": int, "s_star": int, "beta_star": float, "beta_tilde": float, "ell": int}
 
-# The keys each experiment does not read, named as in their errors: in its
-# config such a key is unknown. A missing or unknown experiment reads every key.
+# The keys each experiment does not read (a grid point's as ``grid.<key>``):
+# in its config such a key is unknown. A missing or unknown experiment reads every key.
 _UNREAD = {
     GAP: {"multipliers", "solve_sdp", "grid.ell"},
     CERTIFICATE: {"estimators", "multipliers", "scan_strategy", "max_subsets"},
@@ -117,18 +117,17 @@ class GridPoint:
         return f"{self.noise.kind}:{fmt_float(self.noise.scale)}"
 
     @classmethod
-    def from_dict(
-        cls, doc: dict, readers: dict = _POINT_READERS, prefix: str = "grid."
-    ) -> "GridPoint":
+    def from_dict(cls, doc: dict, prefix: str, readers: dict = _POINT_READERS) -> "GridPoint":
         """A point read with ``readers``, its experiment's share of
-        ``_POINT_READERS``, its fields named with ``prefix``; its model,
-        read first, sets its noise default."""
+        ``_POINT_READERS``, named with ``prefix`` (``grid[0].`` in a config);
+        its model, read first, sets its noise default."""
         doc = parse(dict, doc, prefix.rstrip("."))
         model = parse_field(doc, "model", str, SUBMATRIX, prefix + "model")
         check_model_keys(model, doc, prefix)
         noise = None
         if model == SUBMATRIX:
-            noise = Noise.from_dict(doc.get("noise", {"kind": GAUSSIAN}), prefix + "noise.")
+            noise_doc = doc.get("noise", {"kind": GAUSSIAN})
+            noise = Noise.from_dict(noise_doc, prefix + "noise.", prefix and prefix + "noise")
         return read(cls, doc, readers, prefix, model=model, noise=noise)
 
 
@@ -163,9 +162,9 @@ class ExperimentConfig:
             for name in self.estimators:
                 parse_estimator(name)
         if self.experiment == CERTIFICATE:
-            for g in self.grid:
+            for i, g in enumerate(self.grid):
                 if g.ell is None or g.ell < 1:
-                    raise InvalidParams("certificate grid points need an 'ell' field >= 1")
+                    raise InvalidParams(f"grid[{i}]: certificate points need an 'ell' field >= 1")
         for c in self.multipliers:
             # a NaN separation makes every H1 cell fail, which reads as no type II error
             if not 0 <= c < math.inf:
@@ -173,9 +172,9 @@ class ExperimentConfig:
         if self.experiment == THRESHOLD:
             if not self.multipliers:
                 raise InvalidParams("threshold experiment needs signal multipliers")
-            for g in self.grid:
+            for i, g in enumerate(self.grid):
                 if g.model != SUBMATRIX or g.noise is None or g.noise.kind != GAUSSIAN:
-                    raise InvalidParams("threshold sweep runs on gaussian submatrix grids")
+                    raise InvalidParams(f"grid[{i}]: threshold needs gaussian submatrix points")
         check_scan_settings(self.scan_strategy, self.max_subsets)
 
     @classmethod
@@ -187,7 +186,8 @@ class ExperimentConfig:
         readers = {
             "experiment": str,
             "grid": lambda value, name: tuple(
-                GridPoint.from_dict(g, point, name + ".") for g in parse(list, value, name)
+                GridPoint.from_dict(g, f"{name}[{i}].", point)
+                for i, g in enumerate(parse(list, value, name))
             ),
             "replicates": int, "base_seed": int, "output": str,
             "estimators": _tuple_of(str), "multipliers": _tuple_of(float),

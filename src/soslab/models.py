@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParams, RademacherWithSignal, check_s_star
-from .fields import check_keys, parse, parse_field
+from .fields import check_keys, named, parse, parse_field
 from .matrix import NoisyMatrix, n_pairs, pair_indices
 from .seeds import generator
 
@@ -65,14 +65,16 @@ class Noise:
         return {"kind": self.kind, key: self.scale}
 
     @classmethod
-    def from_dict(cls, doc: dict, prefix: str) -> "Noise":
-        """Noise read from ``doc``, each field named with ``prefix``."""
+    def from_dict(cls, doc: dict, prefix: str, name: str) -> "Noise":
+        """Noise read from ``doc``, its fields named with ``prefix``, its checks with ``name``."""
         doc = parse(dict, doc, prefix.rstrip("."))
         kind = parse_field(doc, "kind", str, name=prefix + "kind")
         key = "sigma" if kind == GAUSSIAN else "nu"
         if kind in (GAUSSIAN, RADEMACHER):  # else the constructor names the unknown kind
             check_keys(doc, ("kind", key), prefix)
-        return cls(kind=kind, scale=parse_field(doc, key, float, cls.scale, prefix + key))
+        scale = parse_field(doc, key, float, cls.scale, prefix + key)
+        with named(name):
+            return cls(kind=kind, scale=scale)
 
 
 def check_model_keys(kind: str, keys: Collection[str], prefix: str = "") -> None:

@@ -11,6 +11,8 @@ ascending and padded on the right with ``d`` (a row's size is its count of
 entries below ``d``). ``rank`` is the one ranking of rows, and ``parents``
 gives the ranks of the rows one member smaller. Arrays over the variables
 (expansivity counts, certificate numerators) are indexed in the same order.
+A program shape (d, ell) is two cached arrays: its variables as members
+(``variables``) and each moment-matrix cell's variable (``entry_map``).
 """
 from __future__ import annotations
 
@@ -22,14 +24,14 @@ import numpy as np
 
 from .errors import InvalidParams, TooLarge
 
-# Largest moment-matrix side an indexer will build.
+# Largest moment-matrix side that ``variables`` and ``entry_map`` will build.
 MAX_DIM = 4096
 
 # Elements per int64 temporary of a chunked array computation (256 KiB).
 _CHUNK = 1 << 15
 
 # Shapes kept by each per-shape cache, the one bound on per-shape state:
-# the indexers here, each with its entry map once built (88 MB at d=80,
+# the variables and the entry maps here (an entry map is 88 MB at d=80,
 # ell=2), and the equality systems of ``sos``, each with the solver's
 # set-up once solved (the level-2 system at d=16 keeps about 0.6 MB of
 # CSR arrays, 1.5 MB at d=20).
@@ -114,64 +116,48 @@ def subset_counts(d: int, max_size: int, sets: np.ndarray) -> np.ndarray:
     return counts
 
 
-class SubsetIndexer:
-    """The subsets of one program shape (d, ell) as member arrays.
-
-    ``members`` holds the variables, the subsets of size <= 2*ell, as a
-    read-only padded member array (width 2*ell) in index order, so
-    ``rank(d, members)`` is ``0..var_count-1`` and ``parents(d, members)``
-    gives each variable's parents; the rows of the moment matrix are its
-    first ``dim`` entries, and ``entry_map`` gives each cell's variable.
-    """
-
-    def __init__(self, d: int, ell: int):
-        if ell < 1:
-            raise InvalidParams("ell must be >= 1")
-        n_rows = var_count(d, ell)
-        if n_rows > MAX_DIM:
-            raise TooLarge(
-                f"moment matrix side {n_rows} exceeds the budget {MAX_DIM} "
-                f"(d={d}, ell={ell})"
-            )
-        self.d = d
-        self.ell = ell
-        self.dim = n_rows
-        self.var_count = var_count(d, 2 * ell)
-        width = 2 * ell
-        # int16 holds every vertex and the pad: the side budget keeps d < 4096.
-        members = np.full((self.var_count, width), d, dtype=np.int16)
-        start = 0
-        for k in range(width + 1):
-            n = math.comb(d, k)
-            flat = chain.from_iterable(combinations(range(d), k))
-            members[start : start + n, :k] = np.fromiter(flat, np.int16, n * k).reshape(n, k)
-            start += n
-        self.members = _read_only(members)
-        self._entry_map: np.ndarray | None = None
-
-    def entry_map(self) -> np.ndarray:
-        """dim x dim array: cell (r, c) holds the variable index of the
-        union of row subsets r and c. Symmetric, read-only; computed once,
-        in row chunks: each union is the two rows' members merged, sorted,
-        with repeats turned into pads, then ranked."""
-        if self._entry_map is None:
-            n, d, width = self.dim, self.d, 2 * self.ell
-            rows = self.members[:n, : self.ell]
-            em = np.empty((n, n), dtype=np.int64)
-            step = max(1, _CHUNK // (n * width))
-            for start in range(0, n, step):
-                head = rows[start : start + step]
-                union = np.concatenate(np.broadcast_arrays(head[:, None], rows[None]), axis=2)
-                union.sort(axis=2)
-                union[..., 1:][union[..., 1:] == union[..., :-1]] = d
-                union.sort(axis=2)
-                em[start : start + len(head)] = rank(d, union.reshape(-1, width)).reshape(len(head), n)
-            self._entry_map = _read_only(em)
-        return self._entry_map
+def check_side(d: int, ell: int) -> int:
+    """The moment-matrix side ``var_count(d, ell)``, once checked: ell >= 1, side <= MAX_DIM."""
+    if ell < 1:
+        raise InvalidParams("ell must be >= 1")
+    side = var_count(d, ell)
+    if side > MAX_DIM:
+        raise TooLarge(f"moment matrix side {side} exceeds the budget {MAX_DIM} (d={d}, ell={ell})")
+    return side
 
 
 @lru_cache(maxsize=SHAPES_CACHED)
-def subset_indexer(d: int, ell: int) -> SubsetIndexer:
-    """Shared indexer instances; safe to cache because they are immutable."""
-    return SubsetIndexer(d, ell)
+def variables(d: int, ell: int) -> np.ndarray:
+    """The subsets of size <= 2*ell, as a read-only member array of width
+    2*ell in index order; the moment matrix's rows are its first
+    ``check_side(d, ell)``."""
+    check_side(d, ell)
+    width = 2 * ell
+    # int16 holds every vertex and the pad: the side budget keeps d < 4096.
+    members = np.full((var_count(d, width), width), d, dtype=np.int16)
+    start = 0
+    for k in range(width + 1):
+        n = math.comb(d, k)
+        flat = chain.from_iterable(combinations(range(d), k))
+        members[start : start + n, :k] = np.fromiter(flat, np.int16, n * k).reshape(n, k)
+        start += n
+    return _read_only(members)
 
+
+@lru_cache(maxsize=SHAPES_CACHED)
+def entry_map(d: int, ell: int) -> np.ndarray:
+    """side x side, read-only: cell (r, c) holds the variable of the union of
+    rows r and c, computed in row chunks: the two rows' members merged,
+    sorted, with repeats turned into pads, then ranked."""
+    n, width = check_side(d, ell), 2 * ell
+    rows = variables(d, ell)[:n, :ell]
+    em = np.empty((n, n), dtype=np.int64)
+    step = max(1, _CHUNK // (n * width))
+    for start in range(0, n, step):
+        head = rows[start : start + step]
+        union = np.concatenate(np.broadcast_arrays(head[:, None], rows[None]), axis=2)
+        union.sort(axis=2)
+        union[..., 1:][union[..., 1:] == union[..., :-1]] = d
+        union.sort(axis=2)
+        em[start : start + len(head)] = rank(d, union.reshape(-1, width)).reshape(len(head), n)
+    return _read_only(em)

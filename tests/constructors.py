@@ -12,9 +12,9 @@ import numpy as np
 
 from soslab.errors import InvalidParams
 from soslab.matrix import NoisyMatrix, pair_indices
+from soslab.certificate import PseudoExpectation, exact_dtype
 from soslab.sdp import project_psd
-from soslab.sos import PseudoExpectation, exact_dtype
-from soslab.subsets import subset_counts, subset_indexer, var_count
+from soslab.subsets import entry_map, subset_counts, var_count, variables
 from subset_order import key_index
 
 
@@ -44,7 +44,7 @@ def entry(X, i, j):
     return float(X.to_dense()[i - 1, j - 1])
 
 
-def pe_from_values(d, ell, s_star, values, eta_empty=None):
+def pe_from_values(d, ell, values):
     """From a map of subsets to rationals. Zero values, and keys that are
     not moments (sorted tuples inside 1..d of size <= 2*ell), are ignored;
     the denominator is the least common one."""
@@ -53,7 +53,7 @@ def pe_from_values(d, ell, s_star, values, eta_empty=None):
     nums = [v.numerator * (den // v.denominator) for v in kept.values()]
     num = np.zeros(var_count(d, 2 * ell), dtype=exact_dtype(max(map(abs, nums), default=0)))
     num[[key_index(d, key) for key in kept]] = nums
-    return PseudoExpectation(d=d, ell=ell, s_star=s_star, num=num, den=den, eta_empty=eta_empty)
+    return PseudoExpectation(d=d, ell=ell, num=num, den=den)
 
 
 def _is_moment_key(key, d, max_size):
@@ -73,17 +73,15 @@ def indicator(support, d, ell):
     supp = np.array([key], dtype=np.int64).reshape(1, -1) - 1
     if supp.size and not (0 <= supp[0, 0] and supp[0, -1] < d):
         raise InvalidParams(f"support {key} not within 1..{d}")
-    return PseudoExpectation(
-        d=d, ell=ell, s_star=supp.shape[1], num=subset_counts(d, 2 * ell, supp), den=1
-    )
+    return PseudoExpectation(d=d, ell=ell, num=subset_counts(d, 2 * ell, supp), den=1)
 
 
 def nonzero_entries(d, ell, arr, convert):
     """The nonzero entries of an array over the variables of (d, ell),
     passed through ``convert`` and keyed by sorted 1-based tuples decoded
-    from the indexer's member rows, in variable order."""
+    from the member rows of ``variables(d, ell)``, in variable order."""
     nz = np.flatnonzero(arr)
-    members = subset_indexer(d, ell).members[nz].tolist()
+    members = variables(d, ell)[nz].tolist()
     return {
         tuple(v + 1 for v in row if v < d): convert(value)
         for row, value in zip(members, arr[nz].tolist())
@@ -106,10 +104,10 @@ def moment(pe, subset):
     return Fraction(_entry(pe.d, pe.ell, pe.num, tuple(sorted(set(subset)))), pe.den)
 
 
-def moment_matrix(pe, idx):
+def moment_matrix(pe):
     """The dense float moment matrix: cell (r, c) holds the moment of the
     union of row subsets r and c."""
-    return pe.floats()[idx.entry_map()]
+    return pe.floats()[entry_map(pe.d, pe.ell)]
 
 
 def counts(table):

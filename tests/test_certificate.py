@@ -16,11 +16,13 @@ from soslab.certificate import (
     BINARY_ONE,
     PSD_REL_TOL,
     SIGN_POSITIVE,
+    PseudoExpectation,
     build_certificate,
     certificate_objective,
     certify,
     expansivity_table,
     frac_str,
+    nonzero_block,
     positivity_graph,
     report_to_json_dict,
     verify_certificate,
@@ -30,8 +32,7 @@ from soslab.matrix import NoisyMatrix, n_pairs
 from soslab.models import ModelParams, Noise, generate
 import soslab
 from soslab.seeds import generator
-from soslab.sos import nonzero_block
-from soslab.subsets import subset_indexer
+from soslab.subsets import entry_map
 from constructors import (
     counts,
     edges,
@@ -221,7 +222,9 @@ def test_verify_k4():
     assert report.rowsum_max_violation == 0
     assert abs(report.min_eigenvalue) <= 1e-12  # flat direction, eigenvalue 0
     assert report.psd
-    assert report.eta_empty == 6
+    # the clique count reaches the report through certify
+    assert report.eta_empty is None
+    assert certify(NoisyMatrix(d=4, entries=np.ones(6)), BINARY_ONE, 2, 1).eta_empty == 6
 
 
 def test_verify_path_is_genuine_moment():
@@ -238,7 +241,7 @@ def test_verify_detects_exact_perturbation():
     pe = build_certificate(expansivity_table(complete_graph(4), 1), 2, 1)
     values = moments(pe)
     values[(1, 2)] = values[(1, 2)] + Fraction(1, 100)
-    bent = pe_from_values(d=4, ell=1, s_star=2, values=values, eta_empty=pe.eta_empty)
+    bent = pe_from_values(d=4, ell=1, values=values)
     report = verify_certificate(bent, 4, 2, 1)
     assert report.rowsum_max_violation == Fraction(1, 100)
 
@@ -331,11 +334,13 @@ def test_certify_matches_stage_chain():
     sbm = ModelParams(kind="sbm", d=12, s_star=4, beta_star=0.5, beta_tilde=0.5, seed=72)
     for params, mode, ell in ((rademacher, SIGN_POSITIVE, 1), (sbm, BINARY_ONE, 2)):
         X = generate(params).matrix
-        pe = build_certificate(expansivity_table(positivity_graph(X, mode), ell), params.s_star, ell)
+        table = expansivity_table(positivity_graph(X, mode), ell)
+        pe = build_certificate(table, params.s_star, ell)
         chain = verify_certificate(pe, X.d, params.s_star, ell)
         report = certify(X, mode, params.s_star, ell)
         assert report.objective == certificate_objective(X, pe, params.s_star)
-        assert report == replace(chain, objective=report.objective)
+        assert chain.eta_empty is None
+        assert report == replace(chain, objective=report.objective, eta_empty=table.clique_count)
     with pytest.raises(CertificateUndefined):
         certify(NoisyMatrix(d=4, entries=np.zeros(6)), SIGN_POSITIVE, 2, 1)
 
@@ -375,6 +380,35 @@ def test_verify_and_objective_reject_s_star_outside_2_to_d(s_star):
         certificate_objective(X, pe, s_star)
 
 
+def test_verify_rejects_a_pseudo_expectation_of_another_shape():
+    pe = pe_from_values(d=4, ell=1, values={(): Fraction(1)})
+    with pytest.raises(MissingValue, match=r"^pseudo-expectation covers \(d=4, ell=1\), not \(d=4, ell=2\)$"):
+        verify_certificate(pe, 4, 2, 2)
+    with pytest.raises(MissingValue, match=r"covers \(d=4, ell=1\), not \(d=5, ell=1\)$"):
+        verify_certificate(pe, 5, 2, 1)
+
+
+def test_pseudo_expectation_checks_its_shape():
+    # (4, 1) has 11 moments: the subsets of at most 2 of 4 vertices
+    for num, den in ((np.zeros(10, dtype=np.int64), 1), (np.zeros(11, dtype=np.int64), 0)):
+        with pytest.raises(InvalidParams, match="^need 11 numerators and a positive denominator$"):
+            PseudoExpectation(d=4, ell=1, num=num, den=den)
+
+
+def test_pseudo_expectation_rejects_numerators_that_are_not_integers():
+    # y[empty] = 1, y[i] = 1/2, y[ij] = 1/4 at d=4, l=1: the row at {i}
+    # is off by 3/4 - 1/2 = 1/4. Over den=2 the pairs' numerators are 0.5,
+    # which the exact checks would truncate (to a violation of 1/2).
+    exact = PseudoExpectation(d=4, ell=1, num=np.array([4] + [2] * 4 + [1] * 6), den=4)
+    assert verify_certificate(exact, 4, 2, 1).rowsum_max_violation == Fraction(1, 4)
+    halves = np.array([2] + [1] * 4 + [0.5] * 6)
+    for num in (halves, halves.astype(object), np.array([4] * 11, dtype=np.uint8) > 0):
+        with pytest.raises(InvalidParams, match="^numerators must be integers, got dtype "):
+            PseudoExpectation(d=4, ell=1, num=num, den=2)
+    # Python ints, as a certificate holds them when int64 would overflow
+    PseudoExpectation(d=4, ell=1, num=np.array([2**70] * 11, dtype=object), den=1)
+
+
 def test_objective_rejects_data_on_fewer_vertices():
     # the pair moments are read at the certificate's own pair indices, so
     # the data must have the certificate's d (more vertices: test_sos)
@@ -399,9 +433,11 @@ def dense_rowsum_violation(pe, d, s_star, ell):
     return worst
 
 
-def dense_moment_matrix(pe, idx):
+def dense_moment_matrix(pe):
     """Reference: read every variable through its key."""
-    return np.array([float(moment(pe, S)) for S in subsets_up_to(idx.d, 2 * idx.ell)])[idx.entry_map()]
+    return np.array([float(moment(pe, S)) for S in subsets_up_to(pe.d, 2 * pe.ell)])[
+        entry_map(pe.d, pe.ell)
+    ]
 
 
 def dense_objective(X, pe, s_star):
@@ -453,24 +489,22 @@ def perturbed_certificates(draw):
                 )
             )
             values[key] = draw(fractions.filter(bool))
-    pe = pe_from_values(d=d, ell=ell, s_star=s_star, values=values)
-    return pe, X
+    return pe_from_values(d=d, ell=ell, values=values), X, s_star
 
 
 @given(perturbed_certificates())
 def test_verify_matches_dense_reference(case):
-    pe, X = case
-    d, ell, s_star = pe.d, pe.ell, pe.s_star
+    pe, X, s_star = case
+    d, ell = pe.d, pe.ell
     report = verify_certificate(pe, d, s_star, ell)
     assert report.rowsum_max_violation == dense_rowsum_violation(pe, d, s_star, ell)
     assert isinstance(report.rowsum_max_violation, Fraction)
     assert report.normalization_ok == (moment(pe, ()) == 1)
-    idx = subset_indexer(d, ell)
-    M, ref = moment_matrix(pe, idx), dense_moment_matrix(pe, idx)
+    M, ref = moment_matrix(pe), dense_moment_matrix(pe)
     assert M.dtype == ref.dtype and M.shape == ref.shape
     assert M.tobytes() == ref.tobytes()
     keep = ref.any(axis=1)
-    block = nonzero_block(pe, idx)
+    block = nonzero_block(pe)
     assert block.shape == (keep.sum(),) * 2
     assert block.tobytes() == ref[np.ix_(keep, keep)].tobytes()
     evals = np.linalg.eigvalsh(ref)
@@ -486,7 +520,7 @@ def test_verify_zero_rows_add_exact_zero_eigenvalue():
     # Rows {2}, {3}, {4} are zero; the block on {empty, {1}} is
     # [[1, 1/2], [1/2, 1/2]] (determinant 1/4), so lambda_min is the
     # zero rows' eigenvalue, exactly 0.
-    pe = pe_from_values(d=4, ell=1, s_star=2, values={(): Fraction(1), (1,): Fraction(1, 2)})
+    pe = pe_from_values(d=4, ell=1, values={(): Fraction(1), (1,): Fraction(1, 2)})
     report = verify_certificate(pe, 4, 2, 1)
     assert report.min_eigenvalue == 0.0
     assert report.psd
@@ -494,7 +528,7 @@ def test_verify_zero_rows_add_exact_zero_eigenvalue():
 
 
 def test_verify_all_zero_moments():
-    report = verify_certificate(pe_from_values(d=4, ell=1, s_star=2, values={}), 4, 2, 1)
+    report = verify_certificate(pe_from_values(d=4, ell=1, values={}), 4, 2, 1)
     assert report.min_eigenvalue == 0.0
     assert report.psd
     assert not report.normalization_ok
@@ -510,7 +544,7 @@ def test_verify_rowsum_at_deleted_key():
     values = moments(pe)
     del values[(1,)]
     values[()] = Fraction(3, 4)
-    bent = pe_from_values(d=4, ell=1, s_star=2, values=values)
+    bent = pe_from_values(d=4, ell=1, values=values)
     assert dense_rowsum_violation(bent, 4, 2, 1) == Fraction(1, 2)
     report = verify_certificate(bent, 4, 2, 1)
     assert report.rowsum_max_violation == Fraction(1, 2)
@@ -523,7 +557,7 @@ def test_verify_rowsum_at_key_without_supersets():
     # at {2}, {3}, {4} are off by only 1/2 - 2/6 = 1/6.
     pe = build_certificate(expansivity_table(complete_graph(4), 1), 2, 1)
     values = {k: v for k, v in moments(pe).items() if not (len(k) == 2 and 1 in k)}
-    bent = pe_from_values(d=4, ell=1, s_star=2, values=values)
+    bent = pe_from_values(d=4, ell=1, values=values)
     assert dense_rowsum_violation(bent, 4, 2, 1) == Fraction(1, 2)
     report = verify_certificate(bent, 4, 2, 1)
     assert report.rowsum_max_violation == Fraction(1, 2)
@@ -539,22 +573,21 @@ def test_python_int_path_matches_dense_reference():
     values[(1, 2)] += Fraction(1, 2**61 - 1)
     values[(3, 4, 5)] -= Fraction(1, 2**31 - 1)
     values[(2,)] = Fraction(2**61 - 1, 2**31 - 1)
-    pe = pe_from_values(d=6, ell=2, s_star=5, values=values)
+    pe = pe_from_values(d=6, ell=2, values=values)
     assert pe.num.dtype == object and pe.den > 2**63
     # Numerators that fit int64, but whose row sums would not; and one
     # above 2**53, whose float must be rounded once, not twice:
     # (2**54 + 1) / 3 is nearer 6004799503160662 than 2**54 / 3 is.
     big = pe_from_values(
-        d=6, ell=2, s_star=5,
+        d=6, ell=2,
         values={(): Fraction(1), (1,): Fraction(2**54 + 1, 3), (1, 2): Fraction(-(2**61)), (2, 3, 4): Fraction(3)},
     )
     assert big.num.dtype == np.int64
-    idx = subset_indexer(6, 2)
     for case in (pe, big):
         report = verify_certificate(case, 6, 5, 2)
         assert report.rowsum_max_violation > 0
         assert report.rowsum_max_violation == dense_rowsum_violation(case, 6, 5, 2)
-        M, ref = moment_matrix(case, idx), dense_moment_matrix(case, idx)
+        M, ref = moment_matrix(case), dense_moment_matrix(case)
         assert M.dtype == ref.dtype and M.tobytes() == ref.tobytes()
         assert certificate_objective(X, case, 5) == dense_objective(X, case, 5)
 

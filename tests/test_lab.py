@@ -6,7 +6,7 @@ import math
 import pytest
 
 from soslab.cli import main
-from soslab.errors import InvalidParams
+from soslab.errors import InvalidParams, RademacherWithSignal
 from soslab.lab import (
     GAP_COLUMNS,
     THRESHOLD_COLUMNS,
@@ -359,12 +359,13 @@ def _sbm_point(**kw):
             "ell": 1, **kw}
 
 
-def _at(index, make, field, value, message):
+def _at(index, make, field, value, message, pinned=None):
     """A row whose dict or list value pytest would name by its position in
     the table: pinned at the name it has at ``index``, so that inserting a
     row renames no other case. Scalar rows are named by their fields; a new
-    row of this kind takes its message as its id."""
-    name = f"{make.__name__}-{field}-value{index}-{message}"
+    row of this kind takes its message as its id, and a row whose message
+    changed keeps the one it had (``pinned``)."""
+    name = f"{make.__name__}-{field}-value{index}-{pinned or message}"
     return pytest.param(make, field, value, message, id=name)
 
 
@@ -379,30 +380,41 @@ def _at(index, make, field, value, message):
          "solver.max_iter: expected int, got 'many'"),
         # the solver's tolerance and starting penalty are constants, not keys
         _at(5, gap_config, "solver", {"tol": 1e-6}, "solver.tol: unknown key"),
-        _at(6, cert_config, "grid", [_sbm_point(ell="x")], "grid.ell: expected int, got 'x'"),
-        _at(7, cert_config, "grid", [_sbm_point(d="six")], "grid.d: expected int, got 'six'"),
+        _at(6, cert_config, "grid", [_sbm_point(ell="x")], "grid[0].ell: expected int, got 'x'",
+         pinned="grid.ell: expected int, got 'x'"),
+        _at(7, cert_config, "grid", [_sbm_point(d="six")], "grid[0].d: expected int, got 'six'",
+         pinned="grid.d: expected int, got 'six'"),
         _at(8, cert_config, "grid", [_sbm_point(beta_tilde=None)],
-         "grid.beta_tilde: expected float, got None"),
+         "grid[0].beta_tilde: expected float, got None",
+         pinned="grid.beta_tilde: expected float, got None"),
         _at(9, gap_config, "grid", [_gaussian_point(noise={"kind": "gaussian", "sigma": "x"})],
-         "grid.noise.sigma: expected float, got 'x'"),
+         "grid[0].noise.sigma: expected float, got 'x'",
+         pinned="grid.noise.sigma: expected float, got 'x'"),
         _at(10, gap_config, "grid", [_gaussian_point(noise={"sigma": 1.0})],
-         "grid.noise.kind: missing"),
+         "grid[0].noise.kind: missing",
+         pinned="grid.noise.kind: missing"),
         _at(11, gap_config, "grid", [_gaussian_point(noise="gaussian")],
-         "grid.noise: expected dict, got 'gaussian'"),
-        _at(12, gap_config, "grid", ["x"], "grid: expected dict, got 'x'"),
+         "grid[0].noise: expected dict, got 'gaussian'",
+         pinned="grid.noise: expected dict, got 'gaussian'"),
+        _at(12, gap_config, "grid", ["x"], "grid[0]: expected dict, got 'x'",
+         pinned="grid: expected dict, got 'x'"),
         (gap_config, "solver", "x", "solver: expected dict, got 'x'"),
         _at(14, raw_config, "doc", [1, 2], "config: expected dict, got [1, 2]"),
         _at(15, gap_config, "estimators", [3], "estimators: expected str, got 3"),
         (cert_config, "solve_sdp", "false", "solve_sdp: expected bool, got 'false'"),
-        _at(17, cert_config, "grid", [_sbm_point(d=6.9)], "grid.d: expected int, got 6.9"),
+        _at(17, cert_config, "grid", [_sbm_point(d=6.9)], "grid[0].d: expected int, got 6.9",
+         pinned="grid.d: expected int, got 6.9"),
         (gap_config, "replicates", 2.5, "replicates: expected int, got 2.5"),
-        _at(19, cert_config, "grid", [_sbm_point(d=True)], "grid.d: expected int, got True"),
+        _at(19, cert_config, "grid", [_sbm_point(d=True)], "grid[0].d: expected int, got True",
+         pinned="grid.d: expected int, got True"),
         (gap_config, "max_subsets", 0, "max_subsets must be >= 1, got 0"),
         (threshold_config, "max_subsets", -5, "max_subsets must be >= 1, got -5"),
         (gap_config, "scan_strategy", 5, "scan_strategy: expected str, got 5"),
         _at(23, cert_config, "grid", [_sbm_point(beta_star=True)],
-         "grid.beta_star: expected float, got True"),
-        _at(24, cert_config, "grid", [_sbm_point(d="6")], "grid.d: expected int, got '6'"),
+         "grid[0].beta_star: expected float, got True",
+         pinned="grid.beta_star: expected float, got True"),
+        _at(24, cert_config, "grid", [_sbm_point(d="6")], "grid[0].d: expected int, got '6'",
+         pinned="grid.d: expected int, got '6'"),
         _at(25, threshold_config, "multipliers", [1, "2.5"],
          "multipliers: expected float, got '2.5'"),
         _at(26, gap_config, "solver", {"step": 1.0}, "solver.step: unknown key"),
@@ -413,39 +425,52 @@ def _at(index, make, field, value, message):
         _at(29, threshold_config, "multipliers", [0.0, -1.0],
          "multipliers must be finite and >= 0, got -1.0"),
         _at(30, gap_config, "grid", [_gaussian_point(beta_star=math.nan)],
-         "beta_star must be finite and >= 0, got nan"),
+         "grid[0]: beta_star must be finite and >= 0, got nan",
+         pinned="beta_star must be finite and >= 0, got nan"),
         _at(31, gap_config, "grid", [_gaussian_point(beta_star=math.inf)],
-         "beta_star must be finite and >= 0, got inf"),
+         "grid[0]: beta_star must be finite and >= 0, got inf",
+         pinned="beta_star must be finite and >= 0, got inf"),
         _at(32, gap_config, "grid", [_gaussian_point(noise={"kind": "gaussian", "sigma": math.nan})],
-         "gaussian sigma must be finite and >= 0 (0 = noiseless mode), got nan"),
+         "grid[0].noise: gaussian sigma must be finite and >= 0 (0 = noiseless mode), got nan",
+         pinned="gaussian sigma must be finite and >= 0 (0 = noiseless mode), got nan"),
         _at(33, gap_config, "grid", [_gaussian_point(noise={"kind": "gaussian", "sigma": math.inf})],
-         "gaussian sigma must be finite and >= 0 (0 = noiseless mode), got inf"),
+         "grid[0].noise: gaussian sigma must be finite and >= 0 (0 = noiseless mode), got inf",
+         pinned="gaussian sigma must be finite and >= 0 (0 = noiseless mode), got inf"),
         _at(34, cert_config, "grid", [_gaussian_point(beta_star=0.0, ell=1,
                                                noise={"kind": "rademacher", "nu": math.inf})],
-         "rademacher nu must be finite and > 0, got inf"),
+         "grid[0].noise: rademacher nu must be finite and > 0, got inf",
+         pinned="rademacher nu must be finite and > 0, got inf"),
         # a key the parser does not read would otherwise leave its field at
         # the default: sigma = 1, branch-and-bound, max_iter = 100000, ell = None
         _at(35, gap_config, "grid", [_gaussian_point(noise={"kind": "gaussian", "nu": 3.0})],
-         "grid.noise.nu: unknown key"),
+         "grid[0].noise.nu: unknown key",
+         pinned="grid.noise.nu: unknown key"),
         (gap_config, "scan_stratgy", "exhaustive", "scan_stratgy: unknown key"),
         _at(37, gap_config, "solver", {"tolerance": 1e-3}, "solver.tolerance: unknown key"),
-        _at(38, cert_config, "grid", [_sbm_point(ell=None, level=2)], "grid.level: unknown key"),
+        _at(38, cert_config, "grid", [_sbm_point(ell=None, level=2)], "grid[0].level: unknown key",
+         pinned="grid.level: unknown key"),
         # an unknown noise kind is named as such, whatever its scale key
         _at(39, gap_config, "grid", [_gaussian_point(noise={"kind": "laplace", "sigma": 1.0})],
-         "unknown noise kind 'laplace'"),
+         "grid[0].noise: unknown noise kind 'laplace'",
+         pinned="unknown noise kind 'laplace'"),
         # a key that the point's model drops: the run would use a model
         # other than the one written
         _at(40, gap_config, "grid", [_sbm_point(noise={"kind": "gaussian", "sigma": 5.0})],
-         "grid.noise: not a parameter of the sbm model"),
+         "grid[0].noise: not a parameter of the sbm model",
+         pinned="grid.noise: not a parameter of the sbm model"),
         _at(41, gap_config, "grid", [_gaussian_point(beta_tilde=0.3)],
-         "grid.beta_tilde: not a parameter of the submatrix model"),
-        _at(42, gap_config, "solver", {"max_iter": 0}, "max_iter must be >= 1, got 0"),
+         "grid[0].beta_tilde: not a parameter of the submatrix model",
+         pinned="grid.beta_tilde: not a parameter of the submatrix model"),
+        _at(42, gap_config, "solver", {"max_iter": 0}, "solver: max_iter must be >= 1, got 0",
+         pinned="max_iter must be >= 1, got 0"),
         _at(43, gap_config, "grid", [], "grid must be non-empty"),
         (gap_config, "scan_strategy", "depth-first", "unknown scan strategy 'depth-first'"),
         _at(45, gap_config, "estimators", ["scan:2"], "estimator 'scan' does not take a level"),
-        _at(46, gap_config, "grid", [_gaussian_point(model=3)], "grid.model: expected str, got 3"),
+        _at(46, gap_config, "grid", [_gaussian_point(model=3)], "grid[0].model: expected str, got 3",
+         pinned="grid.model: expected str, got 3"),
         _at(47, cert_config, "grid", [{"model": "sbm", "s_star": 2, "beta_star": 0.5,
-                                       "beta_tilde": 0.5, "ell": 1}], "grid.d: missing"),
+                                       "beta_tilde": 0.5, "ell": 1}], "grid[0].d: missing",
+         pinned="grid.d: missing"),
         _at(48, raw_config, "doc", {"experiment": "gap", "grid": [_gaussian_point()],
                                     "estimators": ["max"], "base_seed": 1, "output": "x.csv"},
          "replicates: missing"),
@@ -493,7 +518,7 @@ EVERY_KEY = {
 def _as_read(key, value):
     """A document's value as its field holds it."""
     if key == "noise":
-        return Noise.from_dict(value, "grid.noise.")
+        return Noise.from_dict(value, "grid.noise.", "grid.noise")
     if key == "solver":
         return SolverOptions(**value)
     return tuple(value) if isinstance(value, list) else value
@@ -529,7 +554,7 @@ def test_a_config_sets_every_field_its_experiment_reads(experiment):
     written = {key for point in doc["grid"] for key in point}
     for key in {f.name for f in dataclasses.fields(GridPoint)} - written:
         grid = [{**point, key: 1.0} for point in doc["grid"]]
-        with pytest.raises(InvalidParams, match=f"^grid.{key}: "):
+        with pytest.raises(InvalidParams, match=rf"^grid\[0\]\.{key}: "):
             ExperimentConfig.from_dict({**doc, "grid": grid})
 
 
@@ -544,6 +569,41 @@ def test_every_field_is_read_by_some_experiment():
     assert {key for doc in docs for key in doc.get("solver", {})} == {
         f.name for f in dataclasses.fields(SolverOptions)
     }
+
+
+_THRESHOLD_POINT = {"model": "submatrix", "d": 6, "s_star": 2}
+
+
+@pytest.mark.parametrize(
+    "make, first, bad, message",
+    [
+        (gap_config, _gaussian_point(), "x", "grid[1]: expected dict, got 'x'"),
+        (gap_config, _gaussian_point(), _gaussian_point(d="six"),
+         "grid[1].d: expected int, got 'six'"),
+        (gap_config, _gaussian_point(), _gaussian_point(beta_star=math.nan),
+         "grid[1]: beta_star must be finite and >= 0, got nan"),
+        (gap_config, _gaussian_point(), _gaussian_point(noise={"kind": "laplace"}),
+         "grid[1].noise: unknown noise kind 'laplace'"),
+        (cert_config, _sbm_point(), _sbm_point(ell=0),
+         "grid[1]: certificate points need an 'ell' field >= 1"),
+        (threshold_config, _THRESHOLD_POINT, {**_THRESHOLD_POINT, "noise": {"kind": "rademacher"}},
+         "grid[1]: threshold needs gaussian submatrix points"),
+    ],
+    ids=["not-a-dict", "reader", "point-check", "noise-check", "certificate-ell", "threshold-noise"],
+)
+def test_config_errors_name_the_grid_point(tmp_path, make, first, bad, message):
+    # the first point is good: an error that names no point, or point 0,
+    # sends the reader to the wrong one
+    make(tmp_path, grid=[first])
+    with pytest.raises(InvalidParams) as exc:
+        make(tmp_path, grid=[first, bad])
+    assert str(exc.value) == message
+
+
+def test_a_named_point_error_keeps_its_type(tmp_path):
+    with pytest.raises(RademacherWithSignal) as exc:
+        gap_config(tmp_path, grid=[_gaussian_point(noise={"kind": "rademacher"})])
+    assert str(exc.value) == "grid[0]: rademacher noise models a null instance; beta_star must be 0"
 
 
 @pytest.mark.parametrize(
@@ -595,7 +655,9 @@ def test_experiment_cli_reports_bad_field(tmp_path, capsys):
     for change, message in (
         ({"replicates": "two"}, "replicates: expected int, got 'two'"),
         ({"grid": [_gaussian_point(noise="gaussian")]},
-         "grid.noise: expected dict, got 'gaussian'"),
+         "grid[0].noise: expected dict, got 'gaussian'"),
+        ({"grid": [_gaussian_point(), _gaussian_point(d="six")]},
+         "grid[1].d: expected int, got 'six'"),
     ):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({**good, **change}))

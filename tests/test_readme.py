@@ -1,10 +1,14 @@
-"""The README's library quick start and CLI commands run as written, and
-its annotated experiment config parses."""
+"""The README's library quick start and CLI commands run as written, its
+annotated experiment config parses, and the package names it and the
+docstrings cite exist."""
+import importlib
 import json
+import pkgutil
 import re
 import shlex
 from pathlib import Path
 
+import soslab
 from soslab.cli import main
 from soslab.lab import ExperimentConfig
 
@@ -37,3 +41,24 @@ def test_readme_config_example_parses():
     doc = json.loads(re.sub(r"//[^\n]*", "", block))
     cfg = ExperimentConfig.from_dict(doc)
     assert cfg.solver.max_iter == doc["solver"]["max_iter"]
+
+
+def _resolves(module, attrs):
+    obj = importlib.import_module(f"soslab.{module}")
+    for attr in attrs:
+        if not hasattr(obj, attr):
+            return False
+        obj = getattr(obj, attr)
+    return True
+
+
+def test_cited_names_resolve():
+    # a dotted name in backticks whose head is a soslab module, e.g.
+    # `sos.assemble_level` or ``subsets.entry_map(d, ell)``: a name that
+    # moved or went away would send the reader to nothing
+    modules = {m.name for m in pkgutil.iter_modules(soslab.__path__)}
+    cited = re.compile(r"`+(?:soslab\.)?([a-z_]+)((?:\.\w+)+)(?:\([^`]*\))?`+")
+    texts = [README.read_text()] + [p.read_text() for p in Path(soslab.__file__).parent.glob("*.py")]
+    names = [m.groups() for text in texts for m in cited.finditer(text) if m.group(1) in modules]
+    assert len(names) >= 20
+    assert [m + a for m, a in names if not _resolves(m, a.split(".")[1:])] == []

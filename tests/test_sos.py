@@ -1,5 +1,3 @@
-import gc
-import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -18,8 +16,8 @@ from soslab.errors import InvalidParams, MissingValue
 from soslab.estimators import scan_estimate
 from soslab.matrix import NoisyMatrix, n_pairs
 from soslab.seeds import generator
-from soslab.sos import PseudoExpectation, assemble_basic, assemble_level, nonzero_block
-from soslab.subsets import SHAPES_CACHED, subset_indexer
+from soslab.sos import _equalities, assemble_basic, assemble_level
+from soslab.subsets import entry_map, variables
 from constructors import entry, indicator, moment_matrix, pairs, pe_from_values
 from subset_order import TupleOrder
 
@@ -84,21 +82,18 @@ def test_basic_program_is_level1_cut_at_the_empty_set():
     assert np.array_equal(basic.row_families, level.row_families[:2])
 
 
-def test_equality_cache_keeps_no_evicted_indexer_alive():
-    subset_indexer.cache_clear()
-    refs = []
-    for d in range(4, 4 + 3 * SHAPES_CACHED):
-        if d < 4 + 2 * SHAPES_CACHED:
-            assemble_level(ones_matrix(d), 2, 1)
-        refs.append(weakref.ref(subset_indexer(d, 1)))
-    gc.collect()
-    assert sum(ref() is not None for ref in refs) <= SHAPES_CACHED
+def test_equalities_hold_the_shapes_entry_map():
+    # the equality system keeps the shape's cached array, not a copy
+    _equalities.cache_clear()
+    for d, s_star, ell, top in ((5, 2, 1, 0), (5, 2, 1, 1), (7, 3, 2, 3)):
+        assert _equalities(d, s_star, ell, top).entry_map is entry_map(d, ell)
 
 
 def test_a_shape_built_again_shares_its_constraints():
     X = ones_matrix(7)
     first = assemble_level(X, 3, 2).constraints
-    subset_indexer.cache_clear()
+    variables.cache_clear()
+    entry_map.cache_clear()
     assert assemble_level(X, 3, 2).constraints is first
 
 
@@ -229,13 +224,13 @@ def _check_builder_output(d, s_star, ell):
 
 
 def test_moment_matrix_point_mass():
-    pe = pe_from_values(d=2, ell=1, s_star=2, values={(): Fraction(1)})
-    M = moment_matrix(pe, subset_indexer(2, 1))
+    pe = pe_from_values(d=2, ell=1, values={(): Fraction(1)})
+    M = moment_matrix(pe)
     assert np.array_equal(M, np.diag([1.0, 0.0, 0.0]))
 
 
 def test_moment_matrix_k4_certificate():
-    M = moment_matrix(k4_certificate(), subset_indexer(4, 1))
+    M = moment_matrix(k4_certificate())
     assert np.allclose(M[0], [1, 0.5, 0.5, 0.5, 0.5])
     assert np.allclose(np.diag(M), [1, 0.5, 0.5, 0.5, 0.5])
     off = M[1:, 1:]
@@ -243,24 +238,9 @@ def test_moment_matrix_k4_certificate():
     assert np.array_equal(M, M.T)
 
 
-def test_moment_matrix_requires_matching_indexer():
-    pe = pe_from_values(d=4, ell=1, s_star=2, values={(): Fraction(1)})
-    with pytest.raises(MissingValue):
-        nonzero_block(pe, subset_indexer(4, 2))
-    with pytest.raises(MissingValue):
-        nonzero_block(pe, subset_indexer(5, 1))
-
-
-def test_pseudo_expectation_checks_its_shape():
-    # (4, 1) has 11 moments: the subsets of at most 2 of 4 vertices
-    for num, den in ((np.zeros(10, dtype=np.int64), 1), (np.zeros(11, dtype=np.int64), 0)):
-        with pytest.raises(InvalidParams, match="^need 11 numerators and a positive denominator$"):
-            PseudoExpectation(d=4, ell=1, s_star=2, num=num, den=den)
-
-
 def test_objective_value_examples():
     X = ones_matrix(4)
-    zero_pe = pe_from_values(d=4, ell=1, s_star=2, values={(): Fraction(1)})
+    zero_pe = pe_from_values(d=4, ell=1, values={(): Fraction(1)})
     assert float(certificate_objective(X, zero_pe, 2)) == 0.0
     assert float(certificate_objective(X, k4_certificate(), 2)) == pytest.approx(1.0)
     ind = indicator((1, 3), d=4, ell=1)
