@@ -1,10 +1,10 @@
 """Expansivity-based pseudo-moment certificates, verified in exact arithmetic.
 
 Given a null observation, the positivity graph keeps the pairs whose entry
-is strictly positive (sign mode) or exactly one (binary mode), as a
-symmetric boolean d x d adjacency with a False diagonal (cliques need no
-loops). The expansivity of a subset S is
-the number of 2l-cliques of that graph containing S. The certificate maps
+is strictly positive, as a symmetric boolean d x d adjacency with a False
+diagonal (cliques need no loops); on a block model's 0/1 adjacency these
+are the entries equal to one. The expansivity of a subset S is the number
+of 2l-cliques of that graph containing S. The certificate maps
 each subset S with |S| = k <= 2l to
 
     (eta(S) / eta(empty)) * perm(s_star, k) / perm(2l, k),
@@ -42,7 +42,9 @@ from .errors import (
     check_s_star,
 )
 from .matrix import NoisyMatrix, pair_indices
-from .subsets import check_side, entry_map, parents, sizes, subset_counts, var_count, variables
+from .subsets import (
+    check_side, entry_map, pair_variables, parents, sizes, subset_counts, var_count, variables,
+)
 
 SIGN_POSITIVE = "sign-positive"
 BINARY_ONE = "binary-one"
@@ -136,18 +138,14 @@ class FeasibilityReport:
 
 def positivity_graph(X: NoisyMatrix, mode: str) -> np.ndarray:
     """The read-only symmetric boolean d x d adjacency of vertices 1..d,
-    with edge {i,j} where X_ij > 0 (sign-positive) or X_ij = 1
-    (binary-one); the diagonal is False."""
-    if mode == BINARY_ONE:
-        if not X.is_binary():
-            raise NotBinary("binary-one mode requires a {0,1}-valued matrix")
-        keep = X.entries == 1.0
-    elif mode == SIGN_POSITIVE:
-        keep = X.entries > 0.0
-    else:
+    with edge {i,j} where X_ij > 0; the diagonal is False. Binary-one mode
+    first checks that X is 0/1, whose positive entries are its ones."""
+    if mode not in (SIGN_POSITIVE, BINARY_ONE):
         raise InvalidParams(f"unknown positivity mode {mode!r}")
+    if mode == BINARY_ONE and not X.is_binary():
+        raise NotBinary("binary-one mode requires a {0,1}-valued matrix")
     adj = np.zeros((X.d, X.d), dtype=bool)
-    adj[pair_indices(X.d)] = keep
+    adj[pair_indices(X.d)] = X.entries > 0.0
     adj = adj | adj.T
     adj.flags.writeable = False
     return adj
@@ -273,8 +271,7 @@ def certificate_objective(X: NoisyMatrix, pe: PseudoExpectation, s_star: int) ->
     check_s_star(s_star, pe.d)
     if X.d != pe.d:
         raise MissingValue(f"pseudo-expectation covers d={pe.d}, data has d={X.d}")
-    # the pair moments, in X's storage order (where ``sos`` puts the objective)
-    y = pe.num[1 + X.d : 1 + X.d + len(X.entries)]
+    y = pe.num[pair_variables(X.d)]
     nz = np.flatnonzero(y)
     values, group = np.unique(X.entries[nz], return_inverse=True)
     sums = np.zeros(len(values), dtype=exact_dtype(len(nz) * max_abs(y)))
@@ -285,13 +282,13 @@ def certificate_objective(X: NoisyMatrix, pe: PseudoExpectation, s_star: int) ->
     return Fraction(2 * total, s_star * (s_star - 1) * D * pe.den)
 
 
-def certify(X: NoisyMatrix, mode: str, s_star: int, ell: int) -> FeasibilityReport:
-    """The certificate of X end to end: positivity graph, expansivity table,
-    certificate, verification, and the report with its exact objective and
-    clique count (``eta_empty``, which ``verify_certificate`` leaves None).
-    The moment-matrix side budget is checked before any counting
-    (``expansivity_table``)."""
-    table = expansivity_table(positivity_graph(X, mode), ell)
+def certify(X: NoisyMatrix, s_star: int, ell: int) -> FeasibilityReport:
+    """The certificate of X end to end: the graph of X's positive entries,
+    expansivity table, certificate, verification, and the report with its
+    exact objective and clique count (``eta_empty``, which
+    ``verify_certificate`` leaves None). The moment-matrix side budget is
+    checked before any counting (``expansivity_table``)."""
+    table = expansivity_table(positivity_graph(X, SIGN_POSITIVE), ell)
     pe = build_certificate(table, s_star, ell)
     report = verify_certificate(pe, X.d, s_star, ell)
     objective = certificate_objective(X, pe, s_star)

@@ -5,9 +5,10 @@ library path the experiments use: ``generate`` reads its flags as a
 config's grid point (``lab.GridPoint.from_dict``); ``certify`` is
 ``certificate.certify``; ``estimate`` is ``lab.estimate`` on a config's
 estimator names (``sos_level:2``) and checks its settings as a config does,
-before it reads the matrix; a given ``--s`` is checked against the
-matrix's d, whatever the estimator. Values
-print to stdout with 17 significant digits; reports print as one JSON object.
+before it reads the matrix (``--max-iter`` only where the estimator solves
+an SDP); a given ``--s`` is checked against the matrix's d, whatever the
+estimator. Values print to stdout with 17 significant digits; reports print
+as one JSON object.
 Usage errors, a bad estimator name among them, exit 2 (argparse); numeric or
 model failures and bad settings print one JSON error line to stderr and exit 1.
 """
@@ -18,15 +19,14 @@ import json
 import sys
 from dataclasses import replace
 
-from .certificate import BINARY_ONE, SIGN_POSITIVE, certify, report_to_json_dict
+from .certificate import certify, report_to_json_dict
 from .errors import InvalidParams, SoslabError, check_s_star
-from .estimators import BRANCH_AND_BOUND, DEFAULT_MAX_SUBSETS, EXHAUSTIVE, check_scan_settings
-from .lab import ExperimentConfig, GridPoint, estimate, fmt_float, parse_estimator, run_experiment
+from .lab import (
+    SDP_ESTIMATORS, ExperimentConfig, GridPoint, estimate, fmt_float, parse_estimator, run_experiment,
+)
 from .matrix import read_matrix_json, write_matrix_json
 from .models import GAUSSIAN, RADEMACHER, SBM, SUBMATRIX, generate
 from .sdp import MAX_ITER_REACHED, SolverOptions
-
-_MODES = {"sign": SIGN_POSITIVE, "binary": BINARY_ONE}
 
 
 def _estimator_name(name: str) -> str:
@@ -65,17 +65,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="scan, avg, max, lp, sos_basic or sos_level:<level>, as in a gap config",
     )
     est.add_argument("--s", type=int, default=None)
-    est.add_argument(
-        "--strategy", choices=[EXHAUSTIVE, BRANCH_AND_BOUND], default=BRANCH_AND_BOUND
-    )
-    est.add_argument("--max-subsets", type=int, default=DEFAULT_MAX_SUBSETS)
-    est.add_argument("--max-iter", type=int, default=SolverOptions.max_iter)
+    est.add_argument("--max-iter", type=int, default=None, help="SDP estimators only")
 
     cert = sub.add_parser("certify", help="build and verify the expansivity certificate")
     cert.add_argument("--in", dest="infile", required=True)
     cert.add_argument("--level", type=int, required=True)
     cert.add_argument("--s", type=int, required=True)
-    cert.add_argument("--mode", choices=sorted(_MODES), required=True)
 
     exp = sub.add_parser("experiment", help="run a configured experiment to CSV")
     exp.add_argument("--config", required=True)
@@ -104,17 +99,15 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    solver = SolverOptions(max_iter=args.max_iter)
-    check_scan_settings(args.strategy, args.max_subsets)
+    solver = SolverOptions(**_given(max_iter=args.max_iter))
+    if args.max_iter is not None and parse_estimator(args.estimator)[0] not in SDP_ESTIMATORS:
+        raise InvalidParams(f"--max-iter: estimator {args.estimator!r} solves no SDP")
     if args.estimator != "max" and args.s is None:
         raise SoslabError(f"estimator {args.estimator!r} requires --s")
     X, _ = read_matrix_json(args.infile)
     if args.s is not None:  # max reads no s, but a given one is checked as a config's is
         check_s_star(args.s, X.d)
-    result = estimate(
-        args.estimator, X, args.s,
-        solver=solver, strategy=args.strategy, max_subsets=args.max_subsets,
-    )
+    result = estimate(args.estimator, X, args.s, solver=solver)
     # A solve that stopped at max_iter adds one stderr line.
     solution = result.solution
     if solution is not None and solution.status == MAX_ITER_REACHED:
@@ -129,7 +122,7 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_certify(args) -> int:
     X, _ = read_matrix_json(args.infile)
-    report = certify(X, _MODES[args.mode], args.s, args.level)
+    report = certify(X, args.s, args.level)
     print(json.dumps(report_to_json_dict(report)))
     return 0
 

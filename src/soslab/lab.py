@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
 
-from .certificate import BINARY_ONE, SIGN_POSITIVE, certify
+from .certificate import certify
 from .errors import CertificateUndefined, InvalidParams, SoslabError
 from .estimators import (
     BRANCH_AND_BOUND,
@@ -66,6 +66,8 @@ THRESHOLD_SUMMARY_COLUMNS = [
 ]
 
 ESTIMATORS = ("scan", "avg", "max", "lp", "sos_basic", "sos_level")
+# The estimators that solve an SDP, the only ones a solver setting reaches.
+SDP_ESTIMATORS = {"sos_basic", "sos_level"}
 
 # The keys of a grid point beside ``model`` and ``noise``.
 _POINT_READERS = {"d": int, "s_star": int, "beta_star": float, "beta_tilde": float, "ell": int}
@@ -199,7 +201,7 @@ class ExperimentConfig:
         cfg = read(cls, doc, {key: r for key, r in readers.items() if key not in unread})
         # a setting that no cell of the run reads, given the config's other fields
         bases = {parse_estimator(name)[0] for name in cfg.estimators}
-        solves = cfg.solve_sdp or bases & {"sos_basic", "sos_level"}
+        solves = cfg.solve_sdp or bases & SDP_ESTIMATORS
         scans = cfg.experiment != GAP or "scan" in bases
         for key, used, what in (("solver", solves, "solves an SDP"),
                                 ("scan_strategy", scans, "scans"), ("max_subsets", scans, "scans")):
@@ -340,14 +342,13 @@ def run_certificate_experiment(cfg: ExperimentConfig) -> list[dict]:
     run = _estimator(cfg)
     rows: list[dict] = []
     for gi, g in enumerate(cfg.grid):
-        mode = BINARY_ONE if g.model == SBM else SIGN_POSITIVE
         for rep in range(cfg.replicates):
             seed = mix_seed(cfg.base_seed, gi * cfg.replicates + rep)
 
             def work(row: dict) -> None:
                 X = generate(g.params(seed)).matrix
                 try:
-                    report = certify(X, mode, g.s_star, g.ell)
+                    report = certify(X, g.s_star, g.ell)
                 except CertificateUndefined:  # raised exactly when eta(empty) = 0
                     row["eta_empty"] = 0
                     raise

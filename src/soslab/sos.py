@@ -36,7 +36,7 @@ import numpy as np
 from .errors import check_s_star
 from .matrix import NoisyMatrix
 from .sdp import Constraints
-from .subsets import SHAPES_CACHED, entry_map, parents, sizes, var_count, variables
+from .subsets import SHAPES_CACHED, entry_map, pair_variables, parents, sizes, var_count, variables
 
 
 @dataclass(frozen=True)
@@ -106,10 +106,8 @@ def assemble_basic(X: NoisyMatrix, s_star: int) -> SosProgram:
 
 
 def _program(X: NoisyMatrix, s_star: int, constraints: Constraints) -> SosProgram:
-    # The pair variables follow the empty set and the d singletons, in
-    # the pair storage order of X.entries. Weight 2*X_ij covers both orders
-    # of the trace; the value divides by scale. Adding 0.0 turns a -0.0
-    # weight into 0.0.
+    # Weight 2*X_ij on each pair variable covers both orders of the trace;
+    # the value divides by scale. Adding 0.0 turns a -0.0 weight into 0.0.
     c = np.zeros(constraints.A.shape[1])
-    c[1 + X.d : 1 + X.d + len(X.entries)] = 2.0 * X.entries + 0.0
+    c[pair_variables(X.d)] = 2.0 * X.entries + 0.0
     return SosProgram(c=c, constraints=constraints, scale=float(s_star * (s_star - 1)))

@@ -48,6 +48,14 @@ def sizes(d: int, max_size: int) -> np.ndarray:
     return np.repeat(np.arange(max_size + 1), [math.comb(d, k) for k in range(max_size + 1)])
 
 
+def pair_variables(d: int) -> slice:
+    """The variables of the pairs {i, j}, i < j, in the row-major storage
+    order of ``NoisyMatrix.entries``: in the (size, lex) order the empty
+    set and the d singletons come first, and the pairs of one size are in
+    lexicographic order, which is that storage order."""
+    return slice(1 + d, 1 + d + math.comb(d, 2))
+
+
 def _read_only(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr

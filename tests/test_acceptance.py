@@ -17,7 +17,6 @@ import pytest
 
 from soslab.certificate import (
     BINARY_ONE,
-    SIGN_POSITIVE,
     certify,
     expansivity_table,
     positivity_graph,
@@ -61,9 +60,9 @@ def sbm_half(d, s_star, seed):
     return generate(params)
 
 
-def certified_run(instance, mode, s_star, ell):
+def certified_run(instance, s_star, ell):
     try:
-        report = certify(instance.matrix, mode, s_star, ell)
+        report = certify(instance.matrix, s_star, ell)
     except CertificateUndefined:
         return None
     return report, report.objective
@@ -76,7 +75,7 @@ def rademacher_runs():
     for rep in range(50):
         s_star = (2, 3, 4)[rep % 3]
         seed = mix_seed(BASE_SEED, rep)
-        run = certified_run(rademacher_null(40, s_star, seed), SIGN_POSITIVE, s_star, 1)
+        run = certified_run(rademacher_null(40, s_star, seed), s_star, 1)
         out.append((s_star, 1, run))
     return out
 
@@ -89,7 +88,7 @@ def sbm_runs():
     for rep in range(50):
         s_star, ell = cells[rep % len(cells)]
         seed = mix_seed(BASE_SEED + 1, rep)
-        run = certified_run(sbm_half(30, s_star, seed), BINARY_ONE, s_star, ell)
+        run = certified_run(sbm_half(30, s_star, seed), s_star, ell)
         out.append((s_star, ell, run))
     return out
 
@@ -156,7 +155,7 @@ def pseudo_regime_runs():
         for rep in range(50):
             seed = mix_seed(BASE_SEED + 3, 1000 * s_star + rep)
             instance = rademacher_null(40, s_star, seed)
-            run = certified_run(instance, SIGN_POSITIVE, s_star, 1)
+            run = certified_run(instance, s_star, 1)
             assert run is not None
             rows.append((instance, run[0], run[1]))
         out[s_star] = rows

@@ -147,7 +147,7 @@ def test_certify_checks_the_side_budget_before_counting():
     tracemalloc.start()
     try:
         with pytest.raises(TooLarge, match="moment matrix side 39203 exceeds the budget"):
-            certify(X, BINARY_ONE, 8, 8)
+            certify(X, 8, 8)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -224,7 +224,7 @@ def test_verify_k4():
     assert report.psd
     # the clique count reaches the report through certify
     assert report.eta_empty is None
-    assert certify(NoisyMatrix(d=4, entries=np.ones(6)), BINARY_ONE, 2, 1).eta_empty == 6
+    assert certify(NoisyMatrix(d=4, entries=np.ones(6)), 2, 1).eta_empty == 6
 
 
 def test_verify_path_is_genuine_moment():
@@ -316,7 +316,7 @@ def test_objective_integral_indicator_is_scan_average():
 
 def test_report_json_schema():
     X = NoisyMatrix(d=4, entries=np.ones(n_pairs(4)))
-    doc = report_to_json_dict(certify(X, BINARY_ONE, 2, 1))
+    doc = report_to_json_dict(certify(X, 2, 1))
     assert doc["eta_empty"] == 6
     assert doc["normalization_ok"] is True
     assert doc["rowsum_max_violation"] == "0/1"
@@ -328,21 +328,33 @@ def test_report_json_schema():
 
 
 def test_certify_matches_stage_chain():
+    # certify builds the graph of the positive entries: on a 0/1 matrix that
+    # is the binary-one graph too, and binary-one mode refuses other matrices
     rademacher = ModelParams(
         kind="submatrix", d=14, s_star=3, beta_star=0.0, noise=Noise("rademacher", 1.0), seed=71
     )
+    gaussian = ModelParams(
+        kind="submatrix", d=12, s_star=3, beta_star=0.0, noise=Noise("gaussian", 1.0), seed=73
+    )
     sbm = ModelParams(kind="sbm", d=12, s_star=4, beta_star=0.5, beta_tilde=0.5, seed=72)
-    for params, mode, ell in ((rademacher, SIGN_POSITIVE, 1), (sbm, BINARY_ONE, 2)):
+    for params, ell in ((rademacher, 1), (gaussian, 1), (sbm, 1), (sbm, 2)):
         X = generate(params).matrix
-        table = expansivity_table(positivity_graph(X, mode), ell)
-        pe = build_certificate(table, params.s_star, ell)
-        chain = verify_certificate(pe, X.d, params.s_star, ell)
-        report = certify(X, mode, params.s_star, ell)
-        assert report.objective == certificate_objective(X, pe, params.s_star)
-        assert chain.eta_empty is None
-        assert report == replace(chain, objective=report.objective, eta_empty=table.clique_count)
+        report = certify(X, params.s_star, ell)
+        modes = (SIGN_POSITIVE, BINARY_ONE) if X.is_binary() else (SIGN_POSITIVE,)
+        for mode in modes:
+            table = expansivity_table(positivity_graph(X, mode), ell)
+            pe = build_certificate(table, params.s_star, ell)
+            chain = verify_certificate(pe, X.d, params.s_star, ell)
+            assert report.objective == certificate_objective(X, pe, params.s_star)
+            assert chain.eta_empty is None
+            assert report == replace(
+                chain, objective=report.objective, eta_empty=table.clique_count
+            )
+        if len(modes) == 1:
+            with pytest.raises(NotBinary):
+                positivity_graph(X, BINARY_ONE)
     with pytest.raises(CertificateUndefined):
-        certify(NoisyMatrix(d=4, entries=np.zeros(6)), SIGN_POSITIVE, 2, 1)
+        certify(NoisyMatrix(d=4, entries=np.zeros(6)), 2, 1)
 
 
 def test_certificate_rejects_s_star_outside_2_to_d():
@@ -600,8 +612,8 @@ def test_certify_does_not_import_scipy():
         "null = ModelParams(kind='submatrix', d=20, s_star=3, beta_star=0.0,\n"
         "                   noise=Noise('rademacher', 1.0), seed=5)\n"
         "sbm = ModelParams(kind='sbm', d=16, s_star=4, beta_star=0.5, beta_tilde=0.5, seed=6)\n"
-        "certify(generate(null).matrix, 'sign-positive', 3, 1)\n"
-        "certify(generate(sbm).matrix, 'binary-one', 4, 2)\n"
+        "certify(generate(null).matrix, 3, 1)\n"
+        "certify(generate(sbm).matrix, 4, 2)\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(soslab.__file__)))

@@ -4,7 +4,9 @@ from functools import partial
 import numpy as np
 import pytest
 
+from soslab import lab
 from soslab.cli import main
+from soslab.estimators import BRANCH_AND_BOUND, EXHAUSTIVE, scan_estimate
 from soslab.lab import ESTIMATORS, ExperimentConfig, GridPoint, fmt_float, run_gap_experiment
 from soslab.matrix import read_matrix_json, write_matrix_json
 from soslab.models import ModelParams, Noise, generate
@@ -30,9 +32,7 @@ def test_generate_and_certify_k4(tmp_path, capsys):
     assert gt["params"]["kind"] == "sbm"
     assert len(gt["support"]) == 2
 
-    code, stdout, _ = run_cli(
-        capsys, "certify", "--in", out, "--level", "1", "--s", "2", "--mode", "binary"
-    )
+    code, stdout, _ = run_cli(capsys, "certify", "--in", out, "--level", "1", "--s", "2")
     assert code == 0
     report = json.loads(stdout)
     assert report["objective"] == "1/1"
@@ -55,18 +55,24 @@ def test_estimate_scan_prints_value(tmp_path, capsys):
     assert stdout.strip() == "4"
 
 
-def test_estimate_scan_defaults_to_branch_and_bound(tmp_path, capsys):
-    # the exhaustive guard would refuse C(8, 3) = 56 subsets at --max-subsets 1
+def test_estimate_scan_defaults_to_branch_and_bound(tmp_path, capsys, monkeypatch):
+    # the command scans by branch-and-bound and prints the exhaustive value
     path = str(tmp_path / "m.json")
-    write_matrix_json(path, generate(ModelParams(
+    X = generate(ModelParams(
         kind="submatrix", d=8, s_star=3, beta_star=1.0, noise=Noise("gaussian", 1.0), seed=5
-    )).matrix)
-    args = ("estimate", "--in", path, "--estimator", "scan", "--s", "3")
-    code, exhaustive, _ = run_cli(capsys, *args, "--strategy", "exhaustive")
-    assert code == 0
-    code, stdout, stderr = run_cli(capsys, *args, "--max-subsets", "1")
+    )).matrix
+    write_matrix_json(path, X)
+    strategies = []
+
+    def spy(*args, strategy, **kwargs):
+        strategies.append(strategy)
+        return scan_estimate(*args, strategy=strategy, **kwargs)
+
+    monkeypatch.setattr(lab, "scan_estimate", spy)
+    code, stdout, stderr = run_cli(capsys, "estimate", "--in", path, "--estimator", "scan", "--s", "3")
     assert (code, stderr) == (0, "")
-    assert stdout == exhaustive
+    assert strategies == [BRANCH_AND_BOUND]
+    assert stdout == fmt_float(scan_estimate(X, 3, strategy=EXHAUSTIVE).value) + "\n"
 
 
 def test_estimate_lp_closed_form(tmp_path, capsys):
@@ -102,17 +108,13 @@ def test_numeric_failures_exit_1_with_json_line(tmp_path, capsys):
     path = str(tmp_path / "zeros.json")
     doc = {"d": 4, "format": "upper-tri-row-major", "entries": [0.0] * 6}
     (tmp_path / "zeros.json").write_text(json.dumps(doc))
-    code, stdout, stderr = run_cli(
-        capsys, "certify", "--in", path, "--level", "1", "--s", "2", "--mode", "sign"
-    )
+    code, stdout, stderr = run_cli(capsys, "certify", "--in", path, "--level", "1", "--s", "2")
     assert code == 1
     assert stdout == ""
     line = json.loads(stderr)
     assert line["error"] == "CertificateUndefined"
 
-    code, stdout, stderr = run_cli(
-        capsys, "certify", "--in", path, "--level", "1", "--s", "9", "--mode", "sign"
-    )
+    code, stdout, stderr = run_cli(capsys, "certify", "--in", path, "--level", "1", "--s", "9")
     assert (code, stdout) == (1, "")
     assert json.loads(stderr) == {
         "error": "InvalidParams",
@@ -120,12 +122,12 @@ def test_numeric_failures_exit_1_with_json_line(tmp_path, capsys):
     }
 
     code, stdout, stderr = run_cli(
-        capsys, "estimate", "--in", path, "--estimator", "scan", "--s", "2", "--max-subsets", "-5"
+        capsys, "estimate", "--in", path, "--estimator", "scan", "--s", "2", "--max-iter", "0"
     )
     assert (code, stdout) == (1, "")
     assert json.loads(stderr) == {
         "error": "InvalidParams",
-        "message": "max_subsets must be >= 1, got -5",
+        "message": "max_iter must be >= 1, got 0",
     }
 
     code, _, stderr = run_cli(
@@ -282,9 +284,13 @@ def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["estimate", "--estimator", "scan"])  # missing --in
     assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["certify", "--in", "x.json", "--level", "1", "--s", "2", "--mode", "fuzzy"])
-    assert exc.value.code == 2
+    # flags that no longer exist
+    for args in (["certify", "--level", "1", "--mode", "binary"],
+                 ["estimate", "--estimator", "scan", "--strategy", "exhaustive"],
+                 ["estimate", "--estimator", "scan", "--max-subsets", "5"]):
+        with pytest.raises(SystemExit) as exc:
+            main([*args, "--in", "x.json", "--s", "2"])
+        assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         main(["solve", "--in", "x.json", "--basic", "--s", "2"])  # folded into estimate
     assert exc.value.code == 2
@@ -312,18 +318,19 @@ def test_estimate_name_errors_exit_2(capsys, args, message):
 @pytest.mark.parametrize(
     "args, error, message",
     [
-        (["--estimator", "avg", "--s", "3", "--max-subsets", "-5"],
-         "InvalidParams", "max_subsets must be >= 1, got -5"),
+        *[(["--estimator", name, "--s", "3", "--max-iter", "5"],
+           "InvalidParams", f"--max-iter: estimator {name!r} solves no SDP")
+          for name in ("scan", "avg", "max", "lp")],
         (["--estimator", "avg", "--s", "3", "--max-iter", "0"],
          "InvalidParams", "max_iter must be >= 1, got 0"),
         (["--estimator", "scan"], "SoslabError", "estimator 'scan' requires --s"),
     ],
-    ids=["max-subsets", "max-iter", "no-s"],
+    ids=["no-sdp-scan", "no-sdp-avg", "no-sdp-max", "no-sdp-lp", "max-iter", "no-s"],
 )
 def test_estimate_rejects_bad_settings_up_front(tmp_path, capsys, args, error, message):
-    # a config rejects these settings whichever estimators it names, and so
-    # does estimate: before the matrix file is read, so a missing one is
-    # never reached
+    # a config rejects these settings (a solver setting where no estimator
+    # solves an SDP), and so does estimate: before the matrix file is read,
+    # so a missing one is never reached
     for path in (write_example_matrix(tmp_path), str(tmp_path / "nope.json")):
         code, stdout, stderr = run_cli(capsys, "estimate", "--in", path, *args)
         assert (code, stdout) == (1, "")

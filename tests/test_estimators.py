@@ -166,8 +166,9 @@ CANCELLING = [
 @pytest.mark.parametrize("d, s, entries", CANCELLING)
 def test_branch_and_bound_equals_exhaustive_when_entries_cancel(tmp_path, d, s, entries):
     # In a subprocess with a timeout, so that a search that never ends fails
-    # the test instead of hanging the suite; through the CLI, which prints
-    # the value, and the API, which gives the support too.
+    # the test instead of hanging the suite; through the CLI, whose scan is
+    # branch-and-bound and prints the value, and the API, which gives the
+    # support too, against the exhaustive reference.
     X = NoisyMatrix(d=d, entries=np.array(entries, dtype=np.float64))
     a = scan_estimate(X, s, strategy=EXHAUSTIVE)
     path = tmp_path / "m.json"
@@ -177,14 +178,13 @@ def test_branch_and_bound_equals_exhaustive_when_entries_cancel(tmp_path, d, s, 
         "import sys; sys.path.insert(0, sys.argv[1]); from soslab.cli import main; "
         "sys.exit(main(sys.argv[2:]))"
     )
-    for strategy in (EXHAUSTIVE, BRANCH_AND_BOUND):
-        out = subprocess.run(
-            [sys.executable, "-c", script, src, "estimate", "--in", str(path),
-             "--estimator", "scan", "--s", str(s), "--strategy", strategy],
-            capture_output=True, text=True, timeout=60,
-        )
-        assert (out.returncode, out.stderr) == (0, "")
-        assert float(out.stdout) == a.value
+    out = subprocess.run(
+        [sys.executable, "-c", script, src, "estimate", "--in", str(path),
+         "--estimator", "scan", "--s", str(s)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (out.returncode, out.stderr) == (0, "")
+    assert float(out.stdout) == a.value
     b = scan_estimate(X, s, strategy=BRANCH_AND_BOUND)
     assert (b.value, b.support) == (a.value, a.support)
 

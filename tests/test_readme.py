@@ -1,6 +1,7 @@
 """The README's library quick start and CLI commands run as written, its
 annotated experiment config parses, and the package names it and the
 docstrings cite exist."""
+import argparse
 import importlib
 import json
 import pkgutil
@@ -9,7 +10,7 @@ import shlex
 from pathlib import Path
 
 import soslab
-from soslab.cli import main
+from soslab.cli import build_parser, main
 from soslab.lab import ExperimentConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -32,6 +33,24 @@ def test_readme_cli_commands_run(tmp_path, monkeypatch):
     for argv in commands:
         assert argv[0] == "soslab"
         assert main(argv[1:]) == 0, argv
+
+
+def test_readme_cli_section_names_the_parsers_flags():
+    # A flag the section names and no subcommand takes sends the reader to
+    # a usage error; a flag a subcommand takes and the section leaves out
+    # is not documented.
+    text = README.read_text()
+    section = re.search(r"^## CLI\n(.*?)^## ", text, flags=re.DOTALL | re.MULTILINE).group(1)
+    documented = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+    commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {
+        flag
+        for sub in commands.choices.values()
+        for action in sub._actions
+        for flag in action.option_strings
+        if flag != "--help" and flag.startswith("--")
+    }
+    assert (sorted(documented - flags), sorted(flags - documented)) == ([], [])
 
 
 def test_readme_config_example_parses():
