@@ -41,7 +41,7 @@ from .errors import (
     NotBinary,
     check_s_star,
 )
-from .matrix import NoisyMatrix, pair_indices
+from .matrix import NoisyMatrix
 from .subsets import (
     check_side, entry_map, pair_variables, parents, sizes, subset_counts, var_count, variables,
 )
@@ -144,9 +144,7 @@ def positivity_graph(X: NoisyMatrix, mode: str) -> np.ndarray:
         raise InvalidParams(f"unknown positivity mode {mode!r}")
     if mode == BINARY_ONE and not X.is_binary():
         raise NotBinary("binary-one mode requires a {0,1}-valued matrix")
-    adj = np.zeros((X.d, X.d), dtype=bool)
-    adj[pair_indices(X.d)] = X.entries > 0.0
-    adj = adj | adj.T
+    adj = X.to_dense() > 0.0
     adj.flags.writeable = False
     return adj
 
@@ -287,7 +285,8 @@ def certify(X: NoisyMatrix, s_star: int, ell: int) -> FeasibilityReport:
     expansivity table, certificate, verification, and the report with its
     exact objective and clique count (``eta_empty``, which
     ``verify_certificate`` leaves None). The moment-matrix side budget is
-    checked before any counting (``expansivity_table``)."""
+    checked before any counting (``expansivity_table``), and s_star before that."""
+    check_s_star(s_star, X.d)
     table = expansivity_table(positivity_graph(X, SIGN_POSITIVE), ell)
     pe = build_certificate(table, s_star, ell)
     report = verify_certificate(pe, X.d, s_star, ell)

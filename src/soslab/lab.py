@@ -1,10 +1,10 @@
 """Experiment harness: deterministic grids, replicates, and CSV output.
 
-Seeding: replicate ``rep`` of grid point ``gi`` uses
-``mix_seed(base_seed, gi * replicates + rep)``; the threshold sweep, which
-draws paired null/alternative instances per multiplier, uses
-``mix_seed(base_seed, ((gi * n_mult + ci) * replicates + rep) * 2 + hyp)``.
-Rerunning a config reproduces every CSV byte except the runtime_ms column.
+Seeding: a run's draws are the cells of its grid times its axes, in
+``itertools.product`` order (``_draws``): the replicates, and for the
+threshold sweep the multipliers, the replicates and the null/alternative
+pair. Draw k is seeded ``mix_seed(base_seed, k)``. Rerunning a config
+reproduces every CSV byte except the runtime_ms column.
 
 Settings check themselves when built, so a config that exists is a valid
 one. A config is read from its dataclasses (``fields.read``); it holds only
@@ -19,12 +19,13 @@ a failed cell keeps its row with the failure in the ``error`` column.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 from .certificate import certify
 from .errors import CertificateUndefined, InvalidParams, SoslabError
@@ -311,29 +312,34 @@ def _run_cell(row: dict, columns: list[str], work: Callable[[dict], None]) -> di
     return row
 
 
+def _draws(cfg: ExperimentConfig, *axes: Iterable) -> Iterator[tuple]:
+    """``(seed, point, *axis values)`` of each draw of the run, seeded by
+    the rule in the module docstring."""
+    for k, cell in enumerate(itertools.product(cfg.grid, *axes)):
+        yield (mix_seed(cfg.base_seed, k), *cell)
+
+
 def run_gap_experiment(cfg: ExperimentConfig) -> list[dict]:
     """Estimate beta_star with every selected estimator on every replicate."""
     run = _estimator(cfg)
     rows: list[dict] = []
-    for gi, g in enumerate(cfg.grid):
-        for rep in range(cfg.replicates):
-            seed = mix_seed(cfg.base_seed, gi * cfg.replicates + rep)
-            instance = generate(g.params(seed))
-            for name in cfg.estimators:
-                base, level = parse_estimator(name)
+    for seed, g, rep in _draws(cfg, range(cfg.replicates)):
+        instance = generate(g.params(seed))
+        for name in cfg.estimators:
+            base, level = parse_estimator(name)
 
-                def work(row: dict) -> None:
-                    value = run(name, instance.matrix, instance.params.s_star).value
-                    row["estimate"] = value
-                    row["abs_error"] = abs(value - g.beta_star)
-                    if level is not None:
-                        row["level"] = level
+            def work(row: dict) -> None:
+                value = run(name, instance.matrix, instance.params.s_star).value
+                row["estimate"] = value
+                row["abs_error"] = abs(value - g.beta_star)
+                if level is not None:
+                    row["level"] = level
 
-                row = {
-                    "model": g.model, "d": g.d, "s_star": g.s_star, "beta_star": float(g.beta_star),
-                    "noise": g.noise_label(), "estimator": base, "rep": rep, "seed": seed,
-                }
-                rows.append(_run_cell(row, GAP_COLUMNS, work))
+            row = {
+                "model": g.model, "d": g.d, "s_star": g.s_star, "beta_star": float(g.beta_star),
+                "noise": g.noise_label(), "estimator": base, "rep": rep, "seed": seed,
+            }
+            rows.append(_run_cell(row, GAP_COLUMNS, work))
     return rows
 
 
@@ -341,30 +347,28 @@ def run_certificate_experiment(cfg: ExperimentConfig) -> list[dict]:
     """Build and verify the expansivity certificate on null instances."""
     run = _estimator(cfg)
     rows: list[dict] = []
-    for gi, g in enumerate(cfg.grid):
-        for rep in range(cfg.replicates):
-            seed = mix_seed(cfg.base_seed, gi * cfg.replicates + rep)
+    for seed, g, rep in _draws(cfg, range(cfg.replicates)):
 
-            def work(row: dict) -> None:
-                X = generate(g.params(seed)).matrix
-                try:
-                    report = certify(X, g.s_star, g.ell)
-                except CertificateUndefined:  # raised exactly when eta(empty) = 0
-                    row["eta_empty"] = 0
-                    raise
-                row["eta_empty"] = report.eta_empty
-                row["rowsum_violation_zero"] = report.rowsum_max_violation == 0
-                row["min_eig"] = report.min_eigenvalue
-                row["psd"] = report.psd
-                row["objective"] = float(report.objective)
-                if cfg.solve_sdp:
-                    row["sdp_value"] = run(f"sos_level:{g.ell}", X, g.s_star).value
+        def work(row: dict) -> None:
+            X = generate(g.params(seed)).matrix
+            try:
+                report = certify(X, g.s_star, g.ell)
+            except CertificateUndefined:  # raised exactly when eta(empty) = 0
+                row["eta_empty"] = 0
+                raise
+            row["eta_empty"] = report.eta_empty
+            row["rowsum_violation_zero"] = report.rowsum_max_violation == 0
+            row["min_eig"] = report.min_eigenvalue
+            row["psd"] = report.psd
+            row["objective"] = float(report.objective)
+            if cfg.solve_sdp:
+                row["sdp_value"] = run(f"sos_level:{g.ell}", X, g.s_star).value
 
-            row = {
-                "model": g.model, "d": g.d, "s_star": g.s_star, "ell": g.ell,
-                "rep": rep, "seed": seed,
-            }
-            rows.append(_run_cell(row, CERTIFICATE_COLUMNS, work))
+        row = {
+            "model": g.model, "d": g.d, "s_star": g.s_star, "ell": g.ell,
+            "rep": rep, "seed": seed,
+        }
+        rows.append(_run_cell(row, CERTIFICATE_COLUMNS, work))
     return rows
 
 
@@ -377,43 +381,33 @@ def run_threshold_sweep(cfg: ExperimentConfig) -> tuple[list[dict], list[dict]]:
     """
     run = _estimator(cfg)
     rows: list[dict] = []
+    for seed, g, c, rep, hyp in _draws(cfg, cfg.multipliers, range(cfg.replicates), (0, 1)):
+        beta_bar = c * math.sqrt(math.log(g.d / g.s_star) / g.s_star)
+
+        def work(row: dict) -> None:
+            instance = generate(g.params(seed, beta_star=beta_bar if hyp else 0.0))
+            value = run("scan", instance.matrix, g.s_star).value
+            row["scan_value"] = value
+            row["reject"] = int(value > beta_bar / 2)
+
+        row = {
+            "d": g.d, "s_star": g.s_star, "c": float(c),
+            "rep": rep, "seed": seed, "hypothesis": hyp,
+        }
+        rows.append(_run_cell(row, THRESHOLD_COLUMNS, work))
+    # One summary row per (grid point, multiplier): a block of 2 * replicates
+    # rows. Type I: no accept under H0; type II: no reject under H1. A failed
+    # cell holds reject "", a wrong decision under either hypothesis.
     summary: list[dict] = []
-    n_mult = len(cfg.multipliers)
-    for gi, g in enumerate(cfg.grid):
-        for ci, c in enumerate(cfg.multipliers):
-            beta_bar = c * math.sqrt(math.log(g.d / g.s_star) / g.s_star)
-            for rep in range(cfg.replicates):
-                for hyp in (0, 1):
-                    counter = ((gi * n_mult + ci) * cfg.replicates + rep) * 2 + hyp
-                    seed = mix_seed(cfg.base_seed, counter)
-
-                    def work(row: dict) -> None:
-                        instance = generate(g.params(seed, beta_star=beta_bar if hyp else 0.0))
-                        value = run("scan", instance.matrix, g.s_star).value
-                        row["scan_value"] = value
-                        row["reject"] = int(value > beta_bar / 2)
-
-                    row = {
-                        "d": g.d, "s_star": g.s_star, "c": float(c),
-                        "rep": rep, "seed": seed, "hypothesis": hyp,
-                    }
-                    rows.append(_run_cell(row, THRESHOLD_COLUMNS, work))
-            # type I: no accept under H0; type II: no reject under H1. A failed
-            # cell holds reject "", a wrong decision under either hypothesis.
-            cells = rows[-2 * cfg.replicates :]
-            type_i = sum(r["reject"] != 0 for r in cells if r["hypothesis"] == 0) / cfg.replicates
-            type_ii = sum(r["reject"] != 1 for r in cells if r["hypothesis"] == 1) / cfg.replicates
-            summary.append(
-                {
-                    "d": g.d,
-                    "s_star": g.s_star,
-                    "c": float(c),
-                    "replicates": cfg.replicates,
-                    "type_i_error": type_i,
-                    "type_ii_error": type_ii,
-                    "summed_error": type_i + type_ii,
-                }
-            )
+    block = 2 * cfg.replicates
+    for cells in (rows[i : i + block] for i in range(0, len(rows), block)):
+        type_i = sum(r["reject"] != 0 for r in cells if r["hypothesis"] == 0) / cfg.replicates
+        type_ii = sum(r["reject"] != 1 for r in cells if r["hypothesis"] == 1) / cfg.replicates
+        summary.append({
+            "d": cells[0]["d"], "s_star": cells[0]["s_star"], "c": cells[0]["c"],
+            "replicates": cfg.replicates, "type_i_error": type_i, "type_ii_error": type_ii,
+            "summed_error": type_i + type_ii,
+        })
     return rows, summary
 
 

@@ -1,9 +1,9 @@
 """Deterministic seeding.
 
 All randomness in the package flows through one named generator: numpy's
-PCG64, seeded with an explicit 64-bit unsigned integer. Replicate k of an
+PCG64, seeded with an explicit 64-bit unsigned integer. Draw k of an
 experiment draws from ``generator(mix_seed(base_seed, k))``; the SplitMix64
-mix makes the per-replicate streams independent while keeping every draw
+mix makes the per-draw streams independent while keeping every draw
 reproducible from ``(base_seed, k)`` alone.
 """
 from __future__ import annotations

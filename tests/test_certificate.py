@@ -154,6 +154,18 @@ def test_certify_checks_the_side_budget_before_counting():
     assert peak < 2**20
 
 
+def test_certify_checks_s_star_before_counting(monkeypatch):
+    # at d=60 the clique count is the costly stage; an s_star no stage takes
+    # is refused before it
+    def count(*args):
+        raise AssertionError("expansivity_table ran before the s_star check")
+
+    monkeypatch.setattr(soslab.certificate, "expansivity_table", count)
+    params = ModelParams(kind="sbm", d=60, s_star=2, beta_star=0.5, beta_tilde=0.5, seed=3)
+    with pytest.raises(InvalidParams, match="need 2 <= s_star <= d, got s_star=61, d=60"):
+        certify(generate(params).matrix, 61, 2)
+
+
 def test_expansivity_identity_random_graphs():
     rng = generator(500)
     for trial in range(12):
@@ -604,19 +616,31 @@ def test_python_int_path_matches_dense_reference():
         assert certificate_objective(X, case, 5) == dense_objective(X, case, 5)
 
 
-def test_certify_does_not_import_scipy():
-    # scipy adds about 30 MiB of resident memory; the certificate path is numpy alone.
-    code = (
-        "import sys\n"
+def test_certify_does_not_import_scipy(tmp_path):
+    # scipy adds about 30 MiB of resident memory; the certificate path, the
+    # threshold sweep (scans alone) and the closed-form estimators are numpy alone.
+    certificates = (
         "from soslab import certify, generate, ModelParams, Noise\n"
         "null = ModelParams(kind='submatrix', d=20, s_star=3, beta_star=0.0,\n"
         "                   noise=Noise('rademacher', 1.0), seed=5)\n"
         "sbm = ModelParams(kind='sbm', d=16, s_star=4, beta_star=0.5, beta_tilde=0.5, seed=6)\n"
         "certify(generate(null).matrix, 3, 1)\n"
         "certify(generate(sbm).matrix, 4, 2)\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    threshold = (
+        "from soslab import avg_estimate, generate, lp_estimate, max_estimate, ModelParams, Noise\n"
+        "from soslab.lab import ExperimentConfig, run_experiment\n"
+        "run_experiment(ExperimentConfig.from_dict({\n"
+        "    'experiment': 'threshold', 'replicates': 2, 'base_seed': 1, 'multipliers': [0, 2],\n"
+        "    'grid': [{'model': 'submatrix', 'd': 12, 's_star': 3}],\n"
+        f"    'output': {str(tmp_path / 'thr.csv')!r}}}))\n"
+        "X = generate(ModelParams(kind='submatrix', d=12, s_star=3, beta_star=1.0,\n"
+        "                         noise=Noise('gaussian', 1.0), seed=7)).matrix\n"
+        "avg_estimate(X, 3), max_estimate(X), lp_estimate(X, 3)\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(soslab.__file__)))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-    assert out.stdout.strip() == "[]"
+    for code in (certificates, threshold):
+        code = "import sys\n" + code + "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+        assert out.stdout.strip() == "[]"

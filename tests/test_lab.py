@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import math
+from itertools import product
 
 import pytest
 
@@ -24,6 +25,7 @@ from soslab.lab import (
 from soslab.matrix import NoisyMatrix
 from soslab.models import Noise
 from soslab.sdp import SolverOptions, solve
+from soslab.seeds import mix_seed
 from soslab.sos import assemble_level
 
 
@@ -295,6 +297,33 @@ def test_replay_byte_identical_excluding_runtime(tmp_path):
         assert paths_a == paths_b
         for path in paths_b:
             assert strip_runtime_text(path) == snapshots[path]
+
+
+def test_draw_k_is_seeded_mix_seed_of_k(tmp_path):
+    # A run's draws are its grid times its axes in product order, and draw k
+    # is seeded mix_seed(base_seed, k); the estimator rows of one gap draw
+    # share it.
+    gap = gap_config(tmp_path, estimators=["scan", "avg", "max"])
+    cert = cert_config(tmp_path)
+    thr = threshold_config(tmp_path, replicates=2, grid=[
+        {"model": "submatrix", "d": 10, "s_star": 2, "noise": {"kind": "gaussian", "sigma": 1.0}},
+        {"model": "submatrix", "d": 12, "s_star": 3, "noise": {"kind": "gaussian", "sigma": 1.0}},
+    ])
+    runs = [
+        (gap, run_gap_experiment(gap), len(gap.estimators), [range(3)], ["rep"]),
+        (cert, run_certificate_experiment(cert), 1, [range(2)], ["rep"]),
+        (thr, run_threshold_sweep(thr)[0], 1, [thr.multipliers, range(2), (0, 1)],
+         ["c", "rep", "hypothesis"]),
+    ]
+    for cfg, rows, per_draw, axes, fields in runs:
+        draws = list(product(cfg.grid, *axes))
+        assert len(cfg.grid) >= 2 and len(rows) == per_draw * len(draws)
+        for i, row in enumerate(rows):
+            k = i // per_draw
+            g, *values = draws[k]
+            assert (row["d"], row["s_star"], row.get("ell")) == (g.d, g.s_star, g.ell)
+            assert [row[f] for f in fields] == values
+            assert row["seed"] == mix_seed(cfg.base_seed, k)
 
 
 def test_run_experiment_writes_summary_file(tmp_path):
