@@ -21,9 +21,10 @@ BRANCH_AND_BOUND = "branch-and-bound"
 
 DEFAULT_MAX_SUBSETS = 10**8
 
-# Relative slack of branch-and-bound's prune test, beside the rounding
-# bound `_branch_and_bound` derives; candidate leaves are re-evaluated with
-# the same canonical summation the exhaustive strategy uses.
+# Relative slack of branch-and-bound's prune test where its sums are not
+# exact, beside the rounding bound `_branch_and_bound` derives; candidate
+# leaves are re-evaluated with the same canonical summation the exhaustive
+# strategy uses.
 _PRUNE_SLACK = 1e-9
 
 # Largest s_star**2 * max|X| that branch-and-bound searches (see its docstring).
@@ -65,7 +66,7 @@ def _pair_sum(dense: np.ndarray, subset: tuple[int, ...]) -> float:
 
 
 def _scan_value(pair_sum: float, s_star: int) -> float:
-    return 2.0 * pair_sum / (s_star * (s_star - 1))
+    return 2.0 * float(pair_sum) / (s_star * (s_star - 1))
 
 
 def _exhaustive(dense: np.ndarray, d: int, s_star: int) -> tuple[float, tuple[int, ...], int]:
@@ -143,12 +144,44 @@ def _row_top_sums(dense: np.ndarray, d: int, s_star: int) -> np.ndarray:
     return H
 
 
+def _sums_are_exact(entries: np.ndarray, s_star: int, max_abs: float) -> bool:
+    """Whether every float sum of a branch-and-bound scan is exact.
+
+    True when every entry (of the dense matrix or of its upper triangle)
+    is an integer multiple of one power of two, u, and s_star**2 * max|X|
+    is below 2**53 units of u/2. A bound or pair sum adds at most
+    s_star**2 entries and half entries (the halves come from
+    `_row_top_sums`), so each of its partial sums is then a multiple of
+    u/2 below 2**53 of them: a float. Entries that are multiples of some
+    such u are multiples of the smallest, 2**(e - 52) for
+    s_star**2 * max|X| in [2**(e-1), 2**e), raised to 2**-1073 so that u/2
+    is a float; that u is tested. The product s_star**2 * max|X| is exact
+    when the answer is True, and its rounding never lowers e, so no other
+    input passes. It must be finite: `scan_estimate` searches only below
+    `_SUM_LIMIT`.
+    """
+    unit = max(math.ldexp(1.0, math.frexp(s_star**2 * max_abs)[1] - 52), 2.0**-1073)
+    # entries / unit is exact or, for entries below unit, not an integer
+    return bool(np.all(np.rint(entries / unit) * unit == entries))
+
+
+def _potential_order(dense: np.ndarray, d: int, s_star: int) -> np.ndarray:
+    """Vertices by descending root gain, half the sum of the s_star - 1
+    largest entries of their row (diagonal left out); a stable sort."""
+    masked = dense.copy()
+    np.fill_diagonal(masked, -np.inf)
+    masked.partition(d - s_star + 1, axis=1)
+    gain = 0.5 * masked[:, d - s_star + 1 :].sum(axis=1)
+    return np.argsort(-gain, kind="stable")
+
+
 def _branch_and_bound(
     dense: np.ndarray, d: int, s_star: int, max_abs: float
 ) -> tuple[float, tuple[int, ...], int, int, int]:
-    """Depth-first lexicographic search with an admissible per-vertex gain bound.
+    """Depth-first search with an admissible per-vertex gain bound.
 
-    At a node with chosen vertices P (pair sum cur, row sums rowsum) that
+    The search runs over the vertices relabelled in some order (below); at
+    a node with chosen vertices P (pair sum cur, row sums rowsum) that
     still needs `need` vertices, child v adds v and then need-1 vertices Q
     after v. With rowsum' = rowsum + row v, the pairs of Q sum to half of
     the sum over u in Q of its row entries inside Q, so each u in Q adds at
@@ -159,33 +192,59 @@ def _branch_and_bound(
     over u > v. The row top-sums come from one table per scan
     (`_row_top_sums`); each node bounds all its children at once from a
     children x d gain matrix and `np.partition`. At the last level the
-    bound is the leaf's own (incrementally summed) pair sum.
+    bound is the leaf's own (incrementally summed) pair sum. Every leaf
+    is finalized by `_pair_sum` on its original labels, sorted, and
+    replaces the incumbent when (value, subset) is larger in value or
+    equal in value and lexicographically smaller: the exhaustive
+    strategy's value and tie rule.
 
     A greedy incumbent seeds the value floor and the support. Bounds are
     computed once per node; each child is still compared with the current
-    floor, minus a slack, before it is expanded. The slack is
-    `_PRUNE_SLACK` relative to the floor plus a bound on float rounding:
-    a child's bound and a leaf's canonical pair sum are each a float sum
-    of at most s_star**2 terms, entries or half entries, in a summation
-    tree of height at most s_star**2, so each lies within
-    s_star**4 * max|X| * 2**-53 of its exact value (Higham, "Accuracy and
-    Stability of Numerical Algorithms", section 4.2), and choosing the top
-    gains by their float values loses at most 2 * s_star**3 of those
-    units. `s_star**4 * max|X| * 2**-50` covers both sides of every
-    comparison, so no subtree holding a leaf whose canonical sum reaches
-    the floor is cut, however the entries cancel, provided no sum overflows
-    (inf - inf is a NaN bound, which prunes). A float partial sum is at most
-    (1 + 2**-53)**(s_star**2) < 2 times the sum of its absolute terms, at
-    most s_star**2 * max|X| (``max_abs``); `scan_estimate` searches only if
-    that is at most 2**1022 (`_SUM_LIMIT`), so every sum stays below 2**1023.
-    The support is only replaced from search leaves, each finalized by
-    `_pair_sum`, so the value and the lexicographic tie rule match the
-    exhaustive strategy. Returns the pair sum, the subset, and the leaf,
-    node and pruned counts.
+    floor before it is expanded. The input chooses the order and the prune
+    rule (`_sums_are_exact`):
+
+    - Exact sums. The search keeps the original lexicographic order, and
+      bounds and sums are exact, so a child is pruned when its bound is
+      below the floor. A child whose bound equals the floor is pruned too
+      when its prefix (P and v) is lexicographically later than the
+      incumbent's prefix of the same length: every subset in its subtree
+      is then later than the incumbent, so none can replace it. This
+      always holds once the incumbent came from the search, which visits
+      subsets in lexicographic order. On +-1 and 0/1 matrices, where ties
+      are everywhere, this cuts the search to a few nodes.
+    - Otherwise. The search runs over the vertices in descending root gain
+      (`_potential_order`), so strong vertices raise the floor early, and
+      keeps every child whose bound is at least the floor minus a slack:
+      `_PRUNE_SLACK` relative to the floor plus a bound on float rounding.
+      A child's bound and a leaf's canonical pair sum are each a float sum
+      of at most s_star**2 terms, entries or half entries, in a summation
+      tree of height at most s_star**2, so each lies within
+      s_star**4 * max|X| * 2**-53 of its exact value (Higham, "Accuracy
+      and Stability of Numerical Algorithms", section 4.2), and choosing
+      the top gains by their float values loses at most 2 * s_star**3 of
+      those units. `s_star**4 * max|X| * 2**-50` covers both sides of
+      every comparison, so no subtree holding a leaf whose canonical sum
+      reaches the floor is cut, however the entries cancel, provided no
+      sum overflows (inf - inf is a NaN bound, which prunes). A float
+      partial sum is at most (1 + 2**-53)**(s_star**2) < 2 times the sum
+      of its absolute terms, at most s_star**2 * max|X| (``max_abs``);
+      `scan_estimate` searches only if that is at most 2**1022
+      (`_SUM_LIMIT`), so every sum stays below 2**1023. Ties are never
+      pruned here, so every leaf of the best value is visited.
+
+    Returns the pair sum, the subset (original labels), and the leaf, node
+    and pruned counts.
     """
-    H = _row_top_sums(dense, d, s_star)
+    exact = _sums_are_exact(dense, s_star, max_abs)
+    order = np.arange(d) if exact else _potential_order(dense, d, s_star)
+    labels = order.tolist()
+    searched = dense.take(order, axis=0).take(order, axis=1)
+    H = _row_top_sums(searched, d, s_star)
     best_val, best_subset = _greedy_seed(dense, d, s_star)
-    rounding = s_star**4 * max_abs * 2.0**-50
+    if exact:
+        relative = rounding = 0.0
+    else:
+        relative, rounding = _PRUNE_SLACK, s_star**4 * max_abs * 2.0**-50
     leaves = nodes = pruned = 0
     chosen: list[int] = []
     # rowsums[p]: the row sums into the first p chosen vertices; scratch
@@ -193,13 +252,27 @@ def _branch_and_bound(
     rowsums = np.zeros((s_star, d))
     scratch = np.empty((d, d))
 
-    def visit_leaf(subset: tuple[int, ...]) -> None:
+    def visit_leaf(v: int) -> None:
         nonlocal best_val, best_subset, leaves
         leaves += 1
+        subset = tuple(sorted([labels[u] for u in chosen] + [labels[v]]))
         val = _pair_sum(dense, subset)
         if val > best_val or (val == best_val and subset < best_subset):
             best_val = val
             best_subset = subset
+
+    def tie_limit() -> int:
+        """The largest child v of the current node whose subtree can hold
+        a subset that ties the incumbent and precedes it; d if ties are
+        never pruned. Exact searches run on the original labels, so the
+        prefixes compare with the incumbent as they are."""
+        if not exact:
+            return d
+        depth = len(chosen)
+        prefix, head = tuple(chosen), best_subset[:depth]
+        if prefix != head:
+            return d if prefix < head else -1
+        return best_subset[depth]
 
     def rec(start: int, cur: float) -> None:
         nonlocal nodes, pruned
@@ -213,23 +286,29 @@ def _branch_and_bound(
             # The scratch is consumed here, before any child reuses it.
             kth = d - need + 1
             gains = scratch[: stop - start]
-            np.add(H[need - 2, start + 1 : stop + 1], dense[start:stop], out=gains)
+            np.add(H[need - 2, start + 1 : stop + 1], searched[start:stop], out=gains)
             gains += rowsum
             gains.partition(kth, axis=1)
             bound += gains[:, kth:].sum(axis=1)
-        slack = _PRUNE_SLACK * (1.0 + abs(best_val)) + rounding
-        keep = (bound >= best_val - slack).nonzero()[0]
+        slack = relative * (1.0 + abs(best_val)) + rounding
+        floor = best_val - slack
+        keep = bound >= floor
+        cut = max(tie_limit() + 1 - start, 0)
+        if cut < bound.size:
+            keep[cut:] = bound[cut:] > floor
+        keep = keep.nonzero()[0]
         pruned += bound.size - keep.size
         for i in keep.tolist():
-            if bound[i] < best_val - slack:
+            floor = best_val - slack
+            v = start + i
+            if bound[i] < floor or (bound[i] == floor and v > tie_limit()):
                 pruned += 1
                 continue
-            v = start + i
             if need == 1:
-                visit_leaf(tuple(chosen) + (v,))
+                visit_leaf(v)
                 continue
             chosen.append(v)
-            np.add(rowsum, dense[v], out=rowsums[depth + 1])
+            np.add(rowsum, searched[v], out=rowsums[depth + 1])
             rec(v + 1, cur + rowsum[v])
             chosen.pop()
 

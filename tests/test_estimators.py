@@ -10,11 +10,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from soslab import estimators
 from soslab.errors import InvalidParams, TooLarge
 from soslab.estimators import (
     BRANCH_AND_BOUND,
     EXHAUSTIVE,
+    _greedy_seed,
     _row_top_sums,
+    _sums_are_exact,
     avg_estimate,
     lp_estimate,
     max_estimate,
@@ -98,13 +101,29 @@ def test_branch_and_bound_equals_exhaustive():
         assert a.support == b.support
 
 
+# Dyadic entries on two scales 2**60 apart: multiples of 2**-30 as large
+# as 3 * 2**30, too wide for exact sums at any s_star >= 2.
+WIDE_DYADIC = [sign * k * 2.0**e for sign in (-1.0, 1.0) for k in (1, 3) for e in (-30, 30)]
+
+
 @st.composite
 def scan_instances(draw):
     d = draw(st.integers(4, 14))
     s = draw(st.integers(2, min(7, d)))
-    kind = draw(st.sampled_from(["tie-heavy", "gaussian", "cancelling"]))
+    kind = draw(st.sampled_from(
+        ["tie-heavy", "plus-minus-one", "zero-one", "quarter", "wide-dyadic", "gaussian",
+         "cancelling"]
+    ))
     if kind == "tie-heavy":
         values = st.sampled_from([-1.0, 0.0, 1.0])
+    elif kind == "plus-minus-one":
+        values = st.sampled_from([-1.0, 1.0])
+    elif kind == "zero-one":
+        values = st.sampled_from([0.0, 1.0])
+    elif kind == "quarter":
+        values = st.integers(-8, 8).map(lambda k: k / 4.0)
+    elif kind == "wide-dyadic":
+        values = st.sampled_from(WIDE_DYADIC)
     elif kind == "cancelling":
         # +/-10^e within a few ulps, beside small integers: pair sums of
         # large entries cancel, and incremental sums round far above 1e-9
@@ -121,16 +140,62 @@ def scan_instances(draw):
         entries = generator(draw(st.integers(0, 2**32 - 1))).standard_normal(n_pairs(d))
     else:
         entries = np.array(draw(st.lists(values, min_size=n_pairs(d), max_size=n_pairs(d))))
+    if kind == "wide-dyadic":
+        entries[:2] = 3 * 2.0**30, 2.0**-30  # both scales, so the search is ordered
     return NoisyMatrix(d=d, entries=entries), s
+
+
+def children_of_nodes(X, s):
+    """Branch-and-bound on X, and the children of all its nodes, counted
+    from the arguments of each node's call: a node with `depth` chosen
+    vertices whose children start at `start` has one child per v in
+    start..d - (s - depth), which leaves room for the rest after v."""
+    rec = next(c for c in estimators._branch_and_bound.__code__.co_consts
+               if getattr(c, "co_name", None) == "rec")
+    children = 0
+
+    def count(frame, event, arg):
+        nonlocal children
+        if event == "call" and frame.f_code is rec:
+            depth = len(frame.f_locals["chosen"])
+            children += X.d - (s - depth) + 1 - frame.f_locals["start"]
+
+    sys.setprofile(count)
+    try:
+        result = scan_estimate(X, s, strategy=BRANCH_AND_BOUND)
+    finally:
+        sys.setprofile(None)
+    return result, children
 
 
 @given(scan_instances())
 def test_branch_and_bound_matches_exhaustive_fuzz(instance):
     X, s = instance
     a = scan_estimate(X, s, strategy=EXHAUSTIVE)
-    b = scan_estimate(X, s, strategy=BRANCH_AND_BOUND)
+    b, children = children_of_nodes(X, s)
     assert a.value == b.value  # zero tolerance
     assert a.support == b.support
+    # every child is a node, a leaf or pruned, on both search orders
+    assert children == b.nodes - 1 + b.subsets_examined + b.pruned
+
+
+@pytest.mark.parametrize("entries, s, exact", [
+    (np.array([1.0, -1.0, 1.0]), 2, True),
+    (np.array([0.0, 1.0, 1.0, 0.0, 1.0, 0.0]), 4, True),
+    (np.array([0.25, -1.75, 3.0]), 3, True),
+    (np.zeros(6), 4, True),
+    (np.array([2.0**-1073, 0.0, 2.0**-1072]), 2, True),
+    # a unit of 2**-1074 has no half
+    (np.array([2.0**-1074, 0.0, 1.0]), 2, False),
+    # s**2 * max|X| against 2**53 units of u/2, u = 2**-2: 4 * (2**50 - 1)/4 passes, 4 * 2**50/4 not
+    (np.array([(2.0**50 - 1) / 4, 0.25, 0.0]), 2, True),
+    (np.array([2.0**50 / 4, 0.25, 0.0]), 2, False),
+    (np.array([1.0, 0.1, 0.0]), 2, False),
+    (np.array(WIDE_DYADIC[:6]), 2, False),
+    (generator(5).standard_normal(6), 2, False),
+])
+def test_sums_are_exact(entries, s, exact):
+    assert _sums_are_exact(entries, s, float(np.abs(entries).max())) is exact
 
 
 @pytest.mark.parametrize("beta", [0.0, 1.5])
@@ -275,6 +340,54 @@ def test_scan_search_counters():
     assert 3 * b.nodes == b.nodes - 1 + b.subsets_examined + b.pruned
     a = scan_estimate(X, 3, strategy=EXHAUSTIVE)
     assert (a.nodes, a.subsets_examined, a.pruned) == (0, 10, 0)
+
+
+def test_exact_ties_keep_the_lexicographic_tie_rule():
+    # 1-based: X_12 = X_13 = X_23 = X_35 = 1, X_34 = 2, X_14 = X_24 = -1.
+    # The greedy incumbent {3, 4, 5} (from the largest entry, X_34) ties
+    # {1, 2, 3} at pair sum 3, and exhaustive enumeration returns the
+    # earlier {1, 2, 3}. The ties on the way to {1, 2, 3}, whose prefixes
+    # precede the incumbent's, are expanded; once the search has found it,
+    # the root's child {3}, whose bound ties and whose subtree holds the
+    # greedy subset, is later than the incumbent and pruned: 3 nodes and
+    # 1 leaf, against 5 nodes and 2 leaves if ties were kept.
+    X = NoisyMatrix(d=5, entries=np.array([1, 1, -1, 0, 1, -1, 0, 2, 1, 0], dtype=float))
+    assert _greedy_seed(X.to_dense(), 5, 3) == (3.0, (2, 3, 4))
+    a = scan_estimate(X, 3, strategy=EXHAUSTIVE)
+    b = scan_estimate(X, 3, strategy=BRANCH_AND_BOUND)
+    assert (a.value, a.support) == (b.value, b.support) == (1.0, frozenset({1, 2, 3}))
+    assert (b.nodes, b.subsets_examined, b.pruned) == (3, 1, 6)
+
+
+def _null(kind, d, seed):
+    if kind == "sbm":
+        return ModelParams(kind="sbm", d=d, s_star=6, beta_star=0.5, beta_tilde=0.5, seed=seed)
+    return ModelParams(kind="submatrix", d=d, s_star=6, beta_star=0.0, noise=Noise(kind, 1.0),
+                       seed=seed)
+
+
+@pytest.mark.parametrize("kind, support", [
+    ("rademacher", {1, 2, 3, 23, 28, 77}),
+    ("sbm", {1, 3, 4, 6, 16, 88}),
+])
+def test_branch_and_bound_prunes_exact_ties_at_d120(kind, support):
+    # +-1 and 0/1 nulls at d=120, s*=6 hold cliques of value 1 everywhere;
+    # keeping every tie visited 126k (+-1) and 125k (sbm) nodes.
+    r = scan_estimate(generate(_null(kind, 120, 1)).matrix, 6)
+    assert (r.value, r.support) == (1.0, support)
+    assert r.nodes <= 20
+
+
+@pytest.mark.parametrize("seed, lexicographic_nodes, support", [
+    (1, 1623, {7, 30, 38, 47, 66, 70}),
+    (2, 1155, {27, 32, 45, 47, 51, 66}),
+])
+def test_branch_and_bound_searches_in_potential_order(seed, lexicographic_nodes, support):
+    # gaussian nulls at d=80, s*=6: the search in original lexicographic
+    # order visited lexicographic_nodes nodes for the same support
+    r = scan_estimate(generate(_null("gaussian", 80, seed)).matrix, 6)
+    assert r.support == support
+    assert r.nodes < lexicographic_nodes
 
 
 def test_scan_tie_breaks_lexicographically():

@@ -9,6 +9,7 @@ import pytest
 from soslab.cli import main
 from soslab.errors import InvalidParams, RademacherWithSignal
 from soslab.lab import (
+    ESTIMATORS,
     GAP_COLUMNS,
     THRESHOLD_COLUMNS,
     THRESHOLD_SUMMARY_COLUMNS,
@@ -763,4 +764,13 @@ def test_estimate_takes_a_configs_names():
         with pytest.raises(InvalidParams) as exc:
             estimate(name, X, 3, solver=solver)
         assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("base", ESTIMATORS)
+def test_every_estimate_value_is_a_python_float(base):
+    # Estimate.value is a float for every estimator, the scan's included
+    # (not a numpy scalar), so sums and reprs of values agree across them.
+    X = NoisyMatrix(d=4, entries=[1.0, 0.0, 2.0, 0.5, 0.0, 1.0])
+    name = base + ":1" if base == "sos_level" else base
+    assert type(estimate(name, X, 3, solver=SolverOptions()).value) is float
 
