@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -85,23 +86,51 @@ def _exhaustive(dense: np.ndarray, d: int, s_star: int) -> tuple[float, tuple[in
     return best_val, best_subset, count
 
 
-def _greedy_seed(dense: np.ndarray, d: int, s_star: int) -> tuple[float, tuple[int, ...]]:
-    """A feasible subset and its canonical pair sum, a floor for the
-    search: the largest entry's pair, grown by the vertex of largest row
-    sum into the chosen set until it has s_star vertices."""
+def _masked(dense: np.ndarray) -> np.ndarray:
+    """A copy of dense with -inf on its diagonal, so that a maximum over a
+    row skips the vertex itself. `_greedy_seed` and `_potential_order` only
+    read it, so one copy serves both."""
     masked = dense.copy()
     np.fill_diagonal(masked, -np.inf)
-    i, j = np.unravel_index(int(np.argmax(masked)), masked.shape)
-    chosen = [int(i), int(j)]
-    rowsum = dense[chosen[0]] + dense[chosen[1]]
+    return masked
+
+
+def _greedy_seed(
+    dense: np.ndarray, d: int, s_star: int, masked: np.ndarray | None = None
+) -> tuple[float, tuple[int, ...]]:
+    """A feasible subset and its canonical pair sum, a floor for the
+    search: the largest entry's pair, grown by the vertex of largest row
+    sum into the chosen set until it has s_star vertices. ``masked`` is
+    `_masked(dense)`, built here when not given."""
+    if masked is None:
+        masked = _masked(dense)
+    i, j = divmod(int(np.argmax(masked)), d)
+    chosen = [i, j]
+    rowsum = dense[i] + dense[j]
+    # the unchosen vertices, not those of finite score: sums can overflow to -inf
+    free = np.ones(d, dtype=bool)
+    free[chosen] = False
     while len(chosen) < s_star:
-        # the unchosen vertices, not those of finite score: sums can overflow to -inf
-        free = np.flatnonzero(np.bincount(chosen, minlength=d) == 0)
-        v = int(free[np.argmax(rowsum[free])])
+        candidates = free.nonzero()[0]
+        v = int(candidates[np.argmax(rowsum[candidates])])
         chosen.append(v)
-        rowsum = rowsum + dense[v]
+        free[v] = False
+        rowsum += dense[v]
     subset = tuple(sorted(chosen))
     return _pair_sum(dense, subset), subset
+
+
+@lru_cache(maxsize=8)
+def _front(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The two read-only d x d constants of a search front at column c:
+    `layer0[c, u]` is 0, or -inf where u < c (a vertex the front has
+    passed), the r = 0 layer of `_row_top_sums`; `ceiling[k, u]` is +inf,
+    or -inf where u < d-1-k (passed, with the columns reversed)."""
+    passed = np.tri(d, d, -1, dtype=bool)
+    layer0 = np.where(passed, -np.inf, 0.0)
+    ceiling = np.where(passed[::-1], -np.inf, np.inf)
+    layer0.flags.writeable = ceiling.flags.writeable = False
+    return layer0, ceiling
 
 
 def _row_top_sums(dense: np.ndarray, d: int, s_star: int) -> np.ndarray:
@@ -122,17 +151,25 @@ def _row_top_sums(dense: np.ndarray, d: int, s_star: int) -> np.ndarray:
     their inputs, so top_r is the same float a sort of the row gives, and
     H sums them in the same order, largest first: bit for bit the table a
     per-column sort builds (kept in the tests as the reference).
+
+    The passed vertices come from the per-d constants of `_front`: layer 0
+    is `layer0`, and the running total starts as min(top_1, ceiling),
+    which is top_1 or, where passed, -inf. Every later top is an entry or
+    -inf, never +inf, so the passed stay -inf in every layer. The table is
+    a new array: the search adds to it in place.
     """
     take = s_star - 2
+    layer0, ceiling = _front(d)
     H = np.empty((take + 1, d, d))
-    H[0] = 0.0
+    H[0] = layer0
     if take:
         # Reversed columns: rev[k, u] = x_u at column d-1-k of row u, so a
-        # suffix over columns is a prefix over k.
+        # suffix over columns is a prefix over k; the flat step d-1 walks
+        # the reversed diagonal.
         rev = dense[::-1].copy()
-        rev[np.arange(d), np.arange(d - 1, -1, -1)] = -np.inf
+        rev.reshape(-1)[d - 1 : -1 : d - 1] = -np.inf
         top = np.maximum.accumulate(rev, axis=0)
-        total = top.copy()
+        total = np.minimum(top, ceiling)
         np.multiply(total[::-1], 0.5, out=H[1])
         for r in range(2, take + 1):
             top[1:] = np.minimum(rev[1:], top[:-1])
@@ -140,7 +177,6 @@ def _row_top_sums(dense: np.ndarray, d: int, s_star: int) -> np.ndarray:
             np.maximum.accumulate(top, axis=0, out=top)
             total += top
             np.multiply(total[::-1], 0.5, out=H[r])
-    H[:, np.tri(d, d, -1, dtype=bool)] = -np.inf
     return H
 
 
@@ -165,18 +201,17 @@ def _sums_are_exact(entries: np.ndarray, s_star: int, max_abs: float) -> bool:
     return bool(np.all(np.rint(entries / unit) * unit == entries))
 
 
-def _potential_order(dense: np.ndarray, d: int, s_star: int) -> np.ndarray:
+def _potential_order(masked: np.ndarray, d: int, s_star: int) -> np.ndarray:
     """Vertices by descending root gain, half the sum of the s_star - 1
-    largest entries of their row (diagonal left out); a stable sort."""
-    masked = dense.copy()
-    np.fill_diagonal(masked, -np.inf)
-    masked.partition(d - s_star + 1, axis=1)
-    gain = 0.5 * masked[:, d - s_star + 1 :].sum(axis=1)
+    largest entries of their row (diagonal left out: ``masked`` is
+    `_masked(dense)`, which this only reads); a stable sort."""
+    top = np.partition(masked, d - s_star + 1, axis=1)
+    gain = 0.5 * top[:, d - s_star + 1 :].sum(axis=1)
     return np.argsort(-gain, kind="stable")
 
 
 def _branch_and_bound(
-    dense: np.ndarray, d: int, s_star: int, max_abs: float
+    dense: np.ndarray, d: int, s_star: int, max_abs: float, exact: bool
 ) -> tuple[float, tuple[int, ...], int, int, int]:
     """Depth-first search with an admissible per-vertex gain bound.
 
@@ -190,18 +225,22 @@ def _branch_and_bound(
         column u left out),
     and the child's bound is cur + rowsum[v] plus the need-1 largest gains
     over u > v. The row top-sums come from one table per scan
-    (`_row_top_sums`); each node bounds all its children at once from a
-    children x d gain matrix and `np.partition`. At the last level the
-    bound is the leaf's own (incrementally summed) pair sum. Every leaf
-    is finalized by `_pair_sum` on its original labels, sorted, and
-    replaces the incumbent when (value, subset) is larger in value or
+    (`_row_top_sums`, whose passed-vertex layers are per-d constants),
+    into which the scan folds the matrix once: HS[r, v] = H[r, v + 1] +
+    searched[v], the association the gains always had, so a node forms
+    its children x d gain matrix with one add of rowsum. It bounds all its
+    children at once from that matrix: by its row maxima when need is 2,
+    else by `np.partition` and a sum of the need-1 largest. At the last
+    level the bound is the leaf's own (incrementally summed) pair sum.
+    Every leaf is finalized by `_pair_sum` on its original labels, sorted,
+    and replaces the incumbent when (value, subset) is larger in value or
     equal in value and lexicographically smaller: the exhaustive
     strategy's value and tie rule.
 
     A greedy incumbent seeds the value floor and the support. Bounds are
     computed once per node; each child is still compared with the current
-    floor before it is expanded. The input chooses the order and the prune
-    rule (`_sums_are_exact`):
+    floor before it is expanded. ``exact``, whether the input's sums are
+    exact (`_sums_are_exact`), chooses the order and the prune rule:
 
     - Exact sums. The search keeps the original lexicographic order, and
       bounds and sums are exact, so a child is pruned when its bound is
@@ -235,22 +274,26 @@ def _branch_and_bound(
     Returns the pair sum, the subset (original labels), and the leaf, node
     and pruned counts.
     """
-    exact = _sums_are_exact(dense, s_star, max_abs)
-    order = np.arange(d) if exact else _potential_order(dense, d, s_star)
-    labels = order.tolist()
-    searched = dense.take(order, axis=0).take(order, axis=1)
-    H = _row_top_sums(searched, d, s_star)
-    best_val, best_subset = _greedy_seed(dense, d, s_star)
+    masked = _masked(dense)
+    best_val, best_subset = _greedy_seed(dense, d, s_star, masked)
     if exact:
+        searched, labels = dense, range(d)
         relative = rounding = 0.0
     else:
+        order = _potential_order(masked, d, s_star)
+        searched, labels = dense.take(order, axis=0).take(order, axis=1), order.tolist()
         relative, rounding = _PRUNE_SLACK, s_star**4 * max_abs * 2.0**-50
+    # HS[r, v] = H[r, v + 1] + searched[v] for v < d - 1, added in place.
+    H = _row_top_sums(searched, d, s_star)
+    HS = H[:, 1:]
+    HS += searched[:-1]
     leaves = nodes = pruned = 0
     chosen: list[int] = []
     # rowsums[p]: the row sums into the first p chosen vertices; scratch
     # holds one node's children x d gain matrix at a time.
     rowsums = np.zeros((s_star, d))
     scratch = np.empty((d, d))
+    rows = np.arange(d)
 
     def visit_leaf(v: int) -> None:
         nonlocal best_val, best_subset, leaves
@@ -284,18 +327,22 @@ def _branch_and_bound(
         bound = cur + rowsum[start:stop]
         if need > 1:
             # The scratch is consumed here, before any child reuses it.
-            kth = d - need + 1
             gains = scratch[: stop - start]
-            np.add(H[need - 2, start + 1 : stop + 1], searched[start:stop], out=gains)
-            gains += rowsum
-            gains.partition(kth, axis=1)
-            bound += gains[:, kth:].sum(axis=1)
+            np.add(HS[need - 2, start:stop], rowsum, out=gains)
+            if need == 2:
+                # the one largest gain; argmax then a gather is faster than max
+                bound += gains[rows[: stop - start], gains.argmax(axis=1)]
+            else:
+                kth = d - need + 1
+                gains.partition(kth, axis=1)
+                bound += gains[:, kth:].sum(axis=1)
         slack = relative * (1.0 + abs(best_val)) + rounding
         floor = best_val - slack
         keep = bound >= floor
-        cut = max(tie_limit() + 1 - start, 0)
-        if cut < bound.size:
-            keep[cut:] = bound[cut:] > floor
+        if exact:
+            cut = max(tie_limit() + 1 - start, 0)
+            if cut < bound.size:
+                keep[cut:] = bound[cut:] > floor
         keep = keep.nonzero()[0]
         pruned += bound.size - keep.size
         for i in keep.tolist():
@@ -347,7 +394,10 @@ def scan_estimate(
         pair_sum, subset, examined = _exhaustive(dense, X.d, s_star)
         nodes = pruned = 0
     else:
-        pair_sum, subset, examined, nodes, pruned = _branch_and_bound(dense, X.d, s_star, max_abs)
+        exact = _sums_are_exact(X.entries, s_star, max_abs)
+        pair_sum, subset, examined, nodes, pruned = _branch_and_bound(
+            dense, X.d, s_star, max_abs, exact
+        )
     return ScanResult(
         value=_scan_value(pair_sum, s_star),
         support=frozenset(v + 1 for v in subset),

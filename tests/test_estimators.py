@@ -15,7 +15,10 @@ from soslab.errors import InvalidParams, TooLarge
 from soslab.estimators import (
     BRANCH_AND_BOUND,
     EXHAUSTIVE,
+    _front,
     _greedy_seed,
+    _masked,
+    _potential_order,
     _row_top_sums,
     _sums_are_exact,
     avg_estimate,
@@ -388,6 +391,108 @@ def test_branch_and_bound_searches_in_potential_order(seed, lexicographic_nodes,
     r = scan_estimate(generate(_null("gaussian", 80, seed)).matrix, 6)
     assert r.support == support
     assert r.nodes < lexicographic_nodes
+
+
+def _submatrix(noise, d, s, multiplier, seed):
+    """A submatrix instance with the threshold sweep's separation at ``multiplier``."""
+    beta = multiplier * math.sqrt(math.log(d / s) / s)
+    return generate(ModelParams(kind="submatrix", d=d, s_star=s, beta_star=beta,
+                                noise=Noise(noise, 1.0), seed=seed)).matrix
+
+
+@pytest.mark.parametrize("noise, d, s, multiplier, pinned", [
+    ("gaussian", 40, 4, 0, (1.746662023722501, {16, 17, 19, 36}, 2, 14, 470)),
+    ("gaussian", 40, 4, 2, (1.8207512131914694, {19, 21, 31, 39}, 2, 10, 340)),
+    ("rademacher", 40, 4, 0, (1.0, {1, 4, 11, 14}, 1, 4, 134)),
+    ("gaussian", 80, 6, 0, (1.3757172366634074, {7, 30, 38, 47, 66, 70}, 7, 870, 45754)),
+])
+def test_branch_and_bound_search_is_pinned(noise, d, s, multiplier, pinned):
+    # The benchmark's scan size (d=40, s*=4: a null, a plant at multiplier
+    # 2, a +-1 null) and a deeper gaussian one, pinned field by field, so
+    # that a change to the search fails here, not as drift in the timings.
+    r = scan_estimate(_submatrix(noise, d, s, multiplier, 1), s)
+    value, support, leaves, nodes, pruned = pinned
+    assert (r.value, r.support) == (value, frozenset(support))
+    assert (r.subsets_examined, r.nodes, r.pruned) == (leaves, nodes, pruned)
+
+
+def test_front_constants_are_read_only_and_cached():
+    layer0, ceiling = _front(7)
+    assert _front(7)[0] is layer0
+    for arr in (layer0, ceiling):
+        with pytest.raises(ValueError):
+            arr[3, 1] = 0.0
+
+
+def test_row_top_sums_are_fresh_tables_across_dimensions():
+    # d, another d, then d again, against the sorting reference: the
+    # cached constants of one d do not leak into another, and each table
+    # is the caller's own, which the search then adds to in place.
+    rng = generator(33)
+    for d in (9, 14, 9):
+        for s in (2, 3, 4, 5):
+            dense = np.triu(rng.standard_normal((d, d)), 1)
+            dense = dense + dense.T
+            got = _row_top_sums(dense, d, s)
+            assert got.tobytes() == _sorted_row_top_sums(dense, d, s).tobytes()
+            assert got.flags.writeable
+            assert not any(np.shares_memory(got, arr) for arr in _front(d))
+            got += 1.0
+            assert _row_top_sums(dense, d, s).tobytes() == _sorted_row_top_sums(dense, d, s).tobytes()
+
+
+def _greedy_reference(dense, d, s_star):
+    """The greedy seed with its own masked copy and its free vertices
+    counted by bincount, as `_greedy_seed` was first written."""
+    masked = dense.copy()
+    np.fill_diagonal(masked, -np.inf)
+    i, j = np.unravel_index(int(np.argmax(masked)), masked.shape)
+    chosen = [int(i), int(j)]
+    rowsum = dense[chosen[0]] + dense[chosen[1]]
+    while len(chosen) < s_star:
+        free = np.flatnonzero(np.bincount(chosen, minlength=d) == 0)
+        v = int(free[np.argmax(rowsum[free])])
+        chosen.append(v)
+        rowsum = rowsum + dense[v]
+    subset = tuple(sorted(chosen))
+    return estimators._pair_sum(dense, subset), subset
+
+
+@pytest.mark.parametrize("d, s, entries", OVERFLOWING + [
+    (d, s, generator(100 * d + s).standard_normal(n_pairs(d)))
+    for d, s in [(5, 2), (9, 4), (16, 6), (40, 4)]
+])
+def test_greedy_seed_and_potential_order_share_one_masked_copy(d, s, entries):
+    dense = NoisyMatrix(d=d, entries=np.array(entries)).to_dense()
+    shared = _masked(dense)
+    before = shared.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        order = _potential_order(shared, d, s)
+        seed = _greedy_seed(dense, d, s, shared)
+        # the same with a private copy each, and the greedy as first written
+        assert np.array_equal(order, _potential_order(_masked(dense), d, s))
+        assert repr(seed) == repr(_greedy_seed(dense, d, s)) == repr(_greedy_reference(dense, d, s))
+    assert np.array_equal(shared, before, equal_nan=True)
+
+
+@pytest.mark.parametrize("noise", ["gaussian", "rademacher"])
+def test_scan_does_not_write_into_the_matrix(monkeypatch, noise):
+    # exact inputs (+-1) search the dense matrix itself
+    X = _submatrix(noise, 30, 4, 0, 5)
+    seen = []
+    search = estimators._branch_and_bound
+
+    def spy(dense, *args):
+        before = dense.copy()
+        result = search(dense, *args)
+        seen.append(np.array_equal(dense, before))
+        return result
+
+    monkeypatch.setattr(estimators, "_branch_and_bound", spy)
+    full = X.to_dense()
+    scan_estimate(X, 4)
+    assert seen == [True]
+    assert np.array_equal(X.to_dense(), full)
 
 
 def test_scan_tie_breaks_lexicographically():
