@@ -149,7 +149,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except (SoslabError, OSError, ValueError, KeyError) as exc:
+    except (SoslabError, OSError, ValueError) as exc:
         line = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(line), file=sys.stderr)
         return 1

@@ -86,25 +86,12 @@ def _exhaustive(dense: np.ndarray, d: int, s_star: int) -> tuple[float, tuple[in
     return best_val, best_subset, count
 
 
-def _masked(dense: np.ndarray) -> np.ndarray:
-    """A copy of dense with -inf on its diagonal, so that a maximum over a
-    row skips the vertex itself. `_greedy_seed` and `_potential_order` only
-    read it, so one copy serves both."""
-    masked = dense.copy()
-    np.fill_diagonal(masked, -np.inf)
-    return masked
-
-
-def _greedy_seed(
-    dense: np.ndarray, d: int, s_star: int, masked: np.ndarray | None = None
-) -> tuple[float, tuple[int, ...]]:
+def _greedy_seed(dense: np.ndarray, d: int, s_star: int) -> tuple[float, tuple[int, ...]]:
     """A feasible subset and its canonical pair sum, a floor for the
     search: the largest entry's pair, grown by the vertex of largest row
-    sum into the chosen set until it has s_star vertices. ``masked`` is
-    `_masked(dense)`, built here when not given."""
-    if masked is None:
-        masked = _masked(dense)
-    i, j = divmod(int(np.argmax(masked)), d)
+    sum into the chosen set until it has s_star vertices. ``dense`` has
+    -inf on its diagonal, so the argmax skips it."""
+    i, j = divmod(int(np.argmax(dense)), d)
     chosen = [i, j]
     rowsum = dense[i] + dense[j]
     # the unchosen vertices, not those of finite score: sums can overflow to -inf
@@ -136,7 +123,9 @@ def _front(d: int) -> tuple[np.ndarray, np.ndarray]:
 def _row_top_sums(dense: np.ndarray, d: int, s_star: int) -> np.ndarray:
     """H[r, c, u] = half the sum of the r largest entries of row u in columns >= c,
     column u left out, for r <= s_star - 2; -inf where u < c (a vertex the
-    search front has passed).
+    search front has passed). ``dense`` has -inf on its diagonal, which
+    leaves column u out; this reads it through a reversed view and neither
+    copies nor writes it.
 
     With x a row (x_u = -inf) and top_r(c) its r-th largest entry in
     columns >= c (-inf when there are fewer than r),
@@ -164,10 +153,8 @@ def _row_top_sums(dense: np.ndarray, d: int, s_star: int) -> np.ndarray:
     H[0] = layer0
     if take:
         # Reversed columns: rev[k, u] = x_u at column d-1-k of row u, so a
-        # suffix over columns is a prefix over k; the flat step d-1 walks
-        # the reversed diagonal.
-        rev = dense[::-1].copy()
-        rev.reshape(-1)[d - 1 : -1 : d - 1] = -np.inf
+        # suffix over columns is a prefix over k.
+        rev = dense[::-1]
         top = np.maximum.accumulate(rev, axis=0)
         total = np.minimum(top, ceiling)
         np.multiply(total[::-1], 0.5, out=H[1])
@@ -201,11 +188,11 @@ def _sums_are_exact(entries: np.ndarray, s_star: int, max_abs: float) -> bool:
     return bool(np.all(np.rint(entries / unit) * unit == entries))
 
 
-def _potential_order(masked: np.ndarray, d: int, s_star: int) -> np.ndarray:
+def _potential_order(dense: np.ndarray, d: int, s_star: int) -> np.ndarray:
     """Vertices by descending root gain, half the sum of the s_star - 1
-    largest entries of their row (diagonal left out: ``masked`` is
-    `_masked(dense)`, which this only reads); a stable sort."""
-    top = np.partition(masked, d - s_star + 1, axis=1)
+    largest entries of their row (diagonal left out: ``dense`` has -inf
+    there, and this only reads it); a stable sort."""
+    top = np.partition(dense, d - s_star + 1, axis=1)
     gain = 0.5 * top[:, d - s_star + 1 :].sum(axis=1)
     return np.argsort(-gain, kind="stable")
 
@@ -271,16 +258,20 @@ def _branch_and_bound(
       (`_SUM_LIMIT`), so every sum stays below 2**1023. Ties are never
       pruned here, so every leaf of the best value is visited.
 
+    ``dense`` has -inf on its diagonal and is never written. Its diagonal
+    adds -inf only to cells of HS that are -inf (passed vertices) and to
+    chosen vertices' row sums, read only beside those cells: every bound
+    is the float a zero diagonal gives.
+
     Returns the pair sum, the subset (original labels), and the leaf, node
     and pruned counts.
     """
-    masked = _masked(dense)
-    best_val, best_subset = _greedy_seed(dense, d, s_star, masked)
+    best_val, best_subset = _greedy_seed(dense, d, s_star)
     if exact:
         searched, labels = dense, range(d)
         relative = rounding = 0.0
     else:
-        order = _potential_order(masked, d, s_star)
+        order = _potential_order(dense, d, s_star)
         searched, labels = dense.take(order, axis=0).take(order, axis=1), order.tolist()
         relative, rounding = _PRUNE_SLACK, s_star**4 * max_abs * 2.0**-50
     # HS[r, v] = H[r, v + 1] + searched[v] for v < d - 1, added in place.
@@ -383,7 +374,10 @@ def scan_estimate(
     could overflow (see `_branch_and_bound`)."""
     check_s_star(s_star, X.d)
     check_scan_settings(strategy, max_subsets)
+    # The scan's own array (see `NoisyMatrix.to_dense`), masked once for
+    # every stage; `_pair_sum` never reads a diagonal cell.
     dense = X.to_dense()
+    np.fill_diagonal(dense, -np.inf)
     max_abs = float(np.abs(X.entries).max())
     if strategy == EXHAUSTIVE or s_star**2 * max_abs > _SUM_LIMIT:
         if math.comb(X.d, s_star) > max_subsets:

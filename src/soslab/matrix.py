@@ -68,7 +68,8 @@ class NoisyMatrix:
         return self.d == other.d and np.array_equal(self.entries, other.entries)
 
     def to_dense(self) -> np.ndarray:
-        """Full symmetric ``d x d`` array (0-based indexing)."""
+        """Full symmetric ``d x d`` array (0-based indexing), a new one
+        on each call that the caller owns."""
         full = np.zeros((self.d, self.d))
         full[pair_indices(self.d)] = self.entries
         full += full.T

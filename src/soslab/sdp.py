@@ -120,7 +120,7 @@ class SolverOptions:
             raise InvalidParams(f"max_iter must be >= 1, got {self.max_iter}")
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SdpSolution:
     """The last iterate and what the iteration did to reach it: the number
     of iterations and of penalty changes, and the final residuals."""

@@ -4,7 +4,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from soslab import lab
+from soslab import cli, lab
 from soslab.cli import main
 from soslab.estimators import BRANCH_AND_BOUND, EXHAUSTIVE, scan_estimate
 from soslab.lab import ESTIMATORS, ExperimentConfig, GridPoint, fmt_float, run_gap_experiment
@@ -135,6 +135,16 @@ def test_numeric_failures_exit_1_with_json_line(tmp_path, capsys):
     )
     assert code == 1
     assert json.loads(stderr)["error"] == "FileNotFoundError"
+
+
+def test_a_key_error_in_a_handler_propagates(tmp_path, monkeypatch):
+    # input errors raise SoslabError naming the field; a KeyError is a bug
+    def handler(args):
+        raise KeyError("bug")
+
+    monkeypatch.setitem(cli._HANDLERS, "certify", handler)
+    with pytest.raises(KeyError, match="bug"):
+        main(["certify", "--in", write_example_matrix(tmp_path), "--level", "1", "--s", "2"])
 
 
 @pytest.mark.parametrize("estimator", ["avg", "lp"])

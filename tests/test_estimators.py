@@ -17,7 +17,6 @@ from soslab.estimators import (
     EXHAUSTIVE,
     _front,
     _greedy_seed,
-    _masked,
     _potential_order,
     _row_top_sums,
     _sums_are_exact,
@@ -41,6 +40,14 @@ def brute_force_scan(X, s_star):
         if val > best[0]:
             best = (val, frozenset(subset))
     return best
+
+
+def masked_dense(X):
+    """X.to_dense() with -inf on its diagonal: the one array `scan_estimate`
+    hands every stage of a scan."""
+    dense = X.to_dense()
+    np.fill_diagonal(dense, -np.inf)
+    return dense
 
 
 def random_matrix(rng, d, binary=False):
@@ -322,6 +329,7 @@ def test_row_top_sums_matches_sorting(values):
         elif values == "cancelling":
             dense = np.round(dense) * 1e16 + np.round(2 * dense)
         dense = dense + dense.T
+        np.fill_diagonal(dense, -np.inf)
         got, want = _row_top_sums(dense, d, s), _sorted_row_top_sums(dense, d, s)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
@@ -355,7 +363,7 @@ def test_exact_ties_keep_the_lexicographic_tie_rule():
     # greedy subset, is later than the incumbent and pruned: 3 nodes and
     # 1 leaf, against 5 nodes and 2 leaves if ties were kept.
     X = NoisyMatrix(d=5, entries=np.array([1, 1, -1, 0, 1, -1, 0, 2, 1, 0], dtype=float))
-    assert _greedy_seed(X.to_dense(), 5, 3) == (3.0, (2, 3, 4))
+    assert _greedy_seed(masked_dense(X), 5, 3) == (3.0, (2, 3, 4))
     a = scan_estimate(X, 3, strategy=EXHAUSTIVE)
     b = scan_estimate(X, 3, strategy=BRANCH_AND_BOUND)
     assert (a.value, a.support) == (b.value, b.support) == (1.0, frozenset({1, 2, 3}))
@@ -433,6 +441,8 @@ def test_row_top_sums_are_fresh_tables_across_dimensions():
         for s in (2, 3, 4, 5):
             dense = np.triu(rng.standard_normal((d, d)), 1)
             dense = dense + dense.T
+            np.fill_diagonal(dense, -np.inf)
+            dense.flags.writeable = False  # a write into it raises
             got = _row_top_sums(dense, d, s)
             assert got.tobytes() == _sorted_row_top_sums(dense, d, s).tobytes()
             assert got.flags.writeable
@@ -463,36 +473,44 @@ def _greedy_reference(dense, d, s_star):
     for d, s in [(5, 2), (9, 4), (16, 6), (40, 4)]
 ])
 def test_greedy_seed_and_potential_order_share_one_masked_copy(d, s, entries):
-    dense = NoisyMatrix(d=d, entries=np.array(entries)).to_dense()
-    shared = _masked(dense)
+    X = NoisyMatrix(d=d, entries=np.array(entries))
+    shared = masked_dense(X)
     before = shared.copy()
     with np.errstate(over="ignore", invalid="ignore"):
-        order = _potential_order(shared, d, s)
-        seed = _greedy_seed(dense, d, s, shared)
-        # the same with a private copy each, and the greedy as first written
-        assert np.array_equal(order, _potential_order(_masked(dense), d, s))
-        assert repr(seed) == repr(_greedy_seed(dense, d, s)) == repr(_greedy_reference(dense, d, s))
+        _potential_order(shared, d, s)  # only reads the shared matrix
+        seed = _greedy_seed(shared, d, s)
+        # the greedy as first written, on the zero-diagonal matrix
+        assert repr(seed) == repr(_greedy_reference(X.to_dense(), d, s))
     assert np.array_equal(shared, before, equal_nan=True)
 
 
-@pytest.mark.parametrize("noise", ["gaussian", "rademacher"])
+@pytest.mark.parametrize("noise", ["gaussian", "rademacher", "overflowing"])
 def test_scan_does_not_write_into_the_matrix(monkeypatch, noise):
-    # exact inputs (+-1) search the dense matrix itself
-    X = _submatrix(noise, 30, 4, 0, 5)
-    seen = []
-    search = estimators._branch_and_bound
+    # exact inputs (+-1) search the dense matrix itself, gaussian ones a
+    # relabelled copy, and overflowing ones are enumerated: each path gets
+    # the scan's own array, -inf on the diagonal and X elsewhere
+    if noise == "overflowing":
+        d, s, entries = OVERFLOWING[0]
+        X, name = NoisyMatrix(d=d, entries=np.array(entries)), "_exhaustive"
+    else:
+        X, s, name = _submatrix(noise, 30, 4, 0, 5), 4, "_branch_and_bound"
+    received, seen = [], []
+    search = getattr(estimators, name)
 
     def spy(dense, *args):
         before = dense.copy()
         result = search(dense, *args)
+        received.append(before)
         seen.append(np.array_equal(dense, before))
         return result
 
-    monkeypatch.setattr(estimators, "_branch_and_bound", spy)
-    full = X.to_dense()
-    scan_estimate(X, 4)
+    monkeypatch.setattr(estimators, name, spy)
+    entries = X.entries.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        scan_estimate(X, s)
     assert seen == [True]
-    assert np.array_equal(X.to_dense(), full)
+    assert np.array_equal(received[0], masked_dense(X))
+    assert np.array_equal(X.entries, entries)
 
 
 def test_scan_tie_breaks_lexicographically():

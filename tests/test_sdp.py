@@ -1,6 +1,6 @@
 import tracemalloc
 from collections import Counter
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -17,7 +17,7 @@ from soslab import sdp, sos
 from soslab.cli import main
 from soslab.errors import EigFailure, InvalidParams
 from soslab.estimators import lp_estimate, scan_estimate
-from soslab.lab import ExperimentConfig, run_gap_experiment
+from soslab.lab import Estimate, ExperimentConfig, run_gap_experiment
 from soslab.matrix import NoisyMatrix, n_pairs
 from soslab.models import ModelParams, Noise, generate
 from soslab.sdp import MAX_ITER_REACHED, OPTIMAL, SolverOptions, project_psd, solve
@@ -210,6 +210,16 @@ def test_solve_zero_objective():
     X = NoisyMatrix(d=5, entries=np.zeros(10))
     sol = solve(assemble_level(X, 2, 1))
     assert sol.value == pytest.approx(0.0, abs=1e-7)
+
+
+def test_solutions_compare_by_identity_and_are_frozen():
+    prog = assemble_level(NoisyMatrix(d=4, entries=np.ones(6)), 2, 1)
+    a, b = solve(prog), solve(prog)
+    # a generated __eq__ compared the matrix arrays, and raised
+    assert (a == a, a == b) == (True, False)
+    assert Estimate(a.value, a) == Estimate(a.value, a) != Estimate(b.value, b)
+    with pytest.raises(FrozenInstanceError):
+        a.value = 0.0
 
 
 def test_solution_feasibility_roundtrip():
