@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -43,7 +44,8 @@ from .errors import (
 )
 from .matrix import NoisyMatrix
 from .subsets import (
-    check_side, entry_map, pair_variables, parents, sizes, subset_counts, var_count, variables,
+    SHAPES_CACHED, check_side, entry_map, pair_variables, parents, sizes, subset_counts, var_count,
+    variables,
 )
 
 SIGN_POSITIVE = "sign-positive"
@@ -149,12 +151,20 @@ def positivity_graph(X: NoisyMatrix, mode: str) -> np.ndarray:
     return adj
 
 
+@lru_cache(maxsize=SHAPES_CACHED)
+def _strict_upper(d: int) -> np.ndarray:
+    """Read-only d x d boolean mask of the cells above the diagonal."""
+    mask = np.triu(np.ones((d, d), dtype=bool), 1)
+    mask.flags.writeable = False
+    return mask
+
+
 def _cliques(adj: np.ndarray, size: int) -> np.ndarray:
     """All size-cliques as rows of increasing 0-based vertices, in
     lexicographic order: each level extends every clique by each common
     neighbour above its last vertex."""
     d = len(adj)
-    upper = np.triu(adj, 1)
+    upper = adj & _strict_upper(d)
     cliques = np.arange(d).reshape(d, 1)
     for _ in range(size - 1):
         common = upper[cliques[:, -1]]

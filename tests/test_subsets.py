@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from soslab.subsets import (
 from constructors import nonzero_entries
 from subset_order import TupleOrder, key_index, union_key
 
-SHAPES = [(d, ell) for d in range(1, 13) for ell in (1, 2, 3)] + [(30, 2)]
+SHAPES = [(d, ell) for d in range(1, 13) for ell in (1, 2, 3)] + [(30, 2), (8, 4), (9, 4)]
 
 
 def test_counts_d4_ell1():
@@ -90,7 +91,7 @@ def test_cached_factory_returns_shared_instance():
 
 
 def test_cached_factory_keeps_at_most_SHAPES_CACHED_shapes():
-    # an entry map is 88 MB at d=80, ell=2
+    # an entry map is 84 MB at d=80, ell=2
     for build in (variables, entry_map):
         build.cache_clear()
         first = build(3, 1)
@@ -98,6 +99,28 @@ def test_cached_factory_keeps_at_most_SHAPES_CACHED_shapes():
             build(d, 1)
         assert build.cache_info().currsize == SHAPES_CACHED
         assert build(3, 1) is not first
+
+
+@pytest.mark.parametrize("d, ell", [(30, 2), (60, 2), (20, 3)])
+def test_builds_allocate_little_beyond_their_results(d, ell):
+    # a build that stacks whole sizes of subsets, or whole unions, and then
+    # copies them peaks well above these bounds
+    variables.cache_clear()
+    entry_map.cache_clear()
+    tracemalloc.start()
+    try:
+        members = variables(d, ell)
+        _, peak = tracemalloc.get_traced_memory()
+        assert peak <= 2 * members.nbytes
+        tracemalloc.reset_peak()
+        before, _ = tracemalloc.get_traced_memory()
+        em = entry_map(d, ell)
+        _, peak = tracemalloc.get_traced_memory()
+        assert peak - before <= em.nbytes + 2**20
+    finally:
+        tracemalloc.stop()
+        variables.cache_clear()
+        entry_map.cache_clear()
 
 
 @pytest.mark.parametrize("d, ell", SHAPES)
@@ -128,6 +151,17 @@ def test_rank_width_zero_and_padding():
     # the same subset at every padded width
     for width in (2, 3, 6):
         assert rank(5, np.array([[1, 3] + [5] * (width - 2)])).tolist() == [key_index(5, (2, 4))]
+
+
+def test_rank_reads_pads_between_members():
+    # entry_map ranks unions whose repeats became pads where they lay
+    members = variables(9, 2)
+    rng = np.random.default_rng(0)
+    spread = np.full((len(members), 6), 9)
+    for row, out in zip(members, spread):
+        out[np.sort(rng.choice(6, 4, replace=False))] = row
+    assert (spread[:, :4] != members).any()
+    assert rank(9, spread).tolist() == list(range(len(members)))
 
 
 def test_subset_counts_matches_brute_force():
