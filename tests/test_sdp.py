@@ -1,10 +1,13 @@
 import tracemalloc
 from collections import Counter
 from dataclasses import FrozenInstanceError, fields, replace
+from functools import lru_cache
 
 import numpy as np
 import pytest
 import scipy.sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from soslab.certificate import (
     SIGN_POSITIVE,
@@ -603,6 +606,8 @@ def _reference_solve(program, options=None, choose_driver=True):
         rho_changes=rho_changes,
         eq_res=eq_res,
         psd_gap=psd_gap,
+        accelerated=0,
+        rejected=0,
     )
 
 
@@ -656,6 +661,13 @@ def _old_formula_solve(program, options=None):
     return status, it, rho_changes, value
 
 
+@pytest.fixture
+def plain_loop(monkeypatch):
+    """The iteration without Anderson acceleration, which the oracle loops
+    below replay."""
+    monkeypatch.setattr(sdp, "_AA_MEMORY", 0)
+
+
 _X5 = NoisyMatrix(d=5, entries=generator(0).standard_normal(n_pairs(5)))
 _X6 = NoisyMatrix(d=6, entries=generator(3).standard_normal(n_pairs(6)))
 DIFFERENTIAL_CASES = {
@@ -673,7 +685,7 @@ DIFFERENTIAL_CASES = {
 @pytest.mark.parametrize(
     "prog, options", DIFFERENTIAL_CASES.values(), ids=DIFFERENTIAL_CASES.keys()
 )
-def test_solve_matches_reference_loop(prog, options):
+def test_solve_matches_reference_loop(prog, options, plain_loop):
     got = solve(prog, options)
     want = _reference_solve(prog, options)
     if options is not None:
@@ -684,7 +696,7 @@ def test_solve_matches_reference_loop(prog, options):
 @pytest.mark.parametrize(
     "prog, options", DIFFERENTIAL_CASES.values(), ids=DIFFERENTIAL_CASES.keys()
 )
-def test_solve_matches_old_formula_loop(prog, options):
+def test_solve_matches_old_formula_loop(prog, options, plain_loop):
     # the y-step as one weighted projection takes the decisions of the
     # formula it replaced; the values differ in their last bits only
     got = solve(prog, options)
@@ -723,7 +735,7 @@ def _assert_same_solution(got, want):
     assert np.array_equal(got.matrix, want.matrix)
 
 
-def test_solve_switching_drivers_matches_reference_loop(drivers):
+def test_solve_switching_drivers_matches_reference_loop(drivers, plain_loop):
     # the positive count of this program's iterates starts above the cut,
     # falls below it, rises above it again and falls for good
     X = NoisyMatrix(d=6, entries=generator(1).standard_normal(n_pairs(6)))
@@ -734,7 +746,7 @@ def test_solve_switching_drivers_matches_reference_loop(drivers):
     _assert_same_solution(got, _reference_solve(prog))
 
 
-def test_solve_matches_syevr_only_loop(drivers):
+def test_solve_matches_syevr_only_loop(drivers, plain_loop):
     # most eigenvalues of a block-model program's iterates stay positive,
     # so solve runs the full spectrum on every iteration; the reference
     # loop passed 0 runs syevr. The iterates differ in their last bits only.
@@ -758,6 +770,157 @@ def test_solution_counters():
     assert sol.psd_gap <= 1e-7
     assert 1 <= sol.rho_changes <= sol.iterations // 100
     assert solve(assemble_level(X, 3, 2), SolverOptions(max_iter=99)).rho_changes == 0
+
+
+# Anderson acceleration: the mixed steps, the plain steps around them and
+# the safeguard.
+
+
+def _plain_solve(prog, options=None):
+    """The solve without Anderson acceleration."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sdp, "_AA_MEMORY", 0)
+        return solve(prog, options)
+
+
+def _assert_stopped_after_a_plain_step(prog, sol):
+    # the max_iter step is plain, so capping the solve at the iteration it
+    # stopped at repeats it bit for bit only if that iteration was plain too
+    again = solve(prog, SolverOptions(max_iter=sol.iterations))
+    for f in fields(sol):
+        assert np.array_equal(getattr(again, f.name), getattr(sol, f.name)), f.name
+
+
+def _c06_instance(k):
+    """Draw k of test_c06_relaxation_sandwich (its seed is the acceptance
+    suite's BASE_SEED + 4): the matrix and s*."""
+    rng = generator(20260809 + 4)
+    for _ in range(k + 1):
+        d = int(rng.integers(4, 11))
+        s = int(rng.integers(2, min(4, d) + 1))
+        X = NoisyMatrix(d=d, entries=rng.standard_normal(n_pairs(d)))
+    return X, s
+
+
+def test_accelerated_level2_stays_above_the_scan_on_c06_instance_35():
+    # a loop that ran the stop test after mixed steps stopped early here,
+    # at -0.055367 against the scan's 0.194090
+    X, s = _c06_instance(35)
+    assert (X.d, s) == (5, 4)
+    prog = assemble_level(X, s, 2)
+    sol = solve(prog)
+    assert sol.status == OPTIMAL
+    assert sol.accelerated > 0
+    assert sol.value >= scan_estimate(X, s).value - 1e-5
+    _assert_stopped_after_a_plain_step(prog, sol)
+
+
+def _fuzz_matrix(kind, d, s, seed):
+    if kind == "sbm":
+        params = ModelParams(kind="sbm", d=d, s_star=s, beta_star=0.8, beta_tilde=0.5, seed=seed)
+    else:
+        beta = 1.0 if kind == "gaussian" else 0.0  # a rademacher instance is a null
+        params = ModelParams(kind="submatrix", d=d, s_star=s, beta_star=beta,
+                             noise=Noise(kind, 1.0), seed=seed)
+    return generate(params).matrix
+
+
+@settings(max_examples=30)
+@given(
+    kind=st.sampled_from(["gaussian", "rademacher", "sbm"]),
+    d=st.integers(4, 8),
+    s=st.integers(2, 4),
+    level=st.sampled_from([0, 1, 2]),  # 0: the basic program
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_accelerated_solve_matches_the_plain_solve(kind, d, s, level, seed):
+    X = _fuzz_matrix(kind, d, s, seed)
+    prog = assemble_level(X, s, level) if level else assemble_basic(X, s)
+    sol, plain = solve(prog), _plain_solve(prog)
+    assert sol.status == plain.status == OPTIMAL
+    assert abs(sol.value - plain.value) <= 1e-6
+    _assert_stopped_after_a_plain_step(prog, sol)
+
+
+@lru_cache(maxsize=1)
+def _gap_program():
+    """A level-2 program of the gap workload's shape: d=16, s*=3, side 137."""
+    X = generate(ModelParams(kind="submatrix", d=16, s_star=3, beta_star=1.0,
+                             noise=Noise("gaussian", 1.0), seed=21)).matrix
+    return assemble_level(X, 3, 2)
+
+
+def test_acceleration_cuts_the_gap_program_iterations():
+    prog = _gap_program()
+    sol, plain = solve(prog), _plain_solve(prog)
+    assert sol.status == plain.status == OPTIMAL
+    assert 2 * sol.iterations <= plain.iterations
+    assert abs(sol.value - plain.value) <= 1e-6
+
+
+def test_acceleration_state_fits_its_budget():
+    # what the mixing keeps at side 137 (the history on the upper triangle)
+    # adds at most 1 MiB to the solve's peak
+    prog = _gap_program()
+    solve(prog, SolverOptions(max_iter=2))  # the set-up and the imports
+    peaks = []
+    for memory in (0, sdp._AA_MEMORY):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sdp, "_AA_MEMORY", memory)
+            tracemalloc.start()
+            try:
+                assert solve(prog, SolverOptions(max_iter=40)).accelerated > 0 or memory == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= 2**20
+
+
+def test_safeguard_restarts_still_end_optimal():
+    # while rho is far from its final value this program's iterates drift,
+    # the mixes there raise the residual, and the safeguard drops them
+    prog = assemble_level(_X5, 3, 2)
+    sol, plain = solve(prog), _plain_solve(prog)
+    assert sol.rejected > 0
+    assert sol.status == plain.status == OPTIMAL
+    assert abs(sol.value - plain.value) <= 1e-6
+    _assert_stopped_after_a_plain_step(prog, sol)
+
+
+@pytest.mark.parametrize("k", [1, 99, 100, 101])
+def test_max_iter_solve_ends_on_a_plain_step(k, monkeypatch):
+    # a plain last step projects M(y) + U, with U = X - Z of the projection
+    # before it (divided by the new rho when rho changed at iteration 100),
+    # and its residuals are read off that projection
+    seen = []
+    project = sdp.project_psd
+
+    def recorded(X, *, out=None, positive):
+        given = X.copy()
+        Z, count = project(X, out=out, positive=positive)
+        seen.append((given, Z.copy()))
+        return Z, count
+
+    monkeypatch.setattr(sdp, "project_psd", recorded)
+    sol = solve(assemble_level(_X5, 3, 2), SolverOptions(max_iter=k))
+    assert (sol.status, sol.iterations, len(seen)) == (MAX_ITER_REACHED, k, k)
+    assert (sol.accelerated > 0) == (k > 2)
+    X, Z = seen[-1]
+    U = np.zeros_like(X)
+    if k > 1:
+        X_prev, Z_prev = seen[-2]
+        rho = sol.dual_residual / np.linalg.norm(Z - Z_prev)
+        assert rho == pytest.approx(2.0 ** round(np.log2(rho)), rel=1e-9)
+        U = (X_prev - Z_prev) / 2.0 ** round(np.log2(rho))
+    assert np.abs(X - (sol.matrix + U)).max() <= 1e-12 * np.abs(X).max()
+    assert sol.psd_gap == pytest.approx(np.linalg.norm(sol.matrix - Z), rel=1e-12)
+    assert sol.primal_residual == sol.eq_res + sol.psd_gap
+
+
+def test_plain_loop_counts_no_mixes(plain_loop):
+    for prog, options in DIFFERENTIAL_CASES.values():
+        sol = solve(prog, options)
+        assert (sol.accelerated, sol.rejected) == (0, 0)
 
 
 def test_rank_deficient_equalities_level2():
