@@ -28,9 +28,6 @@ DEFAULT_MAX_SUBSETS = 10**8
 # strategy uses.
 _PRUNE_SLACK = 1e-9
 
-# Largest s_star**2 * max|X| that branch-and-bound searches (see its docstring).
-_SUM_LIMIT = 2.0**1022
-
 
 @dataclass(frozen=True)
 class ScanResult:
@@ -71,37 +68,23 @@ def _scan_value(pair_sum: float, s_star: int) -> float:
 
 
 def _exhaustive(dense: np.ndarray, d: int, s_star: int) -> tuple[float, tuple[int, ...], int]:
-    # The first subset seeds the maximum, so a sum that overflows to -inf
-    # everywhere still has an argmax.
-    subsets = combinations(range(d), s_star)
-    best_subset = next(subsets)
-    best_val = _pair_sum(dense, best_subset)
-    count = 1
-    for subset in subsets:
-        count += 1
-        val = _pair_sum(dense, subset)
-        if val > best_val:
-            best_val = val
-            best_subset = subset
-    return best_val, best_subset, count
+    # max keeps the first of equal sums: the lexicographically smallest subset
+    subset = max(combinations(range(d), s_star), key=lambda S: _pair_sum(dense, S))
+    return _pair_sum(dense, subset), subset, math.comb(d, s_star)
 
 
 def _greedy_seed(dense: np.ndarray, d: int, s_star: int) -> tuple[float, tuple[int, ...]]:
     """A feasible subset and its canonical pair sum, a floor for the
     search: the largest entry's pair, grown by the vertex of largest row
     sum into the chosen set until it has s_star vertices. ``dense`` has
-    -inf on its diagonal, so the argmax skips it."""
+    -inf on its diagonal, so neither argmax picks a chosen vertex: its
+    entry, and its row sum, read -inf."""
     i, j = divmod(int(np.argmax(dense)), d)
     chosen = [i, j]
     rowsum = dense[i] + dense[j]
-    # the unchosen vertices, not those of finite score: sums can overflow to -inf
-    free = np.ones(d, dtype=bool)
-    free[chosen] = False
     while len(chosen) < s_star:
-        candidates = free.nonzero()[0]
-        v = int(candidates[np.argmax(rowsum[candidates])])
+        v = int(np.argmax(rowsum))
         chosen.append(v)
-        free[v] = False
         rowsum += dense[v]
     subset = tuple(sorted(chosen))
     return _pair_sum(dense, subset), subset
@@ -180,8 +163,7 @@ def _sums_are_exact(entries: np.ndarray, s_star: int, max_abs: float) -> bool:
     s_star**2 * max|X| in [2**(e-1), 2**e), raised to 2**-1073 so that u/2
     is a float; that u is tested. The product s_star**2 * max|X| is exact
     when the answer is True, and its rounding never lowers e, so no other
-    input passes. It must be finite: `scan_estimate` searches only below
-    `_SUM_LIMIT`.
+    input passes.
     """
     unit = max(math.ldexp(1.0, math.frexp(s_star**2 * max_abs)[1] - 52), 2.0**-1073)
     # entries / unit is exact or, for entries below unit, not an integer
@@ -250,13 +232,11 @@ def _branch_and_bound(
       the top gains by their float values loses at most 2 * s_star**3 of
       those units. `s_star**4 * max|X| * 2**-50` covers both sides of
       every comparison, so no subtree holding a leaf whose canonical sum
-      reaches the floor is cut, however the entries cancel, provided no
-      sum overflows (inf - inf is a NaN bound, which prunes). A float
-      partial sum is at most (1 + 2**-53)**(s_star**2) < 2 times the sum
-      of its absolute terms, at most s_star**2 * max|X| (``max_abs``);
-      `scan_estimate` searches only if that is at most 2**1022
-      (`_SUM_LIMIT`), so every sum stays below 2**1023. Ties are never
-      pruned here, so every leaf of the best value is visited.
+      reaches the floor is cut, however the entries cancel. Every sum is
+      finite: a float partial sum is at most (1 + 2**-53)**(s_star**2) < 2
+      times the sum of its absolute terms, at most s_star**2 * max|X|,
+      which `NoisyMatrix`'s entry bound keeps at or below 2**1022. Ties
+      are never pruned here, so every leaf of the best value is visited.
 
     ``dense`` has -inf on its diagonal and is never written. Its diagonal
     adds -inf only to cells of HS that are -inf (passed vertices) and to
@@ -369,17 +349,15 @@ def scan_estimate(
     max_subsets: int = DEFAULT_MAX_SUBSETS,
 ) -> ScanResult:
     """Exact maximum of the submatrix average over all s_star-subsets, by
-    branch-and-bound unless ``strategy`` is exhaustive. Branch-and-bound
-    scans exhaustively (``max_subsets`` guard included) where its sums
-    could overflow (see `_branch_and_bound`)."""
+    branch-and-bound unless ``strategy`` is exhaustive, which ``max_subsets``
+    guards."""
     check_s_star(s_star, X.d)
     check_scan_settings(strategy, max_subsets)
     # The scan's own array (see `NoisyMatrix.to_dense`), masked once for
     # every stage; `_pair_sum` never reads a diagonal cell.
     dense = X.to_dense()
     np.fill_diagonal(dense, -np.inf)
-    max_abs = float(np.abs(X.entries).max())
-    if strategy == EXHAUSTIVE or s_star**2 * max_abs > _SUM_LIMIT:
+    if strategy == EXHAUSTIVE:
         if math.comb(X.d, s_star) > max_subsets:
             raise TooLarge(
                 f"C({X.d},{s_star}) = {math.comb(X.d, s_star)} exceeds the "
@@ -388,6 +366,7 @@ def scan_estimate(
         pair_sum, subset, examined = _exhaustive(dense, X.d, s_star)
         nodes = pruned = 0
     else:
+        max_abs = float(np.abs(X.entries).max())
         exact = _sums_are_exact(X.entries, s_star, max_abs)
         pair_sum, subset, examined, nodes, pruned = _branch_and_bound(
             dense, X.d, s_star, max_abs, exact
@@ -409,7 +388,7 @@ def avg_estimate(X: NoisyMatrix, s_star: int) -> float:
 
 def max_estimate(X: NoisyMatrix) -> float:
     """Largest off-diagonal entry."""
-    return X.max_offdiag()
+    return float(X.entries.max())
 
 
 def lp_estimate(X: NoisyMatrix, s_star: int) -> float:

@@ -7,6 +7,10 @@ upper triangle is stored, in row-major pair order ``(1,2), (1,3), ...,
 File format: a JSON object with fields ``d`` (int), ``format``
 (``"upper-tri-row-major"``), ``entries`` (array of ``d(d-1)/2`` numbers) and
 an optional ``ground_truth`` object ``{"support": [...], "params": {...}}``.
+Every entry satisfies ``|x| <= 2**1022 / d**2``, which NaN and the
+infinities fail. A sum of at most d**2 entries, such as an estimator forms
+over a subset or over the whole matrix, then stays within 2**1022 in
+magnitude and cannot overflow.
 JSON floats are written with Python's shortest round-trip representation, so
 {0,1} matrices survive bit-faithfully and reals round-trip exactly (in
 particular to 17 significant digits).
@@ -57,8 +61,9 @@ class NoisyMatrix:
             raise InvalidParams(
                 f"expected {n_pairs(self.d)} upper-triangle entries, got {arr.shape}"
             )
-        if not np.all(np.isfinite(arr)):
-            raise InvalidParams("matrix entries must be finite")
+        limit = 2**1022 / self.d**2
+        if not np.all(np.abs(arr) <= limit):
+            raise InvalidParams(f"matrix entries must satisfy |x| <= 2**1022 / d**2 = {limit!r}")
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
 
@@ -79,25 +84,13 @@ class NoisyMatrix:
         """True when every entry is exactly 0 or 1."""
         return bool(np.all((self.entries == 0.0) | (self.entries == 1.0)))
 
-    def max_offdiag(self) -> float:
-        """Largest off-diagonal entry."""
-        return float(self.entries.max())
-
-
-def matrix_to_json_dict(matrix: NoisyMatrix, ground_truth: dict | None = None) -> dict:
-    doc: dict = {
-        "d": matrix.d,
-        "format": JSON_FORMAT,
-        "entries": [float(v) for v in matrix.entries],
-    }
-    if ground_truth is not None:
-        doc["ground_truth"] = ground_truth
-    return doc
-
 
 def write_matrix_json(path: str, matrix: NoisyMatrix, ground_truth: dict | None = None) -> None:
+    doc: dict = {"d": matrix.d, "format": JSON_FORMAT, "entries": matrix.entries.tolist()}
+    if ground_truth is not None:
+        doc["ground_truth"] = ground_truth
     with open(path, "w") as fh:
-        json.dump(matrix_to_json_dict(matrix, ground_truth), fh)
+        json.dump(doc, fh)
         fh.write("\n")
 
 

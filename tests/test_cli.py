@@ -207,6 +207,21 @@ def test_malformed_matrix_file_exits_1_naming_the_field(tmp_path, capsys, doc, m
     assert json.loads(stderr) == {"error": "InvalidParams", "message": message}
 
 
+def test_estimate_refuses_entries_whose_sums_overflow(tmp_path, capsys):
+    # 2 * 1.7e308 overflows: avg would print inf
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"d": 2, "format": "upper-tri-row-major", "entries": [1.7e308]}))
+    code, stdout, stderr = run_cli(
+        capsys, "estimate", "--in", str(path), "--estimator", "avg", "--s", "2"
+    )
+    assert (code, stdout) == (1, "")
+    assert stderr.count("\n") == 1
+    assert json.loads(stderr) == {
+        "error": "InvalidParams",
+        "message": f"matrix entries must satisfy |x| <= 2**1022 / d**2 = {2.0**1020!r}",
+    }
+
+
 @pytest.mark.parametrize(
     "model_args, message",
     [

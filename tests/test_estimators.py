@@ -25,7 +25,7 @@ from soslab.estimators import (
     max_estimate,
     scan_estimate,
 )
-from soslab.matrix import NoisyMatrix, n_pairs
+from soslab.matrix import NoisyMatrix, n_pairs, read_matrix_json
 from soslab.models import ModelParams, Noise, generate
 from soslab.seeds import generator
 from constructors import entry, matrix_from_dense, pair_position
@@ -264,20 +264,29 @@ def test_branch_and_bound_equals_exhaustive_when_entries_cancel(tmp_path, d, s, 
     assert (b.value, b.support) == (a.value, a.support)
 
 
-def test_scan_when_every_pair_sum_overflows():
-    # Every subset sums to -inf: the lexicographically first one is the
-    # argmax, and the greedy seed must not pick a vertex twice.
-    X = NoisyMatrix(d=4, entries=np.full(6, -1e308))
-    with np.errstate(over="ignore"):
-        for strategy in (EXHAUSTIVE, BRANCH_AND_BOUND):
-            r = scan_estimate(X, 3, strategy=strategy)
-            assert (r.value, r.support) == (-math.inf, frozenset({1, 2, 3}))
+def assert_refused(tmp_path, d, entries):
+    """Neither the constructor nor a matrix file admits these entries, and
+    both say why in the same words."""
+    message = f"matrix entries must satisfy |x| <= 2**1022 / d**2 = {2**1022 / d**2!r}"
+    with pytest.raises(InvalidParams) as err:
+        NoisyMatrix(d=d, entries=np.array(entries))
+    assert str(err.value) == message
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"d": d, "format": "upper-tri-row-major", "entries": list(entries)}))
+    with pytest.raises(InvalidParams) as err:
+        read_matrix_json(str(path))
+    assert str(err.value) == message
 
 
-# Inputs whose bound sums overflow (entries from {+-1.7e308, -1e308, +-1, 0}).
-# Branch-and-bound used to prune a subtree whose bound was inf - inf = NaN
-# and returned, in order: another support of value inf, -inf against inf,
-# and -inf against inf at d=7.
+def test_scan_when_every_pair_sum_overflows(tmp_path):
+    # Every 3-subset's pair sum would be -inf: the matrix is refused before
+    # any scan, where the scan once returned -inf.
+    assert_refused(tmp_path, 4, [-1e308] * 6)
+
+
+# Inputs whose bound sums would overflow (entries from {+-1.7e308, -1e308,
+# +-1, 0}). Branch-and-bound once pruned a subtree whose bound was
+# inf - inf = NaN; then it enumerated them, returning inf or -inf.
 OVERFLOWING = [
     (6, 5, [1.0, 1.0, 1.7e308, 1.7e308, -1e308, -1e308, -1e308, 1.7e308, -1.0, 1.7e308,
             -1.7e308, 1.7e308, 0.0, -1.0, -1e308]),
@@ -288,16 +297,27 @@ OVERFLOWING = [
 ]
 
 
+# The same sign patterns scaled so that the largest entries sit at the
+# bound, 2**1022 / d**2: every sum of at most d**2 of them is finite.
+AT_BOUND = [(d, s, np.array(entries) / 1.7e308 * (2**1022 / d**2)) for d, s, entries in OVERFLOWING]
+
+
 @pytest.mark.parametrize("d, s, entries", OVERFLOWING)
-def test_branch_and_bound_equals_exhaustive_when_sums_overflow(d, s, entries):
-    X = NoisyMatrix(d=d, entries=np.array(entries))
-    with np.errstate(over="ignore", invalid="ignore"):
-        a = scan_estimate(X, s, strategy=EXHAUSTIVE)
-        b = scan_estimate(X, s, strategy=BRANCH_AND_BOUND)
-        assert (b.value, b.support) == (a.value, a.support)
-        # the exhaustive path keeps its guard
-        with pytest.raises(TooLarge):
-            scan_estimate(X, s, strategy=BRANCH_AND_BOUND, max_subsets=math.comb(d, s) - 1)
+def test_entries_whose_sums_overflow_are_refused(tmp_path, d, s, entries):
+    assert_refused(tmp_path, d, entries)
+
+
+@pytest.mark.parametrize("d, s, entries", AT_BOUND + [
+    (4, 4, np.full(6, -(2**1022 / 16))),
+    (40, 3, generator(40).choice([-1.0, 1.0], n_pairs(40)) * (2**1022 / 40**2)),
+])
+def test_scan_and_closed_forms_are_finite_at_the_entry_bound(d, s, entries):
+    X = NoisyMatrix(d=d, entries=entries)
+    assert np.abs(X.entries).max() == 2**1022 / d**2
+    a = scan_estimate(X, s, strategy=EXHAUSTIVE)
+    b = scan_estimate(X, s, strategy=BRANCH_AND_BOUND)
+    assert (b.value, b.support) == (a.value, a.support)
+    assert all(map(math.isfinite, [a.value, avg_estimate(X, s), lp_estimate(X, s)]))
 
 
 def _sorted_row_top_sums(dense, d, s_star):
@@ -468,7 +488,7 @@ def _greedy_reference(dense, d, s_star):
     return estimators._pair_sum(dense, subset), subset
 
 
-@pytest.mark.parametrize("d, s, entries", OVERFLOWING + [
+@pytest.mark.parametrize("d, s, entries", AT_BOUND + [
     (d, s, generator(100 * d + s).standard_normal(n_pairs(d)))
     for d, s in [(5, 2), (9, 4), (16, 6), (40, 4)]
 ])
@@ -476,24 +496,23 @@ def test_greedy_seed_and_potential_order_share_one_masked_copy(d, s, entries):
     X = NoisyMatrix(d=d, entries=np.array(entries))
     shared = masked_dense(X)
     before = shared.copy()
-    with np.errstate(over="ignore", invalid="ignore"):
-        _potential_order(shared, d, s)  # only reads the shared matrix
-        seed = _greedy_seed(shared, d, s)
-        # the greedy as first written, on the zero-diagonal matrix
-        assert repr(seed) == repr(_greedy_reference(X.to_dense(), d, s))
-    assert np.array_equal(shared, before, equal_nan=True)
+    _potential_order(shared, d, s)  # only reads the shared matrix
+    seed = _greedy_seed(shared, d, s)
+    # the greedy as first written, with its free-vertex mask, on the
+    # zero-diagonal matrix
+    assert repr(seed) == repr(_greedy_reference(X.to_dense(), d, s))
+    assert np.array_equal(shared, before)
 
 
-@pytest.mark.parametrize("noise", ["gaussian", "rademacher", "overflowing"])
-def test_scan_does_not_write_into_the_matrix(monkeypatch, noise):
+@pytest.mark.parametrize("path", ["gaussian", "rademacher", "exhaustive"])
+def test_scan_does_not_write_into_the_matrix(monkeypatch, path):
     # exact inputs (+-1) search the dense matrix itself, gaussian ones a
-    # relabelled copy, and overflowing ones are enumerated: each path gets
-    # the scan's own array, -inf on the diagonal and X elsewhere
-    if noise == "overflowing":
-        d, s, entries = OVERFLOWING[0]
-        X, name = NoisyMatrix(d=d, entries=np.array(entries)), "_exhaustive"
+    # relabelled copy, and the exhaustive strategy enumerates: each path
+    # gets the scan's own array, -inf on the diagonal and X elsewhere
+    if path == "exhaustive":
+        X, name, strategy = _submatrix("gaussian", 12, 4, 0, 5), "_exhaustive", EXHAUSTIVE
     else:
-        X, s, name = _submatrix(noise, 30, 4, 0, 5), 4, "_branch_and_bound"
+        X, name, strategy = _submatrix(path, 30, 4, 0, 5), "_branch_and_bound", BRANCH_AND_BOUND
     received, seen = [], []
     search = getattr(estimators, name)
 
@@ -506,8 +525,7 @@ def test_scan_does_not_write_into_the_matrix(monkeypatch, noise):
 
     monkeypatch.setattr(estimators, name, spy)
     entries = X.entries.copy()
-    with np.errstate(over="ignore", invalid="ignore"):
-        scan_estimate(X, s)
+    scan_estimate(X, 4, strategy=strategy)
     assert seen == [True]
     assert np.array_equal(received[0], masked_dense(X))
     assert np.array_equal(X.entries, entries)

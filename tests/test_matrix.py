@@ -1,8 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 from soslab.errors import InvalidParams
 from soslab.matrix import (
+    JSON_FORMAT,
     NoisyMatrix,
     n_pairs,
     pair_indices,
@@ -58,6 +61,28 @@ def test_invalid_construction():
         NoisyMatrix(d=3, entries=np.array([1.0, 2.0]))
     with pytest.raises(InvalidParams):
         NoisyMatrix(d=2, entries=np.array([np.nan]))
+
+
+@pytest.mark.parametrize("d", [4, 40])
+def test_entries_are_bounded_by_2_to_the_1022_over_d_squared(tmp_path, d):
+    # a sum of at most d**2 entries then stays within 2**1022: no estimator overflows
+    limit = 2**1022 / d**2
+    message = f"matrix entries must satisfy |x| <= 2**1022 / d**2 = {limit!r}"
+    path = tmp_path / "m.json"
+    entries = np.zeros(n_pairs(d))
+    above = np.nextafter(limit, np.inf)
+    for x, admitted in [(limit, True), (-limit, True), (above, False), (-above, False),
+                        (np.nan, False), (np.inf, False), (-np.inf, False)]:
+        entries[-1] = x
+        # Python's json writes and reads NaN and Infinity
+        path.write_text(json.dumps({"d": d, "format": JSON_FORMAT, "entries": entries.tolist()}))
+        if admitted:
+            assert NoisyMatrix(d=d, entries=entries) == read_matrix_json(str(path))[0]
+            continue
+        for make in (lambda: NoisyMatrix(d=d, entries=entries), lambda: read_matrix_json(str(path))):
+            with pytest.raises(InvalidParams) as err:
+                make()
+            assert str(err.value) == message
 
 
 def test_entries_are_read_only():
