@@ -28,12 +28,22 @@ is ADMM on the splitting Z = M(y), Z PSD, with scaled dual U:
            computes the range (tau, inf) only, at a cost that grows with
            the eigenpairs it finds (early and block-model iterates keep
            many positive eigenvalues, late planted ones a few). Both run
-           with LAPACK's minimum workspace. M(y) + U is exactly symmetric,
-           so LAPACK works in its scratch buffer and overwrites it; its
-           Frobenius norm, the one pass over it before LAPACK's, also
-           rejects a NaN or an infinity. Z is written into the buffer of
-           the Z before last.
+           with LAPACK's minimum workspace. The packed M(y) + U is
+           unpacked into both triangles of the loop's one n x n scratch
+           buffer, so it is exactly symmetric; LAPACK works in that buffer
+           and overwrites it, and the projection is written back into it.
+           Its Frobenius norm, the one pass over it before LAPACK's, also
+           rejects a NaN or an infinity. Z is packed from it into the
+           buffer of the Z before last.
   U-step   U += M(y) - Z.
+
+Every matrix of the loop (U, Z and the previous Z, M(y), the plain state
+and the residuals) is kept packed, as a vector of n(n+1)/2 entries: the
+diagonal first, then the strict upper triangle row by row (``_packing``).
+One take packs a matrix and one take unpacks it; a packed vector v has
+Frobenius norm sqrt(v.v + v[n:].v[n:]), each off-diagonal entry counted
+twice. Only the projection's input and output and the returned M(y) are
+n x n, all in one buffer.
 
 This is Douglas-Rachford splitting on the projection's input v = M(y) + U:
 Z = PSD projection of v, U = v - Z, the y-step reads Z - U, and the plain
@@ -41,7 +51,8 @@ next state is F = M(y) + U. The loop accelerates it by Anderson mixing
 (type II; Walker and Ni, SIAM J. Numer. Anal. 49, 2011) with a safeguard,
 as SCS does (Zhang, O'Donoghue and Boyd, SIAM J. Optim. 30, 2020). With
 g = F - v the fixed-point residual, it keeps the last ``_AA_MEMORY``
-differences of F and of g (on the upper triangle), solves the small
+differences of F and of g (the packed vectors, with their plain inner
+product: an off-diagonal entry counts once), solves the small
 least-squares problem min |g - dG gamma|^2 with a Tikhonov term of
 ``_AA_REG`` times each difference's squared norm, and projects the mixed
 state F - (dV + dG) gamma = F - dF gamma instead of F; then U = v - Z.
@@ -59,11 +70,11 @@ instead (a restart, which reads no residual either) and the history is
 cleared. A rho change clears it too, since v scales with 1/rho. With
 ``_AA_MEMORY = 0`` every step is plain and the loop is plain ADMM, bit for
 bit. The history of differences is kept in single precision: at side 137
-(level 2, d=16) the mixing state takes about 0.7 MiB.
+(level 2, d=16) the mixing state takes about 0.65 MiB.
 
-The set-up (1/m, the cell-mean matrix, -diag(1/m) A^T, Down and Up, the
-matrices CSR) reads only the program's ``Constraints``, never c, so it
-lives on that object:
+The set-up (1/m, the packed entry map, the cell-mean matrix on packed
+vectors, -diag(1/m) A^T, Down and Up, the matrices CSR) reads only the
+program's ``Constraints``, never c, so it lives on that object:
 cached properties computed by its first solve and read-only, shared by
 every later solve of the same object. ``sos`` builds one ``Constraints``
 per shape and shares it, so every program of a shape shares one set-up.
@@ -86,6 +97,7 @@ Residuals:
 
   eq_res   = max |A y - b|               (machine-level: y is projected)
   psd_gap  = ||M(y) - Z||_F              (bounds -lambda_min of M(y))
+                                         (both norms on packed vectors)
   primal_residual = eq_res + psd_gap
   dual_residual   = rho * ||Z - Z_prev||_F
 
@@ -208,7 +220,8 @@ def project_psd(X: np.ndarray, *, out: np.ndarray | None = None, positive: int):
     LAPACK overwrites it. The result is W W^T with W = V+ diag(sqrt(w+))
     over the eigenpairs with eigenvalues above the cut tau = n eps ||X||_F:
     numpy runs that product as a BLAS syrk, so it is exactly symmetric. It
-    is written into ``out`` when given, else into a fresh array. An
+    is written into ``out`` (C-contiguous float64 n x n, which may be X
+    itself) when given, else into a fresh array. An
     eigenpair at or below tau moves the projection by at most tau in
     2-norm, the size of LAPACK's own backward error; ADMM iterates of a
     program whose moment matrix has a kernel carry such rounding-level
@@ -247,8 +260,12 @@ def project_psd(X: np.ndarray, *, out: np.ndarray | None = None, positive: int):
         w, V = w[:k], V[:, :k]
     if info != 0:
         raise EigFailure(f"symmetric eigendecomposition failed: LAPACK info {info}")
+    # np.dot, not np.matmul: at k = 1, the most common count late in a
+    # solve, matmul takes 2-3x as long; from k = 2 matmul is the faster,
+    # but over the counts of the gap workload's projections dot costs less
+    # at both sides (BENCH_admm_packed.json)
     W = V * np.sqrt(w)
-    return np.matmul(W, W.T, out=out), k
+    return np.dot(W, W.T, out=out), k
 
 
 # Eigenvalues of a quotient matrix at most this fraction of its largest one
@@ -374,6 +391,22 @@ def _accumulate(M: scipy.sparse.csr_matrix):
     return partial(csr_matvec, *M.shape, M.indptr, M.indices, M.data)
 
 
+@lru_cache(maxsize=None)
+def _packing(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(pack, unpack)``, read-only: the packed order of a symmetric n x n
+    matrix X, its diagonal first, then its strict upper triangle row by row.
+    ``X.take(pack)`` is X packed, n(n+1)/2 entries; ``v.take(unpack)`` is
+    the n x n matrix whose packed form is v, each off-diagonal entry written
+    into both triangles."""
+    rows, cols = np.triu_indices(n, 1)
+    diagonal = np.arange(n)
+    pack = np.concatenate([diagonal * (n + 1), rows * n + cols])
+    unpack = np.empty((n, n), dtype=np.intp)
+    unpack[diagonal, diagonal] = diagonal
+    unpack[rows, cols] = unpack[cols, rows] = np.arange(n, len(pack))
+    return _read_only(pack), _read_only(unpack)
+
+
 def _read_only_csr(M: scipy.sparse.csr_matrix) -> scipy.sparse.csr_matrix:
     for arr in (M.data, M.indices, M.indptr):
         arr.flags.writeable = False
@@ -390,9 +423,9 @@ class Constraints:
     ``row_sets`` (sorted 0-based vertices padded with ``d``, the form of
     ``subsets``), and its family in ``row_families``; rows that repeat an
     equality carry a family of their own. The solver's set-up, ``inv_m``,
-    ``cell_means``, ``neg_weighted_AT`` and ``orbits``, is computed on
-    first use and kept. Compared and hashed by identity (``eq=False``);
-    ``len()`` is the number of equality rows, at least one.
+    ``packed_entry``, ``cell_means``, ``neg_weighted_AT`` and ``orbits``,
+    is computed on first use and kept. Compared and hashed by identity
+    (``eq=False``); ``len()`` is the number of equality rows, at least one.
     """
 
     entry_map: np.ndarray
@@ -419,17 +452,25 @@ class Constraints:
         return _read_only(1.0 / np.bincount(self.entry_map.ravel(), minlength=self.A.shape[1]))
 
     @cached_property
+    def packed_entry(self) -> np.ndarray:
+        """The entry map in packed order (``_packing``): ``y.take`` of it
+        is M(y) packed."""
+        return _read_only(self.entry_map.take(_packing(len(self.entry_map))[0]))
+
+    @cached_property
     def cell_means(self) -> scipy.sparse.csr_matrix:
-        """The mean of each variable's cells as a CSR matrix: row v holds
-        1/m_v at the flat indices of the cells of variable v, ascending,
-        so ``cell_means @ X.ravel()`` adds v's cells of X in the order
-        ``np.bincount`` would, each times 1/m_v."""
+        """The mean of each variable's cells of a symmetric matrix, read off
+        its packed form, as a CSR matrix: row v holds 1/m_v at v's diagonal
+        cells and 2/m_v at its strict upper ones (each stands for two
+        cells), at their packed positions, ascending."""
         import scipy.sparse
 
-        flat = self.entry_map.ravel()
+        flat = self.packed_entry
+        weight = self.inv_m[flat]
+        weight[len(self.entry_map):] *= 2.0
         shape = (self.A.shape[1], len(flat))
         return _read_only_csr(
-            scipy.sparse.csr_matrix((self.inv_m[flat], (flat, np.arange(len(flat)))), shape=shape)
+            scipy.sparse.csr_matrix((weight, (flat, np.arange(len(flat)))), shape=shape)
         )
 
     @cached_property
@@ -451,7 +492,9 @@ def solve(program: SosProgram, options: SolverOptions | None = None) -> SdpSolut
     """Run the splitting iteration on an assembled program."""
     options = options or SolverOptions()
     cons = program.constraints
-    entry, b, c = cons.entry_map, cons.b, program.c
+    entry, b, c = cons.packed_entry, cons.b, program.c
+    n = len(cons.entry_map)
+    pack, unpack = _packing(n)
     inv_m = cons.inv_m
     add_cell_means = _accumulate(cons.cell_means)
     down, up = cons.orbits
@@ -467,38 +510,40 @@ def solve(program: SosProgram, options: SolverOptions | None = None) -> SdpSolut
     rho_changes = 0
     # y's seed, recomputed when rho changes
     c_step = c * inv_m / rho
-    # Buffers updated in place: y, U, M(y), a scratch matrix (the cell
-    # means' input through its flat view, then the projection's input, which
-    # LAPACK overwrites, then M(y) - Z), and Z with its previous value, which
-    # swap.
+    # Buffers updated in place: y, and packed (``_packing``) U, M(y), the
+    # plain next state F, a scratch vector R (Z - U, then M(y) - Z, then
+    # Z - Z_prev) whose Frobenius norm is |R|^2 + |R[n:]|^2, and Z with its
+    # previous value, which swap. Only T is n x n: the state projected is
+    # unpacked into it, LAPACK overwrites it and the projection is written
+    # back into it.
     y = np.empty(len(c))
-    Z = np.zeros(entry.shape)
+    Z = np.zeros(len(entry))
     Z_spare = np.empty_like(Z)
     U = np.zeros_like(Z)
     My = np.empty_like(Z)
-    T = np.empty_like(Z)
-    T_flat = T.reshape(-1)
+    F = np.empty_like(Z)
+    R = np.empty_like(Z)
+    R_off = R[n:]
+    T = np.empty((n, n))
     # the first projection counts as all positive
-    positive = len(Z)
+    positive = n
 
-    # Anderson mixing works on the upper triangle of the symmetric state. It
-    # keeps ring buffers of the last differences of plain states F and of
-    # residuals g = F - v, in single precision (they only steer the mix,
-    # which the safeguard and the plain-step stop test check), with the Gram
-    # matrix of the g differences; and the last F and g in double precision,
-    # so each new difference is exact before it is rounded. g = M(y) - Z,
-    # the new F's triangle and the mixed state are formed in Z_spare, which
-    # the projection writes Z into only after they are read.
+    # Anderson mixing works on the packed state. It keeps ring buffers of the
+    # last differences of plain states F and of residuals g = F - v, in
+    # single precision (they only steer the mix, which the safeguard and the
+    # plain-step stop test check), with the Gram matrix of the g differences;
+    # and the last F and g in double precision, so each new difference is
+    # exact before it is rounded. F and F_last swap, and the mixed state is
+    # formed in the one not holding the last plain state.
     memory = _AA_MEMORY
     if memory:
         from scipy.linalg.lapack import dposv
 
-        upper = np.triu(np.ones(Z.shape, dtype=bool))
-        tri = np.flatnonzero(upper)
-        dF, dG = np.empty((2, memory, len(tri)), dtype=np.float32)
+        dF, dG = np.empty((2, memory, len(entry)), dtype=np.float32)
+        g_single = np.empty(len(entry), dtype=np.float32)
         gram = np.empty((memory, memory))
         ridge = 1.0 + _AA_REG * np.eye(memory)
-        F_last, g_last, g_new = np.empty((3, len(tri)))
+        F_last, g_last, g_new = np.empty((3, len(entry)))
     depth = slot = 0
     have_last = mixed = False
     g_norm_last = math.inf
@@ -512,8 +557,8 @@ def solve(program: SosProgram, options: SolverOptions | None = None) -> SdpSolut
         # y-step: y0 = cell means of Z - U + c / (rho m), then
         # y = y0 - diag(1/m) A^T Up Down (A y0 - b), accumulated in place
         np.copyto(y, c_step)
-        np.subtract(Z, U, out=T)
-        add_cell_means(T_flat, y)
+        np.subtract(Z, U, out=R)
+        add_cell_means(R, y)
         np.copyto(Ay_b, minus_b)
         add_A(y, Ay_b)
         coarse.fill(0.0)
@@ -523,13 +568,13 @@ def solve(program: SosProgram, options: SolverOptions | None = None) -> SdpSolut
         add_correction(lam, y)
         # mode='wrap': 'raise' would buffer the output; every index is in range
         y.take(entry, out=My, mode="wrap")
-        np.add(My, U, out=T)  # F, the plain next state
+        np.add(My, U, out=F)
         adapt = it % _ADAPT_EVERY == 0
-        # the upper triangle of the state projected instead of F, if any
-        state = None
+        # the state projected: F, a mix of the last plain states, or (a
+        # restart) the plain state a dropped mix replaced
+        state, plain_step = F, True
         if memory:
-            scratch = Z_spare.reshape(-1)[: len(tri)]
-            np.subtract(My, Z, out=Z_spare).reshape(-1).take(tri, out=g_new)
+            np.subtract(My, Z, out=g_new)
             if have_last:
                 np.subtract(g_new, g_last, out=dG[slot])
             g_new, g_last = g_last, g_new
@@ -539,55 +584,53 @@ def solve(program: SosProgram, options: SolverOptions | None = None) -> SdpSolut
             if mixed and not plain and g_norm > g_norm_last:
                 # the mix raised the residual: restart from the plain state
                 # it replaced, with no history
-                state = F_last
+                state, plain_step = F_last, False
                 have_last = mixed = False
                 depth = slot = 0
                 rejected += 1
             else:
-                T_flat.take(tri, out=scratch)
                 if have_last:
-                    np.subtract(scratch, F_last, out=dF[slot])
+                    np.subtract(F, F_last, out=dF[slot])
                     depth = min(depth + 1, memory)
                     gram[slot, :depth] = gram[:depth, slot] = dG[:depth] @ dG[slot]
                     slot = (slot + 1) % memory
-                np.copyto(F_last, scratch)
+                F, F_last = F_last, F
+                state = F_last
                 have_last, g_norm_last, mixed = True, g_norm, False
                 if depth and not plain:
                     # gamma = argmin |g - dG gamma|^2 + reg sum_j |dG_j|^2 gamma_j^2;
                     # the mixed state is F - (dV + dG) gamma = F - dF gamma
                     H = gram[:depth, :depth] * ridge[:depth, :depth]
-                    _, gamma, info = dposv(H, dG[:depth] @ g_last.astype(np.float32))
+                    np.copyto(g_single, g_last)
+                    _, gamma, info = dposv(H, dG[:depth] @ g_single)
                     if info == 0:
                         mix = gamma.astype(np.float32) @ dF[:depth]
-                        state = np.subtract(F_last, mix, out=scratch)
-                        mixed = True
+                        state = np.subtract(F_last, mix, out=F)
+                        plain_step, mixed = False, True
                         accelerated += 1
         Z_prev = Z
-        if state is None:
-            Z, positive = project_psd(T, out=Z_spare, positive=positive)
-            np.subtract(My, Z, out=T)
-            U += T
+        state.take(unpack, out=T, mode="wrap")
+        P, positive = project_psd(T, out=T, positive=positive)
+        P.take(pack, out=Z_spare, mode="wrap")
+        Z, Z_spare = Z_spare, Z_prev
+        np.subtract(My, Z, out=R)
+        if plain_step:
+            U += R
         else:
-            T[upper] = state
-            T.T[upper] = state
-            np.copyto(U, T)
-            Z, positive = project_psd(T, out=Z_spare, positive=positive)
-            U -= Z
-            np.subtract(My, Z, out=T)
-        Z_spare = Z_prev
-        psd_gap = math.sqrt(np.vdot(T, T))
+            np.subtract(state, Z, out=U)
+        psd_gap = math.sqrt(np.vdot(R, R) + np.vdot(R_off, R_off))
         # The value and the other residuals are read by the stop test, which
         # cannot pass while psd_gap > TOL, by the rho adaptation and by the
         # return, and only after a plain step.
-        if state is not None or (psd_gap > TOL and not adapt and it < options.max_iter):
+        if not plain_step or (psd_gap > TOL and not adapt and it < options.max_iter):
             continue
         value = float(c @ y) / program.scale
         np.copyto(Ay_b, minus_b)
         add_A(y, Ay_b)
         eq_res = float(np.abs(Ay_b).max())
         primal = eq_res + psd_gap
-        np.subtract(Z, Z_prev, out=T)
-        dual = rho * math.sqrt(np.vdot(T, T))
+        np.subtract(Z, Z_prev, out=R)
+        dual = rho * math.sqrt(np.vdot(R, R) + np.vdot(R_off, R_off))
         bar = TOL * (1.0 + abs(value))
         if primal <= bar and dual <= bar and psd_gap <= TOL:
             status = OPTIMAL
@@ -609,7 +652,7 @@ def solve(program: SosProgram, options: SolverOptions | None = None) -> SdpSolut
     return SdpSolution(
         status=status,
         value=value,
-        matrix=My,
+        matrix=y.take(cons.entry_map, out=T, mode="wrap"),
         primal_residual=primal,
         dual_residual=dual,
         iterations=it,

@@ -145,6 +145,12 @@ def test_project_psd_overwrite_skips_symmetrization():
     assert k == project_symmetrized(S)[1]
     assert np.array_equal(P, project_symmetrized(S)[0])
     assert not np.array_equal(scratch, S)
+    # the loop's scratch is both input and output, on both drivers
+    for positive in (0, len(S)):
+        scratch = S.copy()
+        P_in_place, _ = project_psd(scratch, out=scratch, positive=positive)
+        assert P_in_place is scratch
+        assert np.array_equal(P_in_place, project_psd(S.copy(), positive=positive)[0])
 
 
 def test_project_psd_rejects_nan():
@@ -473,13 +479,16 @@ def test_setup_rejects_dependent_equalities_without_the_symmetry():
 
 def test_setup_peak_memory_is_what_it_keeps():
     # the set-up solves one small quotient system per row type and forms no
-    # n x n array, so its peak is little more than the sparse arrays it keeps
+    # n x n array of the equalities, so its peak is little more than the
+    # sparse arrays it keeps and the side's packing maps (``_packing``,
+    # shared by every program of that side)
     cons = sos._equalities.__wrapped__(20, 3, 2, 3)  # no set-up yet
     assemble_basic(single_entry_matrix(1.0), 2).constraints.orbits  # imports
+    sdp._packing.cache_clear()
     tracemalloc.start()
     try:
         # in the order solve builds them
-        setup = (cons.inv_m,)
+        setup = (cons.inv_m, cons.packed_entry)
         setup += tuple(getattr(M, name)
                        for M in (cons.cell_means, *cons.orbits, cons.neg_weighted_AT)
                        for name in ("data", "indices", "indptr"))
@@ -488,7 +497,8 @@ def test_setup_peak_memory_is_what_it_keeps():
         tracemalloc.stop()
     assert len(cons) == 1352
     kept = sum(arr.nbytes for arr in setup)
-    assert peak <= 1.5 * kept
+    packing = sum(arr.nbytes for arr in sdp._packing(len(cons.entry_map)))
+    assert peak <= 1.5 * (kept + packing)
     assert kept <= 1352**2 * 8 / 10
 
 
@@ -519,16 +529,20 @@ def _csr_rows(M):
 
 
 def _reference_solve(program, options=None, choose_driver=True):
-    """The solver loop without its buffers and short cuts: the y-step
+    """The solver loop without its buffers and short cuts, on packed
+    matrices: a symmetric matrix is kept as its diagonal, then its strict
+    upper triangle row by row, and its Frobenius norm squared is the sum of
+    squares of that vector plus that of its off-diagonal part. The y-step
     y = y0 - diag(1/m) A^T Up Down (A y0 - b), y0 = cell means of Z - U
     + c / (rho m), with each sparse product added into its seed by
-    ``np.add.at`` in CSR order (the cell means and -diag(1/m) A^T built here
-    from the entry map and A), the symmetrizing projection into a fresh Z
-    per iteration, and every residual and the value on every iteration.
-    Each projection is passed the previous one's positive count, as in
-    ``solve``; with ``choose_driver=False`` it is passed 0, which runs
-    syevr on every iteration. The bit-for-bit oracle of the differential
-    tests below."""
+    ``np.add.at`` in CSR order (the cell means, 1/m on a diagonal cell and
+    2/m on a strict upper one, and -diag(1/m) A^T built here from the entry
+    map and A), the symmetrizing projection of the unpacked state into a
+    fresh Z per iteration, and every residual and the value on every
+    iteration. Each projection is passed the previous one's positive count,
+    as in ``solve``; with ``choose_driver=False`` it is passed 0, which
+    runs syevr on every iteration. The bit-for-bit oracle of the
+    differential tests below."""
     options = options or SolverOptions()
     cons = program.constraints
     A, b = cons.A, cons.b
@@ -536,17 +550,28 @@ def _reference_solve(program, options=None, choose_driver=True):
     down, up = cons.orbits
     AT = A.T.tocsr()
     AT_rows = _csr_rows(AT)
-    entry_flat = entry.ravel()
+    n = len(entry)
+    upper_rows, upper_cols = np.triu_indices(n, 1)
+    rows = np.r_[np.arange(n), upper_rows]
+    cols = np.r_[np.arange(n), upper_cols]
+    packed_entry = entry[rows, cols]
+    cell_weight = np.where(np.arange(len(rows)) < n, 1.0, 2.0) * inv_m[packed_entry]
     c = program.c
+
+    def unpacked(v):
+        X = np.empty((n, n))
+        X[rows, cols] = v
+        X[cols, rows] = v
+        return X
+
+    def norm(v):
+        return float(np.sqrt(v @ v + v[n:] @ v[n:]))
 
     rho = sdp._RHO_START
     rho_changes = 0
-    Z = np.zeros(entry.shape)
+    Z = np.zeros(len(rows))
     U = np.zeros_like(Z)
-    My = np.empty_like(Z)
-    R = np.empty_like(Z)
-    T = np.empty_like(Z)
-    positive = len(Z)
+    positive = n
 
     def residual(y):
         # A y - b, seeded with -b
@@ -556,8 +581,7 @@ def _reference_solve(program, options=None, choose_driver=True):
 
     def y_step(rho):
         y = c * inv_m / rho
-        ZU = np.subtract(Z, U, out=T).ravel()
-        _add_product(y, entry_flat, inv_m[entry_flat], slice(None), ZU)
+        _add_product(y, packed_entry, cell_weight, slice(None), Z - U)
         coarse = np.zeros(down.shape[0])
         _add_product(coarse, _csr_rows(down), down.data, down.indices, residual(y))
         lam = np.zeros(len(b))
@@ -571,16 +595,17 @@ def _reference_solve(program, options=None, choose_driver=True):
     status = MAX_ITER_REACHED
     for it in range(1, options.max_iter + 1):
         y = y_step(rho)
-        np.take(y, entry, out=My)
+        My = y[packed_entry]
         Z_prev = Z
         previous = positive if choose_driver else 0
-        Z, positive = project_symmetrized(np.add(My, U, out=T), positive=previous)
-        np.subtract(My, Z, out=R)
+        P, positive = project_symmetrized(unpacked(My + U), positive=previous)
+        Z = P[rows, cols]
+        R = My - Z
         U += R
-        psd_gap = float(np.linalg.norm(R))
+        psd_gap = norm(R)
         eq_res = float(np.max(np.abs(residual(y))))
         primal = eq_res + psd_gap
-        dual = rho * float(np.linalg.norm(np.subtract(Z, Z_prev, out=T)))
+        dual = rho * norm(Z - Z_prev)
         value = float(c @ y) / program.scale
         bar = sdp.TOL * (1.0 + abs(value))
         if primal <= bar and dual <= bar and psd_gap <= sdp.TOL:
@@ -599,7 +624,7 @@ def _reference_solve(program, options=None, choose_driver=True):
     return sdp.SdpSolution(
         status=status,
         value=value,
-        matrix=My,
+        matrix=y[entry],
         primal_residual=primal,
         dual_residual=dual,
         iterations=it,
@@ -859,7 +884,7 @@ def test_acceleration_cuts_the_gap_program_iterations():
 
 
 def test_acceleration_state_fits_its_budget():
-    # what the mixing keeps at side 137 (the history on the upper triangle)
+    # what the mixing keeps at side 137 (the history on the packed vectors)
     # adds at most 1 MiB to the solve's peak
     prog = _gap_program()
     solve(prog, SolverOptions(max_iter=2))  # the set-up and the imports
@@ -921,6 +946,86 @@ def test_plain_loop_counts_no_mixes(plain_loop):
     for prog, options in DIFFERENTIAL_CASES.values():
         sol = solve(prog, options)
         assert (sol.accelerated, sol.rejected) == (0, 0)
+
+
+# The loop's packed matrices: the diagonal, then the strict upper triangle
+# row by row.
+
+
+def _symmetric(n, seed):
+    S = generator(seed).standard_normal((n, n))
+    return S + S.T
+
+
+@pytest.mark.parametrize("n", [3, 17, 137])
+def test_pack_then_unpack_returns_the_symmetric_matrix(n):
+    X = _symmetric(n, seed=n)
+    pack, unpack = sdp._packing(n)
+    v = X.take(pack)
+    rows, cols = np.triu_indices(n, 1)
+    assert np.array_equal(v, np.r_[np.diag(X), X[rows, cols]])
+    assert np.array_equal(v.take(unpack), X)
+
+
+@pytest.mark.parametrize("n", [3, 17, 137])
+def test_packed_norm_is_the_frobenius_norm(n):
+    # the loop's psd_gap and dual residual: |v|^2 + |v[n:]|^2 counts each
+    # off-diagonal entry twice
+    X = _symmetric(n, seed=n)
+    v = X.take(sdp._packing(n)[0])
+    norm = np.sqrt(np.vdot(v, v) + np.vdot(v[n:], v[n:]))
+    assert abs(norm - np.linalg.norm(X)) <= 1e-15 * np.linalg.norm(X)
+
+
+@pytest.mark.parametrize("n", [3, 17])
+def test_nan_in_any_packed_position_raises(n):
+    # the state is unpacked into both triangles of the projection's input,
+    # so a NaN anywhere in it reaches the projection's norm check
+    pack, unpack = sdp._packing(n)
+    state = _symmetric(n, seed=n).take(pack)
+    for p in range(len(pack)):
+        v = state.copy()
+        v[p] = np.nan
+        T = v.take(unpack)
+        with pytest.raises(EigFailure, match="non-finite entries"):
+            project_psd(T, out=T, positive=n)
+
+
+def test_nan_in_the_loop_state_ends_the_solve(monkeypatch):
+    # a first projection with a NaN at one packed position (both cells)
+    # puts it into U and, through the y-step, into the next state
+    prog = assemble_level(_X5, 2, 1)
+    n = len(prog.constraints.entry_map)
+    pack, _ = sdp._packing(n)
+    project = sdp.project_psd
+    for p in pack:
+        calls = []
+
+        def poisoned(X, *, out=None, positive):
+            Z, count = project(X, out=out, positive=positive)
+            if not calls:
+                Z.flat[p] = Z.T.flat[p] = np.nan
+            calls.append(count)
+            return Z, count
+
+        monkeypatch.setattr(sdp, "project_psd", poisoned)
+        with pytest.raises(EigFailure, match="non-finite entries"):
+            solve(prog)
+        assert len(calls) == 1
+
+
+def test_solve_peak_memory_at_side_137():
+    # the loop keeps its matrices packed; the loop that kept them n x n
+    # peaked at 1,869,708 bytes in this solve (tracemalloc, numpy 2.4.6)
+    prog = _gap_program()
+    solve(prog, SolverOptions(max_iter=2))  # the set-up and the imports
+    tracemalloc.start()
+    try:
+        assert solve(prog).status == OPTIMAL
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1_869_708
 
 
 def test_rank_deficient_equalities_level2():
